@@ -10,7 +10,8 @@ the recommended block size, which the simulator then validates against
 neighboring sizes.
 """
 
-from ._kernels import NUMBA_ENABLED, USE_NUMBA
+__version__ = "0.1.0"
+
 from .errors import (
     BlocktuneError,
     ConfigError,
@@ -25,12 +26,10 @@ from .errors import (
     PredictorNotFittedError,
 )
 from .ga import (
-    Chromosome,
     GaConfig,
     GaResult,
     brute_force_optimum,
     crossover,
-    fitness,
     initialize_population,
     mutate,
     repair,
@@ -39,7 +38,6 @@ from .ga import (
 from .ga import run as run_ga
 from .model import (
     AssignmentMatrix,
-    BlockCostVector,
     BlockLimits,
     ConstraintReport,
     NodeProfile,
@@ -77,9 +75,5 @@ from .surrogate import (
     fit_predictor,
     fit_tree,
     load_dataset,
-    predict_f,
-    predict_g,
     save_dataset,
 )
-
-__version__ = "0.1.0"

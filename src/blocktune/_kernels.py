@@ -1,34 +1,18 @@
-"""Hot numeric kernels: numba-jitted by default, pure numpy on demand.
-
-Setting the environment variable ``BLOCKTUNE_NO_NUMBA=1`` (or numba being
-unavailable) selects the numpy implementations instead of the jitted ones.
-Both variants are kept importable side by side so the benchmark script and
-the equivalence tests can compare them directly.
+"""Hot numeric kernels in vectorized numpy: tree split search, tree and
+forest prediction, and assignment repair.
 
 All kernels share the same deterministic tie-breaking rules: when several
 candidates are equally good, the one encountered first (lowest feature
 index, lowest threshold position, lowest block index, lowest transaction
-id) wins on both code paths.
+id) wins.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_ENV_FLAG = "BLOCKTUNE_NO_NUMBA"
 
-
-def _numba_requested() -> bool:
-    return os.environ.get(_ENV_FLAG, "").strip().lower() not in ("1", "true", "yes")
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
-
-def best_split_numpy(features, targets, min_samples_leaf):
+def best_split(features, targets, min_samples_leaf):
     """Best (feature, threshold) split by squared-error reduction.
 
     Candidate thresholds are midpoints between consecutive distinct sorted
@@ -69,7 +53,7 @@ def best_split_numpy(features, targets, min_samples_leaf):
     return best_feature, best_threshold, best_gain
 
 
-def tree_predict_numpy(feature, threshold, left, right, value, points):
+def tree_predict(feature, threshold, left, right, value, points):
     """Evaluate one flat-array regression tree on ``points`` (m, n_features)."""
     m = points.shape[0]
     node = np.zeros(m, dtype=np.int64)
@@ -84,7 +68,7 @@ def tree_predict_numpy(feature, threshold, left, right, value, points):
     return value[node]
 
 
-def forest_predict_numpy(base_value, learning_rate, feature, threshold, left,
+def forest_predict(base_value, learning_rate, feature, threshold, left,
                          right, value, tree_offsets, points):
     """Sum of scaled tree predictions over a concatenated flat forest.
 
@@ -95,13 +79,13 @@ def forest_predict_numpy(base_value, learning_rate, feature, threshold, left,
     for t in range(len(tree_offsets) - 1):
         lo = tree_offsets[t]
         hi = tree_offsets[t + 1]
-        out += learning_rate * tree_predict_numpy(
+        out += learning_rate * tree_predict(
             feature[lo:hi], threshold[lo:hi], left[lo:hi] - lo,
             right[lo:hi] - lo, value[lo:hi], points)
     return out
 
 
-def repair_assignment_numpy(block_of, sizes, nb, ub, cb):
+def repair_assignment(block_of, sizes, nb, ub, cb):
     """Move transactions out of overloaded blocks until none remain.
 
     Mutates ``block_of`` in place. Each step takes the lowest-index block
@@ -133,144 +117,3 @@ def repair_assignment_numpy(block_of, sizes, nb, ub, cb):
         loads[j] -= s
         counts[d] += 1
         loads[d] += s
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (loop form of the same algorithms)
-# ---------------------------------------------------------------------------
-
-NUMBA_ENABLED = False
-best_split_numba = None
-tree_predict_numba = None
-forest_predict_numba = None
-repair_assignment_numba = None
-
-try:
-    from numba import njit
-
-    @njit(cache=True)
-    def _best_split_nb(features, targets, min_samples_leaf):  # pragma: no cover - jitted
-        n, n_features = features.shape
-        total_sq = 0.0
-        total_sum = 0.0
-        for i in range(n):
-            total_sq += targets[i] * targets[i]
-            total_sum += targets[i]
-        sse_parent = total_sq - total_sum * total_sum / n
-
-        best_feature = -1
-        best_threshold = 0.0
-        best_gain = 0.0
-        for f in range(n_features):
-            order = np.argsort(features[:, f], kind="mergesort")
-            csum = 0.0
-            csq = 0.0
-            for k in range(1, n):
-                y = targets[order[k - 1]]
-                csum += y
-                csq += y * y
-                if k < min_samples_leaf or n - k < min_samples_leaf:
-                    continue
-                lo = features[order[k - 1], f]
-                hi = features[order[k], f]
-                if lo >= hi:
-                    continue
-                sse_left = csq - csum * csum / k
-                rsum = total_sum - csum
-                sse_right = (total_sq - csq) - rsum * rsum / (n - k)
-                gain = sse_parent - sse_left - sse_right
-                if gain > best_gain:
-                    best_gain = gain
-                    best_feature = f
-                    best_threshold = 0.5 * (lo + hi)
-        return best_feature, best_threshold, best_gain
-
-    @njit(cache=True)
-    def _tree_predict_nb(feature, threshold, left, right, value, points):  # pragma: no cover
-        m = points.shape[0]
-        out = np.empty(m, dtype=np.float64)
-        for i in range(m):
-            node = 0
-            while feature[node] >= 0:
-                if points[i, feature[node]] <= threshold[node]:
-                    node = left[node]
-                else:
-                    node = right[node]
-            out[i] = value[node]
-        return out
-
-    @njit(cache=True)
-    def _forest_predict_nb(base_value, learning_rate, feature, threshold, left,
-                           right, value, tree_offsets, points):  # pragma: no cover
-        m = points.shape[0]
-        out = np.full(m, base_value, dtype=np.float64)
-        for t in range(len(tree_offsets) - 1):
-            root = tree_offsets[t]
-            for i in range(m):
-                node = root
-                while feature[node] >= 0:
-                    if points[i, feature[node]] <= threshold[node]:
-                        node = left[node]
-                    else:
-                        node = right[node]
-                out[i] += learning_rate * value[node]
-        return out
-
-    @njit(cache=True)
-    def _repair_assignment_nb(block_of, sizes, nb, ub, cb):  # pragma: no cover
-        n = block_of.shape[0]
-        counts = np.zeros(nb, dtype=np.int64)
-        loads = np.zeros(nb, dtype=np.int64)
-        for i in range(n):
-            counts[block_of[i]] += 1
-            loads[block_of[i]] += sizes[i]
-        while True:
-            j = -1
-            for b in range(nb):
-                if counts[b] > ub or loads[b] > cb:
-                    j = b
-                    break
-            if j < 0:
-                return True
-            mover = -1
-            mover_size = -1
-            for i in range(n):
-                if block_of[i] == j and sizes[i] > mover_size:
-                    mover = i
-                    mover_size = sizes[i]
-            d = -1
-            d_load = 0
-            for b in range(nb):
-                if b == j or counts[b] + 1 > ub or loads[b] + mover_size > cb:
-                    continue
-                if d < 0 or loads[b] < d_load:
-                    d = b
-                    d_load = loads[b]
-            if d < 0:
-                return False
-            block_of[mover] = d
-            counts[j] -= 1
-            loads[j] -= mover_size
-            counts[d] += 1
-            loads[d] += mover_size
-
-    best_split_numba = _best_split_nb
-    tree_predict_numba = _tree_predict_nb
-    forest_predict_numba = _forest_predict_nb
-    repair_assignment_numba = _repair_assignment_nb
-    NUMBA_ENABLED = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    pass
-
-USE_NUMBA = NUMBA_ENABLED and _numba_requested()
-
-if USE_NUMBA:
-    best_split = best_split_numba
-    tree_predict = tree_predict_numba
-    forest_predict = forest_predict_numba
-    repair_assignment = repair_assignment_numba
-else:
-    best_split = best_split_numpy
-    tree_predict = tree_predict_numpy
-    forest_predict = forest_predict_numpy
-    repair_assignment = repair_assignment_numpy

@@ -10,19 +10,19 @@ duration; a run is reproducible from its manifest alone. Exit codes:
 Numeric knobs live in config files; the only global flags are --seed
 (overriding every internal seed derivation), --out-dir, --quiet, and
 --no-timestamps (drops wall-clock fields so reports diff cleanly).
-The BLOCKTUNE_SEED environment variable seeds runs with lower priority
-than --seed. No subcommand mutates its inputs.
+Every subcommand resolves its root seed the same way: --seed, then the
+BLOCKTUNE_SEED environment variable, then the config file; a seed outside
+[0, 2**32) is a config error. No subcommand mutates its inputs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from . import configio, experiments, ga, simulator, surrogate
-from .configio import ManifestClock, RunManifest, derive_seed, resolve_seed
+from .configio import ManifestClock, RunManifest, resolve_seed, write_json
 from .errors import (
     BlocktuneError,
     ConfigError,
@@ -30,6 +30,7 @@ from .errors import (
     InfeasibleInstanceError,
     InternalInvariantError,
 )
+from .simulator import derive_seed
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -42,14 +43,6 @@ def _out_path(args, name):
         os.makedirs(args.out_dir, exist_ok=True)
         return os.path.join(args.out_dir, name)
     return name
-
-
-def _write_json(path, payload):
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
 
 
 def _emit(args, lines):
@@ -68,10 +61,10 @@ def cmd_simulate(args) -> int:
     clock = ManifestClock()
     raw = configio.load_json(args.config)
     seed = resolve_seed(args.seed, raw.get("rng_seed"))
-    config = configio.build_sim_config(raw, seed_override=seed)
+    config = configio.build_sim_config(raw, seed)
     result = simulator.run_simulation(config)
     out = _out_path(args, args.out)
-    _write_json(out, result.to_dict())
+    write_json(out, result.to_dict())
     result.write_block_table(str(out) + ".blocks.csv")
     _emit(args, [f"simulated {result.total_tx} transactions in "
                  f"{len(result.per_block_records)} blocks: "
@@ -89,7 +82,7 @@ def cmd_gen_data(args) -> int:
     if "sim" not in raw or "grid" not in raw:
         raise ConfigError(f"{args.config}: gen-data config needs 'sim' and 'grid'")
     seed = resolve_seed(args.seed, raw["sim"].get("rng_seed"))
-    base = configio.build_sim_config(raw["sim"], seed_override=seed)
+    base = configio.build_sim_config(raw["sim"], seed)
     grid = raw["grid"]
     out = _out_path(args, args.out)
     samples = simulator.generate_training_dataset(
@@ -111,10 +104,9 @@ def cmd_train(args) -> int:
     clock = ManifestClock()
     samples = surrogate.load_dataset(args.dataset)
     overrides = configio.load_json(args.config) if args.config else {}
-    config = configio.build_surrogate_config(overrides.get("surrogate", overrides))
-    if args.seed is not None:
-        from dataclasses import replace
-        config = replace(config, rng_seed=args.seed)
+    section = dict(overrides.get("surrogate", overrides))
+    section["rng_seed"] = resolve_seed(args.seed, section.get("rng_seed"))
+    config = configio.build_surrogate_config(section)
     predictor = surrogate.fit_predictor(samples, config)
     out = _out_path(args, args.out)
     predictor.save(out)
@@ -151,7 +143,7 @@ def cmd_optimize(args) -> int:
                            "limits": {"lb": instance.limits.lb,
                                       "ub": instance.limits.ub,
                                       "cb": instance.limits.cb}}
-    _write_json(out, payload)
+    write_json(out, payload)
     history_path = str(out) + ".history.csv"
     with open(history_path, "w", encoding="utf-8") as fh:
         fh.write("generation,best_fitness\n")
@@ -169,14 +161,11 @@ def cmd_optimize(args) -> int:
 def cmd_sensitivity(args) -> int:
     clock = ManifestClock()
     raw = configio.load_json(args.spec)
-    if args.seed is not None:
-        raw = dict(raw, rng_seed=args.seed)
-    else:
-        raw = dict(raw, rng_seed=resolve_seed(None, raw.get("rng_seed")))
+    raw = dict(raw, rng_seed=resolve_seed(args.seed, raw.get("rng_seed")))
     spec = experiments.SweepSpec.from_dict(raw)
     result = experiments.run_sensitivity(spec)
     out = _out_path(args, args.out)
-    _write_json(out, result.to_dict())
+    write_json(out, result.to_dict())
     series_path = str(out) + ".series.csv"
     result.write_series(series_path)
     _emit(args, result.summary_lines())
@@ -192,15 +181,18 @@ def cmd_validate(args) -> int:
     entries = raw.get("scenarios")
     if not entries:
         raise ConfigError(f"{args.scenarios}: no 'scenarios' list")
+    # A seed from the flag or the environment roots every scenario's seed;
+    # otherwise each scenario keeps its own config value.
+    root = resolve_seed(args.seed, None, default=None)
     scenarios = []
     for i, entry in enumerate(entries):
-        if args.seed is not None:
-            entry = dict(entry, rng_seed=derive_seed(args.seed, "scenario", i))
+        if root is not None:
+            entry = dict(entry, rng_seed=derive_seed(root, "scenario", i))
         scenarios.append(experiments.Scenario.from_dict(entry, i))
     offsets = tuple(raw.get("neighbor_offsets", (-2, -1, 0, 1, 2)))
     report = experiments.run_validation(scenarios, offsets)
     out = _out_path(args, args.out)
-    _write_json(out, report.to_dict())
+    write_json(out, report.to_dict())
     _emit(args, report.summary_lines())
     manifest = RunManifest("validate", raw,
                            {"scenario_roots": [s.rng_seed for s in scenarios]},
@@ -212,8 +204,7 @@ def cmd_validate(args) -> int:
 def cmd_pipeline(args) -> int:
     clock = ManifestClock()
     raw = configio.load_json(args.config)
-    if args.seed is not None:
-        raw = dict(raw, rng_seed=args.seed)
+    raw = dict(raw, rng_seed=resolve_seed(args.seed, raw.get("rng_seed")))
     scenario = experiments.Scenario.from_dict(raw)
     os.makedirs(args.out_dir or ".", exist_ok=True)
 
@@ -223,12 +214,12 @@ def cmd_pipeline(args) -> int:
     model_path = _out_path(args, "model.json")
     outcome.predictor.save(model_path)
     optimize_path = _out_path(args, "optimize.json")
-    _write_json(optimize_path, outcome.ga_result.to_dict())
+    write_json(optimize_path, outcome.ga_result.to_dict())
 
     offsets = tuple(raw.get("neighbor_offsets", (-2, -1, 0, 1, 2)))
     validation = experiments.run_validation([scenario], offsets)
     validation_path = _out_path(args, "validation.json")
-    _write_json(validation_path, validation.to_dict())
+    write_json(validation_path, validation.to_dict())
 
     _emit(args, [f"pipeline for {scenario.name!r}: recommended "
                  f"{outcome.ga_result.recommended_block_size}"]

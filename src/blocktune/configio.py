@@ -25,8 +25,9 @@ sizes.)
 ``ga`` / ``surrogate``: any subset of the respective config fields
 
 Seeds resolve in priority order --seed flag > BLOCKTUNE_SEED environment
-variable > config file value; sub-seeds always derive deterministically
-from the resolved root seed, so one number reproduces an entire run.
+variable > config file value, and must lie in [0, 2**32); sub-seeds always
+derive deterministically from the resolved root seed
+(``simulator.derive_seed``), so one number reproduces an entire run.
 """
 
 from __future__ import annotations
@@ -34,45 +35,50 @@ from __future__ import annotations
 import json
 import os
 import time
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
 from .errors import ConfigError
 from .ga import GaConfig
 from .model import BlockLimits, NodeProfile, ProblemInstance, Transaction
 from .simulator import BlockCutRule, GroundTruthCost, SimConfig, WorkloadProfile
 from .surrogate import SurrogateConfig
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = __version__
 SEED_ENV_VAR = "BLOCKTUNE_SEED"
 
 
-def derive_seed(root: int, *parts) -> int:
-    """Deterministic child seed from a root seed and a label path."""
-    ints = [int(root) & 0xFFFFFFFF]
-    for part in parts:
-        if isinstance(part, str):
-            ints.append(zlib.crc32(part.encode("utf-8")))
-        else:
-            ints.append(int(part) & 0xFFFFFFFF)
-    return int(np.random.SeedSequence(ints).generate_state(1)[0])
-
-
-def resolve_seed(cli_seed, config_seed, default: int = 0) -> int:
-    """--seed beats BLOCKTUNE_SEED beats the config file value."""
-    if cli_seed is not None:
-        return int(cli_seed)
+def resolve_seed(cli_seed, config_seed, default: int | None = 0) -> int | None:
+    """--seed beats BLOCKTUNE_SEED beats the config file value; ``default``
+    when none is set. The chosen seed must lie in [0, 2**32): seeds are
+    derived modulo 2**32, so a larger one would silently alias a smaller."""
     env = os.environ.get(SEED_ENV_VAR, "").strip()
-    if env:
+    if cli_seed is not None:
+        seed, source = int(cli_seed), "--seed"
+    elif env:
         try:
-            return int(env)
+            seed, source = int(env), SEED_ENV_VAR
         except ValueError:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    if config_seed is not None:
-        return int(config_seed)
-    return default
+    elif config_seed is not None:
+        seed, source = int(config_seed), "config rng_seed"
+    else:
+        return default
+    if not 0 <= seed < 2**32:
+        raise ConfigError(f"{source} must be in [0, 2**32), got {seed}")
+    return seed
+
+
+def write_json(path, payload):
+    """Write ``payload`` as sorted, indented JSON, atomically: readers see
+    the old file or the whole new one."""
+    tmp = str(path) + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    os.replace(tmp, path)
 
 
 def load_json(path) -> dict:
@@ -158,14 +164,14 @@ def build_block_cut(d: dict, where: str = "block_cut") -> BlockCutRule:
                         float(_req(d, "timeout_s", where)))
 
 
-def build_sim_config(d: dict, seed_override=None, where: str = "sim") -> SimConfig:
-    seed = resolve_seed(seed_override, d.get("rng_seed"))
+def build_sim_config(d: dict, rng_seed: int, where: str = "sim") -> SimConfig:
+    """The simulator config in ``d``, seeded with the resolved ``rng_seed``."""
     return SimConfig(
         workload=build_workload(_req(d, "workload", where), f"{where}.workload"),
         nodes=build_nodes(_req(d, "nodes", where), f"{where}.nodes"),
         block_cut=build_block_cut(_req(d, "block_cut", where), f"{where}.block_cut"),
         cost=build_cost(d.get("cost", {})),
-        rng_seed=seed,
+        rng_seed=rng_seed,
     )
 
 
@@ -214,20 +220,18 @@ class RunManifest:
         return d
 
     def write(self, path, include_timestamps: bool = True):
-        tmp = str(path) + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(include_timestamps), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
+        write_json(path, self.to_dict(include_timestamps))
 
 
 class ManifestClock:
-    """Tracks wall-clock duration for a manifest."""
+    """Stamps a manifest with its run's start time (wall clock) and duration
+    (monotonic ``perf_counter``, immune to clock adjustments)."""
 
     def __init__(self):
         self.start = time.time()
+        self._t0 = time.perf_counter()
 
     def stamp(self, manifest: RunManifest):
         manifest.timestamp = self.start
-        manifest.duration_s = time.time() - self.start
+        manifest.duration_s = time.perf_counter() - self._t0
         return manifest

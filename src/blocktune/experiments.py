@@ -36,7 +36,6 @@ from .configio import (
     build_limits,
     build_surrogate_config,
     build_workload,
-    derive_seed,
 )
 from .errors import BlocktuneError, ConfigError
 from .model import BlockLimits, NodeProfile, ProblemInstance, Transaction
@@ -45,6 +44,7 @@ from .simulator import (
     GroundTruthCost,
     SimConfig,
     WorkloadProfile,
+    derive_seed,
     generate_training_dataset,
     throughput_vs_blocksize,
 )

@@ -2,14 +2,17 @@
 
 Candidates are encoded as block-index vectors (one gene per transaction),
 so the one-block-per-transaction rule is structural and the search space
-is exactly the set of such vectors. Feasibility against the per-block
-count and byte caps is restored by a repair pass after every variation
-step, never through fitness penalties, keeping the fitness landscape
-identical to the objective being minimized.
+is exactly the set of such vectors. A population is a (pop, n) integer
+matrix of such vectors. The variation operators :func:`select`,
+:func:`crossover` and :func:`mutate` act on these arrays, and :func:`run`
+composes them. Feasibility against the per-block count and byte caps is
+restored by one repair pass per child, after mutation, never through
+fitness penalties, keeping the fitness landscape identical to the
+objective being minimized. Each generation is priced in one call to the
+model's population evaluator, :func:`blocktune.model.processing_times`.
 
 Runs are fully deterministic: identical (instance, predictor, config)
-produce bit-identical results. Fitness evaluations within a generation are
-pure and independent; results are always merged in population-index order.
+produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -24,13 +27,13 @@ from .errors import (
     EnumerationBudgetError,
     InfeasibleInstanceError,
     InternalInvariantError,
-    PredictorNotFittedError,
 )
 from .model import (
     AssignmentMatrix,
     ProblemInstance,
+    block_stats,
+    processing_times,
     recommended_block_size,
-    total_processing_time,
 )
 
 
@@ -68,36 +71,12 @@ class GaConfig:
             return self.mutation_rate
         return max(0.01, 2.0 / n)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "GaConfig":
-        return cls(**d)
-
-
-class Chromosome:
-    """A feasible assignment plus its memoized fitness.
-
-    Chromosomes are never mutated in place; variation operators return new
-    ones, so a cached fitness can never go stale.
-    """
-
-    __slots__ = ("assignment", "cached_fitness")
-
-    def __init__(self, assignment: AssignmentMatrix, cached_fitness: float | None = None):
-        self.assignment = assignment
-        self.cached_fitness = cached_fitness
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Chromosome) and self.assignment == other.assignment
-
-    def __hash__(self):
-        return hash(self.assignment)
-
 
 @dataclass(frozen=True)
 class GaResult:
     """Outcome of one search run, carrying everything needed to reproduce it."""
 
-    best: Chromosome
+    best: AssignmentMatrix
     best_fitness: float
     recommended_block_size: int
     fitness_history: tuple
@@ -110,7 +89,7 @@ class GaResult:
         return {
             "best_fitness": self.best_fitness,
             "recommended_block_size": self.recommended_block_size,
-            "block_of": self.best.assignment.block_of.tolist(),
+            "block_of": self.best.block_of.tolist(),
             "fitness_history": list(self.fitness_history),
             "generations_run": self.generations_run,
             "seed_used": self.seed_used,
@@ -175,103 +154,57 @@ def repair(instance: ProblemInstance, assignment: AssignmentMatrix) -> Assignmen
     return AssignmentMatrix(arr, instance.nb)
 
 
-def fitness(chromosome: Chromosome, instance: ProblemInstance, predictor) -> float:
-    """Total processing time of the chromosome's assignment, memoized."""
-    if chromosome.cached_fitness is None:
-        chromosome.cached_fitness = total_processing_time(
-            instance, chromosome.assignment, predictor)
-    return chromosome.cached_fitness
+def select(fit: np.ndarray, tournament_size: int, rng: np.random.Generator) -> int:
+    """Tournament selection: the index of the lowest fitness among
+    ``tournament_size`` distinct uniform draws, ties broken by the lower
+    population index."""
+    draws = np.sort(rng.choice(fit.size, size=min(tournament_size, fit.size),
+                               replace=False))
+    return int(draws[np.argmin(fit[draws])])
 
 
-def select(population, config: GaConfig, rng: np.random.Generator) -> Chromosome:
-    """Tournament selection: lowest fitness among ``tournament_size`` distinct
-    uniform draws wins, ties broken by the lower population index."""
-    if not population:
-        raise BlocktuneError("cannot select from an empty population")
-    k = min(config.tournament_size, len(population))
-    draws = rng.choice(len(population), size=k, replace=False)
-    best = None
-    for idx in sorted(int(i) for i in draws):
-        fit = population[idx].cached_fitness
-        if fit is None:
-            raise BlocktuneError("selection requires evaluated chromosomes")
-        if best is None or fit < population[best].cached_fitness:
-            best = idx
-    return population[best]
+def crossover(parent_a: np.ndarray, parent_b: np.ndarray, rng: np.random.Generator):
+    """Uniform per-transaction exchange: each gene swaps between the two
+    children with probability 0.5. Children are not repaired."""
+    swap = rng.random(parent_a.size) < 0.5
+    return np.where(swap, parent_b, parent_a), np.where(swap, parent_a, parent_b)
 
 
-def crossover(instance: ProblemInstance, parent_a: Chromosome, parent_b: Chromosome,
-              rng: np.random.Generator):
-    """Uniform per-transaction exchange: each gene swaps between the children
-    with probability 0.5; both children are repaired."""
-    swap = rng.random(instance.n) < 0.5
-    a = parent_a.assignment.block_of
-    b = parent_b.assignment.block_of
-    child_a = np.where(swap, b, a)
-    child_b = np.where(swap, a, b)
-    return (Chromosome(AssignmentMatrix(_repair_array(instance, child_a), instance.nb)),
-            Chromosome(AssignmentMatrix(_repair_array(instance, child_b), instance.nb)))
+def mutate(block_of: np.ndarray, nb: int, mutation_rate: float,
+           rng: np.random.Generator) -> np.ndarray:
+    """A copy of ``block_of`` with each gene reassigned to a uniformly random
+    block in [0, nb) with probability ``mutation_rate``. Not repaired."""
+    child = block_of.copy()
+    hit = rng.random(child.size) < mutation_rate
+    if hit.any():
+        child[hit] = rng.integers(0, nb, size=int(hit.sum()))
+    return child
 
 
-def mutate(instance: ProblemInstance, chromosome: Chromosome, mutation_rate: float,
-           rng: np.random.Generator) -> Chromosome:
-    """Reassign each transaction to a uniformly random block with probability
-    ``mutation_rate``, then repair."""
-    hit = rng.random(instance.n) < mutation_rate
-    if not hit.any():
-        return chromosome
-    arr = chromosome.assignment.block_of.copy()
-    arr[hit] = rng.integers(0, instance.nb, size=int(hit.sum()))
-    if np.array_equal(arr, chromosome.assignment.block_of):
-        return chromosome
-    return Chromosome(AssignmentMatrix(_repair_array(instance, arr), instance.nb))
-
-
-def initialize_population(instance: ProblemInstance, predictor, config: GaConfig):
-    """Build ``population_size`` feasible chromosomes: transactions assigned
-    in a random order to uniformly random blocks, then repaired. Member
-    seeds derive deterministically from the config seed."""
+def initialize_population(instance: ProblemInstance, config: GaConfig) -> np.ndarray:
+    """The (population_size, n) matrix of feasible starting assignments:
+    transactions assigned in a random order to uniformly random blocks,
+    then repaired. Member seeds derive deterministically from the config
+    seed."""
     _check_instance_feasible(instance)
     seeds = np.random.SeedSequence(config.rng_seed).spawn(config.population_size)
-    population = []
-    for seq in seeds:
+    population = np.empty((config.population_size, instance.n), dtype=np.int64)
+    for row, seq in zip(population, seeds):
         rng = np.random.default_rng(seq)
         order = rng.permutation(instance.n)
-        arr = np.empty(instance.n, dtype=np.int64)
-        arr[order] = rng.integers(0, instance.nb, size=instance.n)
-        population.append(
-            Chromosome(AssignmentMatrix(_repair_array(instance, arr), instance.nb)))
+        row[order] = rng.integers(0, instance.nb, size=instance.n)
+        _repair_array(instance, row)
     return population
 
 
 def _population_fitness(instance: ProblemInstance, predictor, matrix: np.ndarray):
-    """Objective for every row of ``matrix`` (pop, n) in one batched pass.
+    """The objective for every row of ``matrix`` (pop, n), with the number of
+    feature rows priced outside the predictor's training range.
 
     Returns (fitness vector, extrapolating query count, total query count).
     Rows must already be feasible.
     """
-    pop = matrix.shape[0]
-    nb = instance.nb
-    m = instance.m
-    flat = (matrix + (np.arange(pop) * nb)[:, None]).ravel()
-    counts = np.bincount(flat, minlength=pop * nb)
-    byte_sums = np.bincount(flat, weights=np.broadcast_to(
-        instance.sizes.astype(np.float64), matrix.shape).ravel(),
-        minlength=pop * nb)
-
-    nonempty = np.flatnonzero(counts > 0)
-    rows = np.empty((nonempty.size * m, 3), dtype=np.float64)
-    rows[:, 0] = np.repeat(counts[nonempty].astype(np.float64), m)
-    rows[:, 1] = np.repeat(byte_sums[nonempty], m)
-    rows[:, 2] = np.tile(instance.bandwidths, nonempty.size)
-
-    per_node = (np.asarray(predictor.predict_f_batch(rows), dtype=np.float64)
-                + np.asarray(predictor.predict_g_batch(rows), dtype=np.float64))
-    block_time = per_node.reshape(nonempty.size, m).max(axis=1)
-
-    fit = np.zeros(pop, dtype=np.float64)
-    np.add.at(fit, nonempty // nb, block_time)
-
+    fit, rows = processing_times(instance, matrix, predictor)
     extrapolating = 0
     if hasattr(predictor, "extrapolation_mask"):
         extrapolating = int(predictor.extrapolation_mask(rows).sum())
@@ -281,18 +214,18 @@ def _population_fitness(instance: ProblemInstance, predictor, matrix: np.ndarray
 def run(instance: ProblemInstance, predictor, config: GaConfig = GaConfig()) -> GaResult:
     """Full generational loop with elitism and stagnation-based stopping.
 
-    Per-generation best fitness is non-increasing; the returned best
-    chromosome is feasible and carries the recommended block size (its
-    largest per-block transaction count).
+    Each child comes from two tournament selections, crossover with
+    probability ``crossover_rate``, mutation and one repair. Per-generation
+    best fitness is non-increasing; the returned best assignment is
+    feasible and carries the recommended block size (its largest per-block
+    transaction count).
     """
-    if not getattr(predictor, "fitted", False):
-        raise PredictorNotFittedError("predictor has not been fitted")
-    population = initialize_population(instance, predictor, config)
-    matrix = np.stack([c.assignment.block_of for c in population])
+    matrix = initialize_population(instance, config)
     fit, extra, total_q = _population_fitness(instance, predictor, matrix)
 
     rng = np.random.default_rng(np.random.SeedSequence((config.rng_seed, 1)))
     mutation_rate = config.effective_mutation_rate(instance.n)
+    n_children = config.population_size - config.elitism_count
 
     best_idx = int(np.argmin(fit))
     best_arr = matrix[best_idx].copy()
@@ -302,44 +235,23 @@ def run(instance: ProblemInstance, predictor, config: GaConfig = GaConfig()) -> 
     generations_run = 0
 
     for _ in range(config.max_generations):
-        order = np.argsort(fit, kind="stable")
         # Elites are appended last: on fitness ties the lower index wins a
         # tournament, so putting fresh children first lets equally-good
         # offspring keep drifting across fitness plateaus.
-        elite_rows = [matrix[i].copy() for i in order[:config.elitism_count]]
-        next_rows = []
-
-        k = min(config.tournament_size, matrix.shape[0])
-
-        def _tournament():
-            draws = np.sort(rng.choice(matrix.shape[0], size=k, replace=False))
-            winner = draws[0]
-            for idx in draws[1:]:
-                if fit[idx] < fit[winner]:
-                    winner = idx
-            return winner
-
-        n_children = config.population_size - config.elitism_count
-        while len(next_rows) < n_children:
-            pa = matrix[_tournament()]
-            pb = matrix[_tournament()]
+        elites = matrix[np.argsort(fit, kind="stable")[:config.elitism_count]]
+        children = []
+        while len(children) < n_children:
+            pa = matrix[select(fit, config.tournament_size, rng)]
+            pb = matrix[select(fit, config.tournament_size, rng)]
             if rng.random() < config.crossover_rate:
-                swap = rng.random(instance.n) < 0.5
-                ca = np.where(swap, pb, pa)
-                cb = np.where(swap, pa, pb)
-            else:
-                ca = pa.copy()
-                cb = pb.copy()
-            for child in (ca, cb):
-                if len(next_rows) >= n_children:
-                    break
-                hit = rng.random(instance.n) < mutation_rate
-                if hit.any():
-                    child = child.copy()
-                    child[hit] = rng.integers(0, instance.nb, size=int(hit.sum()))
-                next_rows.append(_repair_array(instance, child.copy()))
+                pa, pb = crossover(pa, pb, rng)
+            # The last pair may fill only one slot; the dropped child draws
+            # no mutation numbers.
+            for parent in (pa, pb)[:n_children - len(children)]:
+                children.append(_repair_array(
+                    instance, mutate(parent, instance.nb, mutation_rate, rng)))
 
-        matrix = np.stack(next_rows + elite_rows)
+        matrix = np.concatenate([np.stack(children), elites])
         fit, gen_extra, gen_q = _population_fitness(instance, predictor, matrix)
         extra += gen_extra
         total_q += gen_q
@@ -356,12 +268,11 @@ def run(instance: ProblemInstance, predictor, config: GaConfig = GaConfig()) -> 
         if stagnant >= config.stagnation_limit:
             break
 
-    best_assignment = AssignmentMatrix(best_arr, instance.nb)
-    best = Chromosome(best_assignment, best_fit)
+    best = AssignmentMatrix(best_arr, instance.nb)
     return GaResult(
         best=best,
         best_fitness=best_fit,
-        recommended_block_size=recommended_block_size(best_assignment),
+        recommended_block_size=recommended_block_size(best),
         fitness_history=tuple(history),
         generations_run=generations_run,
         seed_used=config.rng_seed,
@@ -386,24 +297,18 @@ def brute_force_optimum(instance: ProblemInstance, predictor,
             f"{nb}^{n} = {total} assignments exceed the enumeration budget {budget}")
 
     place = nb ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    sizes = instance.sizes
     best_fit = np.inf
     best_arr = None
     chunk = 1 << 14
     for start in range(0, total, chunk):
         ks = np.arange(start, min(start + chunk, total), dtype=np.int64)
         cand = (ks[:, None] // place) % nb
-        rows = ks.size
-        flat = (cand + (np.arange(rows) * nb)[:, None]).ravel()
-        counts = np.bincount(flat, minlength=rows * nb).reshape(rows, nb)
-        byte_sums = np.bincount(flat, weights=np.broadcast_to(
-            sizes.astype(np.float64), cand.shape).ravel(),
-            minlength=rows * nb).reshape(rows, nb)
+        counts, byte_sums = block_stats(instance, cand)
         feasible = ((counts <= instance.limits.ub).all(axis=1)
                     & (byte_sums <= instance.limits.cb).all(axis=1))
         if not feasible.any():
             continue
-        fit, _, _ = _population_fitness(instance, predictor, cand[feasible])
+        fit, _ = processing_times(instance, cand[feasible], predictor)
         local = int(np.argmin(fit))
         if fit[local] < best_fit:
             best_fit = float(fit[local])

@@ -9,6 +9,12 @@ quantity being minimized is the total processing time: the sum over blocks
 of the slowest committing node's predicted storing time plus latency for
 that block's composition.
 
+One evaluator computes it: :func:`block_times` prices every block of a
+(pop, n) matrix of assignments in one predict call, and
+:func:`processing_times` sums each row in block order. The genetic search,
+:func:`total_processing_time` and :func:`block_processing_time` all go
+through it, so an assignment prices the same alone or in a population.
+
 Performance predictors are duck-typed: anything exposing a truthy
 ``fitted`` attribute plus ``predict_f_batch(points)`` and
 ``predict_g_batch(points)`` over (k, 3) arrays with columns
@@ -247,17 +253,6 @@ class ConstraintReport:
         }
 
 
-@dataclass(frozen=True)
-class BlockCostVector:
-    """Per-block processing times in seconds; zero exactly for empty blocks."""
-
-    t: tuple
-
-    @property
-    def total(self) -> float:
-        return float(sum(self.t))
-
-
 def _check_length(instance: ProblemInstance, assignment: AssignmentMatrix):
     if len(assignment) != instance.n:
         raise MalformedAssignmentError(
@@ -267,21 +262,32 @@ def _check_length(instance: ProblemInstance, assignment: AssignmentMatrix):
             f"assignment was built for {assignment.nb} blocks, instance has {instance.nb}")
 
 
-def block_stats(instance: ProblemInstance, assignment: AssignmentMatrix):
-    """Per-block transaction counts and byte sums as two length-nb arrays."""
+def block_stats(instance: ProblemInstance, matrix: np.ndarray):
+    """Per-block transaction counts and byte sums of every assignment row of
+    ``matrix`` (pop, n), each shaped (pop, nb). Byte sums are float64, exact
+    for totals below 2**53."""
+    pop = matrix.shape[0]
+    nb = instance.nb
+    flat = (matrix + (np.arange(pop) * nb)[:, None]).ravel()
+    counts = np.bincount(flat, minlength=pop * nb)
+    byte_sums = np.bincount(flat, weights=np.broadcast_to(
+        instance.sizes.astype(np.float64), matrix.shape).ravel(),
+        minlength=pop * nb)
+    return counts.reshape(pop, nb), byte_sums.reshape(pop, nb)
+
+
+def _assignment_stats(instance: ProblemInstance, assignment: AssignmentMatrix):
+    """:func:`block_stats` of one assignment, as two length-nb arrays."""
     _check_length(instance, assignment)
-    counts = np.bincount(assignment.block_of, minlength=instance.nb)
-    byte_sums = np.bincount(assignment.block_of,
-                            weights=instance.sizes.astype(np.float64),
-                            minlength=instance.nb).astype(np.int64)
-    return counts, byte_sums
+    counts, byte_sums = block_stats(instance, assignment.block_of[None, :])
+    return counts[0], byte_sums[0]
 
 
 def block_metrics(instance: ProblemInstance, assignment: AssignmentMatrix, j: int):
     """(transaction count, byte sum) of block ``j``."""
     if not 0 <= j < instance.nb:
         raise IndexError(f"block index {j} out of range [0, {instance.nb})")
-    counts, byte_sums = block_stats(instance, assignment)
+    counts, byte_sums = _assignment_stats(instance, assignment)
     return int(counts[j]), int(byte_sums[j])
 
 
@@ -289,7 +295,7 @@ def validate_assignment(instance: ProblemInstance,
                         assignment: AssignmentMatrix) -> ConstraintReport:
     """Check every block against both caps; reports all violations, not just
     the first."""
-    counts, byte_sums = block_stats(instance, assignment)
+    counts, byte_sums = _assignment_stats(instance, assignment)
     violations = []
     for j in range(instance.nb):
         if counts[j] > instance.limits.ub:
@@ -301,36 +307,41 @@ def validate_assignment(instance: ProblemInstance,
     return ConstraintReport(tuple(violations))
 
 
-def _require_fitted(predictor):
+def block_times(instance: ProblemInstance, matrix: np.ndarray, predictor):
+    """Processing time of every block of every assignment row of ``matrix``
+    (pop, n): the slowest node's predicted f + g, 0 for an empty block.
+
+    Returns the (pop, nb) times and the feature rows priced: one
+    (tx_count, block_bytes, bandwidth) row per non-empty block and node,
+    population-major, then block, then node order, all in one predict call.
+    """
     if not getattr(predictor, "fitted", False):
         raise PredictorNotFittedError("performance predictor has not been fitted")
+    counts, byte_sums = block_stats(instance, matrix)
+    nonempty = np.flatnonzero(counts)
+    m = instance.m
+    rows = np.empty((nonempty.size * m, 3), dtype=np.float64)
+    rows[:, 0] = np.repeat(counts.ravel()[nonempty].astype(np.float64), m)
+    rows[:, 1] = np.repeat(byte_sums.ravel()[nonempty], m)
+    rows[:, 2] = np.tile(instance.bandwidths, nonempty.size)
+    per_node = (np.asarray(predictor.predict_f_batch(rows), dtype=np.float64)
+                + np.asarray(predictor.predict_g_batch(rows), dtype=np.float64))
+    times = np.zeros(counts.size, dtype=np.float64)
+    times[nonempty] = per_node.reshape(nonempty.size, m).max(axis=1)
+    return times.reshape(counts.shape), rows
 
 
-def _feature_rows(counts, byte_sums, bandwidths):
-    """(blocks*nodes, 3) feature rows, block-major then node order."""
-    k = counts.size
-    m = bandwidths.size
-    rows = np.empty((k * m, 3), dtype=np.float64)
-    rows[:, 0] = np.repeat(counts.astype(np.float64), m)
-    rows[:, 1] = np.repeat(byte_sums.astype(np.float64), m)
-    rows[:, 2] = np.tile(bandwidths, k)
-    return rows
+def processing_times(instance: ProblemInstance, matrix: np.ndarray, predictor):
+    """The objective for every assignment row of ``matrix`` (pop, n): the
+    sum of its block times, accumulated in block order. Returns the (pop,)
+    totals and the feature rows priced (see :func:`block_times`).
 
-
-def block_cost_vector(instance: ProblemInstance, assignment: AssignmentMatrix,
-                      predictor) -> BlockCostVector:
-    """Processing time of every block: the slowest node's f + g, 0 if empty."""
-    _require_fitted(predictor)
-    counts, byte_sums = block_stats(instance, assignment)
-    t = np.zeros(instance.nb, dtype=np.float64)
-    nonempty = np.flatnonzero(counts > 0)
-    if nonempty.size:
-        rows = _feature_rows(counts[nonempty], byte_sums[nonempty],
-                             instance.bandwidths)
-        per_node = (np.asarray(predictor.predict_f_batch(rows), dtype=np.float64)
-                    + np.asarray(predictor.predict_g_batch(rows), dtype=np.float64))
-        t[nonempty] = per_node.reshape(nonempty.size, instance.m).max(axis=1)
-    return BlockCostVector(tuple(float(x) for x in t))
+    Rows must already be feasible.
+    """
+    times, rows = block_times(instance, matrix, predictor)
+    # cumsum adds strictly in block order. sum(axis=1) adds pairwise and
+    # rounds differently, which would change saved best_fitness values.
+    return np.cumsum(times, axis=1)[:, -1], rows
 
 
 def block_processing_time(instance: ProblemInstance, assignment: AssignmentMatrix,
@@ -339,14 +350,9 @@ def block_processing_time(instance: ProblemInstance, assignment: AssignmentMatri
     committing nodes of predicted storing time plus latency."""
     if not 0 <= j < instance.nb:
         raise IndexError(f"block index {j} out of range [0, {instance.nb})")
-    _require_fitted(predictor)
-    counts, byte_sums = block_stats(instance, assignment)
-    if counts[j] == 0:
-        return 0.0
-    rows = _feature_rows(counts[j:j + 1], byte_sums[j:j + 1], instance.bandwidths)
-    per_node = (np.asarray(predictor.predict_f_batch(rows), dtype=np.float64)
-                + np.asarray(predictor.predict_g_batch(rows), dtype=np.float64))
-    return float(per_node.max())
+    _check_length(instance, assignment)
+    times, _ = block_times(instance, assignment.block_of[None, :], predictor)
+    return float(times[0, j])
 
 
 def total_processing_time(instance: ProblemInstance, assignment: AssignmentMatrix,
@@ -359,7 +365,8 @@ def total_processing_time(instance: ProblemInstance, assignment: AssignmentMatri
     if not report.ok:
         raise ConstraintViolationError(
             "assignment is infeasible: " + "; ".join(report.to_lines()))
-    return block_cost_vector(instance, assignment, predictor).total
+    totals, _ = processing_times(instance, assignment.block_of[None, :], predictor)
+    return float(totals[0])
 
 
 def recommended_block_size(assignment: AssignmentMatrix) -> int:

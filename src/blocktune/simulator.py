@@ -24,6 +24,7 @@ Distinct runs share no state and may execute concurrently.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -319,9 +320,16 @@ def run_simulation(config: SimConfig) -> SimResult:
     )
 
 
-def derive_cell_seed(base_seed: int, *parts) -> int:
-    """Stable per-cell seed derivation for grids and replicates."""
-    return int(np.random.SeedSequence((base_seed,) + tuple(parts)).generate_state(1)[0])
+def derive_seed(root: int, *parts) -> int:
+    """Deterministic child seed in [0, 2**32) from a root seed and a label
+    path of strings and integers; integers are taken modulo 2**32."""
+    ints = [int(root) & 0xFFFFFFFF]
+    for part in parts:
+        if isinstance(part, str):
+            ints.append(zlib.crc32(part.encode("utf-8")))
+        else:
+            ints.append(int(part) & 0xFFFFFFFF)
+    return int(np.random.SeedSequence(ints).generate_state(1)[0])
 
 
 def generate_training_dataset(base: SimConfig, block_sizes, tx_sizes, bandwidths,
@@ -350,14 +358,14 @@ def generate_training_dataset(base: SimConfig, block_sizes, tx_sizes, bandwidths
                 for rep in range(replicates):
                     workload = replace(base.workload, tx_size_bytes=int(ts),
                                        tx_size_range_bytes=None,
-                                       rng_seed=derive_cell_seed(
+                                       rng_seed=derive_seed(
                                            base.workload.rng_seed, cell, rep))
                     config = replace(
                         base,
                         workload=workload,
                         nodes=(NodeProfile(0, float(bw)),),
                         block_cut=replace(base.block_cut, max_tx_count=int(bs)),
-                        rng_seed=derive_cell_seed(base.rng_seed, cell, rep))
+                        rng_seed=derive_seed(base.rng_seed, cell, rep))
                     result = run_simulation(config)
                     for record in result.per_block_records:
                         samples.append(TrainingSample(

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from . import _kernels
-from .errors import DatasetError, FitError, PredictorNotFittedError
+from .errors import DatasetError, FitError
 
 FEATURE_NAMES = ("tx_count", "block_bytes", "bandwidth")
 DATASET_COLUMNS = ("tx_count", "block_bytes", "bandwidth", "vt_s", "ct_s", "latency_s")
@@ -222,24 +222,18 @@ class PolynomialModel:
                    d["coefficients"], d["feature_mean"], d["feature_scale"])
 
 
-def fit_polynomial(samples, degree: int = 2) -> PolynomialModel:
-    """Fit a degree-``degree`` polynomial to ``samples`` by linear least
-    squares over standardized features.
+def fit_polynomial(points, targets, degree: int = 2) -> PolynomialModel:
+    """Fit a degree-``degree`` polynomial to ``targets`` at ``points`` (n, 3)
+    by linear least squares over standardized features.
 
-    ``samples`` is either a list of :class:`TrainingSample` (fits the
-    committing-time target) or a ``(points, targets)`` pair of arrays.
     The solve goes through an orthogonal decomposition, never the normal
     equations; a rank-deficient design raises naming the degenerate
     monomial columns.
     """
     if degree not in (1, 2, 3):
         raise FitError(f"polynomial degree must be 1, 2 or 3, got {degree}")
-    if isinstance(samples, tuple):
-        points, targets = samples
-        points = np.asarray(points, dtype=np.float64)
-        targets = np.asarray(targets, dtype=np.float64)
-    else:
-        points, _, targets, _ = samples_to_arrays(samples)
+    points = np.asarray(points, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
 
     exponents = _monomial_exponents(degree)
     n_terms = len(exponents)
@@ -361,19 +355,12 @@ def _fit_tree_arrays(points, targets, max_depth, min_samples_leaf):
     return feature, threshold, left, right, value, n_samples
 
 
-def fit_tree(samples, max_depth: int = 6, min_samples_leaf: int = 5,
-             target: str = "latency_s") -> RegressionTree:
-    """Grow a regression tree greedily, stopping on depth, leaf size, or
-    zero gain. ``samples`` is a sample list (using ``target``) or a
-    ``(points, targets)`` pair."""
-    if isinstance(samples, tuple):
-        points, targets = samples
-        points = np.asarray(points, dtype=np.float64)
-        targets = np.asarray(targets, dtype=np.float64)
-    else:
-        points, vt, ct, lat = samples_to_arrays(samples)
-        targets = {"validation_time_s": vt, "committing_time_s": ct,
-                   "latency_s": lat}[target]
+def fit_tree(points, targets, max_depth: int = 6,
+             min_samples_leaf: int = 5) -> RegressionTree:
+    """Grow a regression tree on ``targets`` at ``points`` (n, 3) greedily,
+    stopping on depth, leaf size, or zero gain."""
+    points = np.asarray(points, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
     if points.shape[0] == 0:
         raise FitError("cannot fit a tree on an empty sample set")
     arrays = _fit_tree_arrays(points, targets, max_depth, min_samples_leaf)
@@ -438,24 +425,18 @@ class BoostedEnsemble:
                    d["learning_rate"], d["train_mse"])
 
 
-def fit_boosted(samples, rounds: int = 100, learning_rate: float = 0.1,
-                tree_depth: int = 3, min_samples_leaf: int = 1,
-                target: str = "validation_time_s") -> BoostedEnsemble:
-    """Boost regression trees against squared error.
+def fit_boosted(points, targets, rounds: int = 100, learning_rate: float = 0.1,
+                tree_depth: int = 3, min_samples_leaf: int = 1) -> BoostedEnsemble:
+    """Boost regression trees on ``targets`` at ``points`` (n, 3) against
+    squared error.
 
     Round 0 predicts the target mean; each round fits a tree to the current
     residuals and adds it scaled by ``learning_rate``.
     """
     if not 0 < learning_rate <= 1:
         raise FitError(f"learning_rate must be in (0, 1], got {learning_rate}")
-    if isinstance(samples, tuple):
-        points, targets = samples
-        points = np.asarray(points, dtype=np.float64)
-        targets = np.asarray(targets, dtype=np.float64)
-    else:
-        points, vt, ct, lat = samples_to_arrays(samples)
-        targets = {"validation_time_s": vt, "committing_time_s": ct,
-                   "latency_s": lat}[target]
+    points = np.asarray(points, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
     if points.shape[0] < 2:
         raise FitError("boosting needs at least 2 samples")
 
@@ -464,7 +445,7 @@ def fit_boosted(samples, rounds: int = 100, learning_rate: float = 0.1,
     train_mse = [float(np.mean(residuals ** 2))]
     trees = []
     for _ in range(rounds):
-        tree = fit_tree((points, residuals), max_depth=tree_depth,
+        tree = fit_tree(points, residuals, max_depth=tree_depth,
                         min_samples_leaf=min_samples_leaf)
         residuals = residuals - learning_rate * tree.predict(points)
         trees.append(tree)
@@ -490,10 +471,6 @@ class SurrogateConfig:
     tree_min_samples_leaf: int = 5
     holdout_fraction: float = 0.0
     rng_seed: int = 0
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SurrogateConfig":
-        return cls(**d)
 
 
 class PerformancePredictor:
@@ -575,20 +552,6 @@ class PerformancePredictor:
             return cls.from_dict(json.load(fh))
 
 
-def predict_f(predictor, features) -> float:
-    """Storing time (validation + committing) in seconds, clamped >= 0."""
-    if not getattr(predictor, "fitted", False):
-        raise PredictorNotFittedError("predictor has not been fitted")
-    return predictor.predict_f(features)
-
-
-def predict_g(predictor, features) -> float:
-    """Latency in seconds, clamped >= 0."""
-    if not getattr(predictor, "fitted", False):
-        raise PredictorNotFittedError("predictor has not been fitted")
-    return predictor.predict_g(features)
-
-
 def fit_predictor(samples, config: SurrogateConfig = SurrogateConfig()
                   ) -> PerformancePredictor:
     """Fit all three models on ``samples``.
@@ -612,12 +575,12 @@ def fit_predictor(samples, config: SurrogateConfig = SurrogateConfig()
         hold = np.empty(0, dtype=np.int64)
 
     tp = points[train]
-    vt_model = fit_boosted((tp, vt[train]), rounds=config.boost_rounds,
+    vt_model = fit_boosted(tp, vt[train], rounds=config.boost_rounds,
                            learning_rate=config.boost_learning_rate,
                            tree_depth=config.boost_tree_depth,
                            min_samples_leaf=config.boost_min_samples_leaf)
-    ct_model = fit_polynomial((tp, ct[train]), degree=config.poly_degree)
-    latency_model = fit_tree((tp, lat[train]), max_depth=config.tree_max_depth,
+    ct_model = fit_polynomial(tp, ct[train], degree=config.poly_degree)
+    latency_model = fit_tree(tp, lat[train], max_depth=config.tree_max_depth,
                              min_samples_leaf=config.tree_min_samples_leaf)
 
     ranges = np.column_stack([points.min(axis=0), points.max(axis=0)])

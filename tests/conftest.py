@@ -30,16 +30,6 @@ class StubPredictor:
         count, nbytes, bw = self._cols(rows)
         return np.maximum(self._g(count, nbytes, bw), 0.0)
 
-    def predict_f(self, features):
-        if hasattr(features, "as_array"):
-            features = features.as_array()
-        return float(self.predict_f_batch(features)[0])
-
-    def predict_g(self, features):
-        if hasattr(features, "as_array"):
-            features = features.as_array()
-        return float(self.predict_g_batch(features)[0])
-
     def extrapolation_mask(self, rows):
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
         lo, hi = self.feature_ranges[:, 0], self.feature_ranges[:, 1]

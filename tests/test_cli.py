@@ -1,0 +1,188 @@
+"""The command line, run in-process: exit codes, seed priority, byte-identical
+reruns and a pinned optimize result."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from blocktune import _kernels, cli, ga
+from blocktune.simulator import derive_seed
+
+PINNED_OPTIMIZE = Path(__file__).parent / "data" / "pinned_optimize.json"
+
+GEN_DATA = {
+    "sim": {"workload": {"arrival_rate_tps": 200.0, "total_tx": 60,
+                         "tx_size_bytes": 1000, "rng_seed": 5},
+            "nodes": [{"bandwidth_bytes_per_sec": 2.0e6}],
+            "block_cut": {"max_tx_count": 8, "max_bytes": 65536, "timeout_s": 1.0},
+            "rng_seed": 3},
+    "grid": {"block_sizes": [2, 4, 8], "tx_sizes": [500, 1000, 2000],
+             "bandwidths": [1.0e6, 2.0e6, 4.0e6], "replicates": 1},
+}
+SURROGATE = {"surrogate": {"boost_rounds": 10, "holdout_fraction": 0.2}}
+INSTANCE = {
+    "instance": {"transactions": {"sizes_bytes": [500, 1200, 800, 2000, 300, 1500,
+                                                  900, 1100, 700, 1800, 400, 1000]},
+                 "nodes": [{"bandwidth_bytes_per_sec": 2.0e6},
+                           {"bandwidth_bytes_per_sec": 1.0e6}],
+                 "limits": {"lb": 3, "ub": 6, "cb": 6000}},
+    "ga": {"population_size": 12, "max_generations": 10, "stagnation_limit": 10,
+           "rng_seed": 4},
+}
+PIPELINE = {
+    "name": "tiny", "rng_seed": 11,
+    "instance": {"transactions": {"count": 10, "size_bytes": 1000},
+                 "nodes": [{"bandwidth_bytes_per_sec": 4.0e6}],
+                 "limits": {"lb": 2, "ub": 5, "cb": 1048576}},
+    "workload": {"arrival_rate_tps": 200.0, "total_tx": 100, "tx_size_bytes": 1000},
+    "block_cut": {"max_tx_count": 5, "max_bytes": 1048576, "timeout_s": 1.0},
+    "train_grid": {"block_sizes": [2, 4, 6], "total_tx": 60},
+    "surrogate": {"boost_rounds": 5},
+    "ga": {"population_size": 8, "max_generations": 5},
+}
+SIMULATE = {"workload": {"arrival_rate_tps": 200.0, "total_tx": 20, "tx_size_bytes": 500},
+            "nodes": [{"bandwidth_bytes_per_sec": 1.0e6}],
+            "block_cut": {"max_tx_count": 4, "max_bytes": 65536, "timeout_s": 1.0}}
+
+
+@pytest.fixture(autouse=True)
+def no_env_seed(monkeypatch):
+    monkeypatch.delenv("BLOCKTUNE_SEED", raising=False)
+
+
+def write(path, payload) -> str:
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+def run(out_dir, *argv) -> int:
+    return cli.main(["--quiet", "--no-timestamps", "--out-dir", str(out_dir), *argv])
+
+
+def load(path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def files(directory):
+    return {p.name: p.read_bytes() for p in sorted(Path(directory).iterdir())}
+
+
+@pytest.fixture(scope="module")
+def model_path(tmp_path_factory):
+    """gen-data then train on the tiny grid; returns the model file."""
+    d = tmp_path_factory.mktemp("model")
+    assert run(d, "gen-data", write(d / "gen.json", GEN_DATA), "-o", "d.csv") == 0
+    assert run(d, "train", str(d / "d.csv"), "--config",
+               write(d / "s.json", SURROGATE), "-o", "m.json") == 0
+    return str(d / "m.json")
+
+
+@pytest.fixture
+def instance_path(tmp_path):
+    return write(tmp_path / "instance.json", INSTANCE)
+
+
+class TestExitCodes:
+    def test_ok_and_pinned_optimize(self, tmp_path, model_path, instance_path):
+        """gen-data, train and optimize reproduce the optimize.json that the
+        same configs produced before the GA and the objective were merged."""
+        assert run(tmp_path, "optimize", instance_path, model_path) == cli.EXIT_OK
+        assert (tmp_path / "optimize.json").read_bytes() == PINNED_OPTIMIZE.read_bytes()
+
+    def test_config_errors(self, tmp_path, model_path):
+        assert run(tmp_path, "simulate", str(tmp_path / "missing.json")) == cli.EXIT_CONFIG
+        (tmp_path / "bad.json").write_text("{", encoding="utf-8")
+        assert run(tmp_path, "optimize", str(tmp_path / "bad.json"),
+                   model_path) == cli.EXIT_CONFIG
+
+    def test_infeasible_instance(self, tmp_path, model_path):
+        raw = json.loads(json.dumps(INSTANCE))
+        raw["instance"]["limits"]["cb"] = 1000  # the 2,000-byte transaction cannot fit
+        assert run(tmp_path, "optimize", write(tmp_path / "i.json", raw),
+                   model_path) == cli.EXIT_INFEASIBLE
+
+    def test_internal_invariant(self, tmp_path, model_path, instance_path, monkeypatch):
+        monkeypatch.setattr(_kernels, "repair_assignment", lambda *args: False)
+        monkeypatch.setattr(ga, "_greedy_repack", lambda instance: None)
+        assert run(tmp_path, "optimize", instance_path, model_path) == cli.EXIT_INTERNAL
+
+
+class TestSeedPriority:
+    def seed_used(self, out_dir, instance_path, model_path, *flags):
+        assert cli.main(["--quiet", "--no-timestamps", "--out-dir", str(out_dir),
+                         *flags, "optimize", instance_path, model_path]) == 0
+        return load(Path(out_dir) / "optimize.json")["seed_used"]
+
+    def test_flag_then_env_then_config(self, tmp_path, model_path, instance_path,
+                                       monkeypatch):
+        assert self.seed_used(tmp_path / "a", instance_path, model_path) == 4
+        monkeypatch.setenv("BLOCKTUNE_SEED", "9")
+        assert self.seed_used(tmp_path / "b", instance_path, model_path) == 9
+        assert self.seed_used(tmp_path / "c", instance_path, model_path,
+                              "--seed", "7") == 7
+        assert self.seed_used(tmp_path / "d", instance_path, model_path,
+                              "--seed", str(2**32 - 1)) == 2**32 - 1
+
+    @pytest.mark.parametrize("command", ["simulate", "gen-data", "optimize"])
+    @pytest.mark.parametrize("flag, env", [("-1", None), (str(2**32), None),
+                                           (None, "-3")])
+    def test_out_of_range_seed_is_config_error(self, tmp_path, model_path,
+                                               instance_path, monkeypatch,
+                                               command, flag, env):
+        if env is not None:
+            monkeypatch.setenv("BLOCKTUNE_SEED", env)
+        inputs = {"simulate": [write(tmp_path / "sim.json", SIMULATE)],
+                  "gen-data": [write(tmp_path / "gen.json", GEN_DATA)],
+                  "optimize": [instance_path, model_path]}[command]
+        flags = ["--seed", flag] if flag is not None else []
+        assert cli.main(["--quiet", "--out-dir", str(tmp_path), *flags, command,
+                         *inputs]) == cli.EXIT_CONFIG
+
+    def test_train_honours_env(self, tmp_path, model_path, monkeypatch):
+        dataset = str(Path(model_path).parent / "d.csv")
+        config = write(tmp_path / "s.json", SURROGATE)
+        monkeypatch.setenv("BLOCKTUNE_SEED", "9")
+        assert run(tmp_path, "train", dataset, "--config", config, "-o", "m.json") == 0
+        assert load(tmp_path / "m.json.manifest.json")["seeds"] == {"root": 9}
+        assert run(tmp_path, "--seed", "5", "train", dataset, "--config", config,
+                   "-o", "m.json") == 0
+        assert load(tmp_path / "m.json.manifest.json")["seeds"] == {"root": 5}
+
+    def test_pipeline_honours_env(self, tmp_path, monkeypatch):
+        config = write(tmp_path / "p.json", PIPELINE)
+        monkeypatch.setenv("BLOCKTUNE_SEED", "9")
+        assert run(tmp_path / "out", "pipeline", config) == 0
+        assert load(tmp_path / "out" / "pipeline.manifest.json")["seeds"]["root"] == 9
+
+    def test_validate_honours_env(self, tmp_path, monkeypatch):
+        config = write(tmp_path / "v.json", {"scenarios": [PIPELINE]})
+        assert run(tmp_path, "validate", config) == 0
+        assert load(tmp_path / "validation.json")["scenarios"][0]["seeds"]["root"] == 11
+        monkeypatch.setenv("BLOCKTUNE_SEED", "9")
+        assert run(tmp_path, "validate", config) == 0
+        assert (load(tmp_path / "validation.json")["scenarios"][0]["seeds"]["root"]
+                == derive_seed(9, "scenario", 0))
+
+
+def test_pipeline_rerun_byte_identical(tmp_path):
+    """Two seeded runs write identical bytes, and a run from the manifest's
+    recorded config alone reproduces every output file."""
+    config = write(tmp_path / "p.json", PIPELINE)
+    assert run(tmp_path / "a", "pipeline", config) == 0
+    assert run(tmp_path / "b", "pipeline", config) == 0
+    first = files(tmp_path / "a")
+    second = files(tmp_path / "b")
+    manifest = "pipeline.manifest.json"
+    manifests = [json.loads(f.pop(manifest)) for f in (first, second)]
+    for m in manifests:  # the output paths name the two directories
+        m.pop("outputs")
+    assert manifests[0] == manifests[1]
+    assert first == second
+    assert set(first) == {"dataset.csv", "model.json", "optimize.json", "validation.json"}
+
+    recorded = write(tmp_path / "m.json", load(tmp_path / "a" / manifest)["config"])
+    assert run(tmp_path / "c", "pipeline", recorded) == 0
+    third = files(tmp_path / "c")
+    third.pop(manifest)
+    assert third == first

@@ -10,11 +10,10 @@ from blocktune.errors import (
     InfeasibleInstanceError,
 )
 from blocktune.ga import (
-    Chromosome,
     GaConfig,
+    _population_fitness,
     brute_force_optimum,
     crossover,
-    fitness,
     initialize_population,
     mutate,
     repair,
@@ -36,46 +35,55 @@ def small_config(seed=0, pop=30, gens=60):
                     stagnation_limit=25, rng_seed=seed)
 
 
+def feasible(inst, block_of):
+    return validate_assignment(inst, AssignmentMatrix(block_of, inst.nb)).ok
+
+
 class TestInitializePopulation:
     def test_single_transaction(self):
         inst = make_instance([100])
-        pop = initialize_population(inst, affine_stub(), small_config())
-        assert len(pop) == 30
-        for chromo in pop:
-            assert len(chromo.assignment) == 1
-            assert validate_assignment(inst, chromo.assignment).ok
+        pop = initialize_population(inst, small_config())
+        assert pop.shape == (30, 1)
+        for row in pop:
+            assert feasible(inst, row)
 
     def test_same_seed_identical(self):
         inst = make_instance([50, 60, 70, 80], lb=2)
-        a = initialize_population(inst, affine_stub(), small_config(seed=9))
-        b = initialize_population(inst, affine_stub(), small_config(seed=9))
-        assert a == b
+        a = initialize_population(inst, small_config(seed=9))
+        b = initialize_population(inst, small_config(seed=9))
+        np.testing.assert_array_equal(a, b)
 
     def test_different_seed_differs(self):
         inst = make_instance([50, 60, 70, 80] * 3, lb=2)
-        a = initialize_population(inst, affine_stub(), small_config(seed=1))
-        b = initialize_population(inst, affine_stub(), small_config(seed=2))
-        assert a != b
+        a = initialize_population(inst, small_config(seed=1))
+        b = initialize_population(inst, small_config(seed=2))
+        assert not np.array_equal(a, b)
 
     def test_always_feasible_on_random_instances(self, rng):
         for _ in range(25):
             inst = random_instance(rng)
-            pop = initialize_population(inst, affine_stub(),
-                                        GaConfig(population_size=10, rng_seed=1))
-            for chromo in pop:
-                assert validate_assignment(inst, chromo.assignment).ok
+            pop = initialize_population(inst, GaConfig(population_size=10, rng_seed=1))
+            for row in pop:
+                assert feasible(inst, row)
 
 
 class TestFitness:
-    def test_delegates_and_caches(self):
-        inst = make_instance([100, 200], lb=1)
-        stub = affine_stub()
-        chromo = Chromosome(AssignmentMatrix([0, 1], inst.nb))
-        value = fitness(chromo, inst, stub)
-        assert value == pytest.approx(total_processing_time(
-            inst, chromo.assignment, stub))
-        assert chromo.cached_fitness == value
-        assert fitness(chromo, inst, stub) == value
+    def test_rows_match_objective(self, rng):
+        """The GA prices a whole population exactly as the objective prices
+        each assignment alone, and counts one query per block and node."""
+        stub = StubPredictor(lambda c, b, w: 0.01 + 0.003 * c ** 1.3 + 1e-7 * b,
+                             lambda c, b, w: 0.05 + np.sqrt(b) / w * 37.0,
+                             feature_ranges=[[1, 5], [0, 1e9], [0, np.inf]])
+        for _ in range(10):
+            inst = random_instance(rng)
+            pop = initialize_population(inst, GaConfig(population_size=12, rng_seed=2))
+            fit, extrapolating, queries = _population_fitness(inst, stub, pop)
+            for row, value in zip(pop, fit):
+                assert value == total_processing_time(
+                    inst, AssignmentMatrix(row, inst.nb), stub)
+            counts = np.stack([np.bincount(row, minlength=inst.nb) for row in pop])
+            assert queries == np.count_nonzero(counts) * inst.m
+            assert extrapolating == np.count_nonzero(counts > 5) * inst.m
 
     def test_never_below_brute_force(self, rng):
         stub = affine_stub()
@@ -88,106 +96,85 @@ class TestFitness:
 
 
 class TestSelect:
-    def _population(self, inst, stub, values):
-        pop = []
-        for i, v in enumerate(values):
-            c = Chromosome(AssignmentMatrix([i % inst.nb], inst.nb))
-            c.cached_fitness = v
-            pop.append(c)
-        return pop
-
     def test_full_tournament_returns_best(self):
-        inst = make_instance([10])
-        pop = self._population(inst, affine_stub(), [5.0, 1.0, 3.0, 2.0])
-        config = GaConfig(population_size=4, tournament_size=4, rng_seed=0)
+        fit = np.array([5.0, 1.0, 3.0, 2.0])
         rng = np.random.default_rng(0)
         for _ in range(10):
-            assert select(pop, config, rng) is pop[1]
+            assert select(fit, 4, rng) == 1
 
     def test_population_of_one(self):
-        inst = make_instance([10])
-        pop = self._population(inst, affine_stub(), [2.0])
-        assert select(pop, GaConfig(population_size=4, rng_seed=0),
-                      np.random.default_rng(1)) is pop[0]
+        assert select(np.array([2.0]), 3, np.random.default_rng(1)) == 0
 
     def test_tie_breaks_by_lower_index(self):
-        inst = make_instance([10])
-        pop = self._population(inst, affine_stub(), [1.0, 1.0, 1.0, 1.0])
-        config = GaConfig(population_size=4, tournament_size=4, rng_seed=0)
-        assert select(pop, config, np.random.default_rng(3)) is pop[0]
+        assert select(np.ones(4), 4, np.random.default_rng(3)) == 0
 
     def test_selection_pressure(self):
-        inst = make_instance([10])
-        pop = self._population(inst, affine_stub(), [1.0] + [2.0] * 9)
-        config = GaConfig(population_size=10, tournament_size=3, rng_seed=0)
+        fit = np.array([1.0] + [2.0] * 9)
         rng = np.random.default_rng(7)
-        hits = sum(select(pop, config, rng) is pop[0] for _ in range(10_000))
+        hits = sum(select(fit, 3, rng) == 0 for _ in range(10_000))
         # P(best in a 3-of-10 tournament without replacement) = 0.3
         assert hits > 0.25 * 10_000
 
 
 class TestCrossover:
     def test_identical_parents_identical_children(self):
-        inst = make_instance([10, 20, 30], lb=1)
-        parent = Chromosome(AssignmentMatrix([0, 1, 2], inst.nb))
-        a, b = crossover(inst, parent, parent, np.random.default_rng(0))
-        assert a.assignment == parent.assignment
-        assert b.assignment == parent.assignment
+        parent = np.array([0, 1, 2])
+        a, b = crossover(parent, parent, np.random.default_rng(0))
+        np.testing.assert_array_equal(a, parent)
+        np.testing.assert_array_equal(b, parent)
 
     def test_genes_come_from_parents(self):
-        inst = make_instance([10, 20, 30, 40, 50], lb=1)
-        pa = Chromosome(AssignmentMatrix([0, 0, 1, 1, 2], inst.nb))
-        pb = Chromosome(AssignmentMatrix([2, 1, 0, 2, 0], inst.nb))
+        pa = np.array([0, 0, 1, 1, 2])
+        pb = np.array([2, 1, 0, 2, 0])
         rng = np.random.default_rng(11)
         for _ in range(20):
-            a, b = crossover(inst, pa, pb, rng)
+            a, b = crossover(pa, pb, rng)
             for child in (a, b):
-                genes = child.assignment.block_of
-                pair = np.stack([pa.assignment.block_of, pb.assignment.block_of])
-                assert ((genes == pair[0]) | (genes == pair[1])).all()
-                # complementary swap: each position is exchanged or not
-            np.testing.assert_array_equal(
-                np.sort(np.stack([a.assignment.block_of, b.assignment.block_of]), axis=0),
-                np.sort(np.stack([pa.assignment.block_of, pb.assignment.block_of]), axis=0))
+                assert ((child == pa) | (child == pb)).all()
+            # complementary swap: each position is exchanged or not
+            np.testing.assert_array_equal(np.sort(np.stack([a, b]), axis=0),
+                                          np.sort(np.stack([pa, pb]), axis=0))
 
     def test_children_always_feasible(self, rng):
-        stub = affine_stub()
+        """Crossover children become feasible after the one repair that run
+        gives each child."""
         for _ in range(20):
             inst = random_instance(rng, n_max=30)
-            pop = initialize_population(inst, stub, GaConfig(population_size=4,
-                                                             rng_seed=5))
-            a, b = crossover(inst, pop[0], pop[1], rng)
-            assert validate_assignment(inst, a.assignment).ok
-            assert validate_assignment(inst, b.assignment).ok
+            pop = initialize_population(inst, GaConfig(population_size=4, rng_seed=5))
+            for child in crossover(pop[0], pop[1], rng):
+                assert feasible(inst, repair(inst, AssignmentMatrix(child, inst.nb)).block_of)
 
 
 class TestMutate:
     def test_rate_zero_unchanged(self):
-        inst = make_instance([10, 20, 30], lb=1)
-        chromo = Chromosome(AssignmentMatrix([0, 1, 2], inst.nb))
-        out = mutate(inst, chromo, 0.0, np.random.default_rng(0))
-        assert out is chromo
+        block_of = np.array([0, 1, 2])
+        out = mutate(block_of, 4, 0.0, np.random.default_rng(0))
+        np.testing.assert_array_equal(out, block_of)
+        assert out is not block_of
 
     def test_rate_one_stays_feasible_and_uniform(self):
         # nb = ceil(n/lb)+1 >= 2 always, so the one-block case cannot be
         # built; with every gene redrawn the result must still be feasible.
         inst = make_instance([10, 10, 10, 10], lb=2, ub=4)
-        chromo = Chromosome(AssignmentMatrix([0, 0, 0, 0], inst.nb))
+        block_of = np.zeros(4, dtype=np.int64)
         seen = set()
         rng = np.random.default_rng(13)
         for _ in range(50):
-            out = mutate(inst, chromo, 1.0, rng)
-            assert validate_assignment(inst, out.assignment).ok
-            seen.add(tuple(out.assignment.block_of.tolist()))
+            out = mutate(block_of, inst.nb, 1.0, rng)
+            assert feasible(inst, out)
+            seen.add(tuple(out.tolist()))
         assert len(seen) > 10
+        assert not block_of.any()
 
     def test_output_always_feasible(self, rng):
+        """Mutants stay in block range and become feasible after the one
+        repair that run gives each child."""
         for _ in range(20):
             inst = random_instance(rng, n_max=30)
-            pop = initialize_population(inst, affine_stub(),
-                                        GaConfig(population_size=3, rng_seed=3))
-            out = mutate(inst, pop[0], 0.5, rng)
-            assert validate_assignment(inst, out.assignment).ok
+            pop = initialize_population(inst, GaConfig(population_size=3, rng_seed=3))
+            out = mutate(pop[0], inst.nb, 0.5, rng)
+            assert ((out >= 0) & (out < inst.nb)).all()
+            assert feasible(inst, repair(inst, AssignmentMatrix(out, inst.nb)).block_of)
 
 
 class TestRepair:
@@ -227,7 +214,7 @@ class TestRun:
         stub = affine_stub()
         result = run(inst, stub, small_config())
         assert result.recommended_block_size == 1
-        expected = total_processing_time(inst, result.best.assignment, stub)
+        expected = total_processing_time(inst, result.best, stub)
         assert result.best_fitness == pytest.approx(expected)
 
     def test_determinism_bit_identical(self):
@@ -237,7 +224,7 @@ class TestRun:
         a = run(inst, stub, config)
         b = run(inst, stub, config)
         assert a.best_fitness == b.best_fitness
-        assert a.best.assignment == b.best.assignment
+        assert a.best == b.best
         assert a.fitness_history == b.fitness_history
         assert a.generations_run == b.generations_run
 
@@ -290,7 +277,7 @@ class TestRun:
         stub = affine_stub()
         object.__setattr__(inst.limits, "ub", 0)
         with pytest.raises(InfeasibleInstanceError):
-            initialize_population(inst, stub, small_config())
+            run(inst, stub, small_config())
 
     def test_unfitted_predictor_rejected(self):
         inst = make_instance([100])

@@ -1,80 +1,32 @@
-"""The jitted kernels and their numpy fallbacks must agree."""
+"""Numeric kernels: split search edge cases and repair feasibility."""
 
 import numpy as np
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocktune import _kernels
-
-pytestmark = pytest.mark.skipif(not _kernels.NUMBA_ENABLED,
-                                reason="numba unavailable")
-
-
-def _random_tree(rng, n_nodes=31):
-    """A random but well-formed flat tree (heap-shaped)."""
-    feature = np.full(n_nodes, -1, dtype=np.int64)
-    threshold = np.zeros(n_nodes, dtype=np.float64)
-    left = np.full(n_nodes, -1, dtype=np.int64)
-    right = np.full(n_nodes, -1, dtype=np.int64)
-    value = rng.normal(size=n_nodes)
-    for i in range(n_nodes // 2):
-        feature[i] = rng.integers(0, 3)
-        threshold[i] = rng.normal()
-        left[i] = 2 * i + 1
-        right[i] = 2 * i + 2
-    return feature, threshold, left, right, value
-
-
-def test_best_split_paths_agree():
-    rng = np.random.default_rng(7)
-    for _ in range(30):
-        n = int(rng.integers(5, 200))
-        points = rng.normal(size=(n, 3))
-        targets = rng.normal(size=n)
-        for leaf in (1, 3):
-            f_np, t_np, g_np = _kernels.best_split_numpy(points, targets, leaf)
-            f_nb, t_nb, g_nb = _kernels.best_split_numba(points, targets, leaf)
-            assert f_np == f_nb
-            assert t_np == pytest.approx(t_nb, abs=1e-12)
-            assert g_np == pytest.approx(g_nb, rel=1e-9)
 
 
 def test_best_split_no_valid_split():
     points = np.ones((4, 3))
     targets = np.array([1.0, 2.0, 3.0, 4.0])
-    for impl in (_kernels.best_split_numpy, _kernels.best_split_numba):
-        f, _, _ = impl(points, targets, 1)
-        assert f == -1
+    f, _, _ = _kernels.best_split(points, targets, 1)
+    assert f == -1
 
 
-def test_tree_predict_paths_agree():
-    rng = np.random.default_rng(11)
-    tree = _random_tree(rng)
-    points = rng.normal(size=(500, 3))
-    out_np = _kernels.tree_predict_numpy(*tree, points)
-    out_nb = _kernels.tree_predict_numba(*tree, points)
-    np.testing.assert_array_equal(out_np, out_nb)
+def _check_repaired(block_of, start, sizes, nb, ub, cb):
+    counts = np.bincount(block_of, minlength=nb)
+    loads = np.bincount(block_of, weights=sizes.astype(float), minlength=nb)
+    assert (counts <= ub).all()
+    assert (loads <= cb).all()
+    assert counts.sum() == start.size
+    assert loads.sum() == sizes.sum()
+    assert ((block_of >= 0) & (block_of < nb)).all()
 
 
-def test_forest_predict_paths_agree():
-    rng = np.random.default_rng(13)
-    trees = [_random_tree(rng, n_nodes=15) for _ in range(8)]
-    feature = np.concatenate([t[0] for t in trees])
-    threshold = np.concatenate([t[1] for t in trees])
-    offsets = np.arange(9, dtype=np.int64) * 15
-    left = np.concatenate([np.where(t[2] >= 0, t[2] + off, t[2])
-                           for t, off in zip(trees, offsets)])
-    right = np.concatenate([np.where(t[3] >= 0, t[3] + off, t[3])
-                            for t, off in zip(trees, offsets)])
-    value = np.concatenate([t[4] for t in trees])
-    points = rng.normal(size=(300, 3))
-    out_np = _kernels.forest_predict_numpy(0.7, 0.1, feature, threshold, left,
-                                           right, value, offsets, points)
-    out_nb = _kernels.forest_predict_numba(0.7, 0.1, feature, threshold, left,
-                                           right, value, offsets, points)
-    np.testing.assert_allclose(out_np, out_nb, rtol=0, atol=0)
-
-
-def test_repair_paths_agree():
+def test_repair_feasibility_loop():
+    """Whenever repair reports success on a random instance, every block is
+    within both caps and no transaction or byte is lost."""
     rng = np.random.default_rng(17)
     for _ in range(50):
         n = int(rng.integers(2, 40))
@@ -86,27 +38,38 @@ def test_repair_paths_agree():
             ub = min(n, ub + 1)
             cb *= 2
         start = rng.integers(0, nb, size=n).astype(np.int64)
-        a = start.copy()
-        b = start.copy()
-        ok_np = _kernels.repair_assignment_numpy(a, sizes, nb, ub, cb)
-        ok_nb = _kernels.repair_assignment_numba(b, sizes, nb, ub, cb)
-        assert ok_np == ok_nb
-        np.testing.assert_array_equal(a, b)
-        if ok_np:
-            counts = np.bincount(a, minlength=nb)
-            loads = np.bincount(a, weights=sizes.astype(float), minlength=nb)
-            assert (counts <= ub).all()
-            assert (loads <= cb).all()
+        block_of = start.copy()
+        if _kernels.repair_assignment(block_of, sizes, nb, ub, cb):
+            _check_repaired(block_of, start, sizes, nb, ub, cb)
 
 
-def test_env_flag_selects_numpy(monkeypatch):
-    import importlib
-    import blocktune._kernels as mod
-    monkeypatch.setenv("BLOCKTUNE_NO_NUMBA", "1")
-    reloaded = importlib.reload(mod)
-    try:
-        assert reloaded.USE_NUMBA is False
-        assert reloaded.best_split is reloaded.best_split_numpy
-    finally:
-        monkeypatch.delenv("BLOCKTUNE_NO_NUMBA")
-        importlib.reload(mod)
+@st.composite
+def _repairable(draw):
+    """A start assignment on an instance where repair cannot wedge: either
+    only the count cap can bind (nb * ub >= n, cb >= total bytes), or only
+    the byte cap can (ub = n, cb >= twice the largest transaction,
+    nb * cb >= twice the total bytes)."""
+    n = draw(st.integers(1, 40))
+    nb = draw(st.integers(2, 8))
+    sizes = np.array(draw(st.lists(st.integers(1, 1000), min_size=n, max_size=n)),
+                     dtype=np.int64)
+    total, largest = int(sizes.sum()), int(sizes.max())
+    if draw(st.booleans()):
+        ub = draw(st.integers(-(-n // nb), n))
+        cb = draw(st.integers(total, 2 * total))
+    else:
+        ub = n
+        cb = draw(st.integers(max(2 * largest, -(-2 * total // nb)),
+                              2 * (total + largest)))
+    start = np.array(draw(st.lists(st.integers(0, nb - 1), min_size=n, max_size=n)),
+                     dtype=np.int64)
+    return start, sizes, nb, ub, cb
+
+
+@settings(max_examples=200, deadline=None)
+@given(_repairable())
+def test_repair_feasible_and_conserving(case):
+    start, sizes, nb, ub, cb = case
+    block_of = start.copy()
+    assert _kernels.repair_assignment(block_of, sizes, nb, ub, cb) is True
+    _check_repaired(block_of, start, sizes, nb, ub, cb)

@@ -4,6 +4,14 @@ import numpy as np
 import pytest
 
 from blocktune.errors import DatasetError, FitError, PredictorNotFittedError
+from blocktune.model import (
+    AssignmentMatrix,
+    BlockLimits,
+    NodeProfile,
+    ProblemInstance,
+    Transaction,
+    total_processing_time,
+)
 from blocktune.surrogate import (
     BoostedEnsemble,
     FeatureVector,
@@ -17,8 +25,6 @@ from blocktune.surrogate import (
     fit_predictor,
     fit_tree,
     load_dataset,
-    predict_f,
-    predict_g,
     save_dataset,
 )
 
@@ -37,14 +43,14 @@ class TestPolynomial:
     def test_recovers_affine_in_tx_count(self):
         points = grid_points()
         targets = 2.0 + 3.0 * points[:, 0]
-        model = fit_polynomial((points, targets), degree=1)
+        model = fit_polynomial(points, targets, degree=1)
         coefs = model.coefficients_in_input_space()
         np.testing.assert_allclose(coefs, [2.0, 3.0, 0.0, 0.0], atol=1e-9)
 
     def test_constant_targets(self):
         points = grid_points()
         targets = np.full(points.shape[0], 7.25)
-        model = fit_polynomial((points, targets), degree=1)
+        model = fit_polynomial(points, targets, degree=1)
         coefs = model.coefficients_in_input_space()
         assert coefs[0] == pytest.approx(7.25, abs=1e-9)
         np.testing.assert_allclose(coefs[1:], 0.0, atol=1e-9)
@@ -52,7 +58,7 @@ class TestPolynomial:
     def test_exact_quadratic_representable(self):
         points = grid_points()
         targets = (points[:, 1] / 1e4) ** 2
-        model = fit_polynomial((points, targets), degree=2)
+        model = fit_polynomial(points, targets, degree=2)
         residual = model.predict(points) - targets
         assert np.linalg.norm(residual) < 1e-6
 
@@ -61,35 +67,35 @@ class TestPolynomial:
         points = grid_points(rng)
         targets = (0.5 + 0.01 * points[:, 0] + 1e-6 * points[:, 1]
                    + 1e-9 * points[:, 2] + 1e-8 * points[:, 0] * points[:, 1])
-        model = fit_polynomial((points, targets), degree=2)
+        model = fit_polynomial(points, targets, degree=2)
         rel = np.abs(model.predict(points) - targets) / np.abs(targets)
         assert rel.max() < 1e-6
 
     def test_too_few_samples(self):
         points = grid_points(n=5)
         with pytest.raises(FitError, match="at least"):
-            fit_polynomial((points, np.ones(5)), degree=2)
+            fit_polynomial(points, np.ones(5), degree=2)
 
     def test_degenerate_column_named(self):
         points = grid_points()
         points[:, 2] = 5e6  # constant bandwidth collapses its monomials
         with pytest.raises(FitError, match="bandwidth"):
-            fit_polynomial((points, points[:, 0]), degree=1)
+            fit_polynomial(points, points[:, 0], degree=1)
 
     def test_bad_degree(self):
         with pytest.raises(FitError):
-            fit_polynomial((grid_points(), np.ones(60)), degree=4)
+            fit_polynomial(grid_points(), np.ones(60), degree=4)
 
     def test_roundtrip(self):
         points = grid_points()
-        model = fit_polynomial((points, points[:, 0] * 0.1), degree=2)
+        model = fit_polynomial(points, points[:, 0] * 0.1, degree=2)
         clone = PolynomialModel.from_dict(model.to_dict())
         np.testing.assert_array_equal(model.predict(points), clone.predict(points))
 
 
 class TestRegressionTree:
     def test_single_sample_single_leaf(self):
-        tree = fit_tree((np.array([[3.0, 100.0, 1e6]]), np.array([0.42])))
+        tree = fit_tree(np.array([[3.0, 100.0, 1e6]]), np.array([0.42]))
         assert tree.n_nodes == 1 and tree.n_leaves == 1
         assert tree.predict([[9.0, 9.0, 9.0]])[0] == pytest.approx(0.42)
 
@@ -97,7 +103,7 @@ class TestRegressionTree:
         counts = np.array([1.0, 2.0, 3.0, 4.0, 6.0, 7.0, 8.0, 9.0, 10.0])
         points = np.column_stack([counts, np.full(9, 500.0), np.full(9, 1e6)])
         targets = np.where(counts <= 5, 1.0, 9.0)
-        tree = fit_tree((points, targets), min_samples_leaf=1)
+        tree = fit_tree(points, targets, min_samples_leaf=1)
         assert tree.feature[0] == 0
         assert tree.threshold[0] == pytest.approx(5.0)
         preds = sorted(set(tree.predict(points).tolist()))
@@ -107,7 +113,7 @@ class TestRegressionTree:
         rng = np.random.default_rng(19)
         points = grid_points(rng, n=80)
         targets = rng.normal(size=80)
-        tree = fit_tree((points, targets), max_depth=3, min_samples_leaf=5)
+        tree = fit_tree(points, targets, max_depth=3, min_samples_leaf=5)
         preds = tree.predict(points)
         for leaf_value in np.unique(preds):
             members = targets[preds == leaf_value]
@@ -116,7 +122,7 @@ class TestRegressionTree:
 
     def test_empty_raises(self):
         with pytest.raises(FitError):
-            fit_tree((np.empty((0, 3)), np.empty(0)))
+            fit_tree(np.empty((0, 3)), np.empty(0))
 
     def test_mse_non_increasing_in_depth(self):
         rng = np.random.default_rng(23)
@@ -124,7 +130,7 @@ class TestRegressionTree:
         targets = 0.01 * points[:, 0] + rng.normal(scale=0.1, size=120)
         last = np.inf
         for depth in range(0, 8):
-            tree = fit_tree((points, targets), max_depth=depth, min_samples_leaf=1)
+            tree = fit_tree(points, targets, max_depth=depth, min_samples_leaf=1)
             mse = float(np.mean((tree.predict(points) - targets) ** 2))
             assert mse <= last + 1e-12
             last = mse
@@ -133,7 +139,7 @@ class TestRegressionTree:
         rng = np.random.default_rng(27)
         points = grid_points(rng, n=200)
         targets = rng.normal(size=200)
-        tree = fit_tree((points, targets), max_depth=4, min_samples_leaf=1)
+        tree = fit_tree(points, targets, max_depth=4, min_samples_leaf=1)
         assert tree.depth() <= 4
 
 
@@ -141,12 +147,12 @@ class TestBoosting:
     def test_zero_rounds_predicts_mean(self):
         points = grid_points(n=20)
         targets = np.linspace(0.0, 2.0, 20)
-        model = fit_boosted((points, targets), rounds=0)
+        model = fit_boosted(points, targets, rounds=0)
         np.testing.assert_allclose(model.predict(points), targets.mean())
 
     def test_constant_targets_zero_mse(self):
         points = grid_points(n=20)
-        model = fit_boosted((points, np.full(20, 1.5)), rounds=5)
+        model = fit_boosted(points, np.full(20, 1.5), rounds=5)
         assert model.train_mse[0] == pytest.approx(0.0, abs=1e-18)
         np.testing.assert_allclose(model.predict(points), 1.5, atol=1e-12)
 
@@ -155,7 +161,7 @@ class TestBoosting:
         points = grid_points(rng, n=150)
         targets = (0.002 * points[:, 0] + 1e-7 * points[:, 1]
                    + rng.normal(scale=0.05, size=150))
-        model = fit_boosted((points, targets), rounds=50)
+        model = fit_boosted(points, targets, rounds=50)
         trace = np.array(model.train_mse)
         assert trace.size == 51
         assert (np.diff(trace) <= 1e-15).all()
@@ -164,21 +170,21 @@ class TestBoosting:
         rng = np.random.default_rng(37)
         points = grid_points(rng, n=64)
         targets = rng.normal(size=64)
-        model = fit_boosted((points, targets), rounds=5, learning_rate=1.0,
+        model = fit_boosted(points, targets, rounds=5, learning_rate=1.0,
                             tree_depth=30, min_samples_leaf=1)
         assert model.train_mse[-1] < 1e-20
 
     def test_too_few_samples(self):
         with pytest.raises(FitError):
-            fit_boosted((np.array([[1.0, 2.0, 3.0]]), np.array([1.0])))
+            fit_boosted(np.array([[1.0, 2.0, 3.0]]), np.array([1.0]))
 
     def test_bad_learning_rate(self):
         with pytest.raises(FitError):
-            fit_boosted((grid_points(n=10), np.ones(10)), learning_rate=0.0)
+            fit_boosted(grid_points(n=10), np.ones(10), learning_rate=0.0)
 
     def test_roundtrip(self):
         points = grid_points(n=40)
-        model = fit_boosted((points, points[:, 0] * 0.01), rounds=10)
+        model = fit_boosted(points, points[:, 0] * 0.01, rounds=10)
         clone = BoostedEnsemble.from_dict(model.to_dict())
         np.testing.assert_array_equal(model.predict(points), clone.predict(points))
 
@@ -198,17 +204,17 @@ def _stub_predictor(vt=0.01, ct=0.02, latency=0.5, ranges=None):
 class TestPredictor:
     def test_f_sums_vt_and_ct(self):
         p = _stub_predictor(vt=0.01, ct=0.02)
-        assert predict_f(p, FeatureVector(2, 300, 1e6)) == pytest.approx(0.03)
+        assert p.predict_f(FeatureVector(2, 300, 1e6)) == pytest.approx(0.03)
 
     def test_negative_outputs_clamped(self):
         p = _stub_predictor(vt=-0.5, ct=0.02, latency=-1.0)
         q = FeatureVector(2, 300, 1e6)
-        assert predict_f(p, q) == pytest.approx(0.02)
-        assert predict_g(p, q) == pytest.approx(0.0)
+        assert p.predict_f(q) == pytest.approx(0.02)
+        assert p.predict_g(q) == pytest.approx(0.0)
 
     def test_g_single_leaf(self):
         p = _stub_predictor(latency=0.5)
-        assert predict_g(p, FeatureVector(7, 1234, 2e6)) == pytest.approx(0.5)
+        assert p.predict_g(FeatureVector(7, 1234, 2e6)) == pytest.approx(0.5)
 
     def test_extrapolation_flag(self):
         p = _stub_predictor(ranges=[[1, 10], [100, 1000], [1e6, 1e7]])
@@ -216,13 +222,16 @@ class TestPredictor:
         outside = FeatureVector(50, 500, 5e6)
         assert not p.is_extrapolating(inside.as_array())
         assert p.is_extrapolating(outside.as_array())
-        assert predict_g(p, outside) == pytest.approx(0.5)
+        assert p.predict_g(outside) == pytest.approx(0.5)
 
     def test_unfitted_raises(self):
         p = _stub_predictor()
         p.vt_model = None
+        assert not p.fitted
+        inst = ProblemInstance((Transaction(0, 10),), (NodeProfile(0, 1e6),),
+                               BlockLimits(1, 1, 10))
         with pytest.raises(PredictorNotFittedError):
-            predict_f(p, FeatureVector(1, 1, 1.0))
+            total_processing_time(inst, AssignmentMatrix([0], inst.nb), p)
 
     def test_purity_bit_identical(self):
         rng = np.random.default_rng(41)
