@@ -48,7 +48,6 @@ from .model import (
     block_processing_time,
     derive_block_count,
     recommended_block_size,
-    throughput_estimate,
     total_processing_time,
     validate_assignment,
 )
@@ -64,12 +63,10 @@ from .simulator import (
 )
 from .surrogate import (
     BoostedEnsemble,
-    FeatureVector,
     PerformancePredictor,
     PolynomialModel,
     RegressionTree,
     SurrogateConfig,
-    TrainingSample,
     fit_boosted,
     fit_polynomial,
     fit_predictor,

@@ -85,7 +85,7 @@ def cmd_gen_data(args) -> int:
     base = configio.build_sim_config(raw["sim"], seed)
     grid = raw["grid"]
     out = _out_path(args, args.out)
-    samples = simulator.generate_training_dataset(
+    data = simulator.generate_training_dataset(
         base,
         block_sizes=grid.get("block_sizes", []),
         tx_sizes=grid.get("tx_sizes", []),
@@ -93,23 +93,23 @@ def cmd_gen_data(args) -> int:
         replicates=int(grid.get("replicates", 1)),
         out_path=out,
     )
-    _emit(args, [f"wrote {len(samples)} training samples to {out}"])
+    _emit(args, [f"wrote {len(data)} training samples to {out}"])
     manifest = RunManifest("gen-data", raw, {"root": seed}, [args.config], [out],
-                           extra={"n_samples": len(samples)})
+                           extra={"n_samples": len(data)})
     _finish(args, manifest, clock, out)
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
     clock = ManifestClock()
-    samples = surrogate.load_dataset(args.dataset)
+    data = surrogate.load_dataset(args.dataset)
     overrides = configio.load_json(args.config) if args.config else {}
     section = dict(overrides.get("surrogate", overrides))
     section["rng_seed"] = resolve_seed(args.seed, section.get("rng_seed"))
     config = configio.build_surrogate_config(section)
-    predictor = surrogate.fit_predictor(samples, config)
+    predictor = surrogate.fit_predictor(data, config)
     out = _out_path(args, args.out)
-    predictor.save(out)
+    write_json(out, predictor.to_dict())
     report = predictor.fit_report
     _emit(args, [f"fitted on {report['n_train']} samples "
                  f"(holdout {report['n_holdout']}); train MSE "
@@ -212,7 +212,7 @@ def cmd_pipeline(args) -> int:
     dataset_path = _out_path(args, "dataset.csv")
     surrogate.save_dataset(outcome.samples, dataset_path)
     model_path = _out_path(args, "model.json")
-    outcome.predictor.save(model_path)
+    write_json(model_path, outcome.predictor.to_dict())
     optimize_path = _out_path(args, "optimize.json")
     write_json(optimize_path, outcome.ga_result.to_dict())
 

@@ -50,25 +50,30 @@ TOOL_VERSION = __version__
 SEED_ENV_VAR = "BLOCKTUNE_SEED"
 
 
-def resolve_seed(cli_seed, config_seed, default: int | None = 0) -> int | None:
-    """--seed beats BLOCKTUNE_SEED beats the config file value; ``default``
-    when none is set. The chosen seed must lie in [0, 2**32): seeds are
-    derived modulo 2**32, so a larger one would silently alias a smaller."""
-    env = os.environ.get(SEED_ENV_VAR, "").strip()
-    if cli_seed is not None:
-        seed, source = int(cli_seed), "--seed"
-    elif env:
-        try:
-            seed, source = int(env), SEED_ENV_VAR
-        except ValueError:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    elif config_seed is not None:
-        seed, source = int(config_seed), "config rng_seed"
-    else:
-        return default
+def check_seed(seed, source: str) -> int:
+    """``seed`` as an int, which must lie in [0, 2**32): seeds are derived
+    modulo 2**32, so a larger one would silently alias a smaller, and numpy
+    rejects a negative one. ``source`` names the seed in the error."""
+    seed = int(seed)
     if not 0 <= seed < 2**32:
         raise ConfigError(f"{source} must be in [0, 2**32), got {seed}")
     return seed
+
+
+def resolve_seed(cli_seed, config_seed, default: int | None = 0) -> int | None:
+    """--seed beats BLOCKTUNE_SEED beats the config file value; ``default``
+    when none is set. The chosen seed passes :func:`check_seed`."""
+    env = os.environ.get(SEED_ENV_VAR, "").strip()
+    if cli_seed is not None:
+        return check_seed(cli_seed, "--seed")
+    if env:
+        try:
+            return check_seed(env, SEED_ENV_VAR)
+        except ValueError:
+            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
+    if config_seed is not None:
+        return check_seed(config_seed, "config rng_seed")
+    return default
 
 
 def write_json(path, payload):
@@ -104,7 +109,8 @@ def build_transactions(d: dict, where: str = "transactions"):
         sizes = [int(d["size_bytes"])] * int(_req(d, "count", where))
     elif "size_range_bytes" in d:
         lo, hi = d["size_range_bytes"]
-        rng = np.random.default_rng(d.get("rng_seed", 0))
+        rng = np.random.default_rng(check_seed(d.get("rng_seed", 0),
+                                               f"{where}.rng_seed"))
         sizes = rng.integers(int(lo), int(hi) + 1,
                              size=int(_req(d, "count", where))).tolist()
     else:
@@ -139,7 +145,7 @@ def build_workload(d: dict, where: str = "workload") -> WorkloadProfile:
         "arrival_rate_tps": float(_req(d, "arrival_rate_tps", where)),
         "total_tx": int(_req(d, "total_tx", where)),
         "arrival_process": d.get("arrival_process", "fixed"),
-        "rng_seed": int(d.get("rng_seed", 0)),
+        "rng_seed": check_seed(d.get("rng_seed", 0), f"{where}.rng_seed"),
     }
     if "tx_size_range_bytes" in d:
         lo, hi = d["tx_size_range_bytes"]

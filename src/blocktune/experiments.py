@@ -342,9 +342,10 @@ class Scenario:
 
 @dataclass(frozen=True)
 class PipelineOutcome:
-    """Intermediate artifacts of one scenario pipeline run."""
+    """Intermediate artifacts of one scenario pipeline run; ``samples`` is
+    the (k, 6) training dataset array."""
 
-    samples: list
+    samples: np.ndarray
     predictor: object
     ga_result: ga.GaResult
     seeds: dict

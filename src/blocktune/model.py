@@ -15,8 +15,8 @@ One evaluator computes it: :func:`block_times` prices every block of a
 :func:`total_processing_time` and :func:`block_processing_time` all go
 through it, so an assignment prices the same alone or in a population.
 
-Performance predictors are duck-typed: anything exposing a truthy
-``fitted`` attribute plus ``predict_f_batch(points)`` and
+Performance predictors are duck-typed and batch-only: anything exposing a
+truthy ``fitted`` attribute plus ``predict_f_batch(points)`` and
 ``predict_g_batch(points)`` over (k, 3) arrays with columns
 (tx_count, block_bytes, bandwidth) works, which lets tests plug in
 analytic stubs.
@@ -376,10 +376,3 @@ def recommended_block_size(assignment: AssignmentMatrix) -> int:
     counts = np.bincount(assignment.block_of, minlength=assignment.nb)
     return int(counts.max())
 
-
-def throughput_estimate(n: int, total_time: float) -> float:
-    """Transactions per second implied by processing ``n`` transactions in
-    ``total_time`` seconds."""
-    if total_time <= 0:
-        raise ValueError(f"total_time must be > 0, got {total_time}")
-    return n / total_time

@@ -17,6 +17,10 @@ oversized bursts on thin links disproportionately expensive. Multiplicative
 Gaussian noise with a small configurable standard deviation jitters the
 validation and committing costs, clamped so costs stay positive.
 
+:func:`generate_training_dataset` harvests one training row per committed
+block into a (k, 6) float64 array whose columns are in
+``surrogate.DATASET_COLUMNS`` order.
+
 Event times are continuous doubles; simultaneous events resolve in
 (time, sequence) order. Runs with equal configs and seeds are identical.
 Distinct runs share no state and may execute concurrently.
@@ -30,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .surrogate import FeatureVector, TrainingSample, save_dataset
+from .surrogate import save_dataset
 
 CUT_COUNT = "count"
 CUT_BYTES = "bytes"
@@ -335,14 +339,15 @@ def derive_seed(root: int, *parts) -> int:
 def generate_training_dataset(base: SimConfig, block_sizes, tx_sizes, bandwidths,
                               replicates: int = 1, out_path=None):
     """Run one simulation per (block size, tx size, bandwidth) grid cell and
-    replicate, harvesting one training sample per committed block.
+    replicate, harvesting one training row per committed block.
 
     Each cell runs a single-node scenario so the bandwidth feature is
     unambiguous. The latency target is the block's own service latency
     (dispatch + transfer + validation + commit), i.e. the per-block cost
     the optimizer prices, not the workload-dependent end-to-end latency.
-    Returns the sample list; with ``out_path`` also writes the columnar
-    dataset file.
+    Returns the (k, 6) float64 dataset array, columns in
+    ``surrogate.DATASET_COLUMNS`` order; with ``out_path`` also writes the
+    columnar dataset file.
     """
     if not block_sizes or not tx_sizes or not bandwidths:
         raise ConfigError("training grid must not be empty")
@@ -350,7 +355,7 @@ def generate_training_dataset(base: SimConfig, block_sizes, tx_sizes, bandwidths
         raise ConfigError("replicates must be >= 1")
     from .model import NodeProfile
 
-    samples = []
+    chunks = []
     cell = 0
     for bs in block_sizes:
         for ts in tx_sizes:
@@ -367,19 +372,18 @@ def generate_training_dataset(base: SimConfig, block_sizes, tx_sizes, bandwidths
                         block_cut=replace(base.block_cut, max_tx_count=int(bs)),
                         rng_seed=derive_seed(base.rng_seed, cell, rep))
                     result = run_simulation(config)
-                    for record in result.per_block_records:
-                        samples.append(TrainingSample(
-                            FeatureVector(record.tx_count, record.block_bytes,
-                                          float(bw)),
-                            record.per_node_vt_s[0], record.per_node_ct_s[0],
-                            record.service_latency_s))
+                    chunks.append(np.array(
+                        [(r.tx_count, r.block_bytes, bw, r.per_node_vt_s[0],
+                          r.per_node_ct_s[0], r.service_latency_s)
+                         for r in result.per_block_records], dtype=np.float64))
                 cell += 1
+    data = np.concatenate(chunks)
     if out_path is not None:
         try:
-            save_dataset(samples, out_path)
+            save_dataset(data, out_path)
         except OSError as exc:
             raise ConfigError(f"cannot write dataset to {out_path}: {exc}") from exc
-    return samples
+    return data
 
 
 def throughput_vs_blocksize(config: SimConfig, candidate_sizes):
@@ -394,11 +398,3 @@ def throughput_vs_blocksize(config: SimConfig, candidate_sizes):
         result = run_simulation(point)
         curve.append((int(size), result.throughput_tps, result.mean_latency_s))
     return curve
-
-
-def write_curve(curve, path):
-    """Columnar (block_size, throughput_tps, mean_latency_s) series."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("block_size,throughput_tps,mean_latency_s\n")
-        for size, tps, lat in curve:
-            fh.write(f"{size},{tps!r},{lat!r}\n")

@@ -5,7 +5,13 @@ Three model families are used, one per target: a gradient-boosted tree
 ensemble for validation time, a low-degree polynomial for committing time,
 and a single regression tree for latency. ``PerformancePredictor`` bundles
 the three behind the two functions the optimizer needs: ``f`` (storing
-time = validation + committing) and ``g`` (latency).
+time = validation + committing) and ``g`` (latency). Predictors answer
+batches only: every query is a (k, 3) array of (tx_count, block_bytes,
+bandwidth) rows.
+
+Training data is one (k, 6) float64 array with its columns in
+``DATASET_COLUMNS`` order, from the simulator through the dataset file to
+:func:`fit_predictor`.
 
 Fitting is deterministic given identical samples and hyperparameters, and
 fitted models are immutable, so predictors can be shared freely between
@@ -15,8 +21,7 @@ concurrent evaluators.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -30,54 +35,13 @@ DATASET_COLUMNS = ("tx_count", "block_bytes", "bandwidth", "vt_s", "ct_s", "late
 _GAIN_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """One prediction point: transactions per block, block bytes, and the
-    committing node's bandwidth in bytes/second. All strictly positive."""
-
-    tx_count: int
-    block_bytes: int
-    bandwidth: float
-
-    def __post_init__(self):
-        if self.tx_count < 1 or self.block_bytes < 1 or not self.bandwidth > 0:
-            raise ValueError(f"feature values must be strictly positive: {self}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.tx_count, self.block_bytes, self.bandwidth],
-                        dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class TrainingSample:
-    """Measured per-block costs at one feature point; targets in seconds."""
-
-    features: FeatureVector
-    validation_time_s: float
-    committing_time_s: float
-    latency_s: float
-
-    def __post_init__(self):
-        for name in ("validation_time_s", "committing_time_s", "latency_s"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-
-
-def samples_to_arrays(samples):
-    """Split samples into a (n, 3) feature matrix and the three target vectors."""
-    points = np.array([s.features.as_array() for s in samples], dtype=np.float64)
-    vt = np.array([s.validation_time_s for s in samples], dtype=np.float64)
-    ct = np.array([s.committing_time_s for s in samples], dtype=np.float64)
-    lat = np.array([s.latency_s for s in samples], dtype=np.float64)
-    return points, vt, ct, lat
-
-
 # ---------------------------------------------------------------------------
 # dataset file I/O
 # ---------------------------------------------------------------------------
 
-def load_dataset(path) -> list:
-    """Parse the columnar dataset format (see DATASET_COLUMNS for the header).
+def load_dataset(path) -> np.ndarray:
+    """Parse the columnar dataset format (see DATASET_COLUMNS for the header)
+    into a (k, 6) float64 array in DATASET_COLUMNS order.
 
     Errors cite the 1-based file line and the offending column.
     """
@@ -90,7 +54,7 @@ def load_dataset(path) -> list:
         raise DatasetError(
             f"{path}: line 1: expected header {','.join(DATASET_COLUMNS)}, "
             f"got {lines[0]!r}")
-    samples = []
+    rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -107,12 +71,13 @@ def load_dataset(path) -> list:
                 raise DatasetError(
                     f"{path}: line {lineno}: column {col}: not a number: {cell!r}"
                 ) from None
-        if values["tx_count"] < 1 or values["tx_count"] != int(values["tx_count"]):
-            raise DatasetError(
-                f"{path}: line {lineno}: column tx_count: must be a positive integer")
-        if values["block_bytes"] < 1:
-            raise DatasetError(
-                f"{path}: line {lineno}: column block_bytes: must be >= 1")
+            if not np.isfinite(values[col]):
+                raise DatasetError(
+                    f"{path}: line {lineno}: column {col}: not finite: {cell!r}")
+        for col in ("tx_count", "block_bytes"):
+            if values[col] < 1 or values[col] != int(values[col]):
+                raise DatasetError(
+                    f"{path}: line {lineno}: column {col}: must be a positive integer")
         if not values["bandwidth"] > 0:
             raise DatasetError(
                 f"{path}: line {lineno}: column bandwidth: must be > 0")
@@ -120,22 +85,20 @@ def load_dataset(path) -> list:
             if values[col] < 0:
                 raise DatasetError(
                     f"{path}: line {lineno}: column {col}: must be >= 0")
-        samples.append(TrainingSample(
-            FeatureVector(int(values["tx_count"]), int(values["block_bytes"]),
-                          values["bandwidth"]),
-            values["vt_s"], values["ct_s"], values["latency_s"]))
-    return samples
+        rows.append(list(values.values()))
+    return np.array(rows, dtype=np.float64).reshape(-1, len(DATASET_COLUMNS))
 
 
-def save_dataset(samples, path):
-    """Write samples in the documented columnar format; floats round-trip
-    exactly through :func:`load_dataset`."""
+def save_dataset(data, path):
+    """Write a (k, 6) dataset array in the documented columnar format; floats
+    round-trip exactly through :func:`load_dataset`."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(DATASET_COLUMNS) + "\n")
-        for s in samples:
-            fh.write(f"{s.features.tx_count},{s.features.block_bytes},"
-                     f"{s.features.bandwidth!r},{s.validation_time_s!r},"
-                     f"{s.committing_time_s!r},{s.latency_s!r}\n")
+        # tolist() yields Python floats, whose repr is the shortest exact
+        # form; an np.float64 would repr as "np.float64(...)".
+        for tx_count, block_bytes, *rest in np.asarray(data).tolist():
+            fh.write(f"{int(tx_count)},{int(block_bytes)},"
+                     + ",".join(map(repr, rest)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -185,26 +148,6 @@ class PolynomialModel:
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         z = (points - self.feature_mean) / self.feature_scale
         return _design_matrix(z, self.exponents) @ self.coefficients
-
-    def coefficients_in_input_space(self) -> np.ndarray:
-        """Coefficients over raw (unstandardized) monomials, aligned with
-        ``self.exponents``. Useful for reading fitted models off directly."""
-        raw = {exps: 0.0 for exps in self.exponents}
-        for coef, exps in zip(self.coefficients, self.exponents):
-            # expand prod_f ((x_f - mu_f) / s_f)^e_f via the binomial theorem
-            terms = [((), coef)]
-            for f, e in enumerate(exps):
-                mu = self.feature_mean[f]
-                s = self.feature_scale[f]
-                new_terms = []
-                for raw_exps, c in terms:
-                    for i in range(e + 1):
-                        w = math.comb(e, i) * ((-mu) ** (e - i)) / (s ** e)
-                        new_terms.append((raw_exps + (i,), c * w))
-                terms = new_terms
-            for raw_exps, c in terms:
-                raw[raw_exps] += c
-        return np.array([raw[exps] for exps in self.exponents])
 
     def to_dict(self) -> dict:
         return {
@@ -292,13 +235,6 @@ class RegressionTree:
     @property
     def n_leaves(self) -> int:
         return int((self.feature < 0).sum())
-
-    def depth(self) -> int:
-        def walk(node):
-            if self.feature[node] < 0:
-                return 0
-            return 1 + max(walk(self.left[node]), walk(self.right[node]))
-        return walk(0)
 
     def predict(self, points) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -496,10 +432,8 @@ class PerformancePredictor:
         return all(m is not None for m in
                    (self.vt_model, self.ct_model, self.latency_model))
 
-    def _rows(self, features) -> np.ndarray:
-        if isinstance(features, FeatureVector):
-            return features.as_array().reshape(1, 3)
-        return np.atleast_2d(np.asarray(features, dtype=np.float64))
+    def _rows(self, points) -> np.ndarray:
+        return np.atleast_2d(np.asarray(points, dtype=np.float64))
 
     def predict_f_batch(self, points) -> np.ndarray:
         rows = self._rows(points)
@@ -510,20 +444,11 @@ class PerformancePredictor:
     def predict_g_batch(self, points) -> np.ndarray:
         return np.maximum(self.latency_model.predict(self._rows(points)), 0.0)
 
-    def predict_f(self, features) -> float:
-        return float(self.predict_f_batch(features)[0])
-
-    def predict_g(self, features) -> float:
-        return float(self.predict_g_batch(features)[0])
-
     def extrapolation_mask(self, points) -> np.ndarray:
         """True per row when any feature falls outside the training range."""
         rows = self._rows(points)
         lo, hi = self.feature_ranges[:, 0], self.feature_ranges[:, 1]
         return ((rows < lo) | (rows > hi)).any(axis=1)
-
-    def is_extrapolating(self, features) -> bool:
-        return bool(self.extrapolation_mask(features)[0])
 
     def to_dict(self) -> dict:
         return {
@@ -541,28 +466,26 @@ class PerformancePredictor:
                    RegressionTree.from_dict(d["latency_model"]),
                    d["feature_ranges"], d.get("fit_report"))
 
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-            fh.write("\n")
-
     @classmethod
     def load(cls, path) -> "PerformancePredictor":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
 
 
-def fit_predictor(samples, config: SurrogateConfig = SurrogateConfig()
+def fit_predictor(data, config: SurrogateConfig = SurrogateConfig()
                   ) -> PerformancePredictor:
-    """Fit all three models on ``samples``.
+    """Fit all three models on the (k, 6) dataset array ``data``, whose
+    columns are in DATASET_COLUMNS order.
 
     With ``holdout_fraction`` > 0 the models are fitted on a deterministic
     train split and the report carries both train and holdout MSE per
     target; otherwise everything trains on the full set.
     """
-    if not samples:
-        raise FitError("cannot fit a predictor on an empty sample list")
-    points, vt, ct, lat = samples_to_arrays(samples)
+    if len(data) == 0:
+        raise FitError("cannot fit a predictor on an empty dataset")
+    data = np.asarray(data, dtype=np.float64)
+    points = np.ascontiguousarray(data[:, :3])
+    vt, ct, lat = (data[:, col].copy() for col in (3, 4, 5))
 
     n = points.shape[0]
     if 0 < config.holdout_fraction < 1 and n >= 10:

@@ -2,6 +2,7 @@
 reruns and a pinned optimize result."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,12 @@ PIPELINE = {
 SIMULATE = {"workload": {"arrival_rate_tps": 200.0, "total_tx": 20, "tx_size_bytes": 500},
             "nodes": [{"bandwidth_bytes_per_sec": 1.0e6}],
             "block_cut": {"max_tx_count": 4, "max_bytes": 65536, "timeout_s": 1.0}}
+SWEEP = {"varied_factor": "tx_size", "values": [500, 1000, 2000],
+         "fixed": {"arrival_rate": 200.0, "bandwidth": 4.0e6}, "instance_n": 10,
+         "limits": {"lb": 2, "ub": 5, "cb": 1048576},
+         "train_grid": {"block_sizes": [2, 4, 6], "total_tx": 60},
+         "surrogate": {"boost_rounds": 5},
+         "ga": {"population_size": 8, "max_generations": 5}, "rng_seed": 3}
 
 
 @pytest.fixture(autouse=True)
@@ -139,6 +146,27 @@ class TestSeedPriority:
         assert cli.main(["--quiet", "--out-dir", str(tmp_path), *flags, command,
                          *inputs]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("command, key", [("optimize", "transactions"),
+                                              ("simulate", "workload")])
+    def test_out_of_range_config_file_seed(self, tmp_path, model_path, capsys,
+                                           command, key):
+        """A file's rng_seed that numpy would consume directly is checked
+        like the root seed: exit 1 with an error naming the key."""
+        if command == "optimize":
+            raw = json.loads(json.dumps(INSTANCE))
+            raw["instance"]["transactions"] = {"count": 12, "rng_seed": -1,
+                                               "size_range_bytes": [300, 2000]}
+            inputs = [write(tmp_path / "i.json", raw), model_path]
+        else:
+            raw = json.loads(json.dumps(SIMULATE))
+            raw["workload"]["rng_seed"] = -5
+            inputs = [write(tmp_path / "sim.json", raw)]
+        capsys.readouterr()
+        assert run(tmp_path, command, *inputs) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{key}.rng_seed" in err
+        assert "Traceback" not in err
+
     def test_train_honours_env(self, tmp_path, model_path, monkeypatch):
         dataset = str(Path(model_path).parent / "d.csv")
         config = write(tmp_path / "s.json", SURROGATE)
@@ -186,3 +214,16 @@ def test_pipeline_rerun_byte_identical(tmp_path):
     third = files(tmp_path / "c")
     third.pop(manifest)
     assert third == first
+
+
+@pytest.mark.parametrize("command, config, extra", [("pipeline", PIPELINE, []),
+                                                     ("sensitivity", SWEEP,
+                                                      ["-o", "sweep.json"])])
+def test_quiet_leaves_stdout_alone(tmp_path, capsys, command, config, extra):
+    """Under --quiet the commands the benchmark runs in-process write nothing
+    to stdout and leave sys.stdout in place: the benchmark's result is the
+    last line of its own stdout."""
+    stdout = sys.stdout
+    assert run(tmp_path, command, write(tmp_path / "c.json", config), *extra) == 0
+    assert sys.stdout is stdout
+    assert capsys.readouterr().out == ""

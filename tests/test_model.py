@@ -22,7 +22,6 @@ from blocktune.model import (
     block_processing_time,
     derive_block_count,
     recommended_block_size,
-    throughput_estimate,
     total_processing_time,
     validate_assignment,
 )
@@ -330,20 +329,6 @@ class TestRecommendedBlockSize:
             counts[j] += 1
         assert recommended_block_size(
             AssignmentMatrix(combo, inst.nb)) == max(counts)
-
-
-class TestThroughputEstimate:
-    def test_division(self):
-        assert throughput_estimate(100, 2.0) == pytest.approx(50.0)
-
-    def test_unit(self):
-        assert throughput_estimate(1, 1.0) == pytest.approx(1.0)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            throughput_estimate(10, 0.0)
-        with pytest.raises(ValueError):
-            throughput_estimate(10, -1.0)
 
 
 def test_instance_arrays_read_only():

@@ -19,7 +19,7 @@ from blocktune.simulator import (
     run_simulation,
     throughput_vs_blocksize,
 )
-from blocktune.surrogate import load_dataset
+from blocktune.surrogate import DATASET_COLUMNS, load_dataset
 
 ZERO_NOISE = GroundTruthCost(noise_sd_fraction=0.0)
 
@@ -158,28 +158,29 @@ class TestGenerateTrainingDataset:
     def test_grid_sample_count(self, tmp_path):
         # every run forms >= 3 blocks: 30 transactions, cut size <= 10
         base = config_for(total_tx=30, max_tx=10, timeout=50.0)
-        samples = generate_training_dataset(
+        data = generate_training_dataset(
             base, block_sizes=[5, 10], tx_sizes=[500, 1000],
             bandwidths=[1e6, 1e7], replicates=1)
-        assert len(samples) >= 24
+        assert data.shape[0] >= 24
+        assert data.shape[1] == len(DATASET_COLUMNS)
 
     def test_zero_noise_matches_cost_formula(self):
         base = config_for(total_tx=40, max_tx=8, timeout=50.0, cost=ZERO_NOISE)
-        samples = generate_training_dataset(base, [8], [1200], [2e6])
-        for s in samples:
-            expected_vt = (ZERO_NOISE.vt_per_tx_s * s.features.tx_count
-                           + ZERO_NOISE.vt_per_byte_s * s.features.block_bytes)
-            expected_ct = (ZERO_NOISE.ct_fixed_s
-                           + ZERO_NOISE.ct_per_byte_s * s.features.block_bytes)
-            assert s.validation_time_s == pytest.approx(expected_vt, rel=1e-12)
-            assert s.committing_time_s == pytest.approx(expected_ct, rel=1e-12)
+        data = generate_training_dataset(base, [8], [1200], [2e6])
+        tx_count, block_bytes, bandwidth, vt, ct, _ = data.T
+        np.testing.assert_array_equal(block_bytes, 1200 * tx_count)
+        np.testing.assert_array_equal(bandwidth, 2e6)
+        np.testing.assert_allclose(vt, ZERO_NOISE.vt_per_tx_s * tx_count
+                                   + ZERO_NOISE.vt_per_byte_s * block_bytes, rtol=1e-12)
+        np.testing.assert_allclose(ct, ZERO_NOISE.ct_fixed_s
+                                   + ZERO_NOISE.ct_per_byte_s * block_bytes, rtol=1e-12)
 
     def test_emitted_file_round_trips(self, tmp_path):
         base = config_for(total_tx=30, max_tx=10, timeout=50.0)
         out = tmp_path / "dataset.csv"
-        samples = generate_training_dataset(base, [5, 10], [1000], [1e6],
-                                            out_path=out)
-        assert load_dataset(out) == samples
+        data = generate_training_dataset(base, [5, 10], [1000], [1e6],
+                                         out_path=out)
+        assert np.array_equal(load_dataset(out), data)
 
     def test_empty_grid_rejected(self):
         base = config_for()
@@ -190,7 +191,7 @@ class TestGenerateTrainingDataset:
         base = config_for(total_tx=30, max_tx=10)
         a = generate_training_dataset(base, [5], [1000], [1e6], replicates=2)
         b = generate_training_dataset(base, [5], [1000], [1e6], replicates=2)
-        assert a == b
+        assert np.array_equal(a, b)
 
 
 class TestThroughputCurve:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from blocktune.configio import write_json
 from blocktune.errors import DatasetError, FitError, PredictorNotFittedError
 from blocktune.model import (
     AssignmentMatrix,
@@ -14,12 +15,10 @@ from blocktune.model import (
 )
 from blocktune.surrogate import (
     BoostedEnsemble,
-    FeatureVector,
     PerformancePredictor,
     PolynomialModel,
     RegressionTree,
     SurrogateConfig,
-    TrainingSample,
     fit_boosted,
     fit_polynomial,
     fit_predictor,
@@ -39,21 +38,31 @@ def grid_points(rng=None, n=60):
     return np.column_stack([counts, nbytes, bw])
 
 
+def dataset(points, vt, ct, latency):
+    """A (k, 6) training array: feature rows plus the three targets, each a
+    scalar or one value per row."""
+    k = points.shape[0]
+    return np.column_stack([points] + [np.broadcast_to(t, k)
+                                       for t in (vt, ct, latency)])
+
+
 class TestPolynomial:
     def test_recovers_affine_in_tx_count(self):
         points = grid_points()
         targets = 2.0 + 3.0 * points[:, 0]
         model = fit_polynomial(points, targets, degree=1)
-        coefs = model.coefficients_in_input_space()
-        np.testing.assert_allclose(coefs, [2.0, 3.0, 0.0, 0.0], atol=1e-9)
+        # bytes and bandwidth carry no weight, even far outside the data
+        known = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [10.0, 5e5, 1e7],
+                          [10.0, 1e9, 1e3]])
+        np.testing.assert_allclose(model.predict(known), [2.0, 5.0, 32.0, 32.0],
+                                   rtol=1e-9, atol=1e-9)
 
     def test_constant_targets(self):
         points = grid_points()
         targets = np.full(points.shape[0], 7.25)
         model = fit_polynomial(points, targets, degree=1)
-        coefs = model.coefficients_in_input_space()
-        assert coefs[0] == pytest.approx(7.25, abs=1e-9)
-        np.testing.assert_allclose(coefs[1:], 0.0, atol=1e-9)
+        known = np.array([[0.0, 0.0, 0.0], [1.0, 100.0, 1e5], [500.0, 1e7, 1e9]])
+        np.testing.assert_allclose(model.predict(known), 7.25, rtol=0, atol=1e-9)
 
     def test_exact_quadratic_representable(self):
         points = grid_points()
@@ -140,7 +149,13 @@ class TestRegressionTree:
         points = grid_points(rng, n=200)
         targets = rng.normal(size=200)
         tree = fit_tree(points, targets, max_depth=4, min_samples_leaf=1)
-        assert tree.depth() <= 4
+
+        def depth(node):
+            if tree.feature[node] < 0:
+                return 0
+            return 1 + max(depth(tree.left[node]), depth(tree.right[node]))
+
+        assert depth(0) == 4  # 200 noisy targets fill every level allowed
 
 
 class TestBoosting:
@@ -204,25 +219,27 @@ def _stub_predictor(vt=0.01, ct=0.02, latency=0.5, ranges=None):
 class TestPredictor:
     def test_f_sums_vt_and_ct(self):
         p = _stub_predictor(vt=0.01, ct=0.02)
-        assert p.predict_f(FeatureVector(2, 300, 1e6)) == pytest.approx(0.03)
+        q = np.array([[2.0, 300.0, 1e6], [9.0, 5000.0, 3e7]])
+        np.testing.assert_allclose(p.predict_f_batch(q), [0.03, 0.03])
 
     def test_negative_outputs_clamped(self):
         p = _stub_predictor(vt=-0.5, ct=0.02, latency=-1.0)
-        q = FeatureVector(2, 300, 1e6)
-        assert p.predict_f(q) == pytest.approx(0.02)
-        assert p.predict_g(q) == pytest.approx(0.0)
+        q = np.array([[2.0, 300.0, 1e6]])
+        np.testing.assert_allclose(p.predict_f_batch(q), [0.02])
+        np.testing.assert_array_equal(p.predict_g_batch(q), [0.0])
 
     def test_g_single_leaf(self):
         p = _stub_predictor(latency=0.5)
-        assert p.predict_g(FeatureVector(7, 1234, 2e6)) == pytest.approx(0.5)
+        q = np.array([[7.0, 1234.0, 2e6], [1.0, 1.0, 1.0]])
+        np.testing.assert_allclose(p.predict_g_batch(q), [0.5, 0.5])
 
     def test_extrapolation_flag(self):
         p = _stub_predictor(ranges=[[1, 10], [100, 1000], [1e6, 1e7]])
-        inside = FeatureVector(5, 500, 5e6)
-        outside = FeatureVector(50, 500, 5e6)
-        assert not p.is_extrapolating(inside.as_array())
-        assert p.is_extrapolating(outside.as_array())
-        assert p.predict_g(outside) == pytest.approx(0.5)
+        q = np.array([[5.0, 500.0, 5e6], [50.0, 500.0, 5e6], [5.0, 50.0, 5e6],
+                      [5.0, 500.0, 5e7]])
+        np.testing.assert_array_equal(p.extrapolation_mask(q),
+                                      [False, True, True, True])
+        np.testing.assert_allclose(p.predict_g_batch(q), 0.5)
 
     def test_unfitted_raises(self):
         p = _stub_predictor()
@@ -236,10 +253,8 @@ class TestPredictor:
     def test_purity_bit_identical(self):
         rng = np.random.default_rng(41)
         points = grid_points(rng, n=100)
-        samples = [TrainingSample(FeatureVector(int(c), int(b), w),
-                                  0.001 * c, 1e-8 * b, 0.01 + 1e-7 * b)
-                   for c, b, w in points]
-        p = fit_predictor(samples)
+        p = fit_predictor(dataset(points, 0.001 * points[:, 0], 1e-8 * points[:, 1],
+                                  0.01 + 1e-7 * points[:, 1]))
         q = points[:7]
         first_f = p.predict_f_batch(q)
         first_g = p.predict_g_batch(q)
@@ -250,12 +265,14 @@ class TestPredictor:
     def test_fit_deterministic(self):
         rng = np.random.default_rng(43)
         points = grid_points(rng, n=90)
-        samples = [TrainingSample(FeatureVector(int(c), int(b), w),
-                                  0.002 * c, 1e-8 * b, 0.05)
-                   for c, b, w in points]
-        a = fit_predictor(samples, SurrogateConfig(boost_rounds=20))
-        b = fit_predictor(samples, SurrogateConfig(boost_rounds=20))
+        data = dataset(points, 0.002 * points[:, 0], 1e-8 * points[:, 1], 0.05)
+        a = fit_predictor(data, SurrogateConfig(boost_rounds=20))
+        b = fit_predictor(data, SurrogateConfig(boost_rounds=20))
         assert a.to_dict() == b.to_dict()
+
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(FitError, match="empty"):
+            fit_predictor(np.empty((0, 6)))
 
     def test_training_point_recall(self):
         # noiseless affine data: every family can represent it well
@@ -263,10 +280,8 @@ class TestPredictor:
         points = grid_points(rng, n=200)
         vt = 0.001 * points[:, 0] + 1e-8 * points[:, 1]
         ct = 0.03 + 3e-8 * points[:, 1]
-        samples = [TrainingSample(FeatureVector(int(c), int(b), w), v, t, 0.1)
-                   for (c, b, w), v, t in zip(points, vt, ct)]
-        p = fit_predictor(samples, SurrogateConfig(boost_rounds=200,
-                                                   boost_tree_depth=4))
+        p = fit_predictor(dataset(points, vt, ct, 0.1),
+                          SurrogateConfig(boost_rounds=200, boost_tree_depth=4))
         got = p.predict_f_batch(points)
         want = vt + ct
         assert np.median(np.abs(got - want) / want) < 0.05
@@ -274,7 +289,7 @@ class TestPredictor:
     def test_save_load_roundtrip(self, tmp_path):
         p = _stub_predictor()
         path = tmp_path / "model.json"
-        p.save(path)
+        write_json(path, p.to_dict())
         clone = PerformancePredictor.load(path)
         q = np.array([[3.0, 400.0, 2e6]])
         np.testing.assert_array_equal(p.predict_f_batch(q), clone.predict_f_batch(q))
@@ -283,9 +298,8 @@ class TestPredictor:
     def test_holdout_report(self):
         rng = np.random.default_rng(53)
         points = grid_points(rng, n=100)
-        samples = [TrainingSample(FeatureVector(int(c), int(b), w), 0.01, 0.02, 0.03)
-                   for c, b, w in points]
-        p = fit_predictor(samples, SurrogateConfig(holdout_fraction=0.25))
+        p = fit_predictor(dataset(points, 0.01, 0.02, 0.03),
+                          SurrogateConfig(holdout_fraction=0.25))
         assert p.fit_report["n_holdout"] == 25
         assert p.fit_report["holdout_mse"]["vt"] == pytest.approx(0.0, abs=1e-12)
 
@@ -297,10 +311,11 @@ class TestDatasetIO:
                         "5,1000,1e6,0.01,0.02,0.1\n"
                         "10,2000,2e6,0.02,0.03,0.2\n"
                         "1,100,5e5,0.001,0.002,0.01\n")
-        samples = load_dataset(path)
-        assert len(samples) == 3
-        assert samples[1].features.tx_count == 10
-        assert samples[2].latency_s == pytest.approx(0.01)
+        data = load_dataset(path)
+        np.testing.assert_array_equal(data, [[5, 1000, 1e6, 0.01, 0.02, 0.1],
+                                             [10, 2000, 2e6, 0.02, 0.03, 0.2],
+                                             [1, 100, 5e5, 0.001, 0.002, 0.01]])
+        assert data.dtype == np.float64
 
     def test_zero_bandwidth_names_row(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -324,6 +339,23 @@ class TestDatasetIO:
         with pytest.raises(DatasetError, match="line 2.*ct_s"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("row, column", [("nan,1000,1e6,0.01,0.02,0.1", "tx_count"),
+                                             ("5,inf,1e6,0.01,0.02,0.1", "block_bytes"),
+                                             ("5,1000,1e6,0.01,0.02,-inf", "latency_s")])
+    def test_non_finite_cell_rejected(self, tmp_path, row, column):
+        path = tmp_path / "d.csv"
+        path.write_text("tx_count,block_bytes,bandwidth,vt_s,ct_s,latency_s\n"
+                        f"{row}\n")
+        with pytest.raises(DatasetError, match=f"line 2.*{column}"):
+            load_dataset(path)
+
+    def test_fractional_block_bytes_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("tx_count,block_bytes,bandwidth,vt_s,ct_s,latency_s\n"
+                        "5,1000.5,1e6,0.01,0.02,0.1\n")
+        with pytest.raises(DatasetError, match="line 2.*block_bytes"):
+            load_dataset(path)
+
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b,c\n1,2,3\n")
@@ -332,11 +364,9 @@ class TestDatasetIO:
 
     def test_roundtrip_lossless(self, tmp_path):
         rng = np.random.default_rng(59)
-        samples = [TrainingSample(
-            FeatureVector(int(rng.integers(1, 100)), int(rng.integers(1, 10**6)),
-                          float(rng.uniform(1e5, 1e8))),
-            float(rng.uniform(0, 1)), float(rng.uniform(0, 1)),
-            float(rng.uniform(0, 5))) for _ in range(25)]
+        data = np.column_stack([rng.integers(1, 100, 25), rng.integers(1, 10**6, 25),
+                                rng.uniform(1e5, 1e8, 25), rng.uniform(0, 1, (25, 2)),
+                                rng.uniform(0, 5, 25)]).astype(np.float64)
         path = tmp_path / "d.csv"
-        save_dataset(samples, path)
-        assert load_dataset(path) == samples
+        save_dataset(data, path)
+        assert np.array_equal(load_dataset(path), data)
