@@ -32,7 +32,6 @@ from .ga import (
     crossover,
     initialize_population,
     mutate,
-    repair,
     select,
 )
 from .ga import run as run_ga
@@ -44,8 +43,6 @@ from .model import (
     ProblemInstance,
     Transaction,
     Violation,
-    block_metrics,
-    block_processing_time,
     derive_block_count,
     recommended_block_size,
     total_processing_time,

@@ -1,6 +1,14 @@
 """Hot numeric kernels in vectorized numpy: tree split search, tree and
 forest prediction, and assignment repair.
 
+Tree models answer through a cell table. A fitted tree or forest is
+constant on each cell of the grid cut by its own thresholds, so
+:func:`tabulate` evaluates it once per cell and :func:`table_predict`
+answers a batch with one ``searchsorted`` per feature and one gather, bit
+for bit what the walk returns. The walks, :func:`tree_predict` and
+:func:`forest_predict`, are the reference that fills each table and the
+fallback for a model whose grid has more cells than the caller's bound.
+
 All kernels share the same deterministic tie-breaking rules: when several
 candidates are equally good, the one encountered first (lowest feature
 index, lowest threshold position, lowest block index, lowest transaction
@@ -8,6 +16,8 @@ id) wins.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -83,6 +93,34 @@ def forest_predict(base_value, learning_rate, feature, threshold, left,
             feature[lo:hi], threshold[lo:hi], left[lo:hi] - lo,
             right[lo:hi] - lo, value[lo:hi], points)
     return out
+
+
+def tabulate(feature, threshold, evaluate, n_features, max_cells):
+    """The cell table of a tree model, or None above ``max_cells`` cells.
+
+    ``edges[f]`` is the sorted distinct thresholds on feature f. Cell i of
+    feature f is the interval (edges[f][i - 1], edges[f][i]], and the last
+    cell lies above every edge. A row goes left when x <= threshold, so
+    every point of a cell takes the same path through every tree, and
+    ``evaluate`` (a walk) runs once per cell at a representative point: the
+    cell's upper edge, or +inf for the last cell. Returns ``(edges, table)``
+    with ``table`` shaped ``(len(edges[f]) + 1 for f)``.
+    """
+    edges = [np.unique(threshold[feature == f]) for f in range(n_features)]
+    shape = tuple(e.size + 1 for e in edges)
+    if math.prod(shape) > max_cells:
+        return None
+    grid = np.meshgrid(*(np.append(e, np.inf) for e in edges), indexing="ij")
+    points = np.column_stack([g.ravel() for g in grid])
+    return edges, evaluate(points).reshape(shape)
+
+
+def table_predict(edges, table, points):
+    """Look ``points`` up in a :func:`tabulate` table. ``side="left"`` puts
+    x in the cell whose upper edge is the first threshold >= x; NaN sorts
+    above every edge, into the last cell, as the walk sends it right."""
+    return table[tuple(np.searchsorted(e, points[:, f], side="left")
+                       for f, e in enumerate(edges))]
 
 
 def repair_assignment(block_of, sizes, nb, ub, cb):

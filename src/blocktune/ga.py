@@ -131,6 +131,8 @@ def _greedy_repack(instance: ProblemInstance):
 
 
 def _repair_array(instance: ProblemInstance, arr: np.ndarray) -> np.ndarray:
+    """Make the assignment ``arr`` feasible in place, moving transactions out
+    of overloaded blocks, and return it; feasible input is left unchanged."""
     ok = _kernels.repair_assignment(arr, instance.sizes, instance.nb,
                                     instance.limits.ub, instance.limits.cb)
     if not ok:
@@ -143,15 +145,6 @@ def _repair_array(instance: ProblemInstance, arr: np.ndarray) -> np.ndarray:
                 "passed its capacity checks")
         arr[:] = repacked
     return arr
-
-
-def repair(instance: ProblemInstance, assignment: AssignmentMatrix) -> AssignmentMatrix:
-    """Return a feasible assignment, moving transactions out of overloaded
-    blocks; already-feasible input comes back unchanged."""
-    arr = _repair_array(instance, assignment.block_of.copy())
-    if np.array_equal(arr, assignment.block_of):
-        return assignment
-    return AssignmentMatrix(arr, instance.nb)
 
 
 def select(fit: np.ndarray, tournament_size: int, rng: np.random.Generator) -> int:

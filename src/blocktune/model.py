@@ -11,9 +11,9 @@ that block's composition.
 
 One evaluator computes it: :func:`block_times` prices every block of a
 (pop, n) matrix of assignments in one predict call, and
-:func:`processing_times` sums each row in block order. The genetic search,
-:func:`total_processing_time` and :func:`block_processing_time` all go
-through it, so an assignment prices the same alone or in a population.
+:func:`processing_times` sums each row in block order. The genetic search
+and :func:`total_processing_time` both go through it, so an assignment
+prices the same alone or in a population.
 
 Performance predictors are duck-typed and batch-only: anything exposing a
 truthy ``fitted`` attribute plus ``predict_f_batch(points)`` and
@@ -175,11 +175,8 @@ class ProblemInstance:
 
 class AssignmentMatrix:
     """A transaction-to-block assignment, stored as one block index per
-    transaction.
-
-    The equivalent binary block-by-transaction matrix (rows = blocks,
-    columns = transactions) is reconstructible via
-    :meth:`to_binary_matrix`; its column sums are 1 by construction.
+    transaction, so each transaction lies in exactly one block by
+    construction.
     """
 
     __slots__ = ("block_of", "nb")
@@ -205,12 +202,6 @@ class AssignmentMatrix:
 
     def __hash__(self):
         return hash((self.nb, self.block_of.tobytes()))
-
-    def to_binary_matrix(self) -> np.ndarray:
-        """The (nb, n) 0/1 matrix with entry (j, i) = 1 iff tx i is in block j."""
-        y = np.zeros((self.nb, self.block_of.size), dtype=np.int8)
-        y[self.block_of, np.arange(self.block_of.size)] = 1
-        return y
 
 
 @dataclass(frozen=True)
@@ -283,14 +274,6 @@ def _assignment_stats(instance: ProblemInstance, assignment: AssignmentMatrix):
     return counts[0], byte_sums[0]
 
 
-def block_metrics(instance: ProblemInstance, assignment: AssignmentMatrix, j: int):
-    """(transaction count, byte sum) of block ``j``."""
-    if not 0 <= j < instance.nb:
-        raise IndexError(f"block index {j} out of range [0, {instance.nb})")
-    counts, byte_sums = _assignment_stats(instance, assignment)
-    return int(counts[j]), int(byte_sums[j])
-
-
 def validate_assignment(instance: ProblemInstance,
                         assignment: AssignmentMatrix) -> ConstraintReport:
     """Check every block against both caps; reports all violations, not just
@@ -342,17 +325,6 @@ def processing_times(instance: ProblemInstance, matrix: np.ndarray, predictor):
     # cumsum adds strictly in block order. sum(axis=1) adds pairwise and
     # rounds differently, which would change saved best_fitness values.
     return np.cumsum(times, axis=1)[:, -1], rows
-
-
-def block_processing_time(instance: ProblemInstance, assignment: AssignmentMatrix,
-                          j: int, predictor) -> float:
-    """Processing time of block ``j``: 0 when empty, else the maximum over
-    committing nodes of predicted storing time plus latency."""
-    if not 0 <= j < instance.nb:
-        raise IndexError(f"block index {j} out of range [0, {instance.nb})")
-    _check_length(instance, assignment)
-    times, _ = block_times(instance, assignment.block_of[None, :], predictor)
-    return float(times[0, j])
 
 
 def total_processing_time(instance: ProblemInstance, assignment: AssignmentMatrix,

@@ -13,6 +13,21 @@ Training data is one (k, 6) float64 array with its columns in
 ``DATASET_COLUMNS`` order, from the simulator through the dataset file to
 :func:`fit_predictor`.
 
+``RegressionTree`` and ``BoostedEnsemble`` tabulate themselves once, when
+built: the model is constant on each cell of the grid its own thresholds
+cut, so ``predict`` is one ``searchsorted`` per feature and one gather into
+that table (see :mod:`blocktune._kernels`), bit-identical to walking the
+trees. A model tabulates only when the grid has at most as many cells as
+the model had training rows (``n_samples[0]`` of its first tree), so
+filling the table never costs more than one walk of the training set.
+Above that bound, and to fill each table, the model walks its trees. The
+polynomial is evaluated directly.
+
+``PerformancePredictor.from_dict`` checks a stored model before building
+it: every key present, each tree's arrays of one length, features in
+range, finite thresholds and values, and every internal node's children
+after it, so that every walk ends.
+
 Fitting is deterministic given identical samples and hyperparameters, and
 fitted models are immutable, so predictors can be shared freely between
 concurrent evaluators.
@@ -31,8 +46,19 @@ from .errors import DatasetError, FitError
 
 FEATURE_NAMES = ("tx_count", "block_bytes", "bandwidth")
 DATASET_COLUMNS = ("tx_count", "block_bytes", "bandwidth", "vt_s", "ct_s", "latency_s")
+_TREE_ARRAYS = ("feature", "threshold", "left", "right", "value", "n_samples")
 
 _GAIN_EPS = 1e-12
+
+
+def _require(d, keys, where: str):
+    """Raise DatasetError naming ``where`` unless ``d`` is a dict holding
+    every key of ``keys``."""
+    if not isinstance(d, dict):
+        raise DatasetError(f"{where}: expected an object")
+    for key in keys:
+        if key not in d:
+            raise DatasetError(f"{where}: missing key {key!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +186,9 @@ class PolynomialModel:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "PolynomialModel":
+    def from_dict(cls, d: dict, where: str = "polynomial") -> "PolynomialModel":
+        _require(d, ("degree", "exponents", "coefficients", "feature_mean",
+                     "feature_scale"), where)
         return cls(d["degree"], [tuple(e) for e in d["exponents"]],
                    d["coefficients"], d["feature_mean"], d["feature_scale"])
 
@@ -208,6 +236,42 @@ def fit_polynomial(points, targets, degree: int = 2) -> PolynomialModel:
 # regression trees and boosting
 # ---------------------------------------------------------------------------
 
+def _check_tree(d, where: str):
+    """Reject a stored tree that the walk could not answer for."""
+    _require(d, _TREE_ARRAYS + ("max_depth", "min_samples_leaf"), where)
+    arrays = {}
+    for key in _TREE_ARRAYS:
+        try:
+            a = np.asarray(d[key], dtype=np.float64)
+        except (TypeError, ValueError):
+            a = None
+        if a is None or a.ndim != 1:
+            raise DatasetError(f"{where}: {key}: expected a list of numbers")
+        if not np.isfinite(a).all():
+            raise DatasetError(f"{where}: {key}: not finite")
+        if key not in ("threshold", "value") and (a != np.trunc(a)).any():
+            raise DatasetError(f"{where}: {key}: expected integers")
+        arrays[key] = a
+    n = arrays["feature"].size
+    if n == 0:
+        raise DatasetError(f"{where}: feature: a tree needs at least one node")
+    for key, a in arrays.items():
+        if a.size != n:
+            raise DatasetError(f"{where}: {key}: {a.size} entries, feature has {n}")
+    feature = arrays["feature"]
+    if ((feature < -1) | (feature >= len(FEATURE_NAMES))).any():
+        raise DatasetError(
+            f"{where}: feature: must be -1 (leaf) or a feature index below "
+            f"{len(FEATURE_NAMES)}")
+    internal = np.flatnonzero(feature >= 0)
+    for key in ("left", "right"):
+        child = arrays[key][internal]
+        if ((child <= internal) | (child >= n)).any():
+            raise DatasetError(
+                f"{where}: {key}: an internal node's child must lie after it and "
+                f"below {n}")
+
+
 class RegressionTree:
     """A CART-style regression tree in flat-array form.
 
@@ -227,19 +291,22 @@ class RegressionTree:
         self.n_samples = np.asarray(n_samples, dtype=np.int64)
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
+        self._table = _kernels.tabulate(self.feature, self.threshold, self._walk,
+                                        len(FEATURE_NAMES), self.n_samples[0])
 
     @property
     def n_nodes(self) -> int:
         return self.feature.size
 
-    @property
-    def n_leaves(self) -> int:
-        return int((self.feature < 0).sum())
+    def _walk(self, points) -> np.ndarray:
+        return _kernels.tree_predict(self.feature, self.threshold, self.left,
+                                     self.right, self.value, points)
 
     def predict(self, points) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return _kernels.tree_predict(self.feature, self.threshold, self.left,
-                                     self.right, self.value, points)
+        if self._table is None:
+            return self._walk(points)
+        return _kernels.table_predict(*self._table, points)
 
     def to_dict(self) -> dict:
         return {
@@ -255,7 +322,8 @@ class RegressionTree:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "RegressionTree":
+    def from_dict(cls, d: dict, where: str = "tree") -> "RegressionTree":
+        _check_tree(d, where)
         return cls(d["feature"], d["threshold"], d["left"], d["right"],
                    d["value"], d["n_samples"], d["max_depth"],
                    d["min_samples_leaf"])
@@ -317,6 +385,9 @@ class BoostedEnsemble:
         self.learning_rate = float(learning_rate)
         self.train_mse = list(train_mse)
         self._pack()
+        max_cells = self.trees[0].n_samples[0] if self.trees else 1
+        self._table = _kernels.tabulate(self._feature, self._threshold, self._walk,
+                                        len(FEATURE_NAMES), max_cells)
 
     def _pack(self):
         if self.trees:
@@ -337,14 +408,17 @@ class BoostedEnsemble:
             self._value = np.empty(0, dtype=np.float64)
             self._offsets = np.zeros(1, dtype=np.int64)
 
-    def predict(self, points) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if not self.trees:
-            return np.full(points.shape[0], self.base_value)
+    def _walk(self, points) -> np.ndarray:
         return _kernels.forest_predict(self.base_value, self.learning_rate,
                                        self._feature, self._threshold,
                                        self._left, self._right, self._value,
                                        self._offsets, points)
+
+    def predict(self, points) -> np.ndarray:
+        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        if self._table is None:
+            return self._walk(points)
+        return _kernels.table_predict(*self._table, points)
 
     def to_dict(self) -> dict:
         return {
@@ -356,9 +430,13 @@ class BoostedEnsemble:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "BoostedEnsemble":
-        return cls(d["base_value"], [RegressionTree.from_dict(t) for t in d["trees"]],
-                   d["learning_rate"], d["train_mse"])
+    def from_dict(cls, d: dict, where: str = "boosted") -> "BoostedEnsemble":
+        _require(d, ("base_value", "learning_rate", "train_mse", "trees"), where)
+        if not isinstance(d["trees"], list):
+            raise DatasetError(f"{where}: trees: expected a list")
+        trees = [RegressionTree.from_dict(t, f"{where}.trees[{i}]")
+                 for i, t in enumerate(d["trees"])]
+        return cls(d["base_value"], trees, d["learning_rate"], d["train_mse"])
 
 
 def fit_boosted(points, targets, rounds: int = 100, learning_rate: float = 0.1,
@@ -460,16 +538,26 @@ class PerformancePredictor:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "PerformancePredictor":
-        return cls(BoostedEnsemble.from_dict(d["vt_model"]),
-                   PolynomialModel.from_dict(d["ct_model"]),
-                   RegressionTree.from_dict(d["latency_model"]),
+    def from_dict(cls, d: dict, source: str = "model") -> "PerformancePredictor":
+        """Build a predictor from :meth:`to_dict` output; a malformed model
+        raises DatasetError naming ``source``, the model and the key."""
+        _require(d, ("vt_model", "ct_model", "latency_model", "feature_ranges"),
+                 source)
+        return cls(BoostedEnsemble.from_dict(d["vt_model"], f"{source}: vt_model"),
+                   PolynomialModel.from_dict(d["ct_model"], f"{source}: ct_model"),
+                   RegressionTree.from_dict(d["latency_model"],
+                                            f"{source}: latency_model"),
                    d["feature_ranges"], d.get("fit_report"))
 
     @classmethod
     def load(cls, path) -> "PerformancePredictor":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                d = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise DatasetError(
+                    f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+        return cls.from_dict(d, str(path))
 
 
 def fit_predictor(data, config: SurrogateConfig = SurrogateConfig()

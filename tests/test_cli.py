@@ -2,6 +2,8 @@
 reruns and a pinned optimize result."""
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -11,6 +13,7 @@ from blocktune import _kernels, cli, ga
 from blocktune.simulator import derive_seed
 
 PINNED_OPTIMIZE = Path(__file__).parent / "data" / "pinned_optimize.json"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 GEN_DATA = {
     "sim": {"workload": {"arrival_rate_tps": 200.0, "total_tx": 60,
@@ -113,6 +116,45 @@ class TestExitCodes:
         monkeypatch.setattr(_kernels, "repair_assignment", lambda *args: False)
         monkeypatch.setattr(ga, "_greedy_repack", lambda instance: None)
         assert run(tmp_path, "optimize", instance_path, model_path) == cli.EXIT_INTERNAL
+
+
+class TestMalformedModel:
+    """A model file the tree walk could not answer for exits 1 with one
+    error line, before any prediction."""
+
+    def broken_model(self, tmp_path, model_path, edit):
+        d = load(model_path)
+        tree = next(t for t in d["vt_model"]["trees"] if t["feature"][0] >= 0)
+        edit(tree)
+        return write(tmp_path / "broken.json", d)
+
+    def test_cycle_exits_1(self, tmp_path, model_path, instance_path):
+        # Run in a subprocess: a walk through a cycle never ends.
+        def cycle(tree):
+            tree["left"][0] = 0
+        model = self.broken_model(tmp_path, model_path, cycle)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        env.pop("BLOCKTUNE_SEED", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "blocktune.cli", "--quiet", "--out-dir",
+             str(tmp_path), "optimize", instance_path, model],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == cli.EXIT_CONFIG
+        assert proc.stderr.startswith("error:") and "left" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("key, edit", [
+        ("right", lambda tree: tree["right"].__setitem__(0, len(tree["right"]))),
+        ("value", lambda tree: tree.pop("value")),
+    ])
+    def test_bad_child_or_missing_key_exits_1(self, tmp_path, model_path,
+                                              instance_path, capsys, key, edit):
+        model = self.broken_model(tmp_path, model_path, edit)
+        capsys.readouterr()
+        assert run(tmp_path, "optimize", instance_path, model) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "vt_model.trees[" in err and key in err
+        assert "Traceback" not in err
 
 
 class TestSeedPriority:

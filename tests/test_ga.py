@@ -12,11 +12,11 @@ from blocktune.errors import (
 from blocktune.ga import (
     GaConfig,
     _population_fitness,
+    _repair_array,
     brute_force_optimum,
     crossover,
     initialize_population,
     mutate,
-    repair,
     run,
     select,
 )
@@ -142,7 +142,7 @@ class TestCrossover:
             inst = random_instance(rng, n_max=30)
             pop = initialize_population(inst, GaConfig(population_size=4, rng_seed=5))
             for child in crossover(pop[0], pop[1], rng):
-                assert feasible(inst, repair(inst, AssignmentMatrix(child, inst.nb)).block_of)
+                assert feasible(inst, _repair_array(inst, child))
 
 
 class TestMutate:
@@ -174,36 +174,36 @@ class TestMutate:
             pop = initialize_population(inst, GaConfig(population_size=3, rng_seed=3))
             out = mutate(pop[0], inst.nb, 0.5, rng)
             assert ((out >= 0) & (out < inst.nb)).all()
-            assert feasible(inst, repair(inst, AssignmentMatrix(out, inst.nb)).block_of)
+            assert feasible(inst, _repair_array(inst, out))
 
 
 class TestRepair:
     def test_feasible_input_returned_unchanged(self):
         inst = make_instance([100, 200], lb=1)
-        assign = AssignmentMatrix([0, 1], inst.nb)
-        assert repair(inst, assign) is assign
+        arr = np.array([0, 1])
+        assert _repair_array(inst, arr) is arr
+        np.testing.assert_array_equal(arr, [0, 1])
 
     def test_single_forced_move(self):
         # nb = ceil(2/1)+1 = 3; ub = 1 forces one transaction out of block 0;
         # the larger one moves to the lowest-loaded (lowest-index) block.
         inst = make_instance([100, 80], lb=1, ub=1)
         assert inst.nb == 3
-        out = repair(inst, AssignmentMatrix([0, 0], inst.nb))
-        np.testing.assert_array_equal(out.block_of, [1, 0])
+        out = _repair_array(inst, np.array([0, 0]))
+        np.testing.assert_array_equal(out, [1, 0])
 
     def test_only_offending_transactions_move(self, rng):
         for _ in range(30):
             inst = random_instance(rng, n_max=25)
             arr = rng.integers(0, inst.nb, size=inst.n)
-            before = AssignmentMatrix(arr, inst.nb)
             counts = np.bincount(arr, minlength=inst.nb)
             loads = np.bincount(arr, weights=inst.sizes.astype(float),
                                 minlength=inst.nb)
             bad = set(np.flatnonzero((counts > inst.limits.ub)
                                      | (loads > inst.limits.cb)).tolist())
-            out = repair(inst, before)
-            assert validate_assignment(inst, out).ok
-            moved = np.flatnonzero(out.block_of != before.block_of)
+            out = _repair_array(inst, arr.copy())
+            assert validate_assignment(inst, AssignmentMatrix(out, inst.nb)).ok
+            moved = np.flatnonzero(out != arr)
             if not bad:
                 assert moved.size == 0
 

@@ -18,8 +18,8 @@ from blocktune.model import (
     NodeProfile,
     ProblemInstance,
     Transaction,
-    block_metrics,
-    block_processing_time,
+    block_stats,
+    block_times,
     derive_block_count,
     recommended_block_size,
     total_processing_time,
@@ -154,43 +154,48 @@ class TestValidateAssignment:
             AssignmentMatrix([0, inst.nb], inst.nb)
 
 
+def stats(inst, block_of, j):
+    """(transaction count, byte sum) of block ``j`` of one assignment."""
+    counts, byte_sums = block_stats(inst, np.array([block_of]))
+    return int(counts[0, j]), int(byte_sums[0, j])
+
+
+def block_time(inst, block_of, j, predictor):
+    """Processing time of block ``j`` of one assignment."""
+    times, _ = block_times(inst, np.array([block_of]), predictor)
+    return float(times[0, j])
+
+
 class TestBlockMetrics:
     def test_empty_block(self):
         inst = make_instance([100, 250])
-        assert block_metrics(inst, AssignmentMatrix([0, 0], inst.nb), 1) == (0, 0)
+        assert stats(inst, [0, 0], 1) == (0, 0)
 
     def test_two_transactions(self):
         inst = make_instance([100, 250])
-        assert block_metrics(inst, AssignmentMatrix([1, 1], inst.nb), 1) == (2, 350)
+        assert stats(inst, [1, 1], 1) == (2, 350)
 
     def test_all_in_block_zero(self):
         sizes = [17, 23, 41, 9]
         inst = make_instance(sizes)
-        assert block_metrics(inst, AssignmentMatrix([0] * 4, inst.nb), 0) == (4, sum(sizes))
-
-    def test_index_error(self):
-        inst = make_instance([100])
-        with pytest.raises(IndexError):
-            block_metrics(inst, AssignmentMatrix([0], inst.nb), inst.nb)
+        assert stats(inst, [0] * 4, 0) == (4, sum(sizes))
 
 
 class TestBlockProcessingTime:
     def test_empty_block_is_zero(self):
         inst = make_instance([100, 200])
         stub = StubPredictor(lambda c, b, w: c, lambda c, b, w: b)
-        assert block_processing_time(inst, AssignmentMatrix([0, 0], inst.nb), 1, stub) == 0.0
+        assert block_time(inst, [0, 0], 1, stub) == 0.0
 
     def test_count_plus_bytes_stub(self):
         inst = make_instance([100, 200])
         stub = StubPredictor(lambda c, b, w: c, lambda c, b, w: b)
-        t = block_processing_time(inst, AssignmentMatrix([0, 0], inst.nb), 0, stub)
-        assert t == pytest.approx(302.0)
+        assert block_time(inst, [0, 0], 0, stub) == pytest.approx(302.0)
 
     def test_slowest_node_dominates(self):
         inst = make_instance([1000], bandwidths=(1e6, 1e7))
         stub = StubPredictor(lambda c, b, w: b / w, lambda c, b, w: 0.0 * c)
-        t = block_processing_time(inst, AssignmentMatrix([0], inst.nb), 0, stub)
-        assert t == pytest.approx(0.001)
+        assert block_time(inst, [0], 0, stub) == pytest.approx(0.001)
 
     def test_more_nodes_never_faster(self):
         stub = StubPredictor(lambda c, b, w: b / w, lambda c, b, w: c / w)
@@ -199,16 +204,14 @@ class TestBlockProcessingTime:
         more = make_instance(sizes, bandwidths=(2e6, 5e5))
         assign = [0, 1, 0]
         for j in range(base.nb):
-            t1 = block_processing_time(base, AssignmentMatrix(assign, base.nb), j, stub)
-            t2 = block_processing_time(more, AssignmentMatrix(assign, more.nb), j, stub)
-            assert t2 >= t1
+            assert block_time(more, assign, j, stub) >= block_time(base, assign, j, stub)
 
     def test_unfitted_predictor(self):
         inst = make_instance([100])
         stub = StubPredictor(lambda c, b, w: c, lambda c, b, w: b)
         stub.fitted = False
         with pytest.raises(PredictorNotFittedError):
-            block_processing_time(inst, AssignmentMatrix([0], inst.nb), 0, stub)
+            block_time(inst, [0], 0, stub)
 
 
 class TestTotalProcessingTime:
@@ -217,7 +220,7 @@ class TestTotalProcessingTime:
         stub = StubPredictor(lambda c, b, w: 2 * c, lambda c, b, w: 0.01 * b)
         assign = AssignmentMatrix([0, 0, 0], inst.nb)
         assert total_processing_time(inst, assign, stub) == pytest.approx(
-            block_processing_time(inst, assign, 0, stub))
+            block_time(inst, [0, 0, 0], 0, stub))
 
     def test_constant_stub_counts_nonempty_blocks(self):
         inst = make_instance([10] * 6, lb=2)
@@ -291,18 +294,6 @@ def test_removing_transaction_keeps_feasibility():
             j = block_of[drop]
             assert counts[j] - 1 <= inst.limits.ub
             assert loads[j] - sizes[drop] <= inst.limits.cb
-
-
-
-def test_binary_matrix_columns_sum_to_one():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        n = int(rng.integers(1, 30))
-        nb = int(rng.integers(1, 6))
-        assign = AssignmentMatrix(rng.integers(0, nb, size=n), nb)
-        y = assign.to_binary_matrix()
-        assert y.shape == (nb, n)
-        np.testing.assert_array_equal(y.sum(axis=0), np.ones(n, dtype=np.int8))
 
 
 class TestRecommendedBlockSize:

@@ -1,8 +1,12 @@
-"""Surrogate models: exact recovery, monotone training loss, dataset I/O."""
+"""Surrogate models: exact recovery, monotone training loss, cell tables
+equal to the tree walks, stored-model checks, dataset I/O."""
+
+import json
 
 import numpy as np
 import pytest
 
+from blocktune import _kernels
 from blocktune.configio import write_json
 from blocktune.errors import DatasetError, FitError, PredictorNotFittedError
 from blocktune.model import (
@@ -12,6 +16,13 @@ from blocktune.model import (
     ProblemInstance,
     Transaction,
     total_processing_time,
+)
+from blocktune.simulator import (
+    BlockCutRule,
+    GroundTruthCost,
+    SimConfig,
+    WorkloadProfile,
+    generate_training_dataset,
 )
 from blocktune.surrogate import (
     BoostedEnsemble,
@@ -105,7 +116,7 @@ class TestPolynomial:
 class TestRegressionTree:
     def test_single_sample_single_leaf(self):
         tree = fit_tree(np.array([[3.0, 100.0, 1e6]]), np.array([0.42]))
-        assert tree.n_nodes == 1 and tree.n_leaves == 1
+        assert tree.n_nodes == 1 and tree.feature[0] == -1
         assert tree.predict([[9.0, 9.0, 9.0]])[0] == pytest.approx(0.42)
 
     def test_hand_computable_split(self):
@@ -302,6 +313,151 @@ class TestPredictor:
                           SurrogateConfig(holdout_fraction=0.25))
         assert p.fit_report["n_holdout"] == 25
         assert p.fit_report["holdout_mse"]["vt"] == pytest.approx(0.0, abs=1e-12)
+
+
+def training_point_recall_data():
+    """The noiseless affine data of ``test_training_point_recall``, whose
+    continuous features cut far more cells than it has rows."""
+    rng = np.random.default_rng(47)
+    points = grid_points(rng, n=200)
+    vt = 0.001 * points[:, 0] + 1e-8 * points[:, 1]
+    ct = 0.03 + 3e-8 * points[:, 1]
+    return points, vt, ct
+
+
+@pytest.fixture(scope="module")
+def grid_predictor():
+    """Fitted on a simulated training grid of 7 block sizes x 3 transaction
+    sizes x 3 bandwidths, as a tune pipeline trains."""
+    base = SimConfig(
+        workload=WorkloadProfile(arrival_rate_tps=400.0, total_tx=1200,
+                                 tx_size_bytes=1024, rng_seed=5),
+        nodes=(NodeProfile(0, 8.0e6),),
+        block_cut=BlockCutRule(max_tx_count=100, max_bytes=1 << 23, timeout_s=120.0),
+        cost=GroundTruthCost(), rng_seed=7)
+    data = generate_training_dataset(base, [5, 10, 20, 40, 60, 80, 100],
+                                     [768, 1024, 1280], [4.0e6, 8.0e6, 1.6e7])
+    return fit_predictor(data)
+
+
+@pytest.fixture(scope="module")
+def recall_predictor():
+    points, vt, ct = training_point_recall_data()
+    return fit_predictor(dataset(points, vt, ct, 0.1),
+                         SurrogateConfig(boost_rounds=200, boost_tree_depth=4))
+
+
+def probe_rows(feature, threshold, n_rows=50_000, seed=61):
+    """Rows whose every column takes values at each threshold on it, one ulp
+    to either side, midway between neighbours, beyond both ends, +-inf and
+    NaN, drawn independently per column."""
+    rng = np.random.default_rng(seed)
+    cols = []
+    for f in range(3):
+        edges = np.unique(threshold[feature == f])
+        values = [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                  0.5 * (edges[:-1] + edges[1:]),
+                  [-np.inf, np.inf, np.nan, -1.0, 0.0, 1e12]]
+        if edges.size:
+            values.append([edges[0] - 1.0, edges[-1] + 1.0, 2.0 * edges[-1]])
+        cols.append(rng.choice(np.concatenate(values), size=n_rows))
+    return np.column_stack(cols)
+
+
+def forest_walk(model, points):
+    return _kernels.forest_predict(model.base_value, model.learning_rate,
+                                   model._feature, model._threshold, model._left,
+                                   model._right, model._value, model._offsets, points)
+
+
+def tree_walk(tree, points):
+    return _kernels.tree_predict(tree.feature, tree.threshold, tree.left,
+                                 tree.right, tree.value, points)
+
+
+class TestCellTable:
+    def test_grid_models_are_tabulated(self, grid_predictor):
+        vt, lat = grid_predictor.vt_model, grid_predictor.latency_model
+        assert vt._table is not None and lat._table is not None
+        for model in (vt, lat):
+            cells = model._table[1].size
+            assert cells <= grid_predictor.fit_report["n_train"]
+
+    def test_grid_forest_table_equals_walk(self, grid_predictor):
+        vt = grid_predictor.vt_model
+        rows = probe_rows(vt._feature, vt._threshold)
+        np.testing.assert_array_equal(vt.predict(rows), forest_walk(vt, rows))
+        # Every tree of the ensemble tabulates on its own, too.
+        for tree in vt.trees[:10]:
+            np.testing.assert_array_equal(tree.predict(rows), tree_walk(tree, rows))
+
+    def test_grid_tree_table_equals_walk(self, grid_predictor):
+        lat = grid_predictor.latency_model
+        rows = probe_rows(lat.feature, lat.threshold)
+        np.testing.assert_array_equal(lat.predict(rows), tree_walk(lat, rows))
+
+    def test_continuous_data_keeps_the_walk(self, recall_predictor):
+        vt, lat = recall_predictor.vt_model, recall_predictor.latency_model
+        assert vt._table is None
+        assert lat.n_nodes == 1  # the latency target is constant
+        rows = probe_rows(vt._feature, vt._threshold, n_rows=5_000)
+        np.testing.assert_array_equal(vt.predict(rows), forest_walk(vt, rows))
+        np.testing.assert_array_equal(lat.predict(rows), tree_walk(lat, rows))
+
+    def test_stored_model_predicts_identically(self, grid_predictor, tmp_path):
+        path = tmp_path / "model.json"
+        write_json(path, grid_predictor.to_dict())
+        clone = PerformancePredictor.load(path)
+        vt = grid_predictor.vt_model
+        rows = probe_rows(vt._feature, vt._threshold)
+        with np.errstate(invalid="ignore"):  # the polynomial at +-inf
+            np.testing.assert_array_equal(clone.predict_f_batch(rows),
+                                          grid_predictor.predict_f_batch(rows))
+        np.testing.assert_array_equal(clone.predict_g_batch(rows),
+                                      grid_predictor.predict_g_batch(rows))
+
+
+@pytest.fixture(scope="module")
+def stored_model():
+    points, vt, ct = training_point_recall_data()
+    p = fit_predictor(dataset(points, vt, ct, 0.1 + 0.001 * points[:, 0]),
+                      SurrogateConfig(boost_rounds=3))
+    return json.dumps(p.to_dict())
+
+
+class TestStoredModelChecks:
+    @pytest.mark.parametrize("mutation, message", [
+        (lambda d: d["vt_model"]["trees"][1].pop("value"),
+         r"vt_model\.trees\[1\]: missing key 'value'"),
+        (lambda d: d.pop("latency_model"), "missing key 'latency_model'"),
+        (lambda d: d["ct_model"].pop("coefficients"), "ct_model: missing key"),
+        (lambda d: d["latency_model"]["left"].pop(), "latency_model: left"),
+        (lambda d: d["latency_model"]["feature"].__setitem__(0, 3),
+         "latency_model: feature"),
+        (lambda d: d["vt_model"]["trees"][0]["right"].__setitem__(0, 99),
+         r"vt_model\.trees\[0\]: right"),
+        (lambda d: d["latency_model"]["threshold"].__setitem__(0, float("inf")),
+         "latency_model: threshold: not finite"),
+        (lambda d: d["vt_model"]["trees"][2]["value"].__setitem__(0, float("nan")),
+         r"vt_model\.trees\[2\]: value: not finite"),
+        (lambda d: d["latency_model"]["left"].__setitem__(0, 0.5),
+         "latency_model: left: expected integers"),
+    ])
+    def test_rejected_naming_model_and_key(self, stored_model, mutation, message):
+        d = json.loads(stored_model)
+        # every tree splits at its root, and has fewer than 99 nodes
+        assert d["latency_model"]["feature"][0] >= 0
+        assert all(t["feature"][0] >= 0 and len(t["feature"]) < 99
+                   for t in d["vt_model"]["trees"])
+        mutation(d)
+        with pytest.raises(DatasetError, match=message):
+            PerformancePredictor.from_dict(d)
+
+    def test_invalid_json_is_dataset_error(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("{", encoding="utf-8")
+        with pytest.raises(DatasetError, match="invalid JSON"):
+            PerformancePredictor.load(path)
 
 
 class TestDatasetIO:
