@@ -35,7 +35,8 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -54,7 +55,10 @@ def check_seed(seed, source: str) -> int:
     """``seed`` as an int, which must lie in [0, 2**32): seeds are derived
     modulo 2**32, so a larger one would silently alias a smaller, and numpy
     rejects a negative one. ``source`` names the seed in the error."""
-    seed = int(seed)
+    try:
+        seed = int(seed)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{source} must be an integer, got {seed!r}") from None
     if not 0 <= seed < 2**32:
         raise ConfigError(f"{source} must be in [0, 2**32), got {seed}")
     return seed
@@ -67,10 +71,7 @@ def resolve_seed(cli_seed, config_seed, default: int | None = 0) -> int | None:
     if cli_seed is not None:
         return check_seed(cli_seed, "--seed")
     if env:
-        try:
-            return check_seed(env, SEED_ENV_VAR)
-        except ValueError:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
+        return check_seed(env, SEED_ENV_VAR)
     if config_seed is not None:
         return check_seed(config_seed, "config rng_seed")
     return default
@@ -102,17 +103,49 @@ def _req(d: dict, key: str, where: str):
     return d[key]
 
 
+def check_number(value, where: str, integer: bool = False):
+    """``value``, which must be an integer or, unless ``integer``, any real
+    number (a bool is neither); ``where`` names it in the error."""
+    if isinstance(value, bool) or not isinstance(value, Integral if integer else Real):
+        raise ConfigError(f"{where} must be {'an integer' if integer else 'a number'}, "
+                          f"got {value!r}")
+    return value
+
+
+def read_number(d: dict, key: str, where: str, integer: bool = False):
+    """The required number ``d[key]``, as an int if ``integer`` else a float."""
+    value = check_number(_req(d, key, where), f"{where}.{key}", integer)
+    return value if integer else float(value)
+
+
+def build_config(cls, d: dict, where: str):
+    """``cls(**d)`` for a config dataclass: a field whose default is an int
+    takes an int, one whose default is a float or None a number (or None)."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object, got {d!r}")
+    defaults = {f.name: f.default for f in fields(cls)}
+    for key, value in d.items():
+        default = defaults.get(key, MISSING)
+        if isinstance(default, (int, float)) or (default is None and value is not None):
+            check_number(value, f"{where}.{key}", isinstance(default, int))
+    try:
+        return cls(**d)
+    except (TypeError, ConfigError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def build_transactions(d: dict, where: str = "transactions"):
     if "sizes_bytes" in d:
         sizes = d["sizes_bytes"]
     elif "size_bytes" in d:
-        sizes = [int(d["size_bytes"])] * int(_req(d, "count", where))
+        sizes = [read_number(d, "size_bytes", where, True)] * read_number(
+            d, "count", where, True)
     elif "size_range_bytes" in d:
         lo, hi = d["size_range_bytes"]
         rng = np.random.default_rng(check_seed(d.get("rng_seed", 0),
                                                f"{where}.rng_seed"))
         sizes = rng.integers(int(lo), int(hi) + 1,
-                             size=int(_req(d, "count", where))).tolist()
+                             size=read_number(d, "count", where, True)).tolist()
     else:
         raise ConfigError(
             f"{where}: need one of sizes_bytes / size_bytes / size_range_bytes")
@@ -122,13 +155,12 @@ def build_transactions(d: dict, where: str = "transactions"):
 def build_nodes(items, where: str = "nodes"):
     if not items:
         raise ConfigError(f"{where}: at least one node is required")
-    return tuple(NodeProfile(i, float(_req(nd, "bandwidth_bytes_per_sec", where)))
+    return tuple(NodeProfile(i, read_number(nd, "bandwidth_bytes_per_sec", where))
                  for i, nd in enumerate(items))
 
 
 def build_limits(d: dict, where: str = "limits") -> BlockLimits:
-    return BlockLimits(int(_req(d, "lb", where)), int(_req(d, "ub", where)),
-                       int(_req(d, "cb", where)))
+    return BlockLimits(*(read_number(d, key, where, True) for key in ("lb", "ub", "cb")))
 
 
 def build_instance(d: dict, where: str = "instance") -> ProblemInstance:
@@ -142,8 +174,8 @@ def build_instance(d: dict, where: str = "instance") -> ProblemInstance:
 
 def build_workload(d: dict, where: str = "workload") -> WorkloadProfile:
     kwargs = {
-        "arrival_rate_tps": float(_req(d, "arrival_rate_tps", where)),
-        "total_tx": int(_req(d, "total_tx", where)),
+        "arrival_rate_tps": read_number(d, "arrival_rate_tps", where),
+        "total_tx": read_number(d, "total_tx", where, True),
         "arrival_process": d.get("arrival_process", "fixed"),
         "rng_seed": check_seed(d.get("rng_seed", 0), f"{where}.rng_seed"),
     }
@@ -151,23 +183,20 @@ def build_workload(d: dict, where: str = "workload") -> WorkloadProfile:
         lo, hi = d["tx_size_range_bytes"]
         kwargs["tx_size_range_bytes"] = (int(lo), int(hi))
     elif "tx_size_bytes" in d:
-        kwargs["tx_size_bytes"] = int(d["tx_size_bytes"])
+        kwargs["tx_size_bytes"] = read_number(d, "tx_size_bytes", where, True)
     else:
         raise ConfigError(f"{where}: need tx_size_bytes or tx_size_range_bytes")
     return WorkloadProfile(**kwargs)
 
 
 def build_cost(d: dict) -> GroundTruthCost:
-    try:
-        return GroundTruthCost(**d)
-    except TypeError as exc:
-        raise ConfigError(f"cost: {exc}") from None
+    return build_config(GroundTruthCost, d, "cost")
 
 
 def build_block_cut(d: dict, where: str = "block_cut") -> BlockCutRule:
-    return BlockCutRule(int(_req(d, "max_tx_count", where)),
-                        int(_req(d, "max_bytes", where)),
-                        float(_req(d, "timeout_s", where)))
+    return BlockCutRule(read_number(d, "max_tx_count", where, True),
+                        read_number(d, "max_bytes", where, True),
+                        read_number(d, "timeout_s", where))
 
 
 def build_sim_config(d: dict, rng_seed: int, where: str = "sim") -> SimConfig:
@@ -182,17 +211,11 @@ def build_sim_config(d: dict, rng_seed: int, where: str = "sim") -> SimConfig:
 
 
 def build_ga_config(d: dict) -> GaConfig:
-    try:
-        return GaConfig(**d)
-    except TypeError as exc:
-        raise ConfigError(f"ga: {exc}") from None
+    return build_config(GaConfig, d, "ga")
 
 
 def build_surrogate_config(d: dict) -> SurrogateConfig:
-    try:
-        return SurrogateConfig(**d)
-    except TypeError as exc:
-        raise ConfigError(f"surrogate: {exc}") from None
+    return build_config(SurrogateConfig, d, "surrogate")
 
 
 @dataclass

@@ -27,16 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import stats
 
-from . import ga
-from .configio import (
-    build_block_cut,
-    build_cost,
-    build_ga_config,
-    build_instance,
-    build_limits,
-    build_surrogate_config,
-    build_workload,
-)
+from . import configio, ga
 from .errors import BlocktuneError, ConfigError
 from .model import BlockLimits, NodeProfile, ProblemInstance, Transaction
 from .simulator import (
@@ -72,21 +63,24 @@ class TrainingGrid:
     timeout_s: float = 120.0
 
     def __post_init__(self):
+        for name in ("block_sizes", "tx_size_factors", "bandwidth_factors"):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)):
+                raise ConfigError(f"{name} must be a list, got {values!r}")
+            object.__setattr__(self, name, tuple(values))
+            for value in values:
+                configio.check_number(value, name, name == "block_sizes")
         if not self.block_sizes:
-            raise ConfigError("train grid needs at least one block size")
+            raise ConfigError("block_sizes must not be empty")
         if len(set(self.tx_size_factors)) < 2:
             raise ConfigError(
-                "train grid needs at least two distinct tx_size_factors "
-                "(a single transaction size makes block bytes collinear with "
-                "the transaction count)")
+                "tx_size_factors needs at least two distinct values (a single "
+                "transaction size makes block bytes collinear with the "
+                "transaction count)")
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainingGrid":
-        known = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
-        try:
-            return cls(**known)
-        except TypeError as exc:
-            raise ConfigError(f"train grid: {exc}") from None
+        return configio.build_config(cls, d, "train_grid")
 
 
 @dataclass(frozen=True)
@@ -110,6 +104,10 @@ class SweepSpec:
     def __post_init__(self):
         if self.varied_factor not in FACTORS:
             raise ConfigError(f"varied_factor must be one of {FACTORS}")
+        for value in self.values:
+            configio.check_number(value, "values")
+        for factor, value in self.fixed.items():
+            configio.check_number(value, f"fixed.{factor}")
         if len(self.values) < 3:
             raise ConfigError("a sweep needs at least 3 values")
         diffs = np.diff(np.asarray(self.values, dtype=np.float64))
@@ -128,15 +126,16 @@ class SweepSpec:
                 varied_factor=d["varied_factor"],
                 values=tuple(d["values"]),
                 fixed=dict(d.get("fixed", {})),
-                instance_n=int(d["instance_n"]),
-                limits=build_limits(d["limits"]),
+                instance_n=configio.check_number(d["instance_n"], "instance_n", True),
+                limits=configio.build_limits(d["limits"]),
                 grid=TrainingGrid.from_dict(d.get("train_grid", {})),
-                cost=build_cost(d.get("cost", {})),
-                surrogate=build_surrogate_config(d.get("surrogate", {})),
-                ga_config=build_ga_config(d.get("ga", {})),
+                cost=configio.build_cost(d.get("cost", {})),
+                surrogate=configio.build_surrogate_config(d.get("surrogate", {})),
+                ga_config=configio.build_ga_config(d.get("ga", {})),
                 arrival_process=d.get("arrival_process", "fixed"),
-                runs_per_point=int(d.get("runs_per_point", 1)),
-                rng_seed=int(d.get("rng_seed", 0)),
+                runs_per_point=configio.check_number(d.get("runs_per_point", 1),
+                                                     "runs_per_point", integer=True),
+                rng_seed=configio.check_seed(d.get("rng_seed", 0), "rng_seed"),
             )
         except KeyError as exc:
             raise ConfigError(f"sweep spec: missing key {exc}") from None
@@ -207,37 +206,31 @@ def _point_factors(spec: SweepSpec, value):
             float(factors["bandwidth"]))
 
 
-def _constant_size_instance(n: int, tx_size: int, bandwidth: float,
-                            limits: BlockLimits) -> ProblemInstance:
-    return ProblemInstance(
-        transactions=tuple(Transaction(i, tx_size) for i in range(n)),
+def _tune(spec, instance: ProblemInstance, rate: float, process: str,
+          data_seed: int, ga_seed: int):
+    """generate data -> fit predictor -> genetic search for ``instance`` with
+    the settings of ``spec`` (a :class:`SweepSpec` or :class:`Scenario`),
+    training around its largest transaction and first node's bandwidth."""
+    grid = spec.grid
+    tx_size = int(instance.sizes.max())
+    bandwidth = float(instance.bandwidths[0])
+    base = SimConfig(
+        workload=WorkloadProfile(
+            arrival_rate_tps=rate, total_tx=grid.total_tx, arrival_process=process,
+            tx_size_bytes=tx_size, rng_seed=derive_seed(data_seed, "workload")),
         nodes=(NodeProfile(0, bandwidth),),
-        limits=limits,
-    )
-
-
-def _training_base(spec_grid: TrainingGrid, tx_size: int, rate: float,
-                   bandwidth: float, cost: GroundTruthCost, process: str,
-                   data_seed: int) -> SimConfig:
-    workload = WorkloadProfile(
-        arrival_rate_tps=rate, total_tx=spec_grid.total_tx,
-        arrival_process=process, tx_size_bytes=tx_size,
-        rng_seed=derive_seed(data_seed, "workload"))
-    return SimConfig(
-        workload=workload,
-        nodes=(NodeProfile(0, bandwidth),),
-        block_cut=BlockCutRule(max_tx_count=max(spec_grid.block_sizes),
-                               max_bytes=spec_grid.max_bytes,
-                               timeout_s=spec_grid.timeout_s),
-        cost=cost,
+        block_cut=BlockCutRule(max_tx_count=max(grid.block_sizes),
+                               max_bytes=grid.max_bytes, timeout_s=grid.timeout_s),
+        cost=spec.cost,
         rng_seed=data_seed,
     )
-
-
-def _grid_lists(grid: TrainingGrid, tx_size: int, bandwidth: float):
     tx_sizes = sorted({max(1, int(round(tx_size * f))) for f in grid.tx_size_factors})
     bandwidths = sorted({bandwidth * f for f in grid.bandwidth_factors})
-    return list(grid.block_sizes), tx_sizes, bandwidths
+    samples = generate_training_dataset(base, list(grid.block_sizes), tx_sizes,
+                                        bandwidths, grid.replicates)
+    predictor = fit_predictor(samples, spec.surrogate)
+    result = ga.run(instance, predictor, replace(spec.ga_config, rng_seed=ga_seed))
+    return samples, predictor, result
 
 
 def run_point(spec: SweepSpec, value, run_index: int) -> SweepPoint:
@@ -249,15 +242,11 @@ def run_point(spec: SweepSpec, value, run_index: int) -> SweepPoint:
     # points differ by the studied factor alone.
     ga_seed = derive_seed(spec.rng_seed, "ga", run_index)
     try:
-        base = _training_base(spec.grid, tx_size, rate, bandwidth, spec.cost,
-                              spec.arrival_process, data_seed)
-        block_sizes, tx_sizes, bandwidths = _grid_lists(spec.grid, tx_size, bandwidth)
-        samples = generate_training_dataset(base, block_sizes, tx_sizes,
-                                            bandwidths, spec.grid.replicates)
-        predictor = fit_predictor(samples, spec.surrogate)
-        instance = _constant_size_instance(spec.instance_n, tx_size, bandwidth,
-                                           spec.limits)
-        result = ga.run(instance, predictor, replace(spec.ga_config, rng_seed=ga_seed))
+        instance = ProblemInstance(
+            transactions=tuple(Transaction(i, tx_size) for i in range(spec.instance_n)),
+            nodes=(NodeProfile(0, bandwidth),), limits=spec.limits)
+        samples, _, result = _tune(spec, instance, rate, spec.arrival_process,
+                                   data_seed, ga_seed)
     except BlocktuneError as exc:
         raise type(exc)(f"sweep point {point_key} (run {run_index}): {exc}") from exc
     frac = (result.extrapolation_queries / result.total_queries
@@ -327,14 +316,15 @@ class Scenario:
         try:
             return cls(
                 name=d.get("name", f"scenario-{index}"),
-                instance=build_instance(d["instance"]),
-                workload=build_workload(d["workload"]),
-                block_cut=build_block_cut(d["block_cut"]),
-                cost=build_cost(d.get("cost", {})),
+                instance=configio.build_instance(d["instance"]),
+                workload=configio.build_workload(d["workload"]),
+                block_cut=configio.build_block_cut(d["block_cut"]),
+                cost=configio.build_cost(d.get("cost", {})),
                 grid=TrainingGrid.from_dict(d.get("train_grid", {})),
-                surrogate=build_surrogate_config(d.get("surrogate", {})),
-                ga_config=build_ga_config(d.get("ga", {})),
-                rng_seed=int(d.get("rng_seed", 0)),
+                surrogate=configio.build_surrogate_config(d.get("surrogate", {})),
+                ga_config=configio.build_ga_config(d.get("ga", {})),
+                rng_seed=configio.check_seed(d.get("rng_seed", 0),
+                                             f"scenario {index}: rng_seed"),
             )
         except KeyError as exc:
             raise ConfigError(f"scenario {index}: missing key {exc}") from None
@@ -355,19 +345,9 @@ def run_scenario_pipeline(scenario: Scenario) -> PipelineOutcome:
     """generate data -> fit predictor -> genetic search, fully seeded."""
     data_seed = derive_seed(scenario.rng_seed, "data")
     ga_seed = derive_seed(scenario.rng_seed, "ga")
-    tx_size = int(scenario.instance.sizes.max())
-    bandwidth = float(scenario.instance.bandwidths[0])
-
-    base = _training_base(scenario.grid, tx_size,
-                          scenario.workload.arrival_rate_tps, bandwidth,
-                          scenario.cost, scenario.workload.arrival_process,
-                          data_seed)
-    block_sizes, tx_sizes, bandwidths = _grid_lists(scenario.grid, tx_size, bandwidth)
-    samples = generate_training_dataset(base, block_sizes, tx_sizes, bandwidths,
-                                        scenario.grid.replicates)
-    predictor = fit_predictor(samples, scenario.surrogate)
-    result = ga.run(scenario.instance, predictor,
-                    replace(scenario.ga_config, rng_seed=ga_seed))
+    samples, predictor, result = _tune(
+        scenario, scenario.instance, scenario.workload.arrival_rate_tps,
+        scenario.workload.arrival_process, data_seed, ga_seed)
     return PipelineOutcome(samples=samples, predictor=predictor, ga_result=result,
                            seeds={"root": scenario.rng_seed, "data": data_seed,
                                   "ga": ga_seed})

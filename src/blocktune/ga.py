@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import (
-    BlocktuneError,
+    ConfigError,
     EnumerationBudgetError,
     InfeasibleInstanceError,
     InternalInvariantError,
@@ -55,16 +55,16 @@ class GaConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.population_size < 2:
-            raise BlocktuneError("population_size must be >= 2")
+        for name, least in (("population_size", 2), ("max_generations", 1),
+                            ("tournament_size", 1), ("stagnation_limit", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}")
         if not 0 <= self.elitism_count < self.population_size:
-            raise BlocktuneError("elitism_count must be in [0, population_size)")
+            raise ConfigError("elitism_count must be in [0, population_size)")
         if not 0 <= self.crossover_rate <= 1:
-            raise BlocktuneError("crossover_rate must be in [0, 1]")
+            raise ConfigError("crossover_rate must be in [0, 1]")
         if self.mutation_rate is not None and not 0 <= self.mutation_rate <= 1:
-            raise BlocktuneError("mutation_rate must be in [0, 1]")
-        if self.tournament_size < 1:
-            raise BlocktuneError("tournament_size must be >= 1")
+            raise ConfigError("mutation_rate must be in [0, 1]")
 
     def effective_mutation_rate(self, n: int) -> float:
         if self.mutation_rate is not None:

@@ -17,8 +17,10 @@ oversized bursts on thin links disproportionately expensive. Multiplicative
 Gaussian noise with a small configurable standard deviation jitters the
 validation and committing costs, clamped so costs stay positive.
 
-:func:`generate_training_dataset` harvests one training row per committed
-block into a (k, 6) float64 array whose columns are in
+Blocks are cut one block at a time, then priced once on every node, in
+arrays. :func:`run_simulation` queues the priced blocks through each node's
+link and CPU; :func:`generate_training_dataset` never queues, and takes one
+training row per block into a (k, 6) float64 array whose columns are in
 ``surrogate.DATASET_COLUMNS`` order.
 
 Event times are continuous doubles; simultaneous events resolve in
@@ -28,6 +30,7 @@ Distinct runs share no state and may execute concurrently.
 
 from __future__ import annotations
 
+import itertools
 import zlib
 from dataclasses import dataclass, replace
 
@@ -161,9 +164,7 @@ class BlockRecord:
 
     ``mean_latency_s`` is the end-to-end transaction view (arrival to
     commit), which includes batching wait and queueing behind earlier
-    blocks. ``service_latency_s`` is the block's own uncontended cost, from
-    cut to commit on an idle slowest node: dispatch + transfer + validation
-    + commit. The latter is what the latency surrogate trains on.
+    blocks.
     """
 
     index: int
@@ -171,12 +172,8 @@ class BlockRecord:
     block_bytes: int
     cut_time_s: float
     cut_reason: str
-    per_node_transfer_s: tuple
-    per_node_vt_s: tuple
-    per_node_ct_s: tuple
     commit_time_s: float
     mean_latency_s: float
-    service_latency_s: float
 
 
 @dataclass(frozen=True)
@@ -230,38 +227,54 @@ def _generate_workload(profile: WorkloadProfile):
 
 
 def _cut_blocks(arrivals, sizes, rule: BlockCutRule):
-    """Scan arrivals once and return (first_tx, count, bytes, cut_time, reason)
-    tuples in cut order."""
-    blocks = []
-    pending_first = -1
-    pending_count = 0
-    pending_bytes = 0
-    pending_start = 0.0
+    """The arrays (first, count, bytes, cut_time, reason), one entry per block
+    in cut order. A block starting at transaction i ends before the first of
+    i + max_tx_count, the first arrival at or after arrivals[i] + timeout_s,
+    and the first transaction that would overflow max_bytes; ties go to the
+    count cap, then the timeout, and the last block times out."""
+    n = arrivals.size
+    idx = np.arange(n)
+    cum = np.concatenate(([0], np.cumsum(sizes)))
+    by_count = idx + min(rule.max_tx_count, n + 1)
+    by_timeout = np.maximum(
+        np.searchsorted(arrivals, arrivals + rule.timeout_s, side="left"), idx + 1)
+    # cum[k] - cum[i] is the size of transactions i..k-1, so the first k past
+    # the cap is one beyond the first transaction that does not fit. A cap at
+    # or above the total never binds; clamping it keeps the sum in int64.
+    max_bytes = min(rule.max_bytes, int(cum[-1]))
+    by_bytes = np.searchsorted(cum, cum[:-1] + max_bytes, side="right") - 1
+    end = np.minimum(np.minimum(by_count, by_timeout), by_bytes)
 
-    def cut(time, reason):
-        nonlocal pending_first, pending_count, pending_bytes
-        blocks.append((pending_first, pending_count, pending_bytes, time, reason))
-        pending_first = -1
-        pending_count = 0
-        pending_bytes = 0
+    first, i, ends = [], 0, end.tolist()
+    while i < n:
+        first.append(i)
+        i = ends[i]
+    first = np.array(first, dtype=np.int64)
+    last = end[first]
+    is_count = last == by_count[first]
+    is_timeout = ~is_count & (last == by_timeout[first])
+    reason = np.where(is_count, CUT_COUNT,
+                      np.where(is_timeout, CUT_TIMEOUT, CUT_BYTES))
+    cut_time = np.where(
+        is_count, arrivals[last - 1],
+        np.where(is_timeout, arrivals[first] + rule.timeout_s,
+                 arrivals[np.minimum(last, n - 1)]))
+    return first, last - first, cum[last] - cum[first], cut_time, reason
 
-    for i in range(arrivals.size):
-        t = float(arrivals[i])
-        s = int(sizes[i])
-        if pending_count and t >= pending_start + rule.timeout_s:
-            cut(pending_start + rule.timeout_s, CUT_TIMEOUT)
-        if pending_count and pending_bytes + s > rule.max_bytes:
-            cut(t, CUT_BYTES)
-        if pending_count == 0:
-            pending_first = i
-            pending_start = t
-        pending_count += 1
-        pending_bytes += s
-        if pending_count == rule.max_tx_count:
-            cut(t, CUT_COUNT)
-    if pending_count:
-        cut(pending_start + rule.timeout_s, CUT_TIMEOUT)
-    return blocks
+
+def _block_costs(count, nbytes, config: SimConfig):
+    """Price every block on every node: (transfer, vt, ct) arrays of shape
+    (blocks, nodes). The noise is one draw in (block, node, vt/ct) order."""
+    cost = config.cost
+    bw = np.array([node.bandwidth_bytes_per_sec for node in config.nodes])
+    transfer = cost.transfer_s(nbytes[:, None], bw)
+    noise_rng = np.random.default_rng(np.random.SeedSequence((config.rng_seed, 2)))
+    noise = np.maximum(1.0 + noise_rng.normal(0.0, cost.noise_sd_fraction,
+                                              size=(count.size, bw.size, 2)),
+                       _NOISE_FLOOR)
+    vt = cost.vt_s(count, nbytes)[:, None] * noise[:, :, 0]
+    ct = cost.ct_s(nbytes)[:, None] * noise[:, :, 1]
+    return transfer, vt, ct
 
 
 def run_simulation(config: SimConfig) -> SimResult:
@@ -272,47 +285,29 @@ def run_simulation(config: SimConfig) -> SimResult:
     """
     arrivals, sizes = _generate_workload(config.workload)
     blocks = _cut_blocks(arrivals, sizes, config.block_cut)
-    cost = config.cost
-    noise_rng = np.random.default_rng(np.random.SeedSequence((config.rng_seed, 2)))
-
+    costs = _block_costs(blocks[1], blocks[2], config)
+    dispatch = config.cost.dispatch_overhead_s
     m = len(config.nodes)
-    bandwidths = [node.bandwidth_bytes_per_sec for node in config.nodes]
-    link_free = [0.0] * m
-    cpu_free = [0.0] * m
-
+    link_free, cpu_free = [0.0] * m, [0.0] * m
     records = []
     latency_sum = 0.0
     makespan = 0.0
-    for index, (first, count, nbytes, cut_time, reason) in enumerate(blocks):
-        dispatch_done = cut_time + cost.dispatch_overhead_s
-        transfers, vts, cts = [], [], []
+    rows = zip(*(a.tolist() for a in blocks + costs))
+    for index, (first, count, nbytes, cut_time, reason, transfers, vts, cts) in \
+            enumerate(rows):
+        dispatch_done = cut_time + dispatch
         commit = 0.0
-        service = 0.0
         for k in range(m):
-            transfer = cost.transfer_s(nbytes, bandwidths[k])
-            vt_noise = 1.0 + noise_rng.normal(0.0, cost.noise_sd_fraction)
-            ct_noise = 1.0 + noise_rng.normal(0.0, cost.noise_sd_fraction)
-            vt = cost.vt_s(count, nbytes) * max(vt_noise, _NOISE_FLOOR)
-            ct = cost.ct_s(nbytes) * max(ct_noise, _NOISE_FLOOR)
-            transfer_end = max(dispatch_done, link_free[k]) + transfer
-            link_free[k] = transfer_end
-            proc_end = max(transfer_end, cpu_free[k]) + vt + ct
-            cpu_free[k] = proc_end
-            commit = max(commit, proc_end)
-            service = max(service, cost.dispatch_overhead_s + transfer + vt + ct)
-            transfers.append(transfer)
-            vts.append(vt)
-            cts.append(ct)
+            link_free[k] = max(dispatch_done, link_free[k]) + transfers[k]
+            cpu_free[k] = max(link_free[k], cpu_free[k]) + vts[k] + cts[k]
+            commit = max(commit, cpu_free[k])
         block_latency = commit * count - float(arrivals[first:first + count].sum())
-        mean_latency = block_latency / count
         latency_sum += block_latency
         makespan = max(makespan, commit)
         records.append(BlockRecord(
             index=index, tx_count=count, block_bytes=nbytes,
-            cut_time_s=cut_time, cut_reason=reason,
-            per_node_transfer_s=tuple(transfers), per_node_vt_s=tuple(vts),
-            per_node_ct_s=tuple(cts), commit_time_s=commit,
-            mean_latency_s=mean_latency, service_latency_s=service))
+            cut_time_s=cut_time, cut_reason=reason, commit_time_s=commit,
+            mean_latency_s=block_latency / count))
 
     total = config.workload.total_tx
     return SimResult(
@@ -338,10 +333,11 @@ def derive_seed(root: int, *parts) -> int:
 
 def generate_training_dataset(base: SimConfig, block_sizes, tx_sizes, bandwidths,
                               replicates: int = 1, out_path=None):
-    """Run one simulation per (block size, tx size, bandwidth) grid cell and
-    replicate, harvesting one training row per committed block.
+    """Cut and price one scenario per (block size, tx size, bandwidth) grid
+    cell and replicate, harvesting one training row per block; the blocks
+    are never queued.
 
-    Each cell runs a single-node scenario so the bandwidth feature is
+    Each cell is a single-node scenario so the bandwidth feature is
     unambiguous. The latency target is the block's own service latency
     (dispatch + transfer + validation + commit), i.e. the per-block cost
     the optimizer prices, not the workload-dependent end-to-end latency.
@@ -356,27 +352,25 @@ def generate_training_dataset(base: SimConfig, block_sizes, tx_sizes, bandwidths
     from .model import NodeProfile
 
     chunks = []
-    cell = 0
-    for bs in block_sizes:
-        for ts in tx_sizes:
-            for bw in bandwidths:
-                for rep in range(replicates):
-                    workload = replace(base.workload, tx_size_bytes=int(ts),
-                                       tx_size_range_bytes=None,
-                                       rng_seed=derive_seed(
-                                           base.workload.rng_seed, cell, rep))
-                    config = replace(
-                        base,
-                        workload=workload,
-                        nodes=(NodeProfile(0, float(bw)),),
-                        block_cut=replace(base.block_cut, max_tx_count=int(bs)),
-                        rng_seed=derive_seed(base.rng_seed, cell, rep))
-                    result = run_simulation(config)
-                    chunks.append(np.array(
-                        [(r.tx_count, r.block_bytes, bw, r.per_node_vt_s[0],
-                          r.per_node_ct_s[0], r.service_latency_s)
-                         for r in result.per_block_records], dtype=np.float64))
-                cell += 1
+    cells = itertools.product(block_sizes, tx_sizes, bandwidths)
+    for cell, (bs, ts, bw) in enumerate(cells):
+        for rep in range(replicates):
+            workload = replace(base.workload, tx_size_bytes=int(ts),
+                               tx_size_range_bytes=None,
+                               rng_seed=derive_seed(base.workload.rng_seed, cell, rep))
+            config = replace(
+                base,
+                workload=workload,
+                nodes=(NodeProfile(0, float(bw)),),
+                block_cut=replace(base.block_cut, max_tx_count=int(bs)),
+                rng_seed=derive_seed(base.rng_seed, cell, rep))
+            arrivals, sizes = _generate_workload(config.workload)
+            _, count, nbytes, _, _ = _cut_blocks(arrivals, sizes, config.block_cut)
+            transfer, vt, ct = _block_costs(count, nbytes, config)
+            vt, ct = vt[:, 0], ct[:, 0]
+            service = base.cost.dispatch_overhead_s + transfer[:, 0] + vt + ct
+            chunks.append(np.column_stack(
+                (count, nbytes, np.full(count.size, float(bw)), vt, ct, service)))
     data = np.concatenate(chunks)
     if out_path is not None:
         try:

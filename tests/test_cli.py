@@ -235,6 +235,27 @@ class TestSeedPriority:
                 == derive_seed(9, "scenario", 0))
 
 
+@pytest.mark.parametrize("command, config, key", [
+    ("sensitivity", dict(SWEEP, values=["a", "b", "c"]), "values"),
+    ("pipeline", dict(PIPELINE, train_grid={"block_sizes": "abc"}), "block_sizes"),
+    ("pipeline", dict(PIPELINE, surrogate={"holdout_fraction": "x"}), "holdout_fraction"),
+    ("pipeline", dict(PIPELINE, ga={"population_size": 2.5}), "population_size"),
+    ("sensitivity", dict(SWEEP, limits={"lb": 2, "ub": "x", "cb": 1048576}), "ub"),
+    ("pipeline", dict(PIPELINE, ga=dict(PIPELINE["ga"], max_generations=-1)),
+     "max_generations"),
+    ("pipeline", dict(PIPELINE, ga=dict(PIPELINE["ga"], stagnation_limit=0)),
+     "stagnation_limit"),
+])
+def test_bad_config_value_exits_1(tmp_path, capsys, command, config, key):
+    """A config value of the wrong type or out of range exits 1 with one
+    error line naming its key, before any work."""
+    capsys.readouterr()
+    assert run(tmp_path, command, write(tmp_path / "c.json", config)) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_pipeline_rerun_byte_identical(tmp_path):
     """Two seeded runs write identical bytes, and a run from the manifest's
     recorded config alone reproduces every output file."""

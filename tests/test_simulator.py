@@ -1,9 +1,14 @@
-"""Simulator: conservation, causality, determinism, and hand-checked timing."""
+"""Simulator: conservation, causality, determinism, hand-checked timing, and
+outputs pinned bit for bit."""
 
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocktune.errors import ConfigError
 from blocktune.model import NodeProfile
@@ -15,6 +20,7 @@ from blocktune.simulator import (
     GroundTruthCost,
     SimConfig,
     WorkloadProfile,
+    _cut_blocks,
     generate_training_dataset,
     run_simulation,
     throughput_vs_blocksize,
@@ -22,6 +28,7 @@ from blocktune.simulator import (
 from blocktune.surrogate import DATASET_COLUMNS, load_dataset
 
 ZERO_NOISE = GroundTruthCost(noise_sd_fraction=0.0)
+DATA = Path(__file__).parent / "data"
 
 
 def config_for(total_tx=50, rate=100.0, tx_size=1000, max_tx=10, max_bytes=1 << 20,
@@ -36,6 +43,34 @@ def config_for(total_tx=50, rate=100.0, tx_size=1000, max_tx=10, max_bytes=1 << 
         cost=cost,
         rng_seed=seed,
     )
+
+
+def pinned_sim_config():
+    """Three nodes, Poisson arrivals, mixed sizes, noise and a burst window;
+    its 36 blocks are cut by all three reasons."""
+    return SimConfig(
+        workload=WorkloadProfile(arrival_rate_tps=300.0, total_tx=240,
+                                 arrival_process="poisson",
+                                 tx_size_range_bytes=(200, 3000), rng_seed=21),
+        nodes=(NodeProfile(0, 2.0e6), NodeProfile(1, 5.0e5), NodeProfile(2, 1.0e6)),
+        block_cut=BlockCutRule(max_tx_count=9, max_bytes=12000, timeout_s=0.03),
+        cost=GroundTruthCost(burst_window_s=0.005, noise_sd_fraction=0.05),
+        rng_seed=8)
+
+
+def pinned_dataset():
+    base = config_for(total_tx=30, rate=300.0, max_tx=8, max_bytes=8000,
+                      timeout=0.02, cost=GroundTruthCost(burst_window_s=0.005,
+                                                         noise_sd_fraction=0.05),
+                      seed=12, process="poisson")
+    return generate_training_dataset(base, [3, 8], [600, 1500], [1e6, 4e6],
+                                     replicates=2)
+
+
+def block_table(result, tmp_path):
+    path = tmp_path / "blocks.csv"
+    result.write_block_table(path)
+    return path.read_text(encoding="utf-8")
 
 
 class TestRunSimulation:
@@ -137,8 +172,9 @@ class TestRunSimulation:
         fast = run_simulation(config)
         both = run_simulation(slow_config)
         assert both.makespan_s > fast.makespan_s
-        record = both.per_block_records[0]
-        assert record.per_node_transfer_s[1] > record.per_node_transfer_s[0]
+        # 5,000 bytes take 5 ms on the fast link and 0.5 s on the slow one.
+        commit = both.per_block_records[0].commit_time_s
+        assert commit > fast.per_block_records[0].commit_time_s + 0.49
 
     def test_oversized_transaction_rejected(self):
         with pytest.raises(ConfigError):
@@ -221,3 +257,66 @@ class TestThroughputCurve:
         best = int(np.argmax(tps))
         assert 0 < best < len(candidates) - 1
         assert tps[best] > 1.1 * tps[0] and tps[best] > 1.1 * tps[-1]
+
+
+def reference_cut_blocks(arrivals, sizes, rule):
+    """The per-transaction cutter the block-at-a-time one replaced: scan
+    arrivals once, cutting on timeout, then bytes, then count."""
+    blocks = []
+    pending_first, pending_count, pending_bytes, pending_start = -1, 0, 0, 0.0
+    for i in range(arrivals.size):
+        t, s = float(arrivals[i]), int(sizes[i])
+        if pending_count and t >= pending_start + rule.timeout_s:
+            blocks.append((pending_first, pending_count, pending_bytes,
+                           pending_start + rule.timeout_s, CUT_TIMEOUT))
+            pending_count, pending_bytes = 0, 0
+        if pending_count and pending_bytes + s > rule.max_bytes:
+            blocks.append((pending_first, pending_count, pending_bytes, t, CUT_BYTES))
+            pending_count, pending_bytes = 0, 0
+        if pending_count == 0:
+            pending_first, pending_start = i, t
+        pending_count += 1
+        pending_bytes += s
+        if pending_count == rule.max_tx_count:
+            blocks.append((pending_first, pending_count, pending_bytes, t, CUT_COUNT))
+            pending_count, pending_bytes = 0, 0
+    if pending_count:
+        blocks.append((pending_first, pending_count, pending_bytes,
+                       pending_start + rule.timeout_s, CUT_TIMEOUT))
+    return blocks
+
+
+# Dyadic gaps and timeouts make arrivals land exactly on deadlines, so ties
+# between the three cut reasons are exercised.
+@settings(max_examples=300, deadline=None)
+@given(gaps=st.lists(st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0]) | st.floats(0.0, 2.0),
+                     min_size=1, max_size=60),
+       sizes=st.lists(st.integers(1, 60), min_size=60, max_size=60),
+       max_tx=st.integers(1, 12), max_bytes=st.integers(60, 300),
+       timeout=st.sampled_from([0.125, 0.5, 1.0, 1.75]) | st.floats(1e-9, 8.0))
+def test_cut_blocks_matches_per_transaction_scan(gaps, sizes, max_tx, max_bytes,
+                                                timeout):
+    arrivals = np.cumsum(np.array(gaps, dtype=np.float64))
+    sizes = np.array(sizes[:arrivals.size], dtype=np.int64)
+    rule = BlockCutRule(max_tx_count=max_tx, max_bytes=max_bytes, timeout_s=timeout)
+    blocks = list(zip(*(a.tolist() for a in _cut_blocks(arrivals, sizes, rule))))
+    assert blocks == reference_cut_blocks(arrivals, sizes, rule)
+
+
+class TestPinnedOutputs:
+    """Outputs captured from the event-loop simulator that priced every block
+    inside its queue loop; the cut, price and queue steps must reproduce them
+    bit for bit."""
+
+    def test_simulation(self, tmp_path):
+        pinned = json.loads((DATA / "pinned_simulation.json").read_text(encoding="utf-8"))
+        result = run_simulation(pinned_sim_config())
+        assert min(result.to_dict()["cut_reasons"].values()) > 0
+        assert result.to_dict() == pinned["result"]
+        assert block_table(result, tmp_path) == pinned["block_table"]
+
+    def test_training_dataset(self):
+        pinned = json.loads((DATA / "pinned_dataset.json").read_text(encoding="utf-8"))
+        data = pinned_dataset()
+        assert data.dtype == np.float64
+        assert np.array_equal(data, np.array(pinned, dtype=np.float64))
