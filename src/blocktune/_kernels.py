@@ -1,6 +1,15 @@
 """Hot numeric kernels in vectorized numpy: tree split search, tree and
 forest prediction, and assignment repair.
 
+The split search works on a node's groups, not its rows: a group is one
+distinct feature row with its row count and target sum, which is all the
+squared-error gain of a split needs. Training sets repeat feature rows
+heavily (a simulated grid cell gives every block the same features), so a
+node of tens of thousands of rows has tens of groups; on all-distinct data
+each group is one row and the search is the per-row search it replaces.
+This is LightGBM's histogram split search (Ke et al., NeurIPS 2017) with
+one bin per distinct value, so nothing is approximated.
+
 Tree models answer through a cell table. A fitted tree or forest is
 constant on each cell of the grid cut by its own thresholds, so
 :func:`tabulate` evaluates it once per cell and :func:`table_predict`
@@ -12,7 +21,9 @@ fallback for a model whose grid has more cells than the caller's bound.
 All kernels share the same deterministic tie-breaking rules: when several
 candidates are equally good, the one encountered first (lowest feature
 index, lowest threshold position, lowest block index, lowest transaction
-id) wins.
+id) wins. Split gains count as equal within ``TIE_RTOL`` times the node's
+sum of squared targets, far above the rounding of the gain formula, so
+mathematically equal gains tie however their sums happen to round.
 """
 
 from __future__ import annotations
@@ -21,46 +32,50 @@ import math
 
 import numpy as np
 
+# Split gains closer than this times the node's sum of squared targets are
+# ties (see best_split).
+TIE_RTOL = 1e-12
 
-def best_split(features, targets, min_samples_leaf):
-    """Best (feature, threshold) split by squared-error reduction.
 
-    Candidate thresholds are midpoints between consecutive distinct sorted
-    values of each feature column. Returns ``(feature, threshold, gain)``
-    with feature = -1 when no admissible split exists.
+def best_split(x, counts, sums, sum_sq, min_samples_leaf):
+    """Best (feature, threshold) split of a node's groups by squared-error
+    reduction.
+
+    A group is one distinct feature row ``x[g]`` of the node, standing for
+    ``counts[g]`` training rows whose targets sum to ``sums[g]``; ``sum_sq``
+    is the sum of the node's squared targets. Rows of a group share every
+    feature value, so a split never divides a group, and its gain is
+    ``S_L**2 / n_L + S_R**2 / n_R - S**2 / n`` over the row counts ``n`` and
+    target sums ``S`` of the two sides. Candidate thresholds are the
+    midpoints between consecutive distinct values of each feature column;
+    ``min_samples_leaf`` counts rows. Each feature column sorts the node's G
+    groups once, O(G log G), and every array is (G - 1, features).
+
+    Gains within ``TIE_RTOL * sum_sq`` of the best are ties: the
+    formula's rounding error is far below that. Among ties the lowest
+    feature, then the lowest threshold, wins. Returns
+    ``(feature, threshold, gain)``, with feature = -1 when no admissible
+    split has a positive gain.
     """
-    n, n_features = features.shape
-    total_sq = float(np.dot(targets, targets))
-    total_sum = float(targets.sum())
-    sse_parent = total_sq - total_sum * total_sum / n
-
-    best_feature = -1
-    best_threshold = 0.0
-    best_gain = 0.0
-    for f in range(n_features):
-        order = np.argsort(features[:, f], kind="mergesort")
-        xs = features[order, f]
-        ys = targets[order]
-        csum = np.cumsum(ys)
-        csq = np.cumsum(ys * ys)
-        left_n = np.arange(1, n)
-        valid = xs[:-1] < xs[1:]
-        if min_samples_leaf > 1:
-            valid &= (left_n >= min_samples_leaf) & (n - left_n >= min_samples_leaf)
-        if not valid.any():
-            continue
-        sse_left = csq[:-1] - csum[:-1] * csum[:-1] / left_n
-        right_n = n - left_n
-        rsum = total_sum - csum[:-1]
-        sse_right = (total_sq - csq[:-1]) - rsum * rsum / right_n
-        gain = sse_parent - sse_left - sse_right
-        gain[~valid] = -np.inf
-        k = int(np.argmax(gain))
-        if gain[k] > best_gain:
-            best_gain = float(gain[k])
-            best_feature = f
-            best_threshold = 0.5 * (xs[k] + xs[k + 1])
-    return best_feature, best_threshold, best_gain
+    n = counts.sum()
+    total = sums.sum()
+    order = np.argsort(x, axis=0, kind="stable")
+    xs = np.take_along_axis(x, order, axis=0)
+    # row k of each column: the groups up to sorted position k go left
+    left_n = np.cumsum(counts[order], axis=0)[:-1]
+    left_s = np.cumsum(sums[order], axis=0)[:-1]
+    right_n, right_s = n - left_n, total - left_s
+    gain = (left_s * left_s / left_n + right_s * right_s / right_n
+            - total * total / n)
+    valid = ((xs[:-1] < xs[1:]) & (left_n >= min_samples_leaf)
+             & (right_n >= min_samples_leaf))
+    # feature-major, so candidates run in (feature, threshold) order
+    gain = np.where(valid, gain, -np.inf).T.ravel()
+    if not (gain.size and gain.max() > 0):
+        return -1, 0.0, 0.0
+    j = int(np.argmax(gain >= gain.max() - TIE_RTOL * sum_sq))
+    f, k = divmod(j, xs.shape[0] - 1)
+    return f, float(0.5 * (xs[k, f] + xs[k + 1, f])), float(gain[j])
 
 
 def tree_predict(feature, threshold, left, right, value, points):

@@ -84,13 +84,17 @@ def cmd_gen_data(args) -> int:
     seed = resolve_seed(args.seed, raw["sim"].get("rng_seed"))
     base = configio.build_sim_config(raw["sim"], seed)
     grid = raw["grid"]
+    if not isinstance(grid, dict):
+        raise ConfigError(f"{args.config}: grid must be an object, got {grid!r}")
     out = _out_path(args, args.out)
     data = simulator.generate_training_dataset(
         base,
-        block_sizes=grid.get("block_sizes", []),
-        tx_sizes=grid.get("tx_sizes", []),
-        bandwidths=grid.get("bandwidths", []),
-        replicates=int(grid.get("replicates", 1)),
+        block_sizes=configio.check_numbers(grid.get("block_sizes", []),
+                                           "grid.block_sizes", True),
+        tx_sizes=configio.check_numbers(grid.get("tx_sizes", []), "grid.tx_sizes", True),
+        bandwidths=configio.check_numbers(grid.get("bandwidths", []), "grid.bandwidths"),
+        replicates=configio.check_number(grid.get("replicates", 1), "grid.replicates",
+                                         True),
         out_path=out,
     )
     _emit(args, [f"wrote {len(data)} training samples to {out}"])

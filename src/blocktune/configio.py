@@ -112,6 +112,15 @@ def check_number(value, where: str, integer: bool = False):
     return value
 
 
+def check_numbers(values, where: str, integer: bool = False, length: int | None = None):
+    """``values`` as a list, which must be a list (or tuple) of numbers that
+    :func:`check_number` accepts, and of ``length`` of them when given."""
+    if not isinstance(values, (list, tuple)) or length not in (None, len(values)):
+        raise ConfigError(f"{where} must be a list of {f'{length} ' if length else ''}"
+                          f"{'integers' if integer else 'numbers'}, got {values!r}")
+    return [check_number(v, f"{where}[{i}]", integer) for i, v in enumerate(values)]
+
+
 def read_number(d: dict, key: str, where: str, integer: bool = False):
     """The required number ``d[key]``, as an int if ``integer`` else a float."""
     value = check_number(_req(d, key, where), f"{where}.{key}", integer)
@@ -136,20 +145,24 @@ def build_config(cls, d: dict, where: str):
 
 def build_transactions(d: dict, where: str = "transactions"):
     if "sizes_bytes" in d:
-        sizes = d["sizes_bytes"]
+        sizes = check_numbers(d["sizes_bytes"], f"{where}.sizes_bytes", True)
     elif "size_bytes" in d:
         sizes = [read_number(d, "size_bytes", where, True)] * read_number(
             d, "count", where, True)
     elif "size_range_bytes" in d:
-        lo, hi = d["size_range_bytes"]
+        lo, hi = check_numbers(d["size_range_bytes"], f"{where}.size_range_bytes",
+                               True, 2)
+        if not 1 <= lo <= hi:
+            raise ConfigError(f"{where}.size_range_bytes must satisfy 1 <= lo <= hi, "
+                              f"got {[lo, hi]!r}")
         rng = np.random.default_rng(check_seed(d.get("rng_seed", 0),
                                                f"{where}.rng_seed"))
-        sizes = rng.integers(int(lo), int(hi) + 1,
+        sizes = rng.integers(lo, hi + 1,
                              size=read_number(d, "count", where, True)).tolist()
     else:
         raise ConfigError(
             f"{where}: need one of sizes_bytes / size_bytes / size_range_bytes")
-    return tuple(Transaction(i, int(s)) for i, s in enumerate(sizes))
+    return tuple(Transaction(i, s) for i, s in enumerate(sizes))
 
 
 def build_nodes(items, where: str = "nodes"):
@@ -180,8 +193,8 @@ def build_workload(d: dict, where: str = "workload") -> WorkloadProfile:
         "rng_seed": check_seed(d.get("rng_seed", 0), f"{where}.rng_seed"),
     }
     if "tx_size_range_bytes" in d:
-        lo, hi = d["tx_size_range_bytes"]
-        kwargs["tx_size_range_bytes"] = (int(lo), int(hi))
+        kwargs["tx_size_range_bytes"] = tuple(check_numbers(
+            d["tx_size_range_bytes"], f"{where}.tx_size_range_bytes", True, 2))
     elif "tx_size_bytes" in d:
         kwargs["tx_size_bytes"] = read_number(d, "tx_size_bytes", where, True)
     else:

@@ -64,12 +64,8 @@ class TrainingGrid:
 
     def __post_init__(self):
         for name in ("block_sizes", "tx_size_factors", "bandwidth_factors"):
-            values = getattr(self, name)
-            if not isinstance(values, (list, tuple)):
-                raise ConfigError(f"{name} must be a list, got {values!r}")
-            object.__setattr__(self, name, tuple(values))
-            for value in values:
-                configio.check_number(value, name, name == "block_sizes")
+            object.__setattr__(self, name, tuple(configio.check_numbers(
+                getattr(self, name), name, name == "block_sizes")))
         if not self.block_sizes:
             raise ConfigError("block_sizes must not be empty")
         if len(set(self.tx_size_factors)) < 2:

@@ -13,6 +13,17 @@ Training data is one (k, 6) float64 array with its columns in
 ``DATASET_COLUMNS`` order, from the simulator through the dataset file to
 :func:`fit_predictor`.
 
+Trees are fitted on distinct feature rows. A simulated training set repeats
+its rows heavily (every block of a grid cell has the same block size,
+transaction size and bandwidth), so :func:`fit_boosted` and
+:func:`fit_tree` each group the rows once (:func:`group_rows`) and every
+split search runs over the groups' row counts and target sums
+(:func:`blocktune._kernels.best_split`). What a node stores stays per row:
+its ``value`` is the mean of its rows' targets in row order, and its
+``n_samples`` and ``min_samples_leaf`` count rows, so every stored number
+is the one a per-row search choosing the same splits would store. The
+polynomial is fitted on the rows.
+
 ``RegressionTree`` and ``BoostedEnsemble`` tabulate themselves once, when
 built: the model is constant on each cell of the grid its own thresholds
 cut, so ``predict`` is one ``searchsorted`` per feature and one gather into
@@ -329,10 +340,28 @@ class RegressionTree:
                    d["min_samples_leaf"])
 
 
-def _fit_tree_arrays(points, targets, max_depth, min_samples_leaf):
+def group_rows(points):
+    """The distinct rows of ``points`` (n, 3) in lexicographic order, each
+    row's group index and each group's row count: ``(unique, inverse,
+    counts)``. For NaN-free points these are the arrays of
+    ``np.unique(points, axis=0, return_inverse=True, return_counts=True)``,
+    which sorts a structured view and takes over ten times as long."""
+    order = np.lexsort(points.T[::-1])
+    ordered = points[order]
+    first = np.ones(ordered.shape[0], dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(order.size, dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse, np.bincount(inverse)
+
+
+def _fit_tree_arrays(points, targets, groups, max_depth, min_samples_leaf):
+    unique, inverse, counts = groups
+    sums = np.bincount(inverse, weights=targets, minlength=counts.size)
     feature, threshold, left, right, value, n_samples = [], [], [], [], [], []
 
-    def build(idx, depth):
+    def build(idx, members, depth):
+        # idx: the node's training rows, in row order; members: its groups
         node = len(feature)
         sub = targets[idx]
         feature.append(-1)
@@ -343,31 +372,42 @@ def _fit_tree_arrays(points, targets, max_depth, min_samples_leaf):
         n_samples.append(idx.size)
         if depth >= max_depth or idx.size < 2 or idx.size < 2 * min_samples_leaf:
             return node
-        f, thr, gain = _kernels.best_split(points[idx], sub, min_samples_leaf)
+        f, thr, gain = _kernels.best_split(unique[members], counts[members],
+                                           sums[members], float(sub @ sub),
+                                           min_samples_leaf)
         if f < 0 or gain <= _GAIN_EPS:
             return node
-        mask = points[idx, f] <= thr
-        left_id = build(idx[mask], depth + 1)
-        right_id = build(idx[~mask], depth + 1)
+        mask = points[:, f][idx] <= thr
+        to_left = unique[members, f] <= thr
+        left_id = build(idx[mask], members[to_left], depth + 1)
+        right_id = build(idx[~mask], members[~to_left], depth + 1)
         feature[node] = f
         threshold[node] = thr
         left[node] = left_id
         right[node] = right_id
         return node
 
-    build(np.arange(points.shape[0]), 0)
+    build(np.arange(points.shape[0]), np.arange(counts.size), 0)
     return feature, threshold, left, right, value, n_samples
 
 
 def fit_tree(points, targets, max_depth: int = 6,
              min_samples_leaf: int = 5) -> RegressionTree:
     """Grow a regression tree on ``targets`` at ``points`` (n, 3) greedily,
-    stopping on depth, leaf size, or zero gain."""
+    stopping on depth, leaf size, or zero gain.
+
+    The split search runs over the distinct feature rows of ``points``
+    (:func:`group_rows`), with their row counts and target sums. Each
+    node's ``value`` is the mean of its rows' targets in row order, and
+    ``n_samples`` and ``min_samples_leaf`` count rows, so the tree is the
+    one a search over every row would grow.
+    """
     points = np.asarray(points, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if points.shape[0] == 0:
         raise FitError("cannot fit a tree on an empty sample set")
-    arrays = _fit_tree_arrays(points, targets, max_depth, min_samples_leaf)
+    arrays = _fit_tree_arrays(points, targets, group_rows(points), max_depth,
+                              min_samples_leaf)
     return RegressionTree(*arrays, max_depth=max_depth,
                           min_samples_leaf=min_samples_leaf)
 
@@ -445,7 +485,11 @@ def fit_boosted(points, targets, rounds: int = 100, learning_rate: float = 0.1,
     squared error.
 
     Round 0 predicts the target mean; each round fits a tree to the current
-    residuals and adds it scaled by ``learning_rate``.
+    residuals and adds it scaled by ``learning_rate``. The rows are grouped
+    once, and every tree searches its splits over those distinct rows, as
+    in :func:`fit_tree`; residuals stay per row, and each round predicts
+    once per distinct row and gathers, which gives every row the number a
+    per-row prediction would.
     """
     if not 0 < learning_rate <= 1:
         raise FitError(f"learning_rate must be in (0, 1], got {learning_rate}")
@@ -454,14 +498,18 @@ def fit_boosted(points, targets, rounds: int = 100, learning_rate: float = 0.1,
     if points.shape[0] < 2:
         raise FitError("boosting needs at least 2 samples")
 
+    groups = group_rows(points)
+    unique, inverse, _ = groups
     base = float(targets.mean())
     residuals = targets - base
     train_mse = [float(np.mean(residuals ** 2))]
     trees = []
     for _ in range(rounds):
-        tree = fit_tree(points, residuals, max_depth=tree_depth,
-                        min_samples_leaf=min_samples_leaf)
-        residuals = residuals - learning_rate * tree.predict(points)
+        tree = RegressionTree(*_fit_tree_arrays(points, residuals, groups,
+                                                tree_depth, min_samples_leaf),
+                              max_depth=tree_depth,
+                              min_samples_leaf=min_samples_leaf)
+        residuals = residuals - learning_rate * tree.predict(unique)[inverse]
         trees.append(tree)
         train_mse.append(float(np.mean(residuals ** 2)))
     return BoostedEnsemble(base, trees, learning_rate, train_mse)

@@ -235,6 +235,20 @@ class TestSeedPriority:
                 == derive_seed(9, "scenario", 0))
 
 
+def edited(config, path, value):
+    """A deep copy of ``config`` with the key at ``path`` set to ``value``."""
+    config = json.loads(json.dumps(config))
+    *parents, key = path
+    inner = config
+    for name in parents:
+        inner = inner[name]
+    inner[key] = value
+    return config
+
+
+TRANSACTIONS = ("instance", "transactions")
+
+
 @pytest.mark.parametrize("command, config, key", [
     ("sensitivity", dict(SWEEP, values=["a", "b", "c"]), "values"),
     ("pipeline", dict(PIPELINE, train_grid={"block_sizes": "abc"}), "block_sizes"),
@@ -245,6 +259,32 @@ class TestSeedPriority:
      "max_generations"),
     ("pipeline", dict(PIPELINE, ga=dict(PIPELINE["ga"], stagnation_limit=0)),
      "stagnation_limit"),
+    ("pipeline", edited(PIPELINE, TRANSACTIONS, {"sizes_bytes": [1000, "x"]}),
+     "sizes_bytes[1]"),
+    ("pipeline", edited(PIPELINE, TRANSACTIONS,
+                        {"count": 10, "size_range_bytes": [1, "x"]}),
+     "size_range_bytes[1]"),
+    ("pipeline", edited(PIPELINE, TRANSACTIONS, {"count": 10, "size_range_bytes": 5}),
+     "size_range_bytes"),
+    ("pipeline", edited(PIPELINE, TRANSACTIONS,
+                        {"count": 10, "size_range_bytes": [5, 1]}),
+     "size_range_bytes"),
+    ("pipeline", edited(PIPELINE, TRANSACTIONS,
+                        {"count": 10, "size_range_bytes": [0, 5]}),
+     "size_range_bytes"),
+    ("simulate", edited(SIMULATE, ("workload",),
+                        {"arrival_rate_tps": 200.0, "total_tx": 20,
+                         "tx_size_range_bytes": [1, "x"]}),
+     "tx_size_range_bytes[1]"),
+    ("simulate", edited(SIMULATE, ("workload",),
+                        {"arrival_rate_tps": 200.0, "total_tx": 20,
+                         "tx_size_range_bytes": 5}),
+     "tx_size_range_bytes"),
+    ("gen-data", edited(GEN_DATA, ("grid", "block_sizes"), ["a"]), "grid.block_sizes[0]"),
+    ("gen-data", edited(GEN_DATA, ("grid", "tx_sizes"), [500, "a"]), "grid.tx_sizes[1]"),
+    ("gen-data", edited(GEN_DATA, ("grid", "bandwidths"), ["a"]), "grid.bandwidths[0]"),
+    ("gen-data", edited(GEN_DATA, ("grid", "replicates"), "x"), "grid.replicates"),
+    ("gen-data", edited(GEN_DATA, ("grid",), [2, 4]), "grid"),
 ])
 def test_bad_config_value_exits_1(tmp_path, capsys, command, config, key):
     """A config value of the wrong type or out of range exits 1 with one

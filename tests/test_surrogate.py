@@ -34,6 +34,7 @@ from blocktune.surrogate import (
     fit_polynomial,
     fit_predictor,
     fit_tree,
+    group_rows,
     load_dataset,
     save_dataset,
 )
@@ -326,18 +327,22 @@ def training_point_recall_data():
 
 
 @pytest.fixture(scope="module")
-def grid_predictor():
-    """Fitted on a simulated training grid of 7 block sizes x 3 transaction
-    sizes x 3 bandwidths, as a tune pipeline trains."""
+def grid_data():
+    """A simulated training grid of 7 block sizes x 3 transaction sizes x 3
+    bandwidths, as a tune pipeline trains on: many rows, few distinct."""
     base = SimConfig(
         workload=WorkloadProfile(arrival_rate_tps=400.0, total_tx=1200,
                                  tx_size_bytes=1024, rng_seed=5),
         nodes=(NodeProfile(0, 8.0e6),),
         block_cut=BlockCutRule(max_tx_count=100, max_bytes=1 << 23, timeout_s=120.0),
         cost=GroundTruthCost(), rng_seed=7)
-    data = generate_training_dataset(base, [5, 10, 20, 40, 60, 80, 100],
+    return generate_training_dataset(base, [5, 10, 20, 40, 60, 80, 100],
                                      [768, 1024, 1280], [4.0e6, 8.0e6, 1.6e7])
-    return fit_predictor(data)
+
+
+@pytest.fixture(scope="module")
+def grid_predictor(grid_data):
+    return fit_predictor(grid_data)
 
 
 @pytest.fixture(scope="module")
@@ -373,6 +378,52 @@ def forest_walk(model, points):
 def tree_walk(tree, points):
     return _kernels.tree_predict(tree.feature, tree.threshold, tree.left,
                                  tree.right, tree.value, points)
+
+
+def node_rows(tree, points):
+    """Node -> the indices, in row order, of the rows of ``points`` that the
+    tree routes through it."""
+    reached = {0: np.arange(points.shape[0])}
+    for node in range(tree.n_nodes):
+        if tree.feature[node] >= 0:
+            rows = reached[node]
+            go_left = points[rows, tree.feature[node]] <= tree.threshold[node]
+            reached[tree.left[node]] = rows[go_left]
+            reached[tree.right[node]] = rows[~go_left]
+    return reached
+
+
+def assert_values_are_row_means(tree, points, targets):
+    reached = node_rows(tree, points)
+    assert sorted(reached) == list(range(tree.n_nodes))
+    for node, rows in reached.items():
+        assert tree.n_samples[node] == rows.size
+        assert tree.value[node] == targets[rows].mean()
+
+
+class TestGroupedFit:
+    def test_group_rows_matches_unique(self, grid_data):
+        points = grid_data[:, :3]
+        unique, inverse, counts = group_rows(points)
+        want = np.unique(points, axis=0, return_inverse=True, return_counts=True)
+        np.testing.assert_array_equal(unique, want[0])
+        np.testing.assert_array_equal(inverse, want[1].reshape(-1))
+        np.testing.assert_array_equal(counts, want[2])
+        assert unique.shape[0] < points.shape[0] // 10
+
+    def test_node_values_are_row_means(self, grid_data, grid_predictor):
+        """Every node of the latency tree and of each boosted tree stores
+        ``ndarray.mean`` of the training targets routed to it (for a boosted
+        tree, the residuals its round fitted), bit for bit, and counts those
+        rows."""
+        points, vt, lat = grid_data[:, :3], grid_data[:, 3], grid_data[:, 5]
+        assert_values_are_row_means(grid_predictor.latency_model, points, lat)
+        model = grid_predictor.vt_model
+        residuals = vt - model.base_value
+        for tree in model.trees:
+            assert_values_are_row_means(tree, points, residuals)
+            residuals = residuals - model.learning_rate * tree.predict(points)
+        assert model.train_mse[-1] == np.mean(residuals ** 2)
 
 
 class TestCellTable:
