@@ -23,7 +23,6 @@ from .errors import (
     InfeasibleInstanceError,
     InternalInvariantError,
     MalformedAssignmentError,
-    PredictorNotFittedError,
 )
 from .ga import (
     GaConfig,

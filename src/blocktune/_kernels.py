@@ -1,5 +1,5 @@
-"""Hot numeric kernels in vectorized numpy: tree split search, tree and
-forest prediction, and assignment repair.
+"""Hot numeric kernels in vectorized numpy: tree split search, tree
+prediction, cell tables, and assignment repair.
 
 The split search works on a node's groups, not its rows: a group is one
 distinct feature row with its row count and target sum, which is all the
@@ -10,13 +10,14 @@ each group is one row and the search is the per-row search it replaces.
 This is LightGBM's histogram split search (Ke et al., NeurIPS 2017) with
 one bin per distinct value, so nothing is approximated.
 
-Tree models answer through a cell table. A fitted tree or forest is
-constant on each cell of the grid cut by its own thresholds, so
-:func:`tabulate` evaluates it once per cell and :func:`table_predict`
-answers a batch with one ``searchsorted`` per feature and one gather, bit
-for bit what the walk returns. The walks, :func:`tree_predict` and
-:func:`forest_predict`, are the reference that fills each table and the
-fallback for a model whose grid has more cells than the caller's bound.
+A fitted tree or forest is constant on each cell of the grid cut by its
+own thresholds, so :func:`tabulate` evaluates it once per cell and
+:func:`table_predict` answers a batch with one ``searchsorted`` per
+feature and one gather, bit for bit what the walk returns. The walk,
+:func:`tree_predict`, fills each table and answers for a model whose grid
+has more cells than the caller's bound; a forest is walked one tree at a
+time. The caller decides what to tabulate: ``surrogate.PerformancePredictor``
+builds one table for its forest and one for its latency tree.
 
 All kernels share the same deterministic tie-breaking rules: when several
 candidates are equally good, the one encountered first (lowest feature
@@ -91,23 +92,6 @@ def tree_predict(feature, threshold, left, right, value, points):
         go_left = points[active, f[active]] <= threshold[idx]
         node[active] = np.where(go_left, left[idx], right[idx])
     return value[node]
-
-
-def forest_predict(base_value, learning_rate, feature, threshold, left,
-                         right, value, tree_offsets, points):
-    """Sum of scaled tree predictions over a concatenated flat forest.
-
-    ``tree_offsets`` has one entry per tree plus a trailing sentinel; tree t
-    occupies node slots ``[tree_offsets[t], tree_offsets[t + 1])``.
-    """
-    out = np.full(points.shape[0], base_value, dtype=np.float64)
-    for t in range(len(tree_offsets) - 1):
-        lo = tree_offsets[t]
-        hi = tree_offsets[t + 1]
-        out += learning_rate * tree_predict(
-            feature[lo:hi], threshold[lo:hi], left[lo:hi] - lo,
-            right[lo:hi] - lo, value[lo:hi], points)
-    return out
 
 
 def tabulate(feature, threshold, evaluate, n_features, max_cells):

@@ -81,11 +81,12 @@ def cmd_gen_data(args) -> int:
     raw = configio.load_json(args.config)
     if "sim" not in raw or "grid" not in raw:
         raise ConfigError(f"{args.config}: gen-data config needs 'sim' and 'grid'")
-    seed = resolve_seed(args.seed, raw["sim"].get("rng_seed"))
-    base = configio.build_sim_config(raw["sim"], seed)
-    grid = raw["grid"]
-    if not isinstance(grid, dict):
-        raise ConfigError(f"{args.config}: grid must be an object, got {grid!r}")
+    sim, grid = raw["sim"], raw["grid"]
+    for key, value in (("sim", sim), ("grid", grid)):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{args.config}: {key} must be an object, got {value!r}")
+    seed = resolve_seed(args.seed, sim.get("rng_seed"))
+    base = configio.build_sim_config(sim, seed)
     out = _out_path(args, args.out)
     data = simulator.generate_training_dataset(
         base,
@@ -185,6 +186,7 @@ def cmd_validate(args) -> int:
     entries = raw.get("scenarios")
     if not entries:
         raise ConfigError(f"{args.scenarios}: no 'scenarios' list")
+    offsets = experiments.read_neighbor_offsets(raw)
     # A seed from the flag or the environment roots every scenario's seed;
     # otherwise each scenario keeps its own config value.
     root = resolve_seed(args.seed, None, default=None)
@@ -193,7 +195,6 @@ def cmd_validate(args) -> int:
         if root is not None:
             entry = dict(entry, rng_seed=derive_seed(root, "scenario", i))
         scenarios.append(experiments.Scenario.from_dict(entry, i))
-    offsets = tuple(raw.get("neighbor_offsets", (-2, -1, 0, 1, 2)))
     report = experiments.run_validation(scenarios, offsets)
     out = _out_path(args, args.out)
     write_json(out, report.to_dict())
@@ -210,6 +211,7 @@ def cmd_pipeline(args) -> int:
     raw = configio.load_json(args.config)
     raw = dict(raw, rng_seed=resolve_seed(args.seed, raw.get("rng_seed")))
     scenario = experiments.Scenario.from_dict(raw)
+    offsets = experiments.read_neighbor_offsets(raw)
     os.makedirs(args.out_dir or ".", exist_ok=True)
 
     outcome = experiments.run_scenario_pipeline(scenario)
@@ -220,7 +222,6 @@ def cmd_pipeline(args) -> int:
     optimize_path = _out_path(args, "optimize.json")
     write_json(optimize_path, outcome.ga_result.to_dict())
 
-    offsets = tuple(raw.get("neighbor_offsets", (-2, -1, 0, 1, 2)))
     validation = experiments.run_validation([scenario], offsets)
     validation_path = _out_path(args, "validation.json")
     write_json(validation_path, validation.to_dict())

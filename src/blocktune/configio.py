@@ -88,13 +88,17 @@ def write_json(path, payload):
 
 
 def load_json(path) -> dict:
+    """The JSON object in the config file ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"{path}: no such file") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(raw).__name__}")
+    return raw
 
 
 def _req(d: dict, key: str, where: str):

@@ -33,10 +33,6 @@ class EmptyInstanceError(BlocktuneError):
     """An operation requiring at least one transaction received none."""
 
 
-class PredictorNotFittedError(BlocktuneError):
-    """A prediction was requested from an unfitted performance model."""
-
-
 class FitError(BlocktuneError):
     """Model fitting failed (too few samples, degenerate design, ...)."""
 

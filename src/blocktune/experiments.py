@@ -42,6 +42,8 @@ from .simulator import (
 from .surrogate import SurrogateConfig, fit_predictor
 
 FACTORS = ("tx_size", "arrival_rate", "bandwidth")
+# Block sizes validated around a recommendation, as offsets from it.
+NEIGHBOR_OFFSETS = (-2, -1, 0, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -398,12 +400,22 @@ class ValidationReport:
         return lines
 
 
-def validate_scenario(scenario: Scenario,
-                      neighbor_offsets=(-2, -1, 0, 1, 2)) -> ScenarioOutcome:
-    """Tune one scenario, then measure simulated throughput at the
-    recommendation and its clamped neighbors under one workload seed."""
-    if 0 not in neighbor_offsets:
+def read_neighbor_offsets(raw: dict) -> tuple:
+    """The config's ``neighbor_offsets`` (default :data:`NEIGHBOR_OFFSETS`):
+    a list of integers that includes 0, the recommendation."""
+    offsets = tuple(configio.check_numbers(raw.get("neighbor_offsets", NEIGHBOR_OFFSETS),
+                                           "neighbor_offsets", True))
+    if 0 not in offsets:
         raise ConfigError("neighbor_offsets must include 0 (the recommendation)")
+    return offsets
+
+
+def validate_scenario(scenario: Scenario,
+                      neighbor_offsets=NEIGHBOR_OFFSETS) -> ScenarioOutcome:
+    """Tune one scenario, then measure simulated throughput at the
+    recommendation and its clamped neighbors under one workload seed.
+    ``neighbor_offsets`` are integers that include 0
+    (:func:`read_neighbor_offsets`)."""
     try:
         outcome = run_scenario_pipeline(scenario)
         rec = outcome.ga_result.recommended_block_size
@@ -434,7 +446,7 @@ def validate_scenario(scenario: Scenario,
     )
 
 
-def run_validation(scenarios, neighbor_offsets=(-2, -1, 0, 1, 2)) -> ValidationReport:
+def run_validation(scenarios, neighbor_offsets=NEIGHBOR_OFFSETS) -> ValidationReport:
     if not scenarios:
         raise ConfigError("at least one scenario is required")
     outcomes = tuple(validate_scenario(sc, neighbor_offsets) for sc in scenarios)

@@ -15,11 +15,11 @@ One evaluator computes it: :func:`block_times` prices every block of a
 and :func:`total_processing_time` both go through it, so an assignment
 prices the same alone or in a population.
 
-Performance predictors are duck-typed and batch-only: anything exposing a
-truthy ``fitted`` attribute plus ``predict_f_batch(points)`` and
-``predict_g_batch(points)`` over (k, 3) arrays with columns
-(tx_count, block_bytes, bandwidth) works, which lets tests plug in
-analytic stubs.
+Performance predictors are duck-typed and batch-only: anything exposing
+``predict_f_batch(points)`` and ``predict_g_batch(points)`` over (k, 3)
+arrays with columns (tx_count, block_bytes, bandwidth) works, which lets
+tests plug in analytic stubs. An optional ``extrapolation_mask(points)``
+flags rows outside the training envelope for reports.
 
 All types are immutable after construction and safe to share between
 concurrent evaluators; every operation here is a pure function of its
@@ -38,7 +38,6 @@ from .errors import (
     EmptyInstanceError,
     InfeasibleInstanceError,
     MalformedAssignmentError,
-    PredictorNotFittedError,
 )
 
 TX_COUNT_CAP = "tx-count-cap"
@@ -298,8 +297,6 @@ def block_times(instance: ProblemInstance, matrix: np.ndarray, predictor):
     (tx_count, block_bytes, bandwidth) row per non-empty block and node,
     population-major, then block, then node order, all in one predict call.
     """
-    if not getattr(predictor, "fitted", False):
-        raise PredictorNotFittedError("performance predictor has not been fitted")
     counts, byte_sums = block_stats(instance, matrix)
     nonempty = np.flatnonzero(counts)
     m = instance.m

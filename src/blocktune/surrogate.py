@@ -24,15 +24,18 @@ its ``value`` is the mean of its rows' targets in row order, and its
 is the one a per-row search choosing the same splits would store. The
 polynomial is fitted on the rows.
 
-``RegressionTree`` and ``BoostedEnsemble`` tabulate themselves once, when
-built: the model is constant on each cell of the grid its own thresholds
-cut, so ``predict`` is one ``searchsorted`` per feature and one gather into
-that table (see :mod:`blocktune._kernels`), bit-identical to walking the
-trees. A model tabulates only when the grid has at most as many cells as
-the model had training rows (``n_samples[0]`` of its first tree), so
-filling the table never costs more than one walk of the training set.
-Above that bound, and to fill each table, the model walks its trees. The
-polynomial is evaluated directly.
+``RegressionTree`` and ``BoostedEnsemble`` are plain data, and their
+``predict`` is the walk: a tree walks its nodes, and the ensemble adds its
+trees' walks in round order. ``PerformancePredictor`` builds the only two
+cell tables, once, when built: the forest and the latency tree are each
+constant on every cell of the grid their own thresholds cut, so ``f`` and
+``g`` look a batch up with one ``searchsorted`` per feature and one
+gather (see :mod:`blocktune._kernels`), bit-identical to the walk. A model
+is tabulated only when its grid has at most as many cells as the model
+had training rows (``n_samples[0]`` of its first tree), so filling the
+table never costs more than one walk of the training set; above that
+bound the predictor answers with the model's walk. The polynomial is
+evaluated directly.
 
 ``PerformancePredictor.from_dict`` checks a stored model before building
 it: every key present, each tree's arrays of one length, features in
@@ -46,6 +49,7 @@ concurrent evaluators.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -302,22 +306,15 @@ class RegressionTree:
         self.n_samples = np.asarray(n_samples, dtype=np.int64)
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
-        self._table = _kernels.tabulate(self.feature, self.threshold, self._walk,
-                                        len(FEATURE_NAMES), self.n_samples[0])
 
     @property
     def n_nodes(self) -> int:
         return self.feature.size
 
-    def _walk(self, points) -> np.ndarray:
-        return _kernels.tree_predict(self.feature, self.threshold, self.left,
-                                     self.right, self.value, points)
-
     def predict(self, points) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if self._table is None:
-            return self._walk(points)
-        return _kernels.table_predict(*self._table, points)
+        return _kernels.tree_predict(self.feature, self.threshold, self.left,
+                                     self.right, self.value, points)
 
     def to_dict(self) -> dict:
         return {
@@ -388,6 +385,9 @@ def _fit_tree_arrays(points, targets, groups, max_depth, min_samples_leaf):
         return node
 
     build(np.arange(points.shape[0]), np.arange(counts.size), 0)
+    # build holds itself through its closure: dropping the name frees that
+    # cycle, and the targets it holds, now rather than at the next collection
+    del build
     return feature, threshold, left, right, value, n_samples
 
 
@@ -424,41 +424,13 @@ class BoostedEnsemble:
         self.trees = list(trees)
         self.learning_rate = float(learning_rate)
         self.train_mse = list(train_mse)
-        self._pack()
-        max_cells = self.trees[0].n_samples[0] if self.trees else 1
-        self._table = _kernels.tabulate(self._feature, self._threshold, self._walk,
-                                        len(FEATURE_NAMES), max_cells)
-
-    def _pack(self):
-        if self.trees:
-            self._feature = np.concatenate([t.feature for t in self.trees])
-            self._threshold = np.concatenate([t.threshold for t in self.trees])
-            sizes = np.array([t.n_nodes for t in self.trees], dtype=np.int64)
-            self._offsets = np.concatenate(([0], np.cumsum(sizes)))
-            shifted_left = [t.left + off for t, off in zip(self.trees, self._offsets)]
-            shifted_right = [t.right + off for t, off in zip(self.trees, self._offsets)]
-            self._left = np.concatenate(shifted_left)
-            self._right = np.concatenate(shifted_right)
-            self._value = np.concatenate([t.value for t in self.trees])
-        else:
-            self._feature = np.empty(0, dtype=np.int64)
-            self._threshold = np.empty(0, dtype=np.float64)
-            self._left = np.empty(0, dtype=np.int64)
-            self._right = np.empty(0, dtype=np.int64)
-            self._value = np.empty(0, dtype=np.float64)
-            self._offsets = np.zeros(1, dtype=np.int64)
-
-    def _walk(self, points) -> np.ndarray:
-        return _kernels.forest_predict(self.base_value, self.learning_rate,
-                                       self._feature, self._threshold,
-                                       self._left, self._right, self._value,
-                                       self._offsets, points)
 
     def predict(self, points) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if self._table is None:
-            return self._walk(points)
-        return _kernels.table_predict(*self._table, points)
+        out = np.full(points.shape[0], self.base_value)
+        for tree in self.trees:
+            out += self.learning_rate * tree.predict(points)
+        return out
 
     def to_dict(self) -> dict:
         return {
@@ -519,6 +491,22 @@ def fit_boosted(points, targets, rounds: int = 100, learning_rate: float = 0.1,
 # composite predictor
 # ---------------------------------------------------------------------------
 
+def _cell_lookup(model, trees):
+    """The function that answers for ``model``: a lookup into the cell
+    table of the grid its ``trees`` cut (:func:`_kernels.tabulate`), or the
+    model's own walk when that grid has more cells than the model had
+    training rows, so that filling a table never costs more than one walk
+    of the training set."""
+    if not trees:
+        return model.predict
+    table = _kernels.tabulate(np.concatenate([t.feature for t in trees]),
+                              np.concatenate([t.threshold for t in trees]),
+                              model.predict, len(FEATURE_NAMES), trees[0].n_samples[0])
+    if table is None:
+        return model.predict
+    return functools.partial(_kernels.table_predict, *table)
+
+
 @dataclass(frozen=True)
 class SurrogateConfig:
     """Hyperparameters for the three models; fixed documented defaults,
@@ -552,23 +540,20 @@ class PerformancePredictor:
         self.latency_model = latency_model
         self.feature_ranges = np.asarray(feature_ranges, dtype=np.float64)
         self.fit_report = fit_report or {}
-
-    @property
-    def fitted(self) -> bool:
-        return all(m is not None for m in
-                   (self.vt_model, self.ct_model, self.latency_model))
+        self._vt = _cell_lookup(vt_model, vt_model.trees)
+        self._latency = _cell_lookup(latency_model, [latency_model])
 
     def _rows(self, points) -> np.ndarray:
         return np.atleast_2d(np.asarray(points, dtype=np.float64))
 
     def predict_f_batch(self, points) -> np.ndarray:
         rows = self._rows(points)
-        vt = np.maximum(self.vt_model.predict(rows), 0.0)
+        vt = np.maximum(self._vt(rows), 0.0)
         ct = np.maximum(self.ct_model.predict(rows), 0.0)
         return vt + ct
 
     def predict_g_batch(self, points) -> np.ndarray:
-        return np.maximum(self.latency_model.predict(self._rows(points)), 0.0)
+        return np.maximum(self._latency(self._rows(points)), 0.0)
 
     def extrapolation_mask(self, points) -> np.ndarray:
         """True per row when any feature falls outside the training range."""
@@ -615,7 +600,8 @@ def fit_predictor(data, config: SurrogateConfig = SurrogateConfig()
 
     With ``holdout_fraction`` > 0 the models are fitted on a deterministic
     train split and the report carries both train and holdout MSE per
-    target; otherwise everything trains on the full set.
+    target; otherwise everything trains on the full set. The MSEs come from
+    what the predictor answers, its cell tables included.
     """
     if len(data) == 0:
         raise FitError("cannot fit a predictor on an empty dataset")
@@ -643,21 +629,22 @@ def fit_predictor(data, config: SurrogateConfig = SurrogateConfig()
                              min_samples_leaf=config.tree_min_samples_leaf)
 
     ranges = np.column_stack([points.min(axis=0), points.max(axis=0)])
+    predictor = PerformancePredictor(vt_model, ct_model, latency_model, ranges)
 
-    def _mse(model, idx, target):
+    def _mse(predict, idx, target):
         if idx.size == 0:
             return None
-        return float(np.mean((model.predict(points[idx]) - target[idx]) ** 2))
+        return float(np.mean((predict(points[idx]) - target[idx]) ** 2))
 
-    report = {
+    predictor.fit_report = {
         "n_samples": int(n),
         "n_train": int(train.size),
         "n_holdout": int(hold.size),
-        "train_mse": {"vt": _mse(vt_model, train, vt),
-                      "ct": _mse(ct_model, train, ct),
-                      "latency": _mse(latency_model, train, lat)},
-        "holdout_mse": {"vt": _mse(vt_model, hold, vt),
-                        "ct": _mse(ct_model, hold, ct),
-                        "latency": _mse(latency_model, hold, lat)},
+        "train_mse": {"vt": _mse(predictor._vt, train, vt),
+                      "ct": _mse(ct_model.predict, train, ct),
+                      "latency": _mse(predictor._latency, train, lat)},
+        "holdout_mse": {"vt": _mse(predictor._vt, hold, vt),
+                        "ct": _mse(ct_model.predict, hold, ct),
+                        "latency": _mse(predictor._latency, hold, lat)},
     }
-    return PerformancePredictor(vt_model, ct_model, latency_model, ranges, report)
+    return predictor

@@ -13,7 +13,6 @@ class StubPredictor:
     def __init__(self, f, g, feature_ranges=None):
         self._f = f
         self._g = g
-        self.fitted = True
         self.feature_ranges = (np.asarray(feature_ranges, dtype=np.float64)
                                if feature_ranges is not None
                                else np.array([[0.0, np.inf]] * 3))

@@ -285,15 +285,40 @@ TRANSACTIONS = ("instance", "transactions")
     ("gen-data", edited(GEN_DATA, ("grid", "bandwidths"), ["a"]), "grid.bandwidths[0]"),
     ("gen-data", edited(GEN_DATA, ("grid", "replicates"), "x"), "grid.replicates"),
     ("gen-data", edited(GEN_DATA, ("grid",), [2, 4]), "grid"),
+    ("gen-data", edited(GEN_DATA, ("sim",), 5), "sim"),
+    ("pipeline", dict(PIPELINE, neighbor_offsets=5), "neighbor_offsets"),
+    ("pipeline", dict(PIPELINE, neighbor_offsets=["a", 0]), "neighbor_offsets[0]"),
+    ("pipeline", dict(PIPELINE, neighbor_offsets=[-0.5, 0]), "neighbor_offsets[0]"),
+    ("pipeline", dict(PIPELINE, neighbor_offsets=[1, 2]), "neighbor_offsets"),
+    ("validate", {"scenarios": [PIPELINE], "neighbor_offsets": [0, True]},
+     "neighbor_offsets[1]"),
+    ("validate", {"scenarios": [PIPELINE], "neighbor_offsets": [1, 2]},
+     "neighbor_offsets"),
 ])
 def test_bad_config_value_exits_1(tmp_path, capsys, command, config, key):
     """A config value of the wrong type or out of range exits 1 with one
-    error line naming its key, before any work."""
+    error line naming its key, before any work: nothing is written."""
     capsys.readouterr()
     assert run(tmp_path, command, write(tmp_path / "c.json", config)) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err and err.count("\n") == 1
     assert "Traceback" not in err
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "gen-data", "train", "optimize",
+                                     "sensitivity", "validate", "pipeline"])
+def test_non_object_config_exits_1(tmp_path, capsys, model_path, command):
+    """A config file whose top level is not a JSON object exits 1 with one
+    error line naming the file."""
+    config = write(tmp_path / "c.json", [1, 2])
+    argv = {"train": [str(Path(model_path).parent / "d.csv"), "--config", config],
+            "optimize": [config, model_path]}.get(command, [config])
+    capsys.readouterr()
+    assert run(tmp_path, command, *argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: expected a JSON object")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_pipeline_rerun_byte_identical(tmp_path):

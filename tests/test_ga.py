@@ -279,14 +279,6 @@ class TestRun:
         with pytest.raises(InfeasibleInstanceError):
             run(inst, stub, small_config())
 
-    def test_unfitted_predictor_rejected(self):
-        inst = make_instance([100])
-        stub = affine_stub()
-        stub.fitted = False
-        from blocktune.errors import PredictorNotFittedError
-        with pytest.raises(PredictorNotFittedError):
-            run(inst, stub, small_config())
-
 
 class TestBruteForce:
     def test_single_transaction_palette(self):

@@ -10,7 +10,6 @@ from blocktune.errors import (
     EmptyInstanceError,
     InfeasibleInstanceError,
     MalformedAssignmentError,
-    PredictorNotFittedError,
 )
 from blocktune.model import (
     AssignmentMatrix,
@@ -205,13 +204,6 @@ class TestBlockProcessingTime:
         assign = [0, 1, 0]
         for j in range(base.nb):
             assert block_time(more, assign, j, stub) >= block_time(base, assign, j, stub)
-
-    def test_unfitted_predictor(self):
-        inst = make_instance([100])
-        stub = StubPredictor(lambda c, b, w: c, lambda c, b, w: b)
-        stub.fitted = False
-        with pytest.raises(PredictorNotFittedError):
-            block_time(inst, [0], 0, stub)
 
 
 class TestTotalProcessingTime:

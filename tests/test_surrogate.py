@@ -1,22 +1,17 @@
 """Surrogate models: exact recovery, monotone training loss, cell tables
 equal to the tree walks, stored-model checks, dataset I/O."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 from blocktune import _kernels
 from blocktune.configio import write_json
-from blocktune.errors import DatasetError, FitError, PredictorNotFittedError
-from blocktune.model import (
-    AssignmentMatrix,
-    BlockLimits,
-    NodeProfile,
-    ProblemInstance,
-    Transaction,
-    total_processing_time,
-)
+from blocktune.errors import DatasetError, FitError
+from blocktune.model import NodeProfile
 from blocktune.simulator import (
     BlockCutRule,
     GroundTruthCost,
@@ -145,6 +140,23 @@ class TestRegressionTree:
         with pytest.raises(FitError):
             fit_tree(np.empty((0, 3)), np.empty(0))
 
+    def test_fit_keeps_no_cycle_holding_the_targets(self):
+        """A fit leaves no reference cycle behind: with the garbage
+        collector off, the targets are freed as soon as the caller drops
+        them. Boosting fits one tree per round on a fresh residual array,
+        so a cycle per tree would hold many of them until a collection."""
+        rng = np.random.default_rng(29)
+        points = grid_points(rng, n=80)
+        targets = rng.normal(size=80)
+        freed = weakref.ref(targets)
+        gc.disable()
+        try:
+            fit_tree(points, targets, max_depth=3, min_samples_leaf=1)
+            del targets
+            assert freed() is None
+        finally:
+            gc.enable()
+
     def test_mse_non_increasing_in_depth(self):
         rng = np.random.default_rng(23)
         points = grid_points(rng, n=120)
@@ -253,15 +265,6 @@ class TestPredictor:
                                       [False, True, True, True])
         np.testing.assert_allclose(p.predict_g_batch(q), 0.5)
 
-    def test_unfitted_raises(self):
-        p = _stub_predictor()
-        p.vt_model = None
-        assert not p.fitted
-        inst = ProblemInstance((Transaction(0, 10),), (NodeProfile(0, 1e6),),
-                               BlockLimits(1, 1, 10))
-        with pytest.raises(PredictorNotFittedError):
-            total_processing_time(inst, AssignmentMatrix([0], inst.nb), p)
-
     def test_purity_bit_identical(self):
         rng = np.random.default_rng(41)
         points = grid_points(rng, n=100)
@@ -352,10 +355,14 @@ def recall_predictor():
                          SurrogateConfig(boost_rounds=200, boost_tree_depth=4))
 
 
-def probe_rows(feature, threshold, n_rows=50_000, seed=61):
-    """Rows whose every column takes values at each threshold on it, one ulp
-    to either side, midway between neighbours, beyond both ends, +-inf and
-    NaN, drawn independently per column."""
+def probe_rows(predictor, n_rows=50_000, seed=61):
+    """Rows whose every column takes values at each threshold the forest or
+    the latency tree has on it, one ulp to either side, midway between
+    neighbours, beyond both ends, +-inf and NaN, drawn independently per
+    column."""
+    trees = predictor.vt_model.trees + [predictor.latency_model]
+    feature = np.concatenate([t.feature for t in trees])
+    threshold = np.concatenate([t.threshold for t in trees])
     rng = np.random.default_rng(seed)
     cols = []
     for f in range(3):
@@ -369,15 +376,31 @@ def probe_rows(feature, threshold, n_rows=50_000, seed=61):
     return np.column_stack(cols)
 
 
-def forest_walk(model, points):
-    return _kernels.forest_predict(model.base_value, model.learning_rate,
-                                   model._feature, model._threshold, model._left,
-                                   model._right, model._value, model._offsets, points)
+def assert_answers_are_the_walks(predictor, rows):
+    """f and g equal, bit for bit, what the models' own walks give."""
+    with np.errstate(invalid="ignore"):  # the polynomial at +-inf
+        np.testing.assert_array_equal(
+            predictor.predict_f_batch(rows),
+            np.maximum(predictor.vt_model.predict(rows), 0.0)
+            + np.maximum(predictor.ct_model.predict(rows), 0.0))
+    np.testing.assert_array_equal(
+        predictor.predict_g_batch(rows),
+        np.maximum(predictor.latency_model.predict(rows), 0.0))
 
 
-def tree_walk(tree, points):
-    return _kernels.tree_predict(tree.feature, tree.threshold, tree.left,
-                                 tree.right, tree.value, points)
+@pytest.fixture
+def tables(monkeypatch):
+    """What every ``_kernels.tabulate`` call made during the test returned:
+    a cell table, or None for a model left to its walk."""
+    made = []
+    tabulate = _kernels.tabulate
+
+    def recording(*args):
+        made.append(tabulate(*args))
+        return made[-1]
+
+    monkeypatch.setattr(_kernels, "tabulate", recording)
+    return made
 
 
 def node_rows(tree, points):
@@ -427,40 +450,38 @@ class TestGroupedFit:
 
 
 class TestCellTable:
-    def test_grid_models_are_tabulated(self, grid_predictor):
-        vt, lat = grid_predictor.vt_model, grid_predictor.latency_model
-        assert vt._table is not None and lat._table is not None
-        for model in (vt, lat):
-            cells = model._table[1].size
-            assert cells <= grid_predictor.fit_report["n_train"]
+    def test_two_tables_per_fit_and_per_load(self, grid_data, tables):
+        """The predictor tabulates the forest and the latency tree, once
+        each, when it is fitted and again when it is loaded; no member
+        tree of the forest builds a table of its own."""
+        predictor = fit_predictor(grid_data, SurrogateConfig(boost_rounds=10))
+        assert len(tables) == 2
+        PerformancePredictor.from_dict(predictor.to_dict())
+        assert len(tables) == 4
+        for table in tables:
+            assert table is not None
+            assert table[1].size <= predictor.fit_report["n_train"]
 
-    def test_grid_forest_table_equals_walk(self, grid_predictor):
-        vt = grid_predictor.vt_model
-        rows = probe_rows(vt._feature, vt._threshold)
-        np.testing.assert_array_equal(vt.predict(rows), forest_walk(vt, rows))
-        # Every tree of the ensemble tabulates on its own, too.
-        for tree in vt.trees[:10]:
-            np.testing.assert_array_equal(tree.predict(rows), tree_walk(tree, rows))
+    def test_grid_answers_are_the_walks(self, grid_predictor):
+        assert_answers_are_the_walks(grid_predictor, probe_rows(grid_predictor))
 
-    def test_grid_tree_table_equals_walk(self, grid_predictor):
-        lat = grid_predictor.latency_model
-        rows = probe_rows(lat.feature, lat.threshold)
-        np.testing.assert_array_equal(lat.predict(rows), tree_walk(lat, rows))
-
-    def test_continuous_data_keeps_the_walk(self, recall_predictor):
-        vt, lat = recall_predictor.vt_model, recall_predictor.latency_model
-        assert vt._table is None
-        assert lat.n_nodes == 1  # the latency target is constant
-        rows = probe_rows(vt._feature, vt._threshold, n_rows=5_000)
-        np.testing.assert_array_equal(vt.predict(rows), forest_walk(vt, rows))
-        np.testing.assert_array_equal(lat.predict(rows), tree_walk(lat, rows))
+    def test_continuous_data_keeps_the_walk(self, recall_predictor, tables):
+        """The continuous features cut more cells than the forest had rows,
+        so the loaded forest is not tabulated; the one-leaf latency tree
+        is."""
+        clone = PerformancePredictor.from_dict(recall_predictor.to_dict())
+        assert recall_predictor.latency_model.n_nodes == 1  # a constant target
+        assert len(tables) == 2
+        assert tables[0] is None and tables[1] is not None
+        rows = probe_rows(recall_predictor, n_rows=5_000)
+        assert_answers_are_the_walks(recall_predictor, rows)
+        assert_answers_are_the_walks(clone, rows)
 
     def test_stored_model_predicts_identically(self, grid_predictor, tmp_path):
         path = tmp_path / "model.json"
         write_json(path, grid_predictor.to_dict())
         clone = PerformancePredictor.load(path)
-        vt = grid_predictor.vt_model
-        rows = probe_rows(vt._feature, vt._threshold)
+        rows = probe_rows(grid_predictor)
         with np.errstate(invalid="ignore"):  # the polynomial at +-inf
             np.testing.assert_array_equal(clone.predict_f_batch(rows),
                                           grid_predictor.predict_f_batch(rows))
