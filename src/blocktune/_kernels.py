@@ -19,6 +19,11 @@ has more cells than the caller's bound; a forest is walked one tree at a
 time. The caller decides what to tabulate: ``surrogate.PerformancePredictor``
 builds one table for its forest and one for its latency tree.
 
+:func:`repair_assignment` is the one placement rule of repair: a moved
+transaction goes to the least-loaded block that still fits both caps. From
+an all-unplaced start it is worst-fit decreasing packing (Johnson, JCSS
+1974).
+
 All kernels share the same deterministic tie-breaking rules: when several
 candidates are equally good, the one encountered first (lowest feature
 index, lowest threshold position, lowest block index, lowest transaction
@@ -123,34 +128,39 @@ def table_predict(edges, table, points):
 
 
 def repair_assignment(block_of, sizes, nb, ub, cb):
-    """Move transactions out of overloaded blocks until none remain.
+    """Move transactions until every block fits the count cap ``ub`` and the
+    byte cap ``cb``, in place; an entry equal to ``nb`` is unplaced.
 
-    Mutates ``block_of`` in place. Each step takes the lowest-index block
-    violating the count or byte cap, removes its largest transaction
-    (lowest id among equal sizes) and places it in the feasible block with
-    the lowest byte load (lowest index among ties). Returns False if a
-    transaction cannot be placed anywhere, which a capacity-checked
-    instance rules out.
+    Overloaded blocks drain in index order, then the unplaced transactions
+    are placed. A block gives up its members largest first (lowest id among
+    equal sizes) until it fits; each goes to the least-loaded block in
+    [0, nb) that fits it (lowest index among ties). A move never overloads
+    its destination and an overloaded block never fits, so the overloaded
+    blocks are found once. Returns False, keeping the moves made so far,
+    when a transaction fits nowhere.
     """
-    counts = np.bincount(block_of, minlength=nb)
+    counts = np.bincount(block_of, minlength=nb + 1)
     loads = np.bincount(block_of, weights=sizes.astype(np.float64),
-                        minlength=nb).astype(np.int64)
-    block_ids = np.arange(nb)
-    while True:
-        bad = np.flatnonzero((counts > ub) | (loads > cb))
-        if bad.size == 0:
-            return True
-        j = int(bad[0])
+                        minlength=nb + 1).astype(np.int64)
+    over = (counts > ub) | (loads > cb)
+    over[nb] = counts[nb] > 0  # the unplaced bin has room for nothing
+    placed_counts, placed_loads = counts[:nb], loads[:nb]
+    for j in np.flatnonzero(over).tolist():
+        count_cap, byte_cap = (ub, cb) if j < nb else (0, 0)
         members = np.flatnonzero(block_of == j)
-        i = int(members[np.argmax(sizes[members])])
-        s = int(sizes[i])
-        ok = (counts + 1 <= ub) & (loads + s <= cb) & (block_ids != j)
-        dests = np.flatnonzero(ok)
-        if dests.size == 0:
-            return False
-        d = int(dests[np.argmin(loads[dests])])
-        block_of[i] = d
-        counts[j] -= 1
-        loads[j] -= s
-        counts[d] += 1
-        loads[d] += s
+        members = members[np.argsort(-sizes[members], kind="stable")]
+        for i, s in zip(members.tolist(), sizes[members].tolist()):
+            if counts[j] <= count_cap and loads[j] <= byte_cap:
+                break
+            # The least-loaded block with a free slot has the bytes for s
+            # if any block with a free slot has them.
+            slot_loads = np.where(placed_counts < ub, placed_loads, cb + 1)
+            d = int(np.argmin(slot_loads))
+            if slot_loads[d] + s > cb:
+                return False
+            block_of[i] = d
+            counts[j] -= 1
+            loads[j] -= s
+            counts[d] += 1
+            loads[d] += s
+    return True

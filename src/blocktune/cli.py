@@ -26,7 +26,6 @@ from .configio import ManifestClock, RunManifest, resolve_seed, write_json
 from .errors import (
     BlocktuneError,
     ConfigError,
-    DatasetError,
     InfeasibleInstanceError,
     InternalInvariantError,
 )
@@ -81,10 +80,8 @@ def cmd_gen_data(args) -> int:
     raw = configio.load_json(args.config)
     if "sim" not in raw or "grid" not in raw:
         raise ConfigError(f"{args.config}: gen-data config needs 'sim' and 'grid'")
-    sim, grid = raw["sim"], raw["grid"]
-    for key, value in (("sim", sim), ("grid", grid)):
-        if not isinstance(value, dict):
-            raise ConfigError(f"{args.config}: {key} must be an object, got {value!r}")
+    sim = configio.check_object(raw["sim"], f"{args.config}: sim")
+    grid = configio.check_object(raw["grid"], f"{args.config}: grid")
     seed = resolve_seed(args.seed, sim.get("rng_seed"))
     base = configio.build_sim_config(sim, seed)
     out = _out_path(args, args.out)
@@ -96,8 +93,8 @@ def cmd_gen_data(args) -> int:
         bandwidths=configio.check_numbers(grid.get("bandwidths", []), "grid.bandwidths"),
         replicates=configio.check_number(grid.get("replicates", 1), "grid.replicates",
                                          True),
-        out_path=out,
     )
+    surrogate.save_dataset(data, out)
     _emit(args, [f"wrote {len(data)} training samples to {out}"])
     manifest = RunManifest("gen-data", raw, {"root": seed}, [args.config], [out],
                            extra={"n_samples": len(data)})
@@ -109,7 +106,8 @@ def cmd_train(args) -> int:
     clock = ManifestClock()
     data = surrogate.load_dataset(args.dataset)
     overrides = configio.load_json(args.config) if args.config else {}
-    section = dict(overrides.get("surrogate", overrides))
+    section = dict(configio.check_object(overrides.get("surrogate", overrides),
+                                         f"{args.config}: surrogate"))
     section["rng_seed"] = resolve_seed(args.seed, section.get("rng_seed"))
     config = configio.build_surrogate_config(section)
     predictor = surrogate.fit_predictor(data, config)
@@ -133,10 +131,11 @@ def cmd_train(args) -> int:
 def cmd_optimize(args) -> int:
     clock = ManifestClock()
     raw = configio.load_json(args.instance)
-    instance = configio.build_instance(
-        raw if "transactions" in raw else raw.get("instance", raw),
-        where=args.instance)
-    ga_section = dict(raw.get("ga", {}))
+    if "transactions" in raw or "instance" not in raw:
+        instance = configio.build_instance(raw, where=args.instance)
+    else:
+        instance = configio.build_instance(raw["instance"], f"{args.instance}: instance")
+    ga_section = dict(configio.check_object(raw.get("ga", {}), f"{args.instance}: ga"))
     seed = resolve_seed(args.seed, ga_section.get("rng_seed"))
     ga_section["rng_seed"] = seed
     config = configio.build_ga_config(ga_section)
@@ -183,7 +182,7 @@ def cmd_sensitivity(args) -> int:
 def cmd_validate(args) -> int:
     clock = ManifestClock()
     raw = configio.load_json(args.scenarios)
-    entries = raw.get("scenarios")
+    entries = configio.check_list(raw.get("scenarios", []), f"{args.scenarios}: scenarios")
     if not entries:
         raise ConfigError(f"{args.scenarios}: no 'scenarios' list")
     offsets = experiments.read_neighbor_offsets(raw)
@@ -192,6 +191,7 @@ def cmd_validate(args) -> int:
     root = resolve_seed(args.seed, None, default=None)
     scenarios = []
     for i, entry in enumerate(entries):
+        configio.check_object(entry, f"{args.scenarios}: scenarios[{i}]")
         if root is not None:
             entry = dict(entry, rng_seed=derive_seed(root, "scenario", i))
         scenarios.append(experiments.Scenario.from_dict(entry, i))
@@ -297,9 +297,6 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         print(f"error: internal invariant failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ConfigError, DatasetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except BlocktuneError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -125,6 +125,20 @@ def check_numbers(values, where: str, integer: bool = False, length: int | None 
     return [check_number(v, f"{where}[{i}]", integer) for i, v in enumerate(values)]
 
 
+def check_object(value, where: str) -> dict:
+    """``value``, which must be a JSON object; ``where`` names it in the error."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, got {value!r}")
+    return value
+
+
+def check_list(value, where: str) -> list:
+    """``value``, which must be a JSON list; ``where`` names it in the error."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where} must be a list, got {value!r}")
+    return value
+
+
 def read_number(d: dict, key: str, where: str, integer: bool = False):
     """The required number ``d[key]``, as an int if ``integer`` else a float."""
     value = check_number(_req(d, key, where), f"{where}.{key}", integer)
@@ -134,8 +148,7 @@ def read_number(d: dict, key: str, where: str, integer: bool = False):
 def build_config(cls, d: dict, where: str):
     """``cls(**d)`` for a config dataclass: a field whose default is an int
     takes an int, one whose default is a float or None a number (or None)."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be an object, got {d!r}")
+    check_object(d, where)
     defaults = {f.name: f.default for f in fields(cls)}
     for key, value in d.items():
         default = defaults.get(key, MISSING)
@@ -148,6 +161,7 @@ def build_config(cls, d: dict, where: str):
 
 
 def build_transactions(d: dict, where: str = "transactions"):
+    check_object(d, where)
     if "sizes_bytes" in d:
         sizes = check_numbers(d["sizes_bytes"], f"{where}.sizes_bytes", True)
     elif "size_bytes" in d:
@@ -170,17 +184,20 @@ def build_transactions(d: dict, where: str = "transactions"):
 
 
 def build_nodes(items, where: str = "nodes"):
-    if not items:
+    if not check_list(items, where):
         raise ConfigError(f"{where}: at least one node is required")
-    return tuple(NodeProfile(i, read_number(nd, "bandwidth_bytes_per_sec", where))
+    return tuple(NodeProfile(i, read_number(check_object(nd, f"{where}[{i}]"),
+                                            "bandwidth_bytes_per_sec", where))
                  for i, nd in enumerate(items))
 
 
 def build_limits(d: dict, where: str = "limits") -> BlockLimits:
+    check_object(d, where)
     return BlockLimits(*(read_number(d, key, where, True) for key in ("lb", "ub", "cb")))
 
 
 def build_instance(d: dict, where: str = "instance") -> ProblemInstance:
+    check_object(d, where)
     return ProblemInstance(
         transactions=build_transactions(_req(d, "transactions", where),
                                         f"{where}.transactions"),
@@ -190,6 +207,7 @@ def build_instance(d: dict, where: str = "instance") -> ProblemInstance:
 
 
 def build_workload(d: dict, where: str = "workload") -> WorkloadProfile:
+    check_object(d, where)
     kwargs = {
         "arrival_rate_tps": read_number(d, "arrival_rate_tps", where),
         "total_tx": read_number(d, "total_tx", where, True),
@@ -211,6 +229,7 @@ def build_cost(d: dict) -> GroundTruthCost:
 
 
 def build_block_cut(d: dict, where: str = "block_cut") -> BlockCutRule:
+    check_object(d, where)
     return BlockCutRule(read_number(d, "max_tx_count", where, True),
                         read_number(d, "max_bytes", where, True),
                         read_number(d, "timeout_s", where))
@@ -218,6 +237,7 @@ def build_block_cut(d: dict, where: str = "block_cut") -> BlockCutRule:
 
 def build_sim_config(d: dict, rng_seed: int, where: str = "sim") -> SimConfig:
     """The simulator config in ``d``, seeded with the resolved ``rng_seed``."""
+    check_object(d, where)
     return SimConfig(
         workload=build_workload(_req(d, "workload", where), f"{where}.workload"),
         nodes=build_nodes(_req(d, "nodes", where), f"{where}.nodes"),

@@ -122,8 +122,8 @@ class SweepSpec:
         try:
             return cls(
                 varied_factor=d["varied_factor"],
-                values=tuple(d["values"]),
-                fixed=dict(d.get("fixed", {})),
+                values=tuple(configio.check_list(d["values"], "values")),
+                fixed=dict(configio.check_object(d.get("fixed", {}), "fixed")),
                 instance_n=configio.check_number(d["instance_n"], "instance_n", True),
                 limits=configio.build_limits(d["limits"]),
                 grid=TrainingGrid.from_dict(d.get("train_grid", {})),

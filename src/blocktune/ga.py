@@ -6,10 +6,11 @@ is exactly the set of such vectors. A population is a (pop, n) integer
 matrix of such vectors. The variation operators :func:`select`,
 :func:`crossover` and :func:`mutate` act on these arrays, and :func:`run`
 composes them. Feasibility against the per-block count and byte caps is
-restored by one repair pass per child, after mutation, never through
-fitness penalties, keeping the fitness landscape identical to the
-objective being minimized. Each generation is priced in one call to the
-model's population evaluator, :func:`blocktune.model.processing_times`.
+restored by one repair per child, after mutation, never through fitness
+penalties, keeping the fitness landscape identical to the objective being
+minimized; a repair that wedges repacks from scratch with the same kernel.
+Each generation is priced in one call to the model's population
+evaluator, :func:`blocktune.model.processing_times`.
 
 Runs are fully deterministic: identical (instance, predictor, config)
 produce bit-identical results.
@@ -107,43 +108,18 @@ def _check_instance_feasible(instance: ProblemInstance):
         raise InfeasibleInstanceError("a transaction exceeds the block byte cap")
 
 
-def _greedy_repack(instance: ProblemInstance):
-    """Deterministic from-scratch packing: transactions by descending size
-    (ids break ties) into the feasible block with the lowest byte load.
-    Returns None when even that fails."""
-    sizes = instance.sizes
-    nb, ub, cb = instance.nb, instance.limits.ub, instance.limits.cb
-    order = np.lexsort((np.arange(instance.n), -sizes))
-    arr = np.empty(instance.n, dtype=np.int64)
-    counts = np.zeros(nb, dtype=np.int64)
-    loads = np.zeros(nb, dtype=np.int64)
-    for i in order:
-        s = int(sizes[i])
-        ok = (counts + 1 <= ub) & (loads + s <= cb)
-        cands = np.flatnonzero(ok)
-        if cands.size == 0:
-            return None
-        d = int(cands[np.argmin(loads[cands])])
-        arr[i] = d
-        counts[d] += 1
-        loads[d] += s
-    return arr
-
-
 def _repair_array(instance: ProblemInstance, arr: np.ndarray) -> np.ndarray:
     """Make the assignment ``arr`` feasible in place, moving transactions out
     of overloaded blocks, and return it; feasible input is left unchanged."""
-    ok = _kernels.repair_assignment(arr, instance.sizes, instance.nb,
-                                    instance.limits.ub, instance.limits.cb)
-    if not ok:
-        # The local-move loop can wedge when both caps are tight at once;
-        # a from-scratch repack still satisfies the repair contract.
-        repacked = _greedy_repack(instance)
-        if repacked is None:
+    args = (instance.sizes, instance.nb, instance.limits.ub, instance.limits.cb)
+    if not _kernels.repair_assignment(arr, *args):
+        # Local moves can wedge when both caps are tight at once; then the
+        # same rule packs every transaction from scratch (worst-fit decreasing).
+        arr[:] = instance.nb
+        if not _kernels.repair_assignment(arr, *args):
             raise InternalInvariantError(
                 "repair could not place a transaction although the instance "
                 "passed its capacity checks")
-        arr[:] = repacked
     return arr
 
 

@@ -37,7 +37,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .surrogate import save_dataset
 
 CUT_COUNT = "count"
 CUT_BYTES = "bytes"
@@ -332,7 +331,7 @@ def derive_seed(root: int, *parts) -> int:
 
 
 def generate_training_dataset(base: SimConfig, block_sizes, tx_sizes, bandwidths,
-                              replicates: int = 1, out_path=None):
+                              replicates: int = 1):
     """Cut and price one scenario per (block size, tx size, bandwidth) grid
     cell and replicate, harvesting one training row per block; the blocks
     are never queued.
@@ -342,8 +341,7 @@ def generate_training_dataset(base: SimConfig, block_sizes, tx_sizes, bandwidths
     (dispatch + transfer + validation + commit), i.e. the per-block cost
     the optimizer prices, not the workload-dependent end-to-end latency.
     Returns the (k, 6) float64 dataset array, columns in
-    ``surrogate.DATASET_COLUMNS`` order; with ``out_path`` also writes the
-    columnar dataset file.
+    ``surrogate.DATASET_COLUMNS`` order.
     """
     if not block_sizes or not tx_sizes or not bandwidths:
         raise ConfigError("training grid must not be empty")
@@ -371,13 +369,7 @@ def generate_training_dataset(base: SimConfig, block_sizes, tx_sizes, bandwidths
             service = base.cost.dispatch_overhead_s + transfer[:, 0] + vt + ct
             chunks.append(np.column_stack(
                 (count, nbytes, np.full(count.size, float(bw)), vt, ct, service)))
-    data = np.concatenate(chunks)
-    if out_path is not None:
-        try:
-            save_dataset(data, out_path)
-        except OSError as exc:
-            raise ConfigError(f"cannot write dataset to {out_path}: {exc}") from exc
-    return data
+    return np.concatenate(chunks)
 
 
 def throughput_vs_blocksize(config: SimConfig, candidate_sizes):

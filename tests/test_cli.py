@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from blocktune import _kernels, cli, ga
+from blocktune import _kernels, cli
 from blocktune.simulator import derive_seed
 
 PINNED_OPTIMIZE = Path(__file__).parent / "data" / "pinned_optimize.json"
@@ -114,7 +114,6 @@ class TestExitCodes:
 
     def test_internal_invariant(self, tmp_path, model_path, instance_path, monkeypatch):
         monkeypatch.setattr(_kernels, "repair_assignment", lambda *args: False)
-        monkeypatch.setattr(ga, "_greedy_repack", lambda instance: None)
         assert run(tmp_path, "optimize", instance_path, model_path) == cli.EXIT_INTERNAL
 
 
@@ -249,6 +248,12 @@ def edited(config, path, value):
 TRANSACTIONS = ("instance", "transactions")
 
 
+def config_argv(command, config, model_path):
+    """The arguments that run ``command`` on the config file ``config``."""
+    return {"train": [str(Path(model_path).parent / "d.csv"), "--config", config],
+            "optimize": [config, model_path]}.get(command, [config])
+
+
 @pytest.mark.parametrize("command, config, key", [
     ("sensitivity", dict(SWEEP, values=["a", "b", "c"]), "values"),
     ("pipeline", dict(PIPELINE, train_grid={"block_sizes": "abc"}), "block_sizes"),
@@ -294,12 +299,34 @@ TRANSACTIONS = ("instance", "transactions")
      "neighbor_offsets[1]"),
     ("validate", {"scenarios": [PIPELINE], "neighbor_offsets": [1, 2]},
      "neighbor_offsets"),
+    ("train", {"surrogate": 5}, "surrogate"),
+    ("optimize", dict(INSTANCE, ga=5), "ga"),
+    ("optimize", dict(INSTANCE, instance=5), "instance"),
+    ("optimize", edited(INSTANCE, TRANSACTIONS, 5), "transactions"),
+    ("optimize", edited(INSTANCE, ("instance", "nodes"), [5]), "nodes[0]"),
+    ("optimize", edited(INSTANCE, ("instance", "limits"), 5), "limits"),
+    ("validate", {"scenarios": 5}, "scenarios"),
+    ("validate", {"scenarios": [5]}, "scenarios[0]"),
+    ("--seed 1 validate", {"scenarios": 5}, "scenarios"),
+    ("--seed 1 validate", {"scenarios": [5]}, "scenarios[0]"),
+    ("pipeline", dict(PIPELINE, instance=5), "instance"),
+    ("pipeline", dict(PIPELINE, workload=5), "workload"),
+    ("pipeline", dict(PIPELINE, block_cut=5), "block_cut"),
+    ("simulate", dict(SIMULATE, nodes=5), "nodes"),
+    ("simulate", dict(SIMULATE, workload=5), "workload"),
+    ("sensitivity", dict(SWEEP, fixed=5), "fixed"),
+    ("sensitivity", dict(SWEEP, fixed=[1]), "fixed"),
+    ("sensitivity", dict(SWEEP, values=5), "values"),
+    ("sensitivity", dict(SWEEP, limits=5), "limits"),
 ])
-def test_bad_config_value_exits_1(tmp_path, capsys, command, config, key):
-    """A config value of the wrong type or out of range exits 1 with one
-    error line naming its key, before any work: nothing is written."""
+def test_bad_config_value_exits_1(tmp_path, capsys, model_path, command, config, key):
+    """A config value or section of the wrong type, or a value out of range,
+    exits 1 with one error line naming its key, before any work: nothing is
+    written. ``command`` may start with global flags."""
+    *flags, command = command.split()
+    argv = config_argv(command, write(tmp_path / "c.json", config), model_path)
     capsys.readouterr()
-    assert run(tmp_path, command, write(tmp_path / "c.json", config)) == cli.EXIT_CONFIG
+    assert run(tmp_path, *flags, command, *argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err and err.count("\n") == 1
     assert "Traceback" not in err
@@ -312,13 +339,23 @@ def test_non_object_config_exits_1(tmp_path, capsys, model_path, command):
     """A config file whose top level is not a JSON object exits 1 with one
     error line naming the file."""
     config = write(tmp_path / "c.json", [1, 2])
-    argv = {"train": [str(Path(model_path).parent / "d.csv"), "--config", config],
-            "optimize": [config, model_path]}.get(command, [config])
+    argv = config_argv(command, config, model_path)
     capsys.readouterr()
     assert run(tmp_path, command, *argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"error: {config}: expected a JSON object")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_unwritable_dataset_exits_1(tmp_path, capsys):
+    """gen-data writes its dataset with the pipeline's writer; a path in a
+    missing directory exits 1 with one error line naming the file."""
+    capsys.readouterr()
+    assert run(tmp_path, "gen-data", write(tmp_path / "gen.json", GEN_DATA),
+               "-o", str(Path("missing") / "d.csv")) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "d.csv" in err and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_pipeline_rerun_byte_identical(tmp_path):

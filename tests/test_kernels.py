@@ -1,5 +1,6 @@
 """Numeric kernels: the grouped split search against a per-row search, its
-tie rule, and repair feasibility."""
+tie rule, and repair against the per-move scan and the from-scratch packing
+it replaced."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -184,3 +185,78 @@ def test_repair_feasible_and_conserving(case):
     block_of = start.copy()
     assert _kernels.repair_assignment(block_of, sizes, nb, ub, cb) is True
     _check_repaired(block_of, start, sizes, nb, ub, cb)
+
+
+def scan_repair(block_of, sizes, nb, ub, cb):
+    """Reference repair on a start in [0, nb): rebuild the counts and loads
+    after every move, take the lowest-index overloaded block's largest
+    transaction (lowest id among equal sizes) and move it to the other
+    block with the lowest load that fits it (lowest index among ties).
+    Returns False when a transaction fits nowhere."""
+    block_ids = np.arange(nb)
+    while True:
+        counts = np.bincount(block_of, minlength=nb)
+        loads = np.bincount(block_of, weights=sizes, minlength=nb).astype(np.int64)
+        bad = np.flatnonzero((counts > ub) | (loads > cb))
+        if bad.size == 0:
+            return True
+        j = int(bad[0])
+        members = np.flatnonzero(block_of == j)
+        i = int(members[np.argmax(sizes[members])])
+        s = int(sizes[i])
+        dests = np.flatnonzero((counts + 1 <= ub) & (loads + s <= cb) & (block_ids != j))
+        if dests.size == 0:
+            return False
+        block_of[i] = int(dests[np.argmin(loads[dests])])
+
+
+def greedy_repack(sizes, nb, ub, cb):
+    """Reference from-scratch packing: transactions by descending size (ids
+    break ties) into the feasible block with the lowest byte load. Returns
+    (placed all, assignment), with nb for every transaction not placed."""
+    block_of = np.full(sizes.size, nb, dtype=np.int64)
+    counts = np.zeros(nb, dtype=np.int64)
+    loads = np.zeros(nb, dtype=np.int64)
+    for i in np.lexsort((np.arange(sizes.size), -sizes)):
+        s = int(sizes[i])
+        cands = np.flatnonzero((counts + 1 <= ub) & (loads + s <= cb))
+        if cands.size == 0:
+            return False, block_of
+        d = int(cands[np.argmin(loads[cands])])
+        block_of[i] = d
+        counts[d] += 1
+        loads[d] += s
+    return True, block_of
+
+
+@st.composite
+def _any_repair_case(draw):
+    """A start assignment on an instance whose caps may be too tight for
+    local moves or for any packing: sizes from a small range, so ties are
+    common, and caps anywhere from the largest transaction up."""
+    n = draw(st.integers(1, 30))
+    nb = draw(st.integers(1, 6))
+    sizes = np.array(draw(st.lists(st.integers(1, 12), min_size=n, max_size=n)),
+                     dtype=np.int64)
+    ub = draw(st.integers(1, n))
+    cb = draw(st.integers(int(sizes.max()), int(sizes.sum())))
+    start = np.array(draw(st.lists(st.integers(0, nb - 1), min_size=n, max_size=n)),
+                     dtype=np.int64)
+    return start, sizes, nb, ub, cb
+
+
+@settings(max_examples=500, deadline=None)
+@given(_any_repair_case())
+def test_repair_matches_references(case):
+    """From a start in [0, nb) the kernel makes the per-move scan's moves,
+    and from all-unplaced the greedy packing's: the same return value and
+    the same assignment, also where a wedge leaves it partial."""
+    start, sizes, nb, ub, cb = case
+    got, expected = start.copy(), start.copy()
+    assert (_kernels.repair_assignment(got, sizes, nb, ub, cb)
+            is scan_repair(expected, sizes, nb, ub, cb))
+    np.testing.assert_array_equal(got, expected)
+    placed, packed = greedy_repack(sizes, nb, ub, cb)
+    got = np.full_like(start, nb)
+    assert _kernels.repair_assignment(got, sizes, nb, ub, cb) is placed
+    np.testing.assert_array_equal(got, packed)

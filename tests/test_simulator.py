@@ -25,7 +25,7 @@ from blocktune.simulator import (
     run_simulation,
     throughput_vs_blocksize,
 )
-from blocktune.surrogate import DATASET_COLUMNS, load_dataset
+from blocktune.surrogate import DATASET_COLUMNS, load_dataset, save_dataset
 
 ZERO_NOISE = GroundTruthCost(noise_sd_fraction=0.0)
 DATA = Path(__file__).parent / "data"
@@ -214,8 +214,8 @@ class TestGenerateTrainingDataset:
     def test_emitted_file_round_trips(self, tmp_path):
         base = config_for(total_tx=30, max_tx=10, timeout=50.0)
         out = tmp_path / "dataset.csv"
-        data = generate_training_dataset(base, [5, 10], [1000], [1e6],
-                                         out_path=out)
+        data = generate_training_dataset(base, [5, 10], [1000], [1e6])
+        save_dataset(data, out)
         assert np.array_equal(load_dataset(out), data)
 
     def test_empty_grid_rejected(self):
