@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
 
 from . import configio, ga
 from .errors import BlocktuneError, ConfigError
@@ -258,10 +257,19 @@ def run_point(spec: SweepSpec, value, run_index: int) -> SweepPoint:
     )
 
 
+def _average_ranks(x) -> np.ndarray:
+    """1-based ranks of ``x``; tied values share the mean of their positions."""
+    _, group, counts = np.unique(np.asarray(x, dtype=np.float64),
+                                 return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)  # each group's last 1-based position
+    return (last - 0.5 * (counts - 1))[group]
+
+
 def _spearman(values, recommendations) -> float | None:
+    """Spearman's rho: the Pearson correlation of the average ranks."""
     if len(set(recommendations)) < 2 or len(set(values)) < 2:
         return None
-    rho = stats.spearmanr(values, recommendations).statistic
+    rho = np.corrcoef(_average_ranks(values), _average_ranks(recommendations))[1, 0]
     return None if math.isnan(rho) else float(rho)
 
 

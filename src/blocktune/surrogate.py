@@ -54,7 +54,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import _kernels
 from .errors import DatasetError, FitError
@@ -168,9 +167,21 @@ def monomial_name(exponents) -> str:
 
 
 def _design_matrix(z, exponents):
-    cols = [np.prod([z[:, f] ** e for f, e in enumerate(exps) if e], axis=0)
-            if any(exps) else np.ones(z.shape[0])
-            for exps in exponents]
+    """Monomial columns at standardized rows ``z``. Each power
+    ``z[:, f] ** e`` is computed once, and a monomial multiplies its factors
+    in feature order, as ``np.prod`` over them does, so every column is the
+    same bit for bit."""
+    powers = {}
+    cols = []
+    for exps in exponents:
+        col = None
+        for f, e in enumerate(exps):
+            if e:
+                power = powers.get((f, e))
+                if power is None:
+                    power = powers[f, e] = z[:, f] ** e
+                col = power if col is None else col * power
+        cols.append(np.ones(z.shape[0]) if col is None else col)
     return np.column_stack(cols)
 
 
@@ -213,8 +224,10 @@ def fit_polynomial(points, targets, degree: int = 2) -> PolynomialModel:
     by linear least squares over standardized features.
 
     The solve goes through an orthogonal decomposition, never the normal
-    equations; a rank-deficient design raises naming the degenerate
-    monomial columns.
+    equations. A rank-deficient design raises naming each monomial that does
+    not raise the rank of the monomials before it, in ``_monomial_exponents``
+    order. Of a collinear set, that names the later members, which may not be
+    the ones a pivoted QR would name.
     """
     if degree not in (1, 2, 3):
         raise FitError(f"polynomial degree must be 1, 2 or 3, got {degree}")
@@ -233,15 +246,19 @@ def fit_polynomial(points, targets, degree: int = 2) -> PolynomialModel:
     z = (points - mean) / scale
     design = _design_matrix(z, exponents)
 
-    _, r, pivots = scipy.linalg.qr(design, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = diag[0] * max(design.shape) * np.finfo(np.float64).eps if diag.size else 0.0
-    rank = int((diag > tol).sum())
+    rank = np.linalg.matrix_rank(design)
     if rank < n_terms:
-        bad = [monomial_name(exponents[p]) for p in pivots[rank:]]
+        # Under the tolerance matrix_rank used on the whole design, adding a
+        # column raises the rank by 0 or 1, so n_terms - rank are named.
+        tol = np.linalg.norm(design, 2) * max(design.shape) * np.finfo(np.float64).eps
+        bad, prefix_rank = [], 0
+        for j, exps in enumerate(exponents):
+            r = np.linalg.matrix_rank(design[:, :j + 1], tol=tol)
+            if r == prefix_rank:
+                bad.append(monomial_name(exps))
+            prefix_rank = r
         raise FitError(
-            "rank-deficient polynomial design; degenerate columns: "
-            + ", ".join(sorted(bad)))
+            "rank-deficient polynomial design; degenerate columns: " + ", ".join(bad))
 
     coef, _, _, _ = np.linalg.lstsq(design, targets, rcond=None)
     return PolynomialModel(degree, exponents, coef, mean, scale)

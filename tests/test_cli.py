@@ -392,3 +392,14 @@ def test_quiet_leaves_stdout_alone(tmp_path, capsys, command, config, extra):
     assert run(tmp_path, command, write(tmp_path / "c.json", config), *extra) == 0
     assert sys.stdout is stdout
     assert capsys.readouterr().out == ""
+
+
+def test_import_loads_no_scipy():
+    """Start-up is paid on every run, and importing scipy once took most of
+    it; the package computes what it needs with numpy alone."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = ("import sys, blocktune.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -31,8 +31,10 @@ from blocktune.surrogate import (
     fit_tree,
     group_rows,
     load_dataset,
+    monomial_name,
     save_dataset,
 )
+from blocktune.surrogate import _design_matrix, _monomial_exponents
 
 
 def grid_points(rng=None, n=60):
@@ -97,6 +99,34 @@ class TestPolynomial:
         points[:, 2] = 5e6  # constant bandwidth collapses its monomials
         with pytest.raises(FitError, match="bandwidth"):
             fit_polynomial(points, points[:, 0], degree=1)
+
+    def test_collinear_pair_names_only_dependent_monomials(self):
+        points = grid_points()
+        points[:, 1] = 1024.0 * points[:, 0]  # uniform tx size: bytes track count
+        with pytest.raises(FitError, match="rank-deficient") as info:
+            fit_polynomial(points, points[:, 0], degree=2)
+        named = info.value.args[0].split(": ", 1)[1].split(", ")
+        # block_bytes repeats tx_count, so every monomial holding it repeats
+        # the one with tx_count in its place, which comes earlier
+        assert named == ["block_bytes", "tx_count*block_bytes", "block_bytes^2",
+                         "block_bytes*bandwidth"]
+        exponents = _monomial_exponents(2)
+        z = (points - points.mean(axis=0)) / points.std(axis=0)
+        design = _design_matrix(z, exponents)
+        kept = [j for j, e in enumerate(exponents) if monomial_name(e) not in named]
+        rank = np.linalg.matrix_rank(design)
+        assert np.linalg.matrix_rank(design[:, kept]) == rank == len(kept)
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("n_rows", [1, 300])
+    def test_design_matrix_equals_product_of_powers(self, degree, n_rows):
+        z = np.random.default_rng(degree).normal(scale=3.0, size=(n_rows, 3))
+        exponents = _monomial_exponents(degree)
+        reference = np.column_stack([
+            np.prod([z[:, f] ** e for f, e in enumerate(exps) if e], axis=0)
+            if any(exps) else np.ones(n_rows)
+            for exps in exponents])
+        assert np.array_equal(_design_matrix(z, exponents), reference)
 
     def test_bad_degree(self):
         with pytest.raises(FitError):
