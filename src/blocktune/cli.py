@@ -7,6 +7,11 @@ duration; a run is reproducible from its manifest alone. Exit codes:
 0 success, 1 config/parse/validation error, 2 infeasible instance,
 3 internal invariant failure.
 
+Config files follow the schema in :mod:`blocktune.configio`. A key that
+names no field of its section is an error, like a missing required key or
+a value of the wrong type: it exits 1 with one line naming the key, before
+any work.
+
 Numeric knobs live in config files; the only global flags are --seed
 (overriding every internal seed derivation), --out-dir, --quiet, and
 --no-timestamps (drops wall-clock fields so reports diff cleanly).
@@ -20,6 +25,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import dataclass
 
 from . import configio, experiments, ga, simulator, surrogate
 from .configio import ManifestClock, RunManifest, resolve_seed, write_json
@@ -35,6 +41,17 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INFEASIBLE = 2
 EXIT_INTERNAL = 3
+
+
+@dataclass(frozen=True)
+class DataGrid:
+    """gen-data's ``grid``: a training sample set simulates every (block
+    size, transaction size, bandwidth) cell ``replicates`` times."""
+
+    block_sizes: tuple[int, ...]
+    tx_sizes: tuple[int, ...]
+    bandwidths: tuple[float, ...]
+    replicates: int = 1
 
 
 def _out_path(args, name):
@@ -60,7 +77,8 @@ def cmd_simulate(args) -> int:
     clock = ManifestClock()
     raw = configio.load_json(args.config)
     seed = resolve_seed(args.seed, raw.get("rng_seed"))
-    config = configio.build_sim_config(raw, seed)
+    config = configio.build_config(simulator.SimConfig, dict(raw, rng_seed=seed),
+                                   args.config)
     result = simulator.run_simulation(config)
     out = _out_path(args, args.out)
     write_json(out, result.to_dict())
@@ -77,23 +95,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_gen_data(args) -> int:
     clock = ManifestClock()
-    raw = configio.load_json(args.config)
-    if "sim" not in raw or "grid" not in raw:
-        raise ConfigError(f"{args.config}: gen-data config needs 'sim' and 'grid'")
-    sim = configio.check_object(raw["sim"], f"{args.config}: sim")
-    grid = configio.check_object(raw["grid"], f"{args.config}: grid")
+    raw = configio.check_keys(configio.load_json(args.config), ("sim", "grid"), args.config)
+    sim = configio.check_object(raw.get("sim", {}), f"{args.config}.sim")
     seed = resolve_seed(args.seed, sim.get("rng_seed"))
-    base = configio.build_sim_config(sim, seed)
+    base = configio.build_config(simulator.SimConfig, dict(sim, rng_seed=seed),
+                                 f"{args.config}.sim")
+    grid = configio.build_config(DataGrid, raw.get("grid", {}), f"{args.config}.grid")
     out = _out_path(args, args.out)
     data = simulator.generate_training_dataset(
-        base,
-        block_sizes=configio.check_numbers(grid.get("block_sizes", []),
-                                           "grid.block_sizes", True),
-        tx_sizes=configio.check_numbers(grid.get("tx_sizes", []), "grid.tx_sizes", True),
-        bandwidths=configio.check_numbers(grid.get("bandwidths", []), "grid.bandwidths"),
-        replicates=configio.check_number(grid.get("replicates", 1), "grid.replicates",
-                                         True),
-    )
+        base, grid.block_sizes, grid.tx_sizes, grid.bandwidths, grid.replicates)
     surrogate.save_dataset(data, out)
     _emit(args, [f"wrote {len(data)} training samples to {out}"])
     manifest = RunManifest("gen-data", raw, {"root": seed}, [args.config], [out],
@@ -105,11 +115,14 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     clock = ManifestClock()
     data = surrogate.load_dataset(args.dataset)
-    overrides = configio.load_json(args.config) if args.config else {}
-    section = dict(configio.check_object(overrides.get("surrogate", overrides),
-                                         f"{args.config}: surrogate"))
+    section = configio.load_json(args.config) if args.config else {}
+    where = args.config or "surrogate"
+    if "surrogate" in section:  # {"surrogate": {...}} or the section itself
+        section = configio.check_keys(section, ("surrogate",), where)["surrogate"]
+        where = f"{where}.surrogate"
+    section = dict(configio.check_object(section, where))
     section["rng_seed"] = resolve_seed(args.seed, section.get("rng_seed"))
-    config = configio.build_surrogate_config(section)
+    config = configio.build_config(surrogate.SurrogateConfig, section, where)
     predictor = surrogate.fit_predictor(data, config)
     out = _out_path(args, args.out)
     write_json(out, predictor.to_dict())
@@ -131,14 +144,17 @@ def cmd_train(args) -> int:
 def cmd_optimize(args) -> int:
     clock = ManifestClock()
     raw = configio.load_json(args.instance)
+    # {"instance": {...}, "ga": {...}}, or the instance's own keys beside "ga"
     if "transactions" in raw or "instance" not in raw:
-        instance = configio.build_instance(raw, where=args.instance)
+        instance = configio.build_instance({k: v for k, v in raw.items() if k != "ga"},
+                                           args.instance)
     else:
-        instance = configio.build_instance(raw["instance"], f"{args.instance}: instance")
-    ga_section = dict(configio.check_object(raw.get("ga", {}), f"{args.instance}: ga"))
+        configio.check_keys(raw, ("instance", "ga"), args.instance)
+        instance = configio.build_instance(raw["instance"], f"{args.instance}.instance")
+    ga_section = configio.check_object(raw.get("ga", {}), f"{args.instance}.ga")
     seed = resolve_seed(args.seed, ga_section.get("rng_seed"))
-    ga_section["rng_seed"] = seed
-    config = configio.build_ga_config(ga_section)
+    config = configio.build_config(ga.GaConfig, dict(ga_section, rng_seed=seed),
+                                   f"{args.instance}.ga")
     predictor = surrogate.PerformancePredictor.load(args.model)
     result = ga.run(instance, predictor, config)
     out = _out_path(args, args.out)
@@ -166,7 +182,7 @@ def cmd_sensitivity(args) -> int:
     clock = ManifestClock()
     raw = configio.load_json(args.spec)
     raw = dict(raw, rng_seed=resolve_seed(args.seed, raw.get("rng_seed")))
-    spec = experiments.SweepSpec.from_dict(raw)
+    spec = configio.build_config(experiments.SweepSpec, raw, args.spec)
     result = experiments.run_sensitivity(spec)
     out = _out_path(args, args.out)
     write_json(out, result.to_dict())
@@ -181,8 +197,9 @@ def cmd_sensitivity(args) -> int:
 
 def cmd_validate(args) -> int:
     clock = ManifestClock()
-    raw = configio.load_json(args.scenarios)
-    entries = configio.check_list(raw.get("scenarios", []), f"{args.scenarios}: scenarios")
+    raw = configio.check_keys(configio.load_json(args.scenarios),
+                              ("scenarios", "neighbor_offsets"), args.scenarios)
+    entries = configio.check_list(raw.get("scenarios", []), f"{args.scenarios}.scenarios")
     if not entries:
         raise ConfigError(f"{args.scenarios}: no 'scenarios' list")
     offsets = experiments.read_neighbor_offsets(raw)
@@ -191,10 +208,11 @@ def cmd_validate(args) -> int:
     root = resolve_seed(args.seed, None, default=None)
     scenarios = []
     for i, entry in enumerate(entries):
-        configio.check_object(entry, f"{args.scenarios}: scenarios[{i}]")
+        where = f"{args.scenarios}.scenarios[{i}]"
+        entry = {"name": f"scenario-{i}", **configio.check_object(entry, where)}
         if root is not None:
-            entry = dict(entry, rng_seed=derive_seed(root, "scenario", i))
-        scenarios.append(experiments.Scenario.from_dict(entry, i))
+            entry["rng_seed"] = derive_seed(root, "scenario", i)
+        scenarios.append(configio.build_config(experiments.Scenario, entry, where))
     report = experiments.run_validation(scenarios, offsets)
     out = _out_path(args, args.out)
     write_json(out, report.to_dict())
@@ -210,8 +228,11 @@ def cmd_pipeline(args) -> int:
     clock = ManifestClock()
     raw = configio.load_json(args.config)
     raw = dict(raw, rng_seed=resolve_seed(args.seed, raw.get("rng_seed")))
-    scenario = experiments.Scenario.from_dict(raw)
     offsets = experiments.read_neighbor_offsets(raw)
+    # neighbor_offsets is a key of the file, not of the scenario
+    scenario = configio.build_config(
+        experiments.Scenario,
+        {k: v for k, v in raw.items() if k != "neighbor_offsets"}, args.config)
     os.makedirs(args.out_dir or ".", exist_ok=True)
 
     outcome = experiments.run_scenario_pipeline(scenario)

@@ -1,28 +1,29 @@
 """Shared JSON config schema, seed derivation, and run manifests.
 
-One structured format covers every entry point. The building blocks:
+One reader, :func:`build_config`, turns every JSON config object into its
+dataclass by one rule. Every key must name a field, and a field without a
+default is required. ``int`` takes an integer; ``float`` any number, stored
+as a float; ``Real`` any number, kept as written; ``str`` a string;
+``tuple[int, int]`` a list of exactly two integers and ``tuple[float,
+...]`` a list of any length; ``dict[str, float]`` an object of numbers;
+``X | None`` also null; a nested dataclass an object read by the same rule;
+``rng_seed`` an integer in [0, 2**32). Range checks live in each
+dataclass's ``__post_init__``. Only two forms are read by hand:
 
-``instance``::
+* ``transactions`` is ``{"sizes_bytes": [...]}``, ``{"count": N,
+  "size_bytes": s}`` or ``{"count": N, "size_range_bytes": [lo, hi],
+  "rng_seed": k}`` (uniformly random sizes);
+* ``nodes`` is a non-empty list of ``{"bandwidth_bytes_per_sec": bw}``.
 
-    {"transactions": {"count": 12, "size_bytes": 1024},   # constant sizes
+Transaction and node ids are implicit by position. For example, an
+``instance`` and a ``workload``::
+
+    {"transactions": {"count": 12, "size_bytes": 1024},
      "nodes": [{"bandwidth_bytes_per_sec": 8.0e6}],
      "limits": {"lb": 4, "ub": 8, "cb": 16384}}
 
-``transactions`` alternatively takes ``{"sizes_bytes": [...]}`` for explicit
-sizes or ``{"count": N, "size_range_bytes": [lo, hi], "rng_seed": k}`` for
-uniformly random sizes. Transaction and node ids are implicit by position.
-
-``workload``::
-
     {"arrival_process": "fixed" | "poisson", "arrival_rate_tps": 400.0,
      "total_tx": 1200, "tx_size_bytes": 1024, "rng_seed": 3}
-
-(``tx_size_range_bytes: [lo, hi]`` replaces ``tx_size_bytes`` for mixed
-sizes.)
-
-``block_cut``:  {"max_tx_count": 100, "max_bytes": 1048576, "timeout_s": 0.5}
-``cost``:       any subset of the GroundTruthCost fields
-``ga`` / ``surrogate``: any subset of the respective config fields
 
 Seeds resolve in priority order --seed flag > BLOCKTUNE_SEED environment
 variable > config file value, and must lie in [0, 2**32); sub-seeds always
@@ -35,17 +36,16 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import MISSING, dataclass, field, fields
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from numbers import Integral, Real
 
 import numpy as np
 
 from . import __version__
 from .errors import ConfigError
-from .ga import GaConfig
-from .model import BlockLimits, NodeProfile, ProblemInstance, Transaction
-from .simulator import BlockCutRule, GroundTruthCost, SimConfig, WorkloadProfile
-from .surrogate import SurrogateConfig
+from .model import NodeProfile, ProblemInstance, Transaction
 
 TOOL_VERSION = __version__
 SEED_ENV_VAR = "BLOCKTUNE_SEED"
@@ -101,12 +101,6 @@ def load_json(path) -> dict:
     return raw
 
 
-def _req(d: dict, key: str, where: str):
-    if key not in d:
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    return d[key]
-
-
 def check_number(value, where: str, integer: bool = False):
     """``value``, which must be an integer or, unless ``integer``, any real
     number (a bool is neither); ``where`` names it in the error."""
@@ -114,15 +108,6 @@ def check_number(value, where: str, integer: bool = False):
         raise ConfigError(f"{where} must be {'an integer' if integer else 'a number'}, "
                           f"got {value!r}")
     return value
-
-
-def check_numbers(values, where: str, integer: bool = False, length: int | None = None):
-    """``values`` as a list, which must be a list (or tuple) of numbers that
-    :func:`check_number` accepts, and of ``length`` of them when given."""
-    if not isinstance(values, (list, tuple)) or length not in (None, len(values)):
-        raise ConfigError(f"{where} must be a list of {f'{length} ' if length else ''}"
-                          f"{'integers' if integer else 'numbers'}, got {values!r}")
-    return [check_number(v, f"{where}[{i}]", integer) for i, v in enumerate(values)]
 
 
 def check_object(value, where: str) -> dict:
@@ -139,120 +124,146 @@ def check_list(value, where: str) -> list:
     return value
 
 
-def read_number(d: dict, key: str, where: str, integer: bool = False):
-    """The required number ``d[key]``, as an int if ``integer`` else a float."""
-    value = check_number(_req(d, key, where), f"{where}.{key}", integer)
-    return value if integer else float(value)
+def check_keys(d, keys, where: str) -> dict:
+    """``d``, which must be a JSON object whose every key is one of ``keys``."""
+    for key in check_object(d, where):
+        if key not in keys:
+            raise ConfigError(f"{where}: unknown key {key!r} "
+                              f"(known keys: {', '.join(keys)})")
+    return d
 
 
-def build_config(cls, d: dict, where: str):
-    """``cls(**d)`` for a config dataclass: a field whose default is an int
-    takes an int, one whose default is a float or None a number (or None)."""
-    check_object(d, where)
-    defaults = {f.name: f.default for f in fields(cls)}
-    for key, value in d.items():
-        default = defaults.get(key, MISSING)
-        if isinstance(default, (int, float)) or (default is None and value is not None):
-            check_number(value, f"{where}.{key}", isinstance(default, int))
+def build_config(cls, d, where: str, **given):
+    """The dataclass ``cls`` read from the JSON object ``d`` by the rule in
+    the module docstring. ``given`` sets fields that the file does not: a
+    key of ``d`` that names one is unknown. ``where`` names ``d`` in errors."""
+    hints = typing.get_type_hints(cls)
+    read = [f for f in fields(cls) if f.init and f.name not in given]
+    check_keys(d, [f.name for f in read], where)
+    kwargs = dict(given)
+    for f in read:
+        if f.name in d:
+            value = read_value(hints[f.name], d[f.name], f"{where}.{f.name}")
+            kwargs[f.name] = (check_seed(value, f"{where}.{f.name}")
+                              if f.name == "rng_seed" else value)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{where}: missing required key {f.name!r}")
     try:
-        return cls(**d)
-    except (TypeError, ConfigError) as exc:
+        return cls(**kwargs)
+    except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def build_transactions(d: dict, where: str = "transactions"):
-    check_object(d, where)
-    if "sizes_bytes" in d:
-        sizes = check_numbers(d["sizes_bytes"], f"{where}.sizes_bytes", True)
-    elif "size_bytes" in d:
-        sizes = [read_number(d, "size_bytes", where, True)] * read_number(
-            d, "count", where, True)
-    elif "size_range_bytes" in d:
-        lo, hi = check_numbers(d["size_range_bytes"], f"{where}.size_range_bytes",
-                               True, 2)
+def read_value(hint, value, where: str):
+    """The JSON ``value`` read as the type ``hint``; ``where`` names it in
+    errors."""
+    if hint in _HAND_READERS:
+        return _HAND_READERS[hint](value, where)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        (hint,) = [arg for arg in args if arg is not type(None)]
+        return None if value is None else read_value(hint, value, where)
+    if origin is tuple:
+        items = check_list(value, where)
+        hints = args[:1] * len(items) if args[-1] is Ellipsis else args
+        if len(hints) != len(items):
+            raise ConfigError(f"{where} must be a list of {len(hints)} values, "
+                              f"got {value!r}")
+        return tuple(read_value(h, v, f"{where}[{i}]")
+                     for i, (h, v) in enumerate(zip(hints, items)))
+    if origin is dict:
+        return {key: read_value(args[1], v, f"{where}.{key}")
+                for key, v in check_object(value, where).items()}
+    if is_dataclass(hint):
+        return build_config(hint, value, where)
+    if hint is int:
+        return check_number(value, where, integer=True)
+    if hint is float:
+        return float(check_number(value, where))
+    if hint is Real:
+        return check_number(value, where)
+    if hint is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"{where} must be a string, got {value!r}")
+        return value
+    raise TypeError(f"{where}: the config reader has no rule for type {hint!r}")
+
+
+@dataclass(frozen=True)
+class SizeList:
+    """``transactions`` given size by size."""
+
+    sizes_bytes: tuple[int, ...]
+
+    def sizes(self):
+        return self.sizes_bytes
+
+
+@dataclass(frozen=True)
+class ConstantSizes:
+    """``count`` transactions of ``size_bytes`` each."""
+
+    count: int
+    size_bytes: int
+
+    def sizes(self):
+        return (self.size_bytes,) * self.count
+
+
+@dataclass(frozen=True)
+class RandomSizes:
+    """``count`` transactions of sizes drawn uniformly from
+    ``size_range_bytes`` (both ends included) with ``rng_seed``."""
+
+    count: int
+    size_range_bytes: tuple[int, int]
+    rng_seed: int = 0
+
+    def __post_init__(self):
+        if self.count < 0:
+            raise ConfigError(f"count must be >= 0, got {self.count}")
+        lo, hi = self.size_range_bytes
         if not 1 <= lo <= hi:
-            raise ConfigError(f"{where}.size_range_bytes must satisfy 1 <= lo <= hi, "
+            raise ConfigError(f"size_range_bytes must satisfy 1 <= lo <= hi, "
                               f"got {[lo, hi]!r}")
-        rng = np.random.default_rng(check_seed(d.get("rng_seed", 0),
-                                               f"{where}.rng_seed"))
-        sizes = rng.integers(lo, hi + 1,
-                             size=read_number(d, "count", where, True)).tolist()
-    else:
-        raise ConfigError(
-            f"{where}: need one of sizes_bytes / size_bytes / size_range_bytes")
+
+    def sizes(self):
+        lo, hi = self.size_range_bytes
+        rng = np.random.default_rng(self.rng_seed)
+        return rng.integers(lo, hi + 1, size=self.count).tolist()
+
+
+# The key that names each form of ``transactions``, in the order they are
+# looked for.
+TRANSACTION_FORMS = {"sizes_bytes": SizeList, "size_bytes": ConstantSizes,
+                     "size_range_bytes": RandomSizes}
+
+
+def build_transactions(d, where: str = "transactions") -> tuple:
+    """The transactions of a ``transactions`` object in one of its three
+    forms, with ids by position."""
+    check_object(d, where)
+    form = next((cls for key, cls in TRANSACTION_FORMS.items() if key in d), None)
+    if form is None:
+        raise ConfigError(f"{where}: need one of {' / '.join(TRANSACTION_FORMS)}")
+    sizes = build_config(form, d, where).sizes()
     return tuple(Transaction(i, s) for i, s in enumerate(sizes))
 
 
-def build_nodes(items, where: str = "nodes"):
+def build_nodes(items, where: str = "nodes") -> tuple:
+    """The nodes of a ``nodes`` list, with ids by position."""
     if not check_list(items, where):
         raise ConfigError(f"{where}: at least one node is required")
-    return tuple(NodeProfile(i, read_number(check_object(nd, f"{where}[{i}]"),
-                                            "bandwidth_bytes_per_sec", where))
+    return tuple(build_config(NodeProfile, nd, f"{where}[{i}]", id=i)
                  for i, nd in enumerate(items))
 
 
-def build_limits(d: dict, where: str = "limits") -> BlockLimits:
-    check_object(d, where)
-    return BlockLimits(*(read_number(d, key, where, True) for key in ("lb", "ub", "cb")))
+_HAND_READERS = {tuple[Transaction, ...]: build_transactions,
+                 tuple[NodeProfile, ...]: build_nodes}
 
 
-def build_instance(d: dict, where: str = "instance") -> ProblemInstance:
-    check_object(d, where)
-    return ProblemInstance(
-        transactions=build_transactions(_req(d, "transactions", where),
-                                        f"{where}.transactions"),
-        nodes=build_nodes(_req(d, "nodes", where), f"{where}.nodes"),
-        limits=build_limits(_req(d, "limits", where), f"{where}.limits"),
-    )
-
-
-def build_workload(d: dict, where: str = "workload") -> WorkloadProfile:
-    check_object(d, where)
-    kwargs = {
-        "arrival_rate_tps": read_number(d, "arrival_rate_tps", where),
-        "total_tx": read_number(d, "total_tx", where, True),
-        "arrival_process": d.get("arrival_process", "fixed"),
-        "rng_seed": check_seed(d.get("rng_seed", 0), f"{where}.rng_seed"),
-    }
-    if "tx_size_range_bytes" in d:
-        kwargs["tx_size_range_bytes"] = tuple(check_numbers(
-            d["tx_size_range_bytes"], f"{where}.tx_size_range_bytes", True, 2))
-    elif "tx_size_bytes" in d:
-        kwargs["tx_size_bytes"] = read_number(d, "tx_size_bytes", where, True)
-    else:
-        raise ConfigError(f"{where}: need tx_size_bytes or tx_size_range_bytes")
-    return WorkloadProfile(**kwargs)
-
-
-def build_cost(d: dict) -> GroundTruthCost:
-    return build_config(GroundTruthCost, d, "cost")
-
-
-def build_block_cut(d: dict, where: str = "block_cut") -> BlockCutRule:
-    check_object(d, where)
-    return BlockCutRule(read_number(d, "max_tx_count", where, True),
-                        read_number(d, "max_bytes", where, True),
-                        read_number(d, "timeout_s", where))
-
-
-def build_sim_config(d: dict, rng_seed: int, where: str = "sim") -> SimConfig:
-    """The simulator config in ``d``, seeded with the resolved ``rng_seed``."""
-    check_object(d, where)
-    return SimConfig(
-        workload=build_workload(_req(d, "workload", where), f"{where}.workload"),
-        nodes=build_nodes(_req(d, "nodes", where), f"{where}.nodes"),
-        block_cut=build_block_cut(_req(d, "block_cut", where), f"{where}.block_cut"),
-        cost=build_cost(d.get("cost", {})),
-        rng_seed=rng_seed,
-    )
-
-
-def build_ga_config(d: dict) -> GaConfig:
-    return build_config(GaConfig, d, "ga")
-
-
-def build_surrogate_config(d: dict) -> SurrogateConfig:
-    return build_config(SurrogateConfig, d, "surrogate")
+def build_instance(d, where: str = "instance") -> ProblemInstance:
+    return build_config(ProblemInstance, d, where)
 
 
 @dataclass

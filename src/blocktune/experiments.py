@@ -23,11 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Real
 
 import numpy as np
 
 from . import configio, ga
 from .errors import BlocktuneError, ConfigError
+from .ga import GaConfig
 from .model import BlockLimits, NodeProfile, ProblemInstance, Transaction
 from .simulator import (
     BlockCutRule,
@@ -55,18 +57,15 @@ class TrainingGrid:
     size, block bytes are proportional to the transaction count and the
     committing-time polynomial design turns rank-deficient."""
 
-    block_sizes: tuple
-    tx_size_factors: tuple = (0.75, 1.0, 1.25)
-    bandwidth_factors: tuple = (0.5, 1.0, 2.0)
+    block_sizes: tuple[int, ...]
+    tx_size_factors: tuple[float, ...] = (0.75, 1.0, 1.25)
+    bandwidth_factors: tuple[float, ...] = (0.5, 1.0, 2.0)
     replicates: int = 1
     total_tx: int = 1200
     max_bytes: int = 1 << 23
     timeout_s: float = 120.0
 
     def __post_init__(self):
-        for name in ("block_sizes", "tx_size_factors", "bandwidth_factors"):
-            object.__setattr__(self, name, tuple(configio.check_numbers(
-                getattr(self, name), name, name == "block_sizes")))
         if not self.block_sizes:
             raise ConfigError("block_sizes must not be empty")
         if len(set(self.tx_size_factors)) < 2:
@@ -75,10 +74,6 @@ class TrainingGrid:
                 "transaction size makes block bytes collinear with the "
                 "transaction count)")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainingGrid":
-        return configio.build_config(cls, d, "train_grid")
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -86,14 +81,15 @@ class SweepSpec:
     everything else pinned."""
 
     varied_factor: str
-    values: tuple
-    fixed: dict
+    # Kept as written: a point's data seed derives from its value's repr.
+    values: tuple[Real, ...]
+    fixed: dict[str, float]
     instance_n: int
     limits: BlockLimits
-    grid: TrainingGrid
-    cost: GroundTruthCost
-    surrogate: SurrogateConfig
-    ga_config: ga.GaConfig
+    train_grid: TrainingGrid
+    cost: GroundTruthCost = GroundTruthCost()
+    surrogate: SurrogateConfig = SurrogateConfig()
+    ga: GaConfig = GaConfig()
     arrival_process: str = "fixed"
     runs_per_point: int = 1
     rng_seed: int = 0
@@ -101,10 +97,10 @@ class SweepSpec:
     def __post_init__(self):
         if self.varied_factor not in FACTORS:
             raise ConfigError(f"varied_factor must be one of {FACTORS}")
-        for value in self.values:
-            configio.check_number(value, "values")
-        for factor, value in self.fixed.items():
-            configio.check_number(value, f"fixed.{factor}")
+        for factor in self.fixed:
+            if factor not in FACTORS:
+                raise ConfigError(f"fixed: unknown factor {factor!r} "
+                                  f"(factors: {', '.join(FACTORS)})")
         if len(self.values) < 3:
             raise ConfigError("a sweep needs at least 3 values")
         diffs = np.diff(np.asarray(self.values, dtype=np.float64))
@@ -117,25 +113,8 @@ class SweepSpec:
             raise ConfigError("runs_per_point must be >= 1")
 
     @classmethod
-    def from_dict(cls, d: dict) -> "SweepSpec":
-        try:
-            return cls(
-                varied_factor=d["varied_factor"],
-                values=tuple(configio.check_list(d["values"], "values")),
-                fixed=dict(configio.check_object(d.get("fixed", {}), "fixed")),
-                instance_n=configio.check_number(d["instance_n"], "instance_n", True),
-                limits=configio.build_limits(d["limits"]),
-                grid=TrainingGrid.from_dict(d.get("train_grid", {})),
-                cost=configio.build_cost(d.get("cost", {})),
-                surrogate=configio.build_surrogate_config(d.get("surrogate", {})),
-                ga_config=configio.build_ga_config(d.get("ga", {})),
-                arrival_process=d.get("arrival_process", "fixed"),
-                runs_per_point=configio.check_number(d.get("runs_per_point", 1),
-                                                     "runs_per_point", integer=True),
-                rng_seed=configio.check_seed(d.get("rng_seed", 0), "rng_seed"),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"sweep spec: missing key {exc}") from None
+    def from_dict(cls, d: dict, where: str = "sweep") -> "SweepSpec":
+        return configio.build_config(cls, d, where)
 
 
 @dataclass(frozen=True)
@@ -208,7 +187,7 @@ def _tune(spec, instance: ProblemInstance, rate: float, process: str,
     """generate data -> fit predictor -> genetic search for ``instance`` with
     the settings of ``spec`` (a :class:`SweepSpec` or :class:`Scenario`),
     training around its largest transaction and first node's bandwidth."""
-    grid = spec.grid
+    grid = spec.train_grid
     tx_size = int(instance.sizes.max())
     bandwidth = float(instance.bandwidths[0])
     base = SimConfig(
@@ -226,7 +205,7 @@ def _tune(spec, instance: ProblemInstance, rate: float, process: str,
     samples = generate_training_dataset(base, list(grid.block_sizes), tx_sizes,
                                         bandwidths, grid.replicates)
     predictor = fit_predictor(samples, spec.surrogate)
-    result = ga.run(instance, predictor, replace(spec.ga_config, rng_seed=ga_seed))
+    result = ga.run(instance, predictor, replace(spec.ga, rng_seed=ga_seed))
     return samples, predictor, result
 
 
@@ -307,33 +286,19 @@ class Scenario:
     """One validation scenario: an instance to tune plus the simulated
     deployment it will be checked against."""
 
-    name: str
     instance: ProblemInstance
     workload: WorkloadProfile
     block_cut: BlockCutRule
-    cost: GroundTruthCost
-    grid: TrainingGrid
-    surrogate: SurrogateConfig
-    ga_config: ga.GaConfig
+    train_grid: TrainingGrid
+    name: str = "scenario-0"
+    cost: GroundTruthCost = GroundTruthCost()
+    surrogate: SurrogateConfig = SurrogateConfig()
+    ga: GaConfig = GaConfig()
     rng_seed: int = 0
 
     @classmethod
-    def from_dict(cls, d: dict, index: int = 0) -> "Scenario":
-        try:
-            return cls(
-                name=d.get("name", f"scenario-{index}"),
-                instance=configio.build_instance(d["instance"]),
-                workload=configio.build_workload(d["workload"]),
-                block_cut=configio.build_block_cut(d["block_cut"]),
-                cost=configio.build_cost(d.get("cost", {})),
-                grid=TrainingGrid.from_dict(d.get("train_grid", {})),
-                surrogate=configio.build_surrogate_config(d.get("surrogate", {})),
-                ga_config=configio.build_ga_config(d.get("ga", {})),
-                rng_seed=configio.check_seed(d.get("rng_seed", 0),
-                                             f"scenario {index}: rng_seed"),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"scenario {index}: missing key {exc}") from None
+    def from_dict(cls, d: dict, where: str = "scenario") -> "Scenario":
+        return configio.build_config(cls, d, where)
 
 
 @dataclass(frozen=True)
@@ -411,8 +376,9 @@ class ValidationReport:
 def read_neighbor_offsets(raw: dict) -> tuple:
     """The config's ``neighbor_offsets`` (default :data:`NEIGHBOR_OFFSETS`):
     a list of integers that includes 0, the recommendation."""
-    offsets = tuple(configio.check_numbers(raw.get("neighbor_offsets", NEIGHBOR_OFFSETS),
-                                           "neighbor_offsets", True))
+    offsets = configio.read_value(tuple[int, ...],
+                                  raw.get("neighbor_offsets", NEIGHBOR_OFFSETS),
+                                  "neighbor_offsets")
     if 0 not in offsets:
         raise ConfigError("neighbor_offsets must include 0 (the recommendation)")
     return offsets

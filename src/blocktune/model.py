@@ -106,8 +106,8 @@ class ProblemInstance:
     and total bytes, and every single transaction must fit under ``cb``.
     """
 
-    transactions: tuple
-    nodes: tuple
+    transactions: tuple[Transaction, ...]
+    nodes: tuple[NodeProfile, ...]
     limits: BlockLimits
     nb: int = field(init=False)
 

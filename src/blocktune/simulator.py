@@ -37,6 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
+from .model import NodeProfile
 
 CUT_COUNT = "count"
 CUT_BYTES = "bytes"
@@ -54,7 +55,7 @@ class WorkloadProfile:
     total_tx: int
     arrival_process: str = "fixed"
     tx_size_bytes: int | None = None
-    tx_size_range_bytes: tuple | None = None
+    tx_size_range_bytes: tuple[int, int] | None = None
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -142,9 +143,9 @@ class SimConfig:
     """One complete scenario: workload, nodes, cut rule, costs, and seed."""
 
     workload: WorkloadProfile
-    nodes: tuple
+    nodes: tuple[NodeProfile, ...]
     block_cut: BlockCutRule
-    cost: GroundTruthCost
+    cost: GroundTruthCost = GroundTruthCost()
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -347,8 +348,6 @@ def generate_training_dataset(base: SimConfig, block_sizes, tx_sizes, bandwidths
         raise ConfigError("training grid must not be empty")
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
-    from .model import NodeProfile
-
     chunks = []
     cells = itertools.product(block_sizes, tx_sizes, bandwidths)
     for cell, (bs, ts, bw) in enumerate(cells):

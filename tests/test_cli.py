@@ -277,6 +277,9 @@ def config_argv(command, config, model_path):
     ("pipeline", edited(PIPELINE, TRANSACTIONS,
                         {"count": 10, "size_range_bytes": [0, 5]}),
      "size_range_bytes"),
+    ("pipeline", edited(PIPELINE, TRANSACTIONS,
+                        {"count": -1, "size_range_bytes": [1, 5]}),
+     "count must be >= 0"),
     ("simulate", edited(SIMULATE, ("workload",),
                         {"arrival_rate_tps": 200.0, "total_tx": 20,
                          "tx_size_range_bytes": [1, "x"]}),
@@ -318,11 +321,47 @@ def config_argv(command, config, model_path):
     ("sensitivity", dict(SWEEP, fixed=[1]), "fixed"),
     ("sensitivity", dict(SWEEP, values=5), "values"),
     ("sensitivity", dict(SWEEP, limits=5), "limits"),
+    # A key that names no field, in each config object: every one of these
+    # configs ran, with the key ignored, before the one reader.
+    ("pipeline", dict(PIPELINE, surogate={"boost_rounds": 5}), "unknown key 'surogate'"),
+    ("sensitivity", dict(SWEEP, runs_per_pont=2), "unknown key 'runs_per_pont'"),
+    ("pipeline", edited(PIPELINE, ("instance", "limit"), {"ub": 5}),
+     "instance: unknown key 'limit'"),
+    ("optimize", edited(INSTANCE, TRANSACTIONS + ("count",), 12),
+     "transactions: unknown key 'count'"),
+    ("simulate", edited(SIMULATE, ("nodes", 0, "bandwith_bytes_per_sec"), 2.0e6),
+     "nodes[0]: unknown key 'bandwith_bytes_per_sec'"),
+    ("sensitivity", edited(SWEEP, ("limits", "lbb"), 3), "limits: unknown key 'lbb'"),
+    ("pipeline", edited(PIPELINE, ("workload", "arrival_proces"), "poisson"),
+     "workload: unknown key 'arrival_proces'"),
+    ("simulate", edited(SIMULATE, ("block_cut", "timeout"), 0.5),
+     "block_cut: unknown key 'timeout'"),
+    ("pipeline", dict(PIPELINE, cost={"vt_per_tx": 0.001}), "cost: unknown key 'vt_per_tx'"),
+    ("sensitivity", edited(SWEEP, ("train_grid", "replicate"), 3),
+     "train_grid: unknown key 'replicate'"),
+    ("sensitivity", edited(SWEEP, ("fixed", "bandwith"), 1.0e6),
+     "unknown factor 'bandwith'"),
+    ("train", {"surrogate": {"boost_round": 5}}, "surrogate: unknown key 'boost_round'"),
+    ("train", {"boost_round": 5}, "unknown key 'boost_round'"),
+    ("train", {"surrogate": {}, "holdout_fraction": 0.2},
+     "unknown key 'holdout_fraction'"),
+    ("optimize", edited(INSTANCE, ("ga", "population"), 12), "ga: unknown key 'population'"),
+    ("optimize", dict(INSTANCE, gaa={}), "unknown key 'gaa'"),
+    ("gen-data", edited(GEN_DATA, ("sim", "seed"), 3), "sim: unknown key 'seed'"),
+    ("gen-data", edited(GEN_DATA, ("grid", "replicate"), 3), "grid: unknown key 'replicate'"),
+    ("gen-data", dict(GEN_DATA, replicates=3), "unknown key 'replicates'"),
+    ("validate", {"scenarios": [dict(PIPELINE, neighbor_offsets=[-1, 0, 1])]},
+     "scenarios[0]: unknown key 'neighbor_offsets'"),
+    ("validate", {"scenarios": [PIPELINE], "neighbour_offsets": [0]},
+     "unknown key 'neighbour_offsets'"),
+    ("pipeline", {k: v for k, v in PIPELINE.items() if k != "workload"},
+     "missing required key 'workload'"),
 ])
 def test_bad_config_value_exits_1(tmp_path, capsys, model_path, command, config, key):
-    """A config value or section of the wrong type, or a value out of range,
-    exits 1 with one error line naming its key, before any work: nothing is
-    written. ``command`` may start with global flags."""
+    """A config value or section of the wrong type, a value out of range, an
+    unknown key or a missing one exits 1 with one error line naming its key,
+    before any work: nothing is written. ``command`` may start with global
+    flags."""
     *flags, command = command.split()
     argv = config_argv(command, write(tmp_path / "c.json", config), model_path)
     capsys.readouterr()
@@ -331,6 +370,14 @@ def test_bad_config_value_exits_1(tmp_path, capsys, model_path, command, config,
     assert err.startswith("error:") and key in err and err.count("\n") == 1
     assert "Traceback" not in err
     assert os.listdir(tmp_path) == ["c.json"]
+
+
+def test_bare_instance_with_ga_runs(tmp_path, model_path):
+    """optimize also takes the instance's own keys beside "ga" at the top
+    level, and searches exactly as with the {"instance", "ga"} form."""
+    bare = dict(INSTANCE["instance"], ga=INSTANCE["ga"])
+    assert run(tmp_path, "optimize", write(tmp_path / "i.json", bare), model_path) == 0
+    assert (tmp_path / "optimize.json").read_bytes() == PINNED_OPTIMIZE.read_bytes()
 
 
 @pytest.mark.parametrize("command", ["simulate", "gen-data", "train", "optimize",

@@ -7,6 +7,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from blocktune import _kernels
 from blocktune.configio import write_json
@@ -628,3 +630,21 @@ class TestDatasetIO:
         path = tmp_path / "d.csv"
         save_dataset(data, path)
         assert np.array_equal(load_dataset(path), data)
+
+    # Each example overwrites the same file, so sharing tmp_path is safe.
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.tuples(
+        # counts and bytes are exact in a float64 up to 2**53
+        st.integers(1, 2**53), st.integers(1, 2**53),
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        *[st.floats(min_value=0.0, allow_infinity=False)] * 3), max_size=8))
+    def test_roundtrip_any_valid_rows(self, tmp_path, rows):
+        """Any finite row the loader accepts comes back bit for bit: positive
+        integer counts and bytes, a positive bandwidth, non-negative targets."""
+        data = np.array(rows, dtype=np.float64).reshape(-1, 6)
+        path = tmp_path / "d.csv"
+        save_dataset(data, path)
+        loaded = load_dataset(path)
+        assert loaded.shape == data.shape
+        assert loaded.tobytes() == data.tobytes()
