@@ -10,7 +10,8 @@ duration; a run is reproducible from its manifest alone. Exit codes:
 Config files follow the schema in :mod:`blocktune.configio`. A key that
 names no field of its section is an error, like a missing required key or
 a value of the wrong type: it exits 1 with one line naming the key, before
-any work.
+any work. A model file that ``train`` or ``pipeline`` writes is read by
+the same rule, so a malformed one exits 1 the same way.
 
 Numeric knobs live in config files; the only global flags are --seed
 (overriding every internal seed derivation), --out-dir, --quiet, and
@@ -25,7 +26,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import configio, experiments, ga, simulator, surrogate
 from .configio import ManifestClock, RunManifest, resolve_seed, write_json
@@ -125,18 +126,18 @@ def cmd_train(args) -> int:
     config = configio.build_config(surrogate.SurrogateConfig, section, where)
     predictor = surrogate.fit_predictor(data, config)
     out = _out_path(args, args.out)
-    write_json(out, predictor.to_dict())
+    write_json(out, configio.to_json(predictor))
     report = predictor.fit_report
-    _emit(args, [f"fitted on {report['n_train']} samples "
-                 f"(holdout {report['n_holdout']}); train MSE "
-                 f"vt={report['train_mse']['vt']:.3e} "
-                 f"ct={report['train_mse']['ct']:.3e} "
-                 f"latency={report['train_mse']['latency']:.3e}",
+    _emit(args, [f"fitted on {report.n_train} samples "
+                 f"(holdout {report.n_holdout}); train MSE "
+                 f"vt={report.train_mse['vt']:.3e} "
+                 f"ct={report.train_mse['ct']:.3e} "
+                 f"latency={report.train_mse['latency']:.3e}",
                  f"model written to {out}"])
-    manifest = RunManifest("train", {"surrogate": config.__dict__},
+    manifest = RunManifest("train", {"surrogate": configio.to_json(config)},
                            {"root": config.rng_seed},
                            [args.dataset] + ([args.config] if args.config else []),
-                           [out], extra={"fit_report": report})
+                           [out], extra={"fit_report": configio.to_json(report)})
     _finish(args, manifest, clock, out)
     return EXIT_OK
 
@@ -185,7 +186,7 @@ def cmd_sensitivity(args) -> int:
     spec = configio.build_config(experiments.SweepSpec, raw, args.spec)
     result = experiments.run_sensitivity(spec)
     out = _out_path(args, args.out)
-    write_json(out, result.to_dict())
+    write_json(out, configio.to_json(result))
     series_path = str(out) + ".series.csv"
     result.write_series(series_path)
     _emit(args, result.summary_lines())
@@ -226,10 +227,12 @@ def cmd_validate(args) -> int:
 
 def cmd_pipeline(args) -> int:
     clock = ManifestClock()
-    raw = configio.load_json(args.config)
+    # neighbor_offsets is a key of the file, not of the scenario
+    raw = configio.check_keys(
+        configio.load_json(args.config),
+        [f.name for f in fields(experiments.Scenario)] + ["neighbor_offsets"], args.config)
     raw = dict(raw, rng_seed=resolve_seed(args.seed, raw.get("rng_seed")))
     offsets = experiments.read_neighbor_offsets(raw)
-    # neighbor_offsets is a key of the file, not of the scenario
     scenario = configio.build_config(
         experiments.Scenario,
         {k: v for k, v in raw.items() if k != "neighbor_offsets"}, args.config)
@@ -239,7 +242,7 @@ def cmd_pipeline(args) -> int:
     dataset_path = _out_path(args, "dataset.csv")
     surrogate.save_dataset(outcome.samples, dataset_path)
     model_path = _out_path(args, "model.json")
-    write_json(model_path, outcome.predictor.to_dict())
+    write_json(model_path, configio.to_json(outcome.predictor))
     optimize_path = _out_path(args, "optimize.json")
     write_json(optimize_path, outcome.ga_result.to_dict())
 

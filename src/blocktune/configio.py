@@ -6,9 +6,12 @@ default is required. ``int`` takes an integer; ``float`` any number, stored
 as a float; ``Real`` any number, kept as written; ``str`` a string;
 ``tuple[int, int]`` a list of exactly two integers and ``tuple[float,
 ...]`` a list of any length; ``dict[str, float]`` an object of numbers;
-``X | None`` also null; a nested dataclass an object read by the same rule;
-``rng_seed`` an integer in [0, 2**32). Range checks live in each
-dataclass's ``__post_init__``. Only two forms are read by hand:
+``X | None`` also null; ``np.ndarray`` a list of numbers, read as float64;
+a nested dataclass an object read by the same rule; ``rng_seed`` an integer
+in [0, 2**32). A number may not be NaN, which Python's ``json`` parses;
+``Infinity`` and ``-Infinity`` read as floats, and range checks that reject
+them live with the others in each dataclass's ``__post_init__``. Only two
+forms are read by hand:
 
 * ``transactions`` is ``{"sizes_bytes": [...]}``, ``{"count": N,
   "size_bytes": s}`` or ``{"count": N, "size_range_bytes": [lo, hi],
@@ -25,6 +28,10 @@ Transaction and node ids are implicit by position. For example, an
     {"arrival_process": "fixed" | "poisson", "arrival_rate_tps": 400.0,
      "total_tx": 1200, "tx_size_bytes": 1024, "rng_seed": 3}
 
+:func:`to_json` is the one writer, and it runs the rule backwards: a
+dataclass becomes an object of its fields, and a tuple or an array a list.
+So reading what it writes and writing that again gives the same JSON.
+
 Seeds resolve in priority order --seed flag > BLOCKTUNE_SEED environment
 variable > config file value, and must lie in [0, 2**32); sub-seeds always
 derive deterministically from the resolved root seed
@@ -33,6 +40,7 @@ derive deterministically from the resolved root seed
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
@@ -103,8 +111,10 @@ def load_json(path) -> dict:
 
 def check_number(value, where: str, integer: bool = False):
     """``value``, which must be an integer or, unless ``integer``, any real
-    number (a bool is neither); ``where`` names it in the error."""
-    if isinstance(value, bool) or not isinstance(value, Integral if integer else Real):
+    number other than NaN (a bool is neither); ``where`` names it in the
+    error."""
+    if (isinstance(value, bool) or not isinstance(value, Integral if integer else Real)
+            or value != value):
         raise ConfigError(f"{where} must be {'an integer' if integer else 'a number'}, "
                           f"got {value!r}")
     return value
@@ -133,11 +143,18 @@ def check_keys(d, keys, where: str) -> dict:
     return d
 
 
+@functools.cache
+def _type_hints(cls) -> dict:
+    """``typing.get_type_hints(cls)``, evaluated once per class: a stored
+    model reads the tree class once per tree."""
+    return typing.get_type_hints(cls)
+
+
 def build_config(cls, d, where: str, **given):
     """The dataclass ``cls`` read from the JSON object ``d`` by the rule in
     the module docstring. ``given`` sets fields that the file does not: a
     key of ``d`` that names one is unknown. ``where`` names ``d`` in errors."""
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     read = [f for f in fields(cls) if f.init and f.name not in given]
     check_keys(d, [f.name for f in read], where)
     kwargs = dict(given)
@@ -174,6 +191,9 @@ def read_value(hint, value, where: str):
     if origin is dict:
         return {key: read_value(args[1], v, f"{where}.{key}")
                 for key, v in check_object(value, where).items()}
+    if hint is np.ndarray:
+        return np.array([check_number(v, f"{where}[{i}]")
+                         for i, v in enumerate(check_list(value, where))], dtype=np.float64)
     if is_dataclass(hint):
         return build_config(hint, value, where)
     if hint is int:
@@ -187,6 +207,22 @@ def read_value(hint, value, where: str):
             raise ConfigError(f"{where} must be a string, got {value!r}")
         return value
     raise TypeError(f"{where}: the config reader has no rule for type {hint!r}")
+
+
+def to_json(value):
+    """The JSON form of ``value``, by the reader's rule run backwards: a
+    dataclass becomes an object of its fields, and a tuple, list or array a
+    list. An object keeps its keys. Members are written by the same rule,
+    and any other value is returned as it is."""
+    if is_dataclass(value):
+        return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [to_json(v) for v in value]
+    if isinstance(value, dict):
+        return {key: to_json(v) for key, v in value.items()}
+    return value
 
 
 @dataclass(frozen=True)

@@ -139,22 +139,6 @@ class SweepResult:
     stabilization_index: float | None
     rng_seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "varied_factor": self.varied_factor,
-            "rng_seed": self.rng_seed,
-            "spearman": self.spearman,
-            "stabilization_index": self.stabilization_index,
-            "points": [
-                {"value": p.value, "run_index": p.run_index,
-                 "recommended_block_size": p.recommended_block_size,
-                 "best_fitness": p.best_fitness, "data_seed": p.data_seed,
-                 "ga_seed": p.ga_seed, "n_samples": p.n_samples,
-                 "extrapolation_fraction": p.extrapolation_fraction}
-                for p in self.points
-            ],
-        }
-
     def write_series(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("value,run_index,recommended_block_size,best_fitness\n")

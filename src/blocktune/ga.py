@@ -99,15 +99,6 @@ class GaResult:
         }
 
 
-def _check_instance_feasible(instance: ProblemInstance):
-    # ProblemInstance construction already enforces these; repeated here so
-    # search entry points fail loudly even on hand-built instances.
-    if instance.nb * instance.limits.ub < instance.n:
-        raise InfeasibleInstanceError("not enough block capacity for all transactions")
-    if int(instance.sizes.max()) > instance.limits.cb:
-        raise InfeasibleInstanceError("a transaction exceeds the block byte cap")
-
-
 def _repair_array(instance: ProblemInstance, arr: np.ndarray) -> np.ndarray:
     """Make the assignment ``arr`` feasible in place, moving transactions out
     of overloaded blocks, and return it; feasible input is left unchanged."""
@@ -155,7 +146,6 @@ def initialize_population(instance: ProblemInstance, config: GaConfig) -> np.nda
     transactions assigned in a random order to uniformly random blocks,
     then repaired. Member seeds derive deterministically from the config
     seed."""
-    _check_instance_feasible(instance)
     seeds = np.random.SeedSequence(config.rng_seed).spawn(config.population_size)
     population = np.empty((config.population_size, instance.n), dtype=np.int64)
     for row, seq in zip(population, seeds):
@@ -258,7 +248,6 @@ def brute_force_optimum(instance: ProblemInstance, predictor,
 
     Refuses instances where nb ** n exceeds ``budget``.
     """
-    _check_instance_feasible(instance)
     n, nb = instance.n, instance.nb
     total = nb ** n
     if total > budget:

@@ -37,10 +37,17 @@ table never costs more than one walk of the training set; above that
 bound the predictor answers with the model's walk. The polynomial is
 evaluated directly.
 
-``PerformancePredictor.from_dict`` checks a stored model before building
-it: every key present, each tree's arrays of one length, features in
-range, finite thresholds and values, and every internal node's children
-after it, so that every walk ends.
+The model classes are dataclasses whose fields are the stored model's
+keys, so :func:`blocktune.configio.build_config` reads a stored model and
+:func:`blocktune.configio.to_json` writes one, by the rule every config
+follows. Each ``__post_init__`` checks what a type hint cannot say: each
+tree's arrays of one length, integer-valued where they count or index,
+features in range, finite values and every internal node's children after
+it, so that every walk ends; the polynomial's exponents equal to its
+degree's monomials, one finite coefficient each and three finite means and
+positive scales; a learning rate in (0, 1]; three feature ranges; and each
+model's ``family``. :meth:`PerformancePredictor.load` raises DatasetError
+naming the file and the key.
 
 Fitting is deterministic given identical samples and hyperparameters, and
 fitted models are immutable, so predictors can be shared freely between
@@ -50,29 +57,26 @@ concurrent evaluators.
 from __future__ import annotations
 
 import functools
-import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import _kernels
-from .errors import DatasetError, FitError
+from . import _kernels, configio
+from .errors import ConfigError, DatasetError, FitError
 
 FEATURE_NAMES = ("tx_count", "block_bytes", "bandwidth")
 DATASET_COLUMNS = ("tx_count", "block_bytes", "bandwidth", "vt_s", "ct_s", "latency_s")
-_TREE_ARRAYS = ("feature", "threshold", "left", "right", "value", "n_samples")
+POLY_DEGREES = (1, 2, 3)
 
 _GAIN_EPS = 1e-12
 
 
-def _require(d, keys, where: str):
-    """Raise DatasetError naming ``where`` unless ``d`` is a dict holding
-    every key of ``keys``."""
-    if not isinstance(d, dict):
-        raise DatasetError(f"{where}: expected an object")
-    for key in keys:
-        if key not in d:
-            raise DatasetError(f"{where}: missing key {key!r}")
+def _check_family(model):
+    """Reject a stored model whose ``family`` is not its class's own."""
+    own = next(f.default for f in fields(model) if f.name == "family")
+    if model.family != own:
+        raise ConfigError(f"family must be {own!r}, got {model.family!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -185,38 +189,48 @@ def _design_matrix(z, exponents):
     return np.column_stack(cols)
 
 
+@dataclass(eq=False)
 class PolynomialModel:
     """Least-squares polynomial over the monomial expansion of the three
     features, fitted on internally standardized inputs."""
 
-    def __init__(self, degree, exponents, coefficients, feature_mean, feature_scale):
-        self.degree = degree
-        self.exponents = [tuple(e) for e in exponents]
-        self.coefficients = np.asarray(coefficients, dtype=np.float64)
-        self.feature_mean = np.asarray(feature_mean, dtype=np.float64)
-        self.feature_scale = np.asarray(feature_scale, dtype=np.float64)
+    degree: int
+    exponents: tuple[tuple[int, int, int], ...]
+    coefficients: np.ndarray
+    feature_mean: np.ndarray
+    feature_scale: np.ndarray
+    family: str = "polynomial"
+
+    def __post_init__(self):
+        _check_family(self)
+        if self.degree not in POLY_DEGREES:
+            raise ConfigError(f"degree must be one of {POLY_DEGREES}, got {self.degree}")
+        exponents = _monomial_exponents(self.degree)
+        if [tuple(e) for e in self.exponents] != exponents:
+            raise ConfigError(f"exponents: expected the {len(exponents)} monomials "
+                              f"of degree {self.degree} in order, got {self.exponents!r}")
+        self.exponents = tuple(exponents)
+        self.coefficients = np.asarray(self.coefficients, dtype=np.float64)
+        self.feature_mean = np.asarray(self.feature_mean, dtype=np.float64)
+        self.feature_scale = np.asarray(self.feature_scale, dtype=np.float64)
+        if self.coefficients.shape != (len(exponents),):
+            raise ConfigError(f"coefficients: expected {len(exponents)}, one per "
+                              f"exponent, got {self.coefficients.size}")
+        if not np.isfinite(self.coefficients).all():
+            raise ConfigError("coefficients: not finite")
+        n = len(FEATURE_NAMES)
+        if self.feature_mean.shape != (n,) or not np.isfinite(self.feature_mean).all():
+            raise ConfigError(f"feature_mean: expected {n} finite values, "
+                              f"got {self.feature_mean.tolist()!r}")
+        scale = self.feature_scale
+        if scale.shape != (n,) or not (np.isfinite(scale) & (scale > 0)).all():
+            raise ConfigError(f"feature_scale: expected {n} finite positive values, "
+                              f"got {scale.tolist()!r}")
 
     def predict(self, points) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         z = (points - self.feature_mean) / self.feature_scale
         return _design_matrix(z, self.exponents) @ self.coefficients
-
-    def to_dict(self) -> dict:
-        return {
-            "family": "polynomial",
-            "degree": self.degree,
-            "exponents": [list(e) for e in self.exponents],
-            "coefficients": self.coefficients.tolist(),
-            "feature_mean": self.feature_mean.tolist(),
-            "feature_scale": self.feature_scale.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict, where: str = "polynomial") -> "PolynomialModel":
-        _require(d, ("degree", "exponents", "coefficients", "feature_mean",
-                     "feature_scale"), where)
-        return cls(d["degree"], [tuple(e) for e in d["exponents"]],
-                   d["coefficients"], d["feature_mean"], d["feature_scale"])
 
 
 def fit_polynomial(points, targets, degree: int = 2) -> PolynomialModel:
@@ -229,7 +243,7 @@ def fit_polynomial(points, targets, degree: int = 2) -> PolynomialModel:
     order. Of a collinear set, that names the later members, which may not be
     the ones a pivoted QR would name.
     """
-    if degree not in (1, 2, 3):
+    if degree not in POLY_DEGREES:
         raise FitError(f"polynomial degree must be 1, 2 or 3, got {degree}")
     points = np.asarray(points, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -268,42 +282,7 @@ def fit_polynomial(points, targets, degree: int = 2) -> PolynomialModel:
 # regression trees and boosting
 # ---------------------------------------------------------------------------
 
-def _check_tree(d, where: str):
-    """Reject a stored tree that the walk could not answer for."""
-    _require(d, _TREE_ARRAYS + ("max_depth", "min_samples_leaf"), where)
-    arrays = {}
-    for key in _TREE_ARRAYS:
-        try:
-            a = np.asarray(d[key], dtype=np.float64)
-        except (TypeError, ValueError):
-            a = None
-        if a is None or a.ndim != 1:
-            raise DatasetError(f"{where}: {key}: expected a list of numbers")
-        if not np.isfinite(a).all():
-            raise DatasetError(f"{where}: {key}: not finite")
-        if key not in ("threshold", "value") and (a != np.trunc(a)).any():
-            raise DatasetError(f"{where}: {key}: expected integers")
-        arrays[key] = a
-    n = arrays["feature"].size
-    if n == 0:
-        raise DatasetError(f"{where}: feature: a tree needs at least one node")
-    for key, a in arrays.items():
-        if a.size != n:
-            raise DatasetError(f"{where}: {key}: {a.size} entries, feature has {n}")
-    feature = arrays["feature"]
-    if ((feature < -1) | (feature >= len(FEATURE_NAMES))).any():
-        raise DatasetError(
-            f"{where}: feature: must be -1 (leaf) or a feature index below "
-            f"{len(FEATURE_NAMES)}")
-    internal = np.flatnonzero(feature >= 0)
-    for key in ("left", "right"):
-        child = arrays[key][internal]
-        if ((child <= internal) | (child >= n)).any():
-            raise DatasetError(
-                f"{where}: {key}: an internal node's child must lie after it and "
-                f"below {n}")
-
-
+@dataclass(eq=False)
 class RegressionTree:
     """A CART-style regression tree in flat-array form.
 
@@ -313,16 +292,43 @@ class RegressionTree:
     feature values.
     """
 
-    def __init__(self, feature, threshold, left, right, value, n_samples,
-                 max_depth, min_samples_leaf):
-        self.feature = np.asarray(feature, dtype=np.int64)
-        self.threshold = np.asarray(threshold, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.int64)
-        self.right = np.asarray(right, dtype=np.int64)
-        self.value = np.asarray(value, dtype=np.float64)
-        self.n_samples = np.asarray(n_samples, dtype=np.int64)
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    n_samples: np.ndarray
+    max_depth: int
+    min_samples_leaf: int
+    family: str = "tree"
+
+    def __post_init__(self):
+        """Reject a tree the walk could not answer for; ``feature``,
+        ``left``, ``right`` and ``n_samples`` become int64 arrays."""
+        _check_family(self)
+        n = len(self.feature)
+        if n == 0:
+            raise ConfigError("feature: a tree needs at least one node")
+        for name in ("feature", "threshold", "left", "right", "value", "n_samples"):
+            a = np.asarray(getattr(self, name), dtype=np.float64)
+            if a.shape != (n,):
+                raise ConfigError(f"{name}: {a.size} entries, feature has {n}")
+            if not np.isfinite(a).all():
+                raise ConfigError(f"{name}: not finite")
+            if name not in ("threshold", "value"):
+                if (a != np.trunc(a)).any():
+                    raise ConfigError(f"{name}: expected integers")
+                a = a.astype(np.int64)
+            setattr(self, name, a)
+        if ((self.feature < -1) | (self.feature >= len(FEATURE_NAMES))).any():
+            raise ConfigError(f"feature: must be -1 (leaf) or a feature index below "
+                              f"{len(FEATURE_NAMES)}")
+        internal = np.flatnonzero(self.feature >= 0)
+        for name in ("left", "right"):
+            child = getattr(self, name)[internal]
+            if ((child <= internal) | (child >= n)).any():
+                raise ConfigError(f"{name}: an internal node's child must lie after "
+                                  f"it and below {n}")
 
     @property
     def n_nodes(self) -> int:
@@ -332,26 +338,6 @@ class RegressionTree:
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         return _kernels.tree_predict(self.feature, self.threshold, self.left,
                                      self.right, self.value, points)
-
-    def to_dict(self) -> dict:
-        return {
-            "family": "tree",
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-            "n_samples": self.n_samples.tolist(),
-            "max_depth": self.max_depth,
-            "min_samples_leaf": self.min_samples_leaf,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict, where: str = "tree") -> "RegressionTree":
-        _check_tree(d, where)
-        return cls(d["feature"], d["threshold"], d["left"], d["right"],
-                   d["value"], d["n_samples"], d["max_depth"],
-                   d["min_samples_leaf"])
 
 
 def group_rows(points):
@@ -429,6 +415,7 @@ def fit_tree(points, targets, max_depth: int = 6,
                           min_samples_leaf=min_samples_leaf)
 
 
+@dataclass(eq=False)
 class BoostedEnsemble:
     """Squared-error gradient boosting over depth-limited regression trees.
 
@@ -436,11 +423,18 @@ class BoostedEnsemble:
     per-round trees; the recorded training MSE trace is non-increasing.
     """
 
-    def __init__(self, base_value, trees, learning_rate, train_mse):
-        self.base_value = float(base_value)
-        self.trees = list(trees)
-        self.learning_rate = float(learning_rate)
-        self.train_mse = list(train_mse)
+    base_value: float
+    trees: tuple[RegressionTree, ...]
+    learning_rate: float
+    train_mse: tuple[float, ...]
+    family: str = "boosted"
+
+    def __post_init__(self):
+        _check_family(self)
+        if not math.isfinite(self.base_value):
+            raise ConfigError(f"base_value must be finite, got {self.base_value}")
+        if not 0 < self.learning_rate <= 1:
+            raise ConfigError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
 
     def predict(self, points) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -448,24 +442,6 @@ class BoostedEnsemble:
         for tree in self.trees:
             out += self.learning_rate * tree.predict(points)
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "family": "boosted",
-            "base_value": self.base_value,
-            "learning_rate": self.learning_rate,
-            "train_mse": self.train_mse,
-            "trees": [t.to_dict() for t in self.trees],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict, where: str = "boosted") -> "BoostedEnsemble":
-        _require(d, ("base_value", "learning_rate", "train_mse", "trees"), where)
-        if not isinstance(d["trees"], list):
-            raise DatasetError(f"{where}: trees: expected a list")
-        trees = [RegressionTree.from_dict(t, f"{where}.trees[{i}]")
-                 for i, t in enumerate(d["trees"])]
-        return cls(d["base_value"], trees, d["learning_rate"], d["train_mse"])
 
 
 def fit_boosted(points, targets, rounds: int = 100, learning_rate: float = 0.1,
@@ -501,7 +477,7 @@ def fit_boosted(points, targets, rounds: int = 100, learning_rate: float = 0.1,
         residuals = residuals - learning_rate * tree.predict(unique)[inverse]
         trees.append(tree)
         train_mse.append(float(np.mean(residuals ** 2)))
-    return BoostedEnsemble(base, trees, learning_rate, train_mse)
+    return BoostedEnsemble(base, tuple(trees), learning_rate, tuple(train_mse))
 
 
 # ---------------------------------------------------------------------------
@@ -540,25 +516,43 @@ class SurrogateConfig:
     rng_seed: int = 0
 
 
+@dataclass(frozen=True)
+class FitReport:
+    """The row counts a predictor was fitted on, and each model's mean
+    squared error on the training and the holdout rows, keyed by target
+    (``vt``, ``ct``, ``latency``); a holdout MSE is None without holdout."""
+
+    n_samples: int
+    n_train: int
+    n_holdout: int
+    train_mse: dict[str, float]
+    holdout_mse: dict[str, float | None]
+
+
+@dataclass(eq=False)
 class PerformancePredictor:
     """The fitted performance functions used inside the optimizer.
 
     ``f`` (storing time) is the clamped sum of the validation-time and
     committing-time model outputs; ``g`` (latency) is the clamped latency
-    model output. ``feature_ranges`` records the training envelope so
-    callers can flag extrapolating queries in their reports.
+    model output. ``feature_ranges`` records the training envelope, one
+    [low, high] pair per feature, so callers can flag extrapolating queries
+    in their reports.
     """
 
-    def __init__(self, vt_model: BoostedEnsemble, ct_model: PolynomialModel,
-                 latency_model: RegressionTree, feature_ranges,
-                 fit_report: dict | None = None):
-        self.vt_model = vt_model
-        self.ct_model = ct_model
-        self.latency_model = latency_model
-        self.feature_ranges = np.asarray(feature_ranges, dtype=np.float64)
-        self.fit_report = fit_report or {}
-        self._vt = _cell_lookup(vt_model, vt_model.trees)
-        self._latency = _cell_lookup(latency_model, [latency_model])
+    vt_model: BoostedEnsemble
+    ct_model: PolynomialModel
+    latency_model: RegressionTree
+    feature_ranges: tuple[tuple[float, float], ...]
+    fit_report: FitReport | None = None
+
+    def __post_init__(self):
+        if len(self.feature_ranges) != len(FEATURE_NAMES):
+            raise ConfigError(f"feature_ranges: expected {len(FEATURE_NAMES)} "
+                              f"[low, high] pairs, got {len(self.feature_ranges)}")
+        self._lo, self._hi = np.array(self.feature_ranges, dtype=np.float64).T
+        self._vt = _cell_lookup(self.vt_model, self.vt_model.trees)
+        self._latency = _cell_lookup(self.latency_model, [self.latency_model])
 
     def _rows(self, points) -> np.ndarray:
         return np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -575,39 +569,16 @@ class PerformancePredictor:
     def extrapolation_mask(self, points) -> np.ndarray:
         """True per row when any feature falls outside the training range."""
         rows = self._rows(points)
-        lo, hi = self.feature_ranges[:, 0], self.feature_ranges[:, 1]
-        return ((rows < lo) | (rows > hi)).any(axis=1)
-
-    def to_dict(self) -> dict:
-        return {
-            "vt_model": self.vt_model.to_dict(),
-            "ct_model": self.ct_model.to_dict(),
-            "latency_model": self.latency_model.to_dict(),
-            "feature_ranges": self.feature_ranges.tolist(),
-            "fit_report": self.fit_report,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict, source: str = "model") -> "PerformancePredictor":
-        """Build a predictor from :meth:`to_dict` output; a malformed model
-        raises DatasetError naming ``source``, the model and the key."""
-        _require(d, ("vt_model", "ct_model", "latency_model", "feature_ranges"),
-                 source)
-        return cls(BoostedEnsemble.from_dict(d["vt_model"], f"{source}: vt_model"),
-                   PolynomialModel.from_dict(d["ct_model"], f"{source}: ct_model"),
-                   RegressionTree.from_dict(d["latency_model"],
-                                            f"{source}: latency_model"),
-                   d["feature_ranges"], d.get("fit_report"))
+        return ((rows < self._lo) | (rows > self._hi)).any(axis=1)
 
     @classmethod
     def load(cls, path) -> "PerformancePredictor":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                d = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(
-                    f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-        return cls.from_dict(d, str(path))
+        """The predictor stored at ``path`` by :func:`configio.to_json`; a
+        malformed file raises DatasetError naming the file and the key."""
+        try:
+            return configio.build_config(cls, configio.load_json(path), str(path))
+        except ConfigError as exc:
+            raise DatasetError(str(exc)) from None
 
 
 def fit_predictor(data, config: SurrogateConfig = SurrogateConfig()
@@ -645,7 +616,7 @@ def fit_predictor(data, config: SurrogateConfig = SurrogateConfig()
     latency_model = fit_tree(tp, lat[train], max_depth=config.tree_max_depth,
                              min_samples_leaf=config.tree_min_samples_leaf)
 
-    ranges = np.column_stack([points.min(axis=0), points.max(axis=0)])
+    ranges = tuple(zip(points.min(axis=0).tolist(), points.max(axis=0).tolist()))
     predictor = PerformancePredictor(vt_model, ct_model, latency_model, ranges)
 
     def _mse(predict, idx, target):
@@ -653,15 +624,15 @@ def fit_predictor(data, config: SurrogateConfig = SurrogateConfig()
             return None
         return float(np.mean((predict(points[idx]) - target[idx]) ** 2))
 
-    predictor.fit_report = {
-        "n_samples": int(n),
-        "n_train": int(train.size),
-        "n_holdout": int(hold.size),
-        "train_mse": {"vt": _mse(predictor._vt, train, vt),
-                      "ct": _mse(ct_model.predict, train, ct),
-                      "latency": _mse(predictor._latency, train, lat)},
-        "holdout_mse": {"vt": _mse(predictor._vt, hold, vt),
-                        "ct": _mse(ct_model.predict, hold, ct),
-                        "latency": _mse(predictor._latency, hold, lat)},
-    }
+    predictor.fit_report = FitReport(
+        n_samples=int(n),
+        n_train=int(train.size),
+        n_holdout=int(hold.size),
+        train_mse={"vt": _mse(predictor._vt, train, vt),
+                   "ct": _mse(ct_model.predict, train, ct),
+                   "latency": _mse(predictor._latency, train, lat)},
+        holdout_mse={"vt": _mse(predictor._vt, hold, vt),
+                     "ct": _mse(ct_model.predict, hold, ct),
+                     "latency": _mse(predictor._latency, hold, lat)},
+    )
     return predictor

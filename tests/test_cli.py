@@ -118,8 +118,8 @@ class TestExitCodes:
 
 
 class TestMalformedModel:
-    """A model file the tree walk could not answer for exits 1 with one
-    error line, before any prediction."""
+    """A malformed model file, such as one the tree walk could not answer
+    for, exits 1 with one error line, before any prediction."""
 
     def broken_model(self, tmp_path, model_path, edit):
         d = load(model_path)
@@ -154,6 +154,26 @@ class TestMalformedModel:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "vt_model.trees[" in err and key in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key, edit", [
+        # a matmul traceback before the model classes were read by the
+        # config reader
+        ("ct_model: coefficients", lambda d: d["ct_model"]["coefficients"].pop()),
+        # exit 0 and "best_fitness": NaN before
+        ("ct_model: feature_scale",
+         lambda d: d["ct_model"]["feature_scale"].__setitem__(0, 0)),
+    ])
+    def test_broken_model_exits_1(self, tmp_path, model_path, instance_path, capsys,
+                                  key, edit):
+        d = load(model_path)
+        edit(d)
+        model = write(tmp_path / "broken.json", d)
+        capsys.readouterr()
+        assert run(tmp_path, "optimize", instance_path, model) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}") and key in err and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "optimize.json").exists()
 
 
 class TestSeedPriority:
@@ -356,6 +376,14 @@ def config_argv(command, config, model_path):
      "unknown key 'neighbour_offsets'"),
     ("pipeline", {k: v for k, v in PIPELINE.items() if k != "workload"},
      "missing required key 'workload'"),
+    # the file's own key is among the known keys
+    ("pipeline", dict(PIPELINE, neighbour_offsets=[0]),
+     "unknown key 'neighbour_offsets' (known keys: instance, workload, block_cut, "
+     "train_grid, name, cost, surrogate, ga, rng_seed, neighbor_offsets)"),
+    # NaN parses as JSON; before the reader rejected it, this run ended in a
+    # ZeroDivisionError traceback
+    ("simulate", edited(SIMULATE, ("workload", "arrival_rate_tps"), float("nan")),
+     "workload.arrival_rate_tps must be a number, got nan"),
 ])
 def test_bad_config_value_exits_1(tmp_path, capsys, model_path, command, config, key):
     """A config value or section of the wrong type, a value out of range, an

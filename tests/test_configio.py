@@ -6,6 +6,7 @@ import typing
 from dataclasses import fields, is_dataclass
 from numbers import Real
 
+import numpy as np
 import pytest
 
 from blocktune import cli, configio, experiments, ga, simulator, surrogate
@@ -16,7 +17,8 @@ from blocktune.model import NodeProfile, ProblemInstance
 # fields nest are found by walking the fields.
 ROOTS = (experiments.Scenario, experiments.SweepSpec, cli.DataGrid,
          simulator.SimConfig, ga.GaConfig, surrogate.SurrogateConfig, ProblemInstance,
-         NodeProfile, *configio.TRANSACTION_FORMS.values())
+         NodeProfile, *configio.TRANSACTION_FORMS.values(),
+         surrogate.PerformancePredictor)
 
 
 def has_rule(hint, nested: list) -> bool:
@@ -37,7 +39,7 @@ def has_rule(hint, nested: list) -> bool:
     if is_dataclass(hint):
         nested.append(hint)
         return True
-    return hint in (int, float, Real, str)
+    return hint in (int, float, Real, str, np.ndarray)
 
 
 def read_fields(cls):
@@ -78,6 +80,8 @@ def test_nested_config_classes_are_reached():
     (tuple[int, int], [1, 2], (1, 2)),
     (float | None, None, None),
     (dict[str, float], {"a": 1}, {"a": 1.0}),
+    (np.ndarray, [1, 2.5], np.array([1.0, 2.5])),
+    (float, float("inf"), float("inf")),
 ])
 def test_read_value(hint, value, expected):
     assert repr(configio.read_value(hint, value, "x")) == repr(expected)  # types too
@@ -90,6 +94,9 @@ def test_read_value(hint, value, expected):
     (tuple[int, int], [1, 2, 3], "x must be a list of 2 values"),
     (tuple[int, ...], [1, "a"], r"x\[1\] must be an integer"),
     (dict[str, float], {"a": "b"}, "x.a must be a number"),
+    (float, float("nan"), "x must be a number, got nan"),
+    (Real, float("nan"), "x must be a number, got nan"),
+    (np.ndarray, [1, "a"], r"x\[1\] must be a number"),
 ])
 def test_read_value_rejects(hint, value, message):
     with pytest.raises(ConfigError, match=message):

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from blocktune import experiments
+from blocktune import configio, experiments
 from blocktune.experiments import SweepPoint, SweepSpec, _spearman
 
 SWEEP = {"varied_factor": "tx_size", "values": [500, 1000, 2000, 4000],
@@ -41,7 +41,7 @@ def test_sensitivity_reports_spearman(monkeypatch):
                           best_fitness=1.0, data_seed=0, ga_seed=0, n_samples=0,
                           extrapolation_fraction=0.0)
     monkeypatch.setattr(experiments, "run_point", run_point)
-    summary = experiments.run_sensitivity(SweepSpec.from_dict(SWEEP)).to_dict()
+    summary = configio.to_json(experiments.run_sensitivity(SweepSpec.from_dict(SWEEP)))
     # recommendations 1 2 | 2 3 | 4 5 | 8 9 rank 1 2.5 2.5 4 5 6 7 8, values
     # rank 1.5 1.5 3.5 3.5 5.5 5.5 7.5 7.5: covariance sum 39, squared
     # deviation sums 40 and 41.5

@@ -4,11 +4,7 @@ near-optimality against exhaustive enumeration."""
 import numpy as np
 import pytest
 
-from blocktune.errors import (
-    BlocktuneError,
-    EnumerationBudgetError,
-    InfeasibleInstanceError,
-)
+from blocktune.errors import BlocktuneError, EnumerationBudgetError
 from blocktune.ga import (
     GaConfig,
     _population_fitness,
@@ -271,13 +267,6 @@ class TestRun:
                           stagnation_limit=5, rng_seed=0)
         result = run(inst, affine_stub(), config)
         assert result.generations_run <= 10
-
-    def test_infeasible_instance_rejected_before_search(self):
-        inst = make_instance([100, 200, 300], lb=1, ub=2)
-        stub = affine_stub()
-        object.__setattr__(inst.limits, "ub", 0)
-        with pytest.raises(InfeasibleInstanceError):
-            run(inst, stub, small_config())
 
 
 class TestBruteForce:

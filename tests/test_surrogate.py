@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from blocktune import _kernels
-from blocktune.configio import write_json
+from blocktune.configio import build_config, to_json, write_json
 from blocktune.errors import DatasetError, FitError
 from blocktune.model import NodeProfile
 from blocktune.simulator import (
@@ -134,12 +134,6 @@ class TestPolynomial:
         with pytest.raises(FitError):
             fit_polynomial(grid_points(), np.ones(60), degree=4)
 
-    def test_roundtrip(self):
-        points = grid_points()
-        model = fit_polynomial(points, points[:, 0] * 0.1, degree=2)
-        clone = PolynomialModel.from_dict(model.to_dict())
-        np.testing.assert_array_equal(model.predict(points), clone.predict(points))
-
 
 class TestRegressionTree:
     def test_single_sample_single_leaf(self):
@@ -253,12 +247,6 @@ class TestBoosting:
         with pytest.raises(FitError):
             fit_boosted(grid_points(n=10), np.ones(10), learning_rate=0.0)
 
-    def test_roundtrip(self):
-        points = grid_points(n=40)
-        model = fit_boosted(points, points[:, 0] * 0.01, rounds=10)
-        clone = BoostedEnsemble.from_dict(model.to_dict())
-        np.testing.assert_array_equal(model.predict(points), clone.predict(points))
-
 
 def _stub_predictor(vt=0.01, ct=0.02, latency=0.5, ranges=None):
     """Predictor built from constant models with known outputs."""
@@ -315,7 +303,7 @@ class TestPredictor:
         data = dataset(points, 0.002 * points[:, 0], 1e-8 * points[:, 1], 0.05)
         a = fit_predictor(data, SurrogateConfig(boost_rounds=20))
         b = fit_predictor(data, SurrogateConfig(boost_rounds=20))
-        assert a.to_dict() == b.to_dict()
+        assert to_json(a) == to_json(b)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(FitError, match="empty"):
@@ -336,7 +324,7 @@ class TestPredictor:
     def test_save_load_roundtrip(self, tmp_path):
         p = _stub_predictor()
         path = tmp_path / "model.json"
-        write_json(path, p.to_dict())
+        write_json(path, to_json(p))
         clone = PerformancePredictor.load(path)
         q = np.array([[3.0, 400.0, 2e6]])
         np.testing.assert_array_equal(p.predict_f_batch(q), clone.predict_f_batch(q))
@@ -347,8 +335,24 @@ class TestPredictor:
         points = grid_points(rng, n=100)
         p = fit_predictor(dataset(points, 0.01, 0.02, 0.03),
                           SurrogateConfig(holdout_fraction=0.25))
-        assert p.fit_report["n_holdout"] == 25
-        assert p.fit_report["holdout_mse"]["vt"] == pytest.approx(0.0, abs=1e-12)
+        assert p.fit_report.n_holdout == 25
+        assert p.fit_report.holdout_mse["vt"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_json_round_trip(self, tmp_path):
+        """A fitted predictor read back from its JSON writes the same JSON,
+        and each of its models predicts as the fitted one does."""
+        rng = np.random.default_rng(59)
+        points = grid_points(rng, n=100)
+        p = fit_predictor(dataset(points, 0.001 * points[:, 0], 1e-8 * points[:, 1],
+                                  0.01 + 1e-7 * points[:, 1]),
+                          SurrogateConfig(boost_rounds=10, holdout_fraction=0.2))
+        path = tmp_path / "model.json"
+        write_json(path, to_json(p))
+        clone = PerformancePredictor.load(path)
+        assert to_json(clone) == to_json(p)
+        for name in ("vt_model", "ct_model", "latency_model"):
+            np.testing.assert_array_equal(getattr(clone, name).predict(points),
+                                          getattr(p, name).predict(points))
 
 
 def training_point_recall_data():
@@ -392,7 +396,7 @@ def probe_rows(predictor, n_rows=50_000, seed=61):
     the latency tree has on it, one ulp to either side, midway between
     neighbours, beyond both ends, +-inf and NaN, drawn independently per
     column."""
-    trees = predictor.vt_model.trees + [predictor.latency_model]
+    trees = [*predictor.vt_model.trees, predictor.latency_model]
     feature = np.concatenate([t.feature for t in trees])
     threshold = np.concatenate([t.threshold for t in trees])
     rng = np.random.default_rng(seed)
@@ -488,11 +492,11 @@ class TestCellTable:
         tree of the forest builds a table of its own."""
         predictor = fit_predictor(grid_data, SurrogateConfig(boost_rounds=10))
         assert len(tables) == 2
-        PerformancePredictor.from_dict(predictor.to_dict())
+        build_config(PerformancePredictor, to_json(predictor), "model")
         assert len(tables) == 4
         for table in tables:
             assert table is not None
-            assert table[1].size <= predictor.fit_report["n_train"]
+            assert table[1].size <= predictor.fit_report.n_train
 
     def test_grid_answers_are_the_walks(self, grid_predictor):
         assert_answers_are_the_walks(grid_predictor, probe_rows(grid_predictor))
@@ -501,7 +505,7 @@ class TestCellTable:
         """The continuous features cut more cells than the forest had rows,
         so the loaded forest is not tabulated; the one-leaf latency tree
         is."""
-        clone = PerformancePredictor.from_dict(recall_predictor.to_dict())
+        clone = build_config(PerformancePredictor, to_json(recall_predictor), "model")
         assert recall_predictor.latency_model.n_nodes == 1  # a constant target
         assert len(tables) == 2
         assert tables[0] is None and tables[1] is not None
@@ -511,7 +515,7 @@ class TestCellTable:
 
     def test_stored_model_predicts_identically(self, grid_predictor, tmp_path):
         path = tmp_path / "model.json"
-        write_json(path, grid_predictor.to_dict())
+        write_json(path, to_json(grid_predictor))
         clone = PerformancePredictor.load(path)
         rows = probe_rows(grid_predictor)
         with np.errstate(invalid="ignore"):  # the polynomial at +-inf
@@ -526,15 +530,15 @@ def stored_model():
     points, vt, ct = training_point_recall_data()
     p = fit_predictor(dataset(points, vt, ct, 0.1 + 0.001 * points[:, 0]),
                       SurrogateConfig(boost_rounds=3))
-    return json.dumps(p.to_dict())
+    return json.dumps(to_json(p))
 
 
 class TestStoredModelChecks:
     @pytest.mark.parametrize("mutation, message", [
         (lambda d: d["vt_model"]["trees"][1].pop("value"),
-         r"vt_model\.trees\[1\]: missing key 'value'"),
-        (lambda d: d.pop("latency_model"), "missing key 'latency_model'"),
-        (lambda d: d["ct_model"].pop("coefficients"), "ct_model: missing key"),
+         r"vt_model\.trees\[1\]: missing required key 'value'"),
+        (lambda d: d.pop("latency_model"), "missing required key 'latency_model'"),
+        (lambda d: d["ct_model"].pop("coefficients"), "ct_model: missing required key"),
         (lambda d: d["latency_model"]["left"].pop(), "latency_model: left"),
         (lambda d: d["latency_model"]["feature"].__setitem__(0, 3),
          "latency_model: feature"),
@@ -543,19 +547,41 @@ class TestStoredModelChecks:
         (lambda d: d["latency_model"]["threshold"].__setitem__(0, float("inf")),
          "latency_model: threshold: not finite"),
         (lambda d: d["vt_model"]["trees"][2]["value"].__setitem__(0, float("nan")),
-         r"vt_model\.trees\[2\]: value: not finite"),
+         r"vt_model\.trees\[2\]\.value\[0\] must be a number, got nan"),
         (lambda d: d["latency_model"]["left"].__setitem__(0, 0.5),
          "latency_model: left: expected integers"),
+        # Each of these ran, or died in a traceback, before the model
+        # classes were read by the config reader.
+        (lambda d: d["ct_model"]["coefficients"].pop(), "ct_model: coefficients"),
+        (lambda d: d["ct_model"].__setitem__("feature_mean", [0.0, 0.0]),
+         "ct_model: feature_mean"),
+        (lambda d: d["ct_model"]["exponents"][1].__setitem__(0, "x"),
+         r"ct_model\.exponents\[1\]\[0\] must be an integer"),
+        (lambda d: d["vt_model"].__setitem__("base_value", "x"),
+         r"vt_model\.base_value must be a number"),
+        (lambda d: d["vt_model"].__setitem__("learning_rate", "x"),
+         r"vt_model\.learning_rate must be a number"),
+        (lambda d: d.__setitem__("feature_ranges", [[0, 1]]),
+         r"feature_ranges: expected 3 \[low, high\] pairs, got 1"),
+        (lambda d: d["ct_model"]["feature_scale"].__setitem__(0, 0),
+         "ct_model: feature_scale"),
+        (lambda d: d["vt_model"]["trees"][0].__setitem__("depth", 3),
+         r"vt_model\.trees\[0\]: unknown key 'depth'"),
+        (lambda d: d["vt_model"].__setitem__("family", "tree"),
+         "vt_model: family must be 'boosted', got 'tree'"),
     ])
-    def test_rejected_naming_model_and_key(self, stored_model, mutation, message):
+    def test_rejected_naming_model_and_key(self, stored_model, tmp_path, mutation,
+                                           message):
         d = json.loads(stored_model)
         # every tree splits at its root, and has fewer than 99 nodes
         assert d["latency_model"]["feature"][0] >= 0
         assert all(t["feature"][0] >= 0 and len(t["feature"]) < 99
                    for t in d["vt_model"]["trees"])
         mutation(d)
+        path = tmp_path / "model.json"
+        write_json(path, d)
         with pytest.raises(DatasetError, match=message):
-            PerformancePredictor.from_dict(d)
+            PerformancePredictor.load(path)
 
     def test_invalid_json_is_dataset_error(self, tmp_path):
         path = tmp_path / "model.json"
