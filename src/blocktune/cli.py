@@ -3,7 +3,10 @@ sensitivity, validate, and the end-to-end pipeline.
 
 Every run writes a manifest next to its outputs capturing the resolved
 config, all derived seeds, input/output paths, tool version, and wall-clock
-duration; a run is reproducible from its manifest alone. Exit codes:
+duration; a run is reproducible from its manifest alone. Every file is
+written by :mod:`blocktune.configio`'s two atomic writers: results, which
+are dataclasses whose fields are the keys they store, as JSON through
+``configio.to_json``, and tables as CSV. Exit codes:
 0 success, 1 config/parse/validation error, 2 infeasible instance,
 3 internal invariant failure.
 
@@ -26,10 +29,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields
+import time
+from dataclasses import astuple, dataclass, fields
 
 from . import configio, experiments, ga, simulator, surrogate
-from .configio import ManifestClock, RunManifest, resolve_seed, write_json
+from .configio import resolve_seed, to_json, write_csv, write_json
 from .errors import (
     BlocktuneError,
     ConfigError,
@@ -55,6 +59,10 @@ class DataGrid:
     replicates: int = 1
 
 
+# The columns of sensitivity's series table, each a SweepPoint field.
+SERIES_COLUMNS = ("value", "run_index", "recommended_block_size", "best_fitness")
+
+
 def _out_path(args, name):
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
@@ -68,34 +76,40 @@ def _emit(args, lines):
             print(line)
 
 
-def _finish(args, manifest: RunManifest, clock: ManifestClock, out):
-    clock.stamp(manifest)
-    manifest.write(str(out) + ".manifest.json",
-                   include_timestamps=not args.no_timestamps)
+def _finish(args, out, config, seeds, inputs, outputs, extra=None):
+    """Write the run's manifest, ``<out>.manifest.json``. It records
+    ``extra`` when that is not empty, and the run's start time and duration
+    unless --no-timestamps."""
+    manifest = {"subcommand": args.command, "tool_version": configio.TOOL_VERSION,
+                "config": config, "seeds": seeds, "inputs": inputs, "outputs": outputs}
+    if extra:
+        manifest["extra"] = extra
+    if not args.no_timestamps:
+        wall, started = args.started
+        manifest.update(timestamp=wall, duration_s=time.perf_counter() - started)
+    write_json(f"{out}.manifest.json", manifest)
 
 
 def cmd_simulate(args) -> int:
-    clock = ManifestClock()
     raw = configio.load_json(args.config)
     seed = resolve_seed(args.seed, raw.get("rng_seed"))
     config = configio.build_config(simulator.SimConfig, dict(raw, rng_seed=seed),
                                    args.config)
     result = simulator.run_simulation(config)
     out = _out_path(args, args.out)
+    blocks_path = f"{out}.blocks.csv"
     write_json(out, result.to_dict())
-    result.write_block_table(str(out) + ".blocks.csv")
+    write_csv(blocks_path, simulator.BLOCK_TABLE_COLUMNS,
+              map(astuple, result.per_block_records))
     _emit(args, [f"simulated {result.total_tx} transactions in "
                  f"{len(result.per_block_records)} blocks: "
                  f"{result.throughput_tps:.1f} tps, "
                  f"mean latency {result.mean_latency_s:.3f} s"])
-    manifest = RunManifest("simulate", raw, {"root": seed}, [args.config],
-                           [out, str(out) + ".blocks.csv"])
-    _finish(args, manifest, clock, out)
+    _finish(args, out, raw, {"root": seed}, [args.config], [out, blocks_path])
     return EXIT_OK
 
 
 def cmd_gen_data(args) -> int:
-    clock = ManifestClock()
     raw = configio.check_keys(configio.load_json(args.config), ("sim", "grid"), args.config)
     sim = configio.check_object(raw.get("sim", {}), f"{args.config}.sim")
     seed = resolve_seed(args.seed, sim.get("rng_seed"))
@@ -107,14 +121,12 @@ def cmd_gen_data(args) -> int:
         base, grid.block_sizes, grid.tx_sizes, grid.bandwidths, grid.replicates)
     surrogate.save_dataset(data, out)
     _emit(args, [f"wrote {len(data)} training samples to {out}"])
-    manifest = RunManifest("gen-data", raw, {"root": seed}, [args.config], [out],
-                           extra={"n_samples": len(data)})
-    _finish(args, manifest, clock, out)
+    _finish(args, out, raw, {"root": seed}, [args.config], [out],
+            extra={"n_samples": len(data)})
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    clock = ManifestClock()
     data = surrogate.load_dataset(args.dataset)
     section = configio.load_json(args.config) if args.config else {}
     where = args.config or "surrogate"
@@ -126,7 +138,7 @@ def cmd_train(args) -> int:
     config = configio.build_config(surrogate.SurrogateConfig, section, where)
     predictor = surrogate.fit_predictor(data, config)
     out = _out_path(args, args.out)
-    write_json(out, configio.to_json(predictor))
+    write_json(out, to_json(predictor))
     report = predictor.fit_report
     _emit(args, [f"fitted on {report.n_train} samples "
                  f"(holdout {report.n_holdout}); train MSE "
@@ -134,16 +146,13 @@ def cmd_train(args) -> int:
                  f"ct={report.train_mse['ct']:.3e} "
                  f"latency={report.train_mse['latency']:.3e}",
                  f"model written to {out}"])
-    manifest = RunManifest("train", {"surrogate": configio.to_json(config)},
-                           {"root": config.rng_seed},
-                           [args.dataset] + ([args.config] if args.config else []),
-                           [out], extra={"fit_report": configio.to_json(report)})
-    _finish(args, manifest, clock, out)
+    _finish(args, out, {"surrogate": to_json(config)}, {"root": config.rng_seed},
+            [args.dataset] + ([args.config] if args.config else []), [out],
+            extra={"fit_report": to_json(report)})
     return EXIT_OK
 
 
 def cmd_optimize(args) -> int:
-    clock = ManifestClock()
     raw = configio.load_json(args.instance)
     # {"instance": {...}, "ga": {...}}, or the instance's own keys beside "ga"
     if "transactions" in raw or "instance" not in raw:
@@ -159,45 +168,35 @@ def cmd_optimize(args) -> int:
     predictor = surrogate.PerformancePredictor.load(args.model)
     result = ga.run(instance, predictor, config)
     out = _out_path(args, args.out)
-    payload = result.to_dict()
-    payload["instance"] = {"n": instance.n, "nb": instance.nb,
-                           "limits": {"lb": instance.limits.lb,
-                                      "ub": instance.limits.ub,
-                                      "cb": instance.limits.cb}}
-    write_json(out, payload)
-    history_path = str(out) + ".history.csv"
-    with open(history_path, "w", encoding="utf-8") as fh:
-        fh.write("generation,best_fitness\n")
-        for gen, fit in enumerate(result.fitness_history):
-            fh.write(f"{gen},{fit!r}\n")
+    write_json(out, dict(to_json(result), instance={
+        "n": instance.n, "nb": instance.nb, "limits": to_json(instance.limits)}))
+    history_path = f"{out}.history.csv"
+    write_csv(history_path, ("generation", "best_fitness"),
+              enumerate(result.fitness_history))
     _emit(args, [f"recommended block size: {result.recommended_block_size} "
                  f"(fitness {result.best_fitness:.4f} after "
                  f"{result.generations_run} generations)"])
-    manifest = RunManifest("optimize", raw, {"root": seed},
-                           [args.instance, args.model], [out, history_path])
-    _finish(args, manifest, clock, out)
+    _finish(args, out, raw, {"root": seed}, [args.instance, args.model],
+            [out, history_path])
     return EXIT_OK
 
 
 def cmd_sensitivity(args) -> int:
-    clock = ManifestClock()
     raw = configio.load_json(args.spec)
     raw = dict(raw, rng_seed=resolve_seed(args.seed, raw.get("rng_seed")))
     spec = configio.build_config(experiments.SweepSpec, raw, args.spec)
     result = experiments.run_sensitivity(spec)
     out = _out_path(args, args.out)
-    write_json(out, configio.to_json(result))
-    series_path = str(out) + ".series.csv"
-    result.write_series(series_path)
+    write_json(out, to_json(result))
+    series_path = f"{out}.series.csv"
+    write_csv(series_path, SERIES_COLUMNS,
+              ([getattr(p, column) for column in SERIES_COLUMNS] for p in result.points))
     _emit(args, result.summary_lines())
-    manifest = RunManifest("sensitivity", raw, {"root": spec.rng_seed},
-                           [args.spec], [out, series_path])
-    _finish(args, manifest, clock, out)
+    _finish(args, out, raw, {"root": spec.rng_seed}, [args.spec], [out, series_path])
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
-    clock = ManifestClock()
     raw = configio.check_keys(configio.load_json(args.scenarios),
                               ("scenarios", "neighbor_offsets"), args.scenarios)
     entries = configio.check_list(raw.get("scenarios", []), f"{args.scenarios}.scenarios")
@@ -216,17 +215,14 @@ def cmd_validate(args) -> int:
         scenarios.append(configio.build_config(experiments.Scenario, entry, where))
     report = experiments.run_validation(scenarios, offsets)
     out = _out_path(args, args.out)
-    write_json(out, report.to_dict())
+    write_json(out, to_json(report))
     _emit(args, report.summary_lines())
-    manifest = RunManifest("validate", raw,
-                           {"scenario_roots": [s.rng_seed for s in scenarios]},
-                           [args.scenarios], [out])
-    _finish(args, manifest, clock, out)
+    _finish(args, out, raw, {"scenario_roots": [s.rng_seed for s in scenarios]},
+            [args.scenarios], [out])
     return EXIT_OK
 
 
 def cmd_pipeline(args) -> int:
-    clock = ManifestClock()
     # neighbor_offsets is a key of the file, not of the scenario
     raw = configio.check_keys(
         configio.load_json(args.config),
@@ -242,20 +238,19 @@ def cmd_pipeline(args) -> int:
     dataset_path = _out_path(args, "dataset.csv")
     surrogate.save_dataset(outcome.samples, dataset_path)
     model_path = _out_path(args, "model.json")
-    write_json(model_path, configio.to_json(outcome.predictor))
+    write_json(model_path, to_json(outcome.predictor))
     optimize_path = _out_path(args, "optimize.json")
-    write_json(optimize_path, outcome.ga_result.to_dict())
+    write_json(optimize_path, to_json(outcome.ga_result))
 
     validation = experiments.run_validation([scenario], offsets)
     validation_path = _out_path(args, "validation.json")
-    write_json(validation_path, validation.to_dict())
+    write_json(validation_path, to_json(validation))
 
     _emit(args, [f"pipeline for {scenario.name!r}: recommended "
                  f"{outcome.ga_result.recommended_block_size}"]
           + validation.summary_lines())
     outputs = [dataset_path, model_path, optimize_path, validation_path]
-    manifest = RunManifest("pipeline", raw, outcome.seeds, [args.config], outputs)
-    _finish(args, manifest, clock, _out_path(args, "pipeline"))
+    _finish(args, _out_path(args, "pipeline"), raw, outcome.seeds, [args.config], outputs)
     return EXIT_OK
 
 
@@ -313,6 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # the manifest's timestamp (wall clock) and its duration's start
+    # (perf_counter, immune to clock adjustments)
+    args.started = (time.time(), time.perf_counter())
     try:
         return args.func(args)
     except InfeasibleInstanceError as exc:

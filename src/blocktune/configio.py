@@ -1,4 +1,4 @@
-"""Shared JSON config schema, seed derivation, and run manifests.
+"""The JSON config schema and its reader, the output writers, and seeds.
 
 One reader, :func:`build_config`, turns every JSON config object into its
 dataclass by one rule. Every key must name a field, and a field without a
@@ -28,9 +28,18 @@ Transaction and node ids are implicit by position. For example, an
     {"arrival_process": "fixed" | "poisson", "arrival_rate_tps": 400.0,
      "total_tx": 1200, "tx_size_bytes": 1024, "rng_seed": 3}
 
-:func:`to_json` is the one writer, and it runs the rule backwards: a
-dataclass becomes an object of its fields, and a tuple or an array a list.
-So reading what it writes and writing that again gives the same JSON.
+:func:`to_json` runs the rule backwards: a dataclass becomes an object of
+its fields, and a tuple or an array a list. So reading what it writes and
+writing that again gives the same JSON. A result type's fields are the keys
+it stores, so no type has a writer of its own. The one exception is
+``simulate``'s summary, ``SimResult.to_dict``: it stores a block count and
+a count per cut reason, not the per-block records.
+
+This module opens every output file, through one of two writers:
+:func:`write_json` (sorted, indented JSON) and :func:`write_csv` (a header
+line, then one line per row). Both write ``<path>.tmp`` and rename it over
+``<path>``, so a reader sees the old file or the whole new one; a write
+that fails midway removes the temporary file and leaves the old one.
 
 Seeds resolve in priority order --seed flag > BLOCKTUNE_SEED environment
 variable > config file value, and must lie in [0, 2**32); sub-seeds always
@@ -40,13 +49,13 @@ derive deterministically from the resolved root seed
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
-import time
 import types
 import typing
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from numbers import Integral, Real
 
 import numpy as np
@@ -85,14 +94,38 @@ def resolve_seed(cli_seed, config_seed, default: int | None = 0) -> int | None:
     return default
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """A text file to write in place of ``path``: it is written beside it as
+    ``<path>.tmp`` and renamed over ``path`` once whole, so readers see the
+    old file or the whole new one. On an error the temporary file is removed
+    and ``path`` is left as it was."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_json(path, payload):
-    """Write ``payload`` as sorted, indented JSON, atomically: readers see
-    the old file or the whole new one."""
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    """Write ``payload`` as sorted, indented JSON, atomically."""
+    with _replacing(path) as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    os.replace(tmp, path)
+
+
+def write_csv(path, columns, rows):
+    """Write a header of ``columns`` and then one line per row of ``rows``,
+    atomically. Cells are written with ``str``: a Python float as its
+    shortest exact form, a string as it is."""
+    with _replacing(path) as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def load_json(path) -> dict:
@@ -300,51 +333,3 @@ _HAND_READERS = {tuple[Transaction, ...]: build_transactions,
 
 def build_instance(d, where: str = "instance") -> ProblemInstance:
     return build_config(ProblemInstance, d, where)
-
-
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce a run, written next to its outputs."""
-
-    subcommand: str
-    config: dict
-    seeds: dict
-    inputs: list
-    outputs: list
-    tool_version: str = TOOL_VERSION
-    duration_s: float | None = None
-    timestamp: float | None = None
-    extra: dict = field(default_factory=dict)
-
-    def to_dict(self, include_timestamps: bool = True) -> dict:
-        d = {
-            "subcommand": self.subcommand,
-            "tool_version": self.tool_version,
-            "config": self.config,
-            "seeds": self.seeds,
-            "inputs": [str(p) for p in self.inputs],
-            "outputs": [str(p) for p in self.outputs],
-        }
-        if self.extra:
-            d["extra"] = self.extra
-        if include_timestamps:
-            d["duration_s"] = self.duration_s
-            d["timestamp"] = self.timestamp
-        return d
-
-    def write(self, path, include_timestamps: bool = True):
-        write_json(path, self.to_dict(include_timestamps))
-
-
-class ManifestClock:
-    """Stamps a manifest with its run's start time (wall clock) and duration
-    (monotonic ``perf_counter``, immune to clock adjustments)."""
-
-    def __init__(self):
-        self.start = time.time()
-        self._t0 = time.perf_counter()
-
-    def stamp(self, manifest: RunManifest):
-        manifest.timestamp = self.start
-        manifest.duration_s = time.perf_counter() - self._t0
-        return manifest

@@ -16,13 +16,14 @@ identical workload seed; the recommendation wins when no neighbor beats it.
 
 Points and scenarios are independent (results are pure functions of spec
 and seeds, assembled in index order), and every record carries the seeds
-needed to reproduce it exactly.
+needed to reproduce it exactly. Results are dataclasses whose fields are
+the keys they store, so :func:`blocktune.configio.to_json` writes them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from numbers import Real
 
 import numpy as np
@@ -138,13 +139,6 @@ class SweepResult:
     spearman: float | None
     stabilization_index: float | None
     rng_seed: int
-
-    def write_series(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("value,run_index,recommended_block_size,best_fitness\n")
-            for p in self.points:
-                fh.write(f"{p.value!r},{p.run_index},{p.recommended_block_size},"
-                         f"{p.best_fitness!r}\n")
 
     def summary_lines(self):
         rho = "undefined" if self.spearman is None else f"{self.spearman:+.3f}"
@@ -309,51 +303,46 @@ def run_scenario_pipeline(scenario: Scenario) -> PipelineOutcome:
 
 
 @dataclass(frozen=True)
+class Candidate:
+    """One block size simulated during validation."""
+
+    block_size: int
+    throughput_tps: float
+    mean_latency_s: float
+
+
+@dataclass(frozen=True)
 class ScenarioOutcome:
     name: str
     recommended_block_size: int
-    candidates: tuple          # (block size, throughput_tps, mean_latency_s)
+    candidates: tuple[Candidate, ...]
     winner: bool
     seeds: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "recommended_block_size": self.recommended_block_size,
-            "winner": self.winner,
-            "seeds": self.seeds,
-            "candidates": [
-                {"block_size": size, "throughput_tps": tps, "mean_latency_s": lat}
-                for size, tps, lat in self.candidates
-            ],
-        }
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    scenarios: tuple
-    neighbor_offsets: tuple
+    """Every scenario's outcome; ``win_count`` and ``scenario_count`` are
+    computed from ``scenarios`` on construction."""
 
-    @property
-    def win_count(self) -> int:
-        return sum(1 for s in self.scenarios if s.winner)
+    scenarios: tuple[ScenarioOutcome, ...]
+    neighbor_offsets: tuple[int, ...]
+    win_count: int = field(init=False)
+    scenario_count: int = field(init=False)
 
-    def to_dict(self) -> dict:
-        return {
-            "neighbor_offsets": list(self.neighbor_offsets),
-            "win_count": self.win_count,
-            "scenario_count": len(self.scenarios),
-            "scenarios": [s.to_dict() for s in self.scenarios],
-        }
+    def __post_init__(self):
+        object.__setattr__(self, "win_count", sum(s.winner for s in self.scenarios))
+        object.__setattr__(self, "scenario_count", len(self.scenarios))
 
     def summary_lines(self):
-        lines = [f"validation: {self.win_count}/{len(self.scenarios)} scenarios "
+        lines = [f"validation: {self.win_count}/{self.scenario_count} scenarios "
                  f"won by the recommended block size"]
         for s in self.scenarios:
             verdict = "WIN " if s.winner else "lose"
-            best = max(s.candidates, key=lambda c: c[1])
+            best = max(s.candidates, key=lambda c: c.throughput_tps)
             lines.append(f"  [{verdict}] {s.name}: recommended {s.recommended_block_size},"
-                         f" best measured {best[0]} ({best[1]:.1f} tps)")
+                         f" best measured {best.block_size}"
+                         f" ({best.throughput_tps:.1f} tps)")
         return lines
 
 
@@ -398,7 +387,7 @@ def validate_scenario(scenario: Scenario,
     return ScenarioOutcome(
         name=scenario.name,
         recommended_block_size=rec,
-        candidates=tuple(curve),
+        candidates=tuple(Candidate(*point) for point in curve),
         winner=winner,
         seeds=seeds,
     )

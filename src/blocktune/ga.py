@@ -73,11 +73,13 @@ class GaConfig:
         return max(0.01, 2.0 / n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaResult:
-    """Outcome of one search run, carrying everything needed to reproduce it."""
+    """Outcome of one search run, carrying everything needed to reproduce
+    it; its fields are the keys ``optimize.json`` stores. ``block_of`` is
+    the best assignment's block-index vector."""
 
-    best: AssignmentMatrix
+    block_of: np.ndarray
     best_fitness: float
     recommended_block_size: int
     fitness_history: tuple
@@ -85,18 +87,6 @@ class GaResult:
     seed_used: int
     extrapolation_queries: int = 0
     total_queries: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "best_fitness": self.best_fitness,
-            "recommended_block_size": self.recommended_block_size,
-            "block_of": self.best.block_of.tolist(),
-            "fitness_history": list(self.fitness_history),
-            "generations_run": self.generations_run,
-            "seed_used": self.seed_used,
-            "extrapolation_queries": self.extrapolation_queries,
-            "total_queries": self.total_queries,
-        }
 
 
 def _repair_array(instance: ProblemInstance, arr: np.ndarray) -> np.ndarray:
@@ -229,7 +219,7 @@ def run(instance: ProblemInstance, predictor, config: GaConfig = GaConfig()) -> 
 
     best = AssignmentMatrix(best_arr, instance.nb)
     return GaResult(
-        best=best,
+        block_of=best.block_of,
         best_fitness=best_fit,
         recommended_block_size=recommended_block_size(best),
         fitness_history=tuple(history),

@@ -232,16 +232,6 @@ class ConstraintReport:
             return ["feasible: all blocks within caps"]
         return [v.describe() for v in self.violations]
 
-    def to_dict(self) -> dict:
-        return {
-            "feasible": self.ok,
-            "violations": [
-                {"constraint": v.constraint, "block": v.block,
-                 "observed": v.observed, "allowed": v.allowed}
-                for v in self.violations
-            ],
-        }
-
 
 def _check_length(instance: ProblemInstance, assignment: AssignmentMatrix):
     if len(assignment) != instance.n:

@@ -176,9 +176,17 @@ class BlockRecord:
     mean_latency_s: float
 
 
+# The header of ``simulate``'s per-block table, one column per BlockRecord
+# field in order.
+BLOCK_TABLE_COLUMNS = ("block", "tx_count", "block_bytes", "cut_time_s", "cut_reason",
+                       "commit_time_s", "mean_latency_s")
+
+
 @dataclass(frozen=True)
 class SimResult:
-    """Throughput, latency, and the per-block trace of one run."""
+    """Throughput, latency, and the per-block trace of one run. Its JSON,
+    :meth:`to_dict`, is a summary: the block count and the count per cut
+    reason stand in for the per-block records."""
 
     throughput_tps: float
     mean_latency_s: float
@@ -199,16 +207,6 @@ class SimResult:
                 for reason in (CUT_COUNT, CUT_BYTES, CUT_TIMEOUT)
             },
         }
-
-    def write_block_table(self, path):
-        """Columnar per-block trace for external plotting."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("block,tx_count,block_bytes,cut_time_s,cut_reason,"
-                     "commit_time_s,mean_latency_s\n")
-            for r in self.per_block_records:
-                fh.write(f"{r.index},{r.tx_count},{r.block_bytes},"
-                         f"{r.cut_time_s!r},{r.cut_reason},{r.commit_time_s!r},"
-                         f"{r.mean_latency_s!r}\n")
 
 
 def _generate_workload(profile: WorkloadProfile):

@@ -134,15 +134,12 @@ def load_dataset(path) -> np.ndarray:
 
 
 def save_dataset(data, path):
-    """Write a (k, 6) dataset array in the documented columnar format; floats
-    round-trip exactly through :func:`load_dataset`."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(DATASET_COLUMNS) + "\n")
-        # tolist() yields Python floats, whose repr is the shortest exact
-        # form; an np.float64 would repr as "np.float64(...)".
-        for tx_count, block_bytes, *rest in np.asarray(data).tolist():
-            fh.write(f"{int(tx_count)},{int(block_bytes)},"
-                     + ",".join(map(repr, rest)) + "\n")
+    """Write a (k, 6) dataset array in the documented columnar format,
+    atomically; floats round-trip exactly through :func:`load_dataset`."""
+    # tolist() yields Python floats, written as their shortest exact form.
+    configio.write_csv(path, DATASET_COLUMNS,
+                       ([int(tx_count), int(block_bytes), *rest]
+                        for tx_count, block_bytes, *rest in np.asarray(data).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The command line, run in-process: exit codes, seed priority, byte-identical
 reruns and a pinned optimize result."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -478,3 +479,77 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+PINNED_OUTPUTS = Path(__file__).parent / "data" / "pinned_cli_outputs.json"
+# Each subcommand's arguments, run from one directory with every path
+# relative, so the manifests record the same paths wherever it runs.
+SUBCOMMANDS = (
+    ("simulate", ["sim.json"]),
+    ("gen-data", ["gen.json", "-o", "d.csv"]),
+    ("train", [os.path.join("gen-data", "d.csv"), "--config", "s.json", "-o", "m.json"]),
+    ("optimize", ["i.json", os.path.join("train", "m.json")]),
+    ("sensitivity", ["sweep.json"]),
+    ("validate", ["v.json"]),
+    ("pipeline", ["p.json"]),
+)
+
+
+def run_subcommands(directory, *flags):
+    """Every subcommand on this module's configs, each into its own output
+    directory under ``directory``; returns {relative path: bytes} of every
+    file they wrote."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(directory)
+        mp.delenv("BLOCKTUNE_SEED", raising=False)
+        for name, config in (("sim.json", SIMULATE), ("gen.json", GEN_DATA),
+                             ("s.json", SURROGATE), ("i.json", INSTANCE),
+                             ("sweep.json", SWEEP), ("v.json", {"scenarios": [PIPELINE]}),
+                             ("p.json", PIPELINE)):
+            write(Path(name), config)
+        for command, argv in SUBCOMMANDS:
+            assert cli.main(["--quiet", *flags, "--out-dir", command, command,
+                             *argv]) == cli.EXIT_OK
+        return {f"{command}/{p.name}": p.read_bytes()
+                for command, _ in SUBCOMMANDS
+                for p in sorted(Path(command).iterdir())}
+
+
+@pytest.fixture(scope="module")
+def subcommand_outputs(tmp_path_factory):
+    """The outputs of every subcommand with and without --no-timestamps."""
+    return (run_subcommands(tmp_path_factory.mktemp("pinned"), "--no-timestamps"),
+            run_subcommands(tmp_path_factory.mktemp("stamped")))
+
+
+def test_outputs_pinned(subcommand_outputs):
+    """Every file the seven subcommands write under --no-timestamps, manifests
+    included, has the SHA-256 pinned from the writers each result type once
+    had."""
+    outputs, _ = subcommand_outputs
+    digests = {path: hashlib.sha256(data).hexdigest() for path, data in outputs.items()}
+    assert digests == load(PINNED_OUTPUTS)
+
+
+def test_manifest_rules(subcommand_outputs):
+    """Without --no-timestamps a manifest gains exactly duration_s and
+    timestamp, and no other output changes; only gen-data and train record
+    ``extra``."""
+    plain, stamped = subcommand_outputs
+    assert set(plain) == set(stamped)
+    for path in plain:
+        if not path.endswith(".manifest.json"):
+            assert plain[path] == stamped[path], path
+            continue
+        before, after = json.loads(plain[path]), json.loads(stamped[path])
+        assert set(after) - set(before) == {"duration_s", "timestamp"}
+        assert {k: v for k, v in after.items() if k in before} == before
+        assert after["duration_s"] >= 0 and after["timestamp"] > 0
+        assert ("extra" in before) == (path.split("/")[0] in ("gen-data", "train")), path
+
+
+def test_validate_matches_pipeline(subcommand_outputs):
+    """validate on a one-scenario file writes the validation.json that
+    pipeline writes on that scenario."""
+    outputs, _ = subcommand_outputs
+    assert outputs["validate/validation.json"] == outputs["pipeline/validation.json"]

@@ -1,6 +1,8 @@
 """The config reader: every field of every config dataclass has a type the
-reader has a rule for, and the rules read values as the schema says."""
+reader has a rule for, and the rules read values as the schema says. The
+writers: a write is whole or leaves the old file."""
 
+import os
 import types
 import typing
 from dataclasses import fields, is_dataclass
@@ -101,3 +103,36 @@ def test_read_value(hint, value, expected):
 def test_read_value_rejects(hint, value, message):
     with pytest.raises(ConfigError, match=message):
         configio.read_value(hint, value, "x")
+
+
+def test_write_csv(tmp_path):
+    """A header line, then each row's cells by ``str``: an int, a float's
+    shortest exact form and a string as it is."""
+    path = tmp_path / "t.csv"
+    configio.write_csv(path, ("a", "b", "c"), [(1, 0.1, "x"), (2, 1e-07, "y")])
+    assert path.read_text(encoding="utf-8") == "a,b,c\n1,0.1,x\n2,1e-07,y\n"
+    assert os.listdir(tmp_path) == ["t.csv"]
+
+
+def rows_then_fail():
+    """Two rows and then an error, like a run that dies while writing."""
+    yield (1, 0.5)
+    yield (2, 1.5)
+    raise RuntimeError("cut midway")
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: configio.write_csv(path, ("a", "b"), rows_then_fail()),
+    # json.dump has written part of the object when it meets one it cannot
+    # serialise
+    lambda path: configio.write_json(path, {"a": 1, "b": object()}),
+], ids=["csv", "json"])
+def test_failed_write_keeps_the_old_file(tmp_path, write):
+    """A write that fails midway leaves the old file's bytes and no
+    temporary file."""
+    path = tmp_path / "out"
+    path.write_bytes(b"old,bytes\n")
+    with pytest.raises((RuntimeError, TypeError)):
+        write(path)
+    assert path.read_bytes() == b"old,bytes\n"
+    assert os.listdir(tmp_path) == ["out"]

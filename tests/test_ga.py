@@ -210,7 +210,8 @@ class TestRun:
         stub = affine_stub()
         result = run(inst, stub, small_config())
         assert result.recommended_block_size == 1
-        expected = total_processing_time(inst, result.best, stub)
+        expected = total_processing_time(inst, AssignmentMatrix(result.block_of, inst.nb),
+                                         stub)
         assert result.best_fitness == pytest.approx(expected)
 
     def test_determinism_bit_identical(self):
@@ -220,7 +221,7 @@ class TestRun:
         a = run(inst, stub, config)
         b = run(inst, stub, config)
         assert a.best_fitness == b.best_fitness
-        assert a.best == b.best
+        assert np.array_equal(a.block_of, b.block_of)
         assert a.fitness_history == b.fitness_history
         assert a.generations_run == b.generations_run
 

@@ -139,8 +139,7 @@ class TestValidateAssignment:
         kinds = {(v.constraint, v.block) for v in report.violations}
         assert kinds == {("tx-count-cap", 0), ("block-byte-cap", 0),
                          ("tx-count-cap", 1), ("block-byte-cap", 1)}
-        d = report.to_dict()
-        assert d["feasible"] is False and len(d["violations"]) == 4
+        assert not report.ok and len(report.violations) == 4
 
     def test_length_mismatch(self):
         inst = make_instance([100, 100])

@@ -2,7 +2,7 @@
 outputs pinned bit for bit."""
 
 import json
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blocktune.configio import write_csv
 from blocktune.errors import ConfigError
 from blocktune.model import NodeProfile
 from blocktune.simulator import (
+    BLOCK_TABLE_COLUMNS,
     CUT_BYTES,
     CUT_COUNT,
     CUT_TIMEOUT,
@@ -68,8 +70,10 @@ def pinned_dataset():
 
 
 def block_table(result, tmp_path):
+    """``simulate``'s per-block table of ``result``, written as the CLI
+    writes it."""
     path = tmp_path / "blocks.csv"
-    result.write_block_table(path)
+    write_csv(path, BLOCK_TABLE_COLUMNS, map(astuple, result.per_block_records))
     return path.read_text(encoding="utf-8")
 
 
