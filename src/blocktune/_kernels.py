@@ -22,7 +22,11 @@ builds one table for its forest and one for its latency tree.
 :func:`repair_assignment` is the one placement rule of repair: a moved
 transaction goes to the least-loaded block that still fits both caps. From
 an all-unplaced start it is worst-fit decreasing packing (Johnson, JCSS
-1974).
+1974). It repairs a whole (P, n) matrix of assignments in one pass: the
+counts and loads of every row come from one ``bincount``, the members to
+evict from one sort, and each step of its loop makes one move in every
+row still draining, so a generation costs as many steps as its busiest row
+has moves, not one Python iteration per row and move.
 
 All kernels share the same deterministic tie-breaking rules: when several
 candidates are equally good, the one encountered first (lowest feature
@@ -129,38 +133,76 @@ def table_predict(edges, table, points):
 
 def repair_assignment(block_of, sizes, nb, ub, cb):
     """Move transactions until every block fits the count cap ``ub`` and the
-    byte cap ``cb``, in place; an entry equal to ``nb`` is unplaced.
+    byte cap ``cb``, in place, in every row of ``block_of`` (P, n) at once; a
+    1-D ``block_of`` is one row. An entry equal to ``nb`` is unplaced.
 
-    Overloaded blocks drain in index order, then the unplaced transactions
-    are placed. A block gives up its members largest first (lowest id among
-    equal sizes) until it fits; each goes to the least-loaded block in
-    [0, nb) that fits it (lowest index among ties). A move never overloads
-    its destination and an overloaded block never fits, so the overloaded
-    blocks are found once. Returns False, keeping the moves made so far,
-    when a transaction fits nowhere.
+    Within a row, overloaded blocks drain in index order, then the unplaced
+    transactions are placed. A block gives up its members largest first
+    (lowest id among equal sizes) until it fits; each goes to the
+    least-loaded block in [0, nb) with a free slot (lowest index among
+    ties), and a row wedges when that block lacks the bytes. A move never
+    overloads its destination and an overloaded block never fits, so each
+    row's overloaded blocks are found once, and their members, sorted by
+    (block, size rank), are the row's eviction queue. Each step of the loop
+    takes one queue entry of every row still draining: a row whose current
+    block already fits jumps to its next overloaded block, untouched and so
+    still overloaded, and moves that entry. Rows never share a block, so a
+    step's moves are independent, and the loop runs as many steps as the
+    busiest row has moves. Returns True iff every row fits; a wedged row
+    keeps the moves made before the transaction that fits nowhere.
     """
-    counts = np.bincount(block_of, minlength=nb + 1)
-    loads = np.bincount(block_of, weights=sizes.astype(np.float64),
-                        minlength=nb + 1).astype(np.int64)
-    over = (counts > ub) | (loads > cb)
-    over[nb] = counts[nb] > 0  # the unplaced bin has room for nothing
-    placed_counts, placed_loads = counts[:nb], loads[:nb]
-    for j in np.flatnonzero(over).tolist():
-        count_cap, byte_cap = (ub, cb) if j < nb else (0, 0)
-        members = np.flatnonzero(block_of == j)
-        members = members[np.argsort(-sizes[members], kind="stable")]
-        for i, s in zip(members.tolist(), sizes[members].tolist()):
-            if counts[j] <= count_cap and loads[j] <= byte_cap:
-                break
-            # The least-loaded block with a free slot has the bytes for s
-            # if any block with a free slot has them.
-            slot_loads = np.where(placed_counts < ub, placed_loads, cb + 1)
-            d = int(np.argmin(slot_loads))
-            if slot_loads[d] + s > cb:
-                return False
-            block_of[i] = d
-            counts[j] -= 1
-            loads[j] -= s
-            counts[d] += 1
-            loads[d] += s
-    return True
+    rows = block_of if block_of.ndim == 2 else block_of[None, :]
+    p, n = rows.shape
+    width = nb + 1
+    # bin r * width + j is block j of row r; bin r * width + nb is unplaced
+    bins = (rows + (np.arange(p) * width)[:, None]).ravel()
+    counts = np.bincount(bins, minlength=p * width)
+    loads = np.bincount(bins, weights=np.broadcast_to(
+        sizes.astype(np.float64), rows.shape).ravel(),
+        minlength=p * width).astype(np.int64)
+    unplaced = np.arange(p * width) % width == nb
+    # the unplaced bin has room for nothing
+    count_cap = np.where(unplaced, 0, ub)
+    byte_cap = np.where(unplaced, 0, cb)
+    queue = np.flatnonzero(((counts > count_cap) | (loads > byte_cap))[bins])
+    if queue.size == 0:
+        return True
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(-sizes, kind="stable")] = np.arange(n)
+    queue = queue[np.argsort(bins[queue] * n + rank[queue % n])]
+    q_bin, q_row, q_member = bins[queue], queue // n, queue % n
+    q_size = sizes[q_member]
+    # each entry's next block: the first entry of the following bin
+    firsts = np.flatnonzero(np.r_[True, q_bin[1:] != q_bin[:-1]])
+    bounds = np.append(firsts, queue.size)
+    next_block = np.repeat(bounds[1:], np.diff(bounds))
+    heads = np.flatnonzero(np.r_[True, q_row[1:] != q_row[:-1]])
+    ptr, end = heads, np.append(heads[1:], queue.size)
+    counts2, loads2 = counts.reshape(p, width), loads.reshape(p, width)
+    placed = True
+    while ptr.size:
+        b = q_bin[ptr]
+        ptr = np.where((counts[b] <= count_cap[b]) & (loads[b] <= byte_cap[b]),
+                       next_block[ptr], ptr)
+        live = ptr < end
+        ptr, end = ptr[live], end[live]
+        r = q_row[ptr]
+        # The least-loaded block with a free slot has the bytes for s if
+        # any block with a free slot has them.
+        slot_loads = np.where(counts2[r, :nb] < ub, loads2[r, :nb], cb + 1)
+        d = np.argmin(slot_loads, axis=1)
+        s = q_size[ptr]
+        fits = slot_loads[np.arange(r.size), d] + s <= cb
+        if not fits.all():
+            placed = False
+            ptr, end, r, d, s = ptr[fits], end[fits], r[fits], d[fits], s[fits]
+        rows[r, q_member[ptr]] = d
+        src, dst = q_bin[ptr], r * width + d
+        counts[src] -= 1
+        loads[src] -= s
+        counts[dst] += 1
+        loads[dst] += s
+        ptr += 1
+        live = ptr < end
+        ptr, end = ptr[live], end[live]
+    return placed

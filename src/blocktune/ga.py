@@ -6,9 +6,12 @@ is exactly the set of such vectors. A population is a (pop, n) integer
 matrix of such vectors. The variation operators :func:`select`,
 :func:`crossover` and :func:`mutate` act on these arrays, and :func:`run`
 composes them. Feasibility against the per-block count and byte caps is
-restored by one repair per child, after mutation, never through fitness
-penalties, keeping the fitness landscape identical to the objective being
-minimized; a repair that wedges repacks from scratch with the same kernel.
+restored by one batched repair per generation, after every child's draws,
+never through fitness penalties, keeping the fitness landscape identical
+to the objective being minimized; rows whose repair wedges are repacked
+from scratch with the same kernel. Repair draws no random numbers, so
+batching it leaves the random stream, and every result, as one repair per
+child would.
 Each generation is priced in one call to the model's population
 evaluator, :func:`blocktune.model.processing_times`.
 
@@ -90,17 +93,26 @@ class GaResult:
 
 
 def _repair_array(instance: ProblemInstance, arr: np.ndarray) -> np.ndarray:
-    """Make the assignment ``arr`` feasible in place, moving transactions out
-    of overloaded blocks, and return it; feasible input is left unchanged."""
+    """Make every row of ``arr`` (P, n), or the one assignment ``arr`` (n,),
+    feasible in place, moving transactions out of overloaded blocks, and
+    return it; feasible rows are left unchanged. Entries must lie in
+    [0, nb)."""
     args = (instance.sizes, instance.nb, instance.limits.ub, instance.limits.cb)
-    if not _kernels.repair_assignment(arr, *args):
+    rows = np.atleast_2d(arr)
+    if not _kernels.repair_assignment(rows, *args):
         # Local moves can wedge when both caps are tight at once; then the
-        # same rule packs every transaction from scratch (worst-fit decreasing).
-        arr[:] = instance.nb
-        if not _kernels.repair_assignment(arr, *args):
+        # same rule packs every transaction of the wedged rows from scratch
+        # (worst-fit decreasing). Moves stay in [0, nb), so a wedged row is
+        # one still over a cap.
+        counts, byte_sums = block_stats(instance, rows)
+        wedged = np.flatnonzero(((counts > instance.limits.ub)
+                                 | (byte_sums > instance.limits.cb)).any(axis=1))
+        repacked = np.full((wedged.size, instance.n), instance.nb)
+        if not _kernels.repair_assignment(repacked, *args):
             raise InternalInvariantError(
                 "repair could not place a transaction although the instance "
                 "passed its capacity checks")
+        rows[wedged] = repacked
     return arr
 
 
@@ -142,8 +154,7 @@ def initialize_population(instance: ProblemInstance, config: GaConfig) -> np.nda
         rng = np.random.default_rng(seq)
         order = rng.permutation(instance.n)
         row[order] = rng.integers(0, instance.nb, size=instance.n)
-        _repair_array(instance, row)
-    return population
+    return _repair_array(instance, population)
 
 
 def _population_fitness(instance: ProblemInstance, predictor, matrix: np.ndarray):
@@ -164,10 +175,10 @@ def run(instance: ProblemInstance, predictor, config: GaConfig = GaConfig()) -> 
     """Full generational loop with elitism and stagnation-based stopping.
 
     Each child comes from two tournament selections, crossover with
-    probability ``crossover_rate``, mutation and one repair. Per-generation
-    best fitness is non-increasing; the returned best assignment is
-    feasible and carries the recommended block size (its largest per-block
-    transaction count).
+    probability ``crossover_rate`` and mutation; the generation's children
+    are then repaired in one batch. Per-generation best fitness is
+    non-increasing; the returned best assignment is feasible and carries
+    the recommended block size (its largest per-block transaction count).
     """
     matrix = initialize_population(instance, config)
     fit, extra, total_q = _population_fitness(instance, predictor, matrix)
@@ -197,10 +208,9 @@ def run(instance: ProblemInstance, predictor, config: GaConfig = GaConfig()) -> 
             # The last pair may fill only one slot; the dropped child draws
             # no mutation numbers.
             for parent in (pa, pb)[:n_children - len(children)]:
-                children.append(_repair_array(
-                    instance, mutate(parent, instance.nb, mutation_rate, rng)))
+                children.append(mutate(parent, instance.nb, mutation_rate, rng))
 
-        matrix = np.concatenate([np.stack(children), elites])
+        matrix = np.concatenate([_repair_array(instance, np.stack(children)), elites])
         fit, gen_extra, gen_q = _population_fitness(instance, predictor, matrix)
         extra += gen_extra
         total_q += gen_q

@@ -103,7 +103,8 @@ class ProblemInstance:
 
     Construction rejects instances that cannot possibly be packed: the
     block count times the per-block caps must cover the transaction count
-    and total bytes, and every single transaction must fit under ``cb``.
+    and total bytes, every single transaction must fit under ``cb``, and
+    at most ``nb`` transactions may exceed ``cb / 2``.
     """
 
     transactions: tuple[Transaction, ...]
@@ -152,6 +153,13 @@ class ProblemInstance:
             raise InfeasibleInstanceError(
                 f"{nb} blocks of at most {self.limits.cb} bytes cannot hold "
                 f"{int(sizes.sum())} total bytes")
+        # No two transactions larger than cb / 2 share a block.
+        halves = int(np.count_nonzero(2 * sizes > self.limits.cb))
+        if halves > nb:
+            raise InfeasibleInstanceError(
+                f"{halves} transactions exceed half the block byte cap "
+                f"cb={self.limits.cb}, so each needs its own block, but there are "
+                f"only {nb} blocks")
 
     @property
     def n(self) -> int:

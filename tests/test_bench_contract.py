@@ -1,6 +1,6 @@
 """The benchmark's trace contract: every trace point in bench/tracing.py
-still names a function of the package, and a traced run yields every
-per-layer metric that BENCHMARK.json declares."""
+still names a function of the package that a traced run calls, and a
+traced run yields every per-layer metric that BENCHMARK.json declares."""
 
 import json
 from pathlib import Path
@@ -47,6 +47,10 @@ def test_traced_runs_measure_every_layer(tmp_path, tracing):
         tracer.uninstall()
 
     assert tracer.missing == []
+    # A trace point whose function the program no longer calls (renamed,
+    # or bypassed by a new name) records nothing, and its metrics read 0.
+    recorded = {span[0] for span in tracer.spans}
+    assert {point[3] for point in tracing.TRACE_POINTS} - recorded == set()
     for op, (command, _, _) in enumerate(runs):
         metrics = tracing.layer_metrics(tracer, op, 0)
         assert expected - set(metrics) == set(), command

@@ -113,6 +113,15 @@ class TestExitCodes:
         assert run(tmp_path, "optimize", write(tmp_path / "i.json", raw),
                    model_path) == cli.EXIT_INFEASIBLE
 
+    def test_more_large_transactions_than_blocks(self, tmp_path, model_path):
+        """Four 7-byte transactions under cb = 10 need four blocks, so the
+        three blocks of lb = 2 cannot hold them, although 3 * 10 >= 28 bytes."""
+        raw = json.loads(json.dumps(INSTANCE))
+        raw["instance"]["transactions"] = {"sizes_bytes": [7, 7, 7, 7]}
+        raw["instance"]["limits"] = {"lb": 2, "ub": 4, "cb": 10}
+        assert run(tmp_path, "optimize", write(tmp_path / "i.json", raw),
+                   model_path) == cli.EXIT_INFEASIBLE
+
     def test_internal_invariant(self, tmp_path, model_path, instance_path, monkeypatch):
         monkeypatch.setattr(_kernels, "repair_assignment", lambda *args: False)
         assert run(tmp_path, "optimize", instance_path, model_path) == cli.EXIT_INTERNAL

@@ -4,6 +4,7 @@ near-optimality against exhaustive enumeration."""
 import numpy as np
 import pytest
 
+from blocktune import _kernels
 from blocktune.errors import BlocktuneError, EnumerationBudgetError
 from blocktune.ga import (
     GaConfig,
@@ -132,8 +133,8 @@ class TestCrossover:
                                           np.sort(np.stack([pa, pb]), axis=0))
 
     def test_children_always_feasible(self, rng):
-        """Crossover children become feasible after the one repair that run
-        gives each child."""
+        """Crossover children become feasible after the repair that run
+        gives each generation's children."""
         for _ in range(20):
             inst = random_instance(rng, n_max=30)
             pop = initialize_population(inst, GaConfig(population_size=4, rng_seed=5))
@@ -163,8 +164,8 @@ class TestMutate:
         assert not block_of.any()
 
     def test_output_always_feasible(self, rng):
-        """Mutants stay in block range and become feasible after the one
-        repair that run gives each child."""
+        """Mutants stay in block range and become feasible after the repair
+        that run gives each generation's children."""
         for _ in range(20):
             inst = random_instance(rng, n_max=30)
             pop = initialize_population(inst, GaConfig(population_size=3, rng_seed=3))
@@ -187,6 +188,30 @@ class TestRepair:
         assert inst.nb == 3
         out = _repair_array(inst, np.array([0, 0]))
         np.testing.assert_array_equal(out, [1, 0])
+
+    def test_only_wedged_rows_repacked(self, monkeypatch):
+        # nb = ceil(4/3)+1 = 3. Row 0 wedges: block 1 holds 9 + 3 + 9 bytes;
+        # the first 9 goes to block 0 and the second fits nowhere. Row 1
+        # moves its 9 out of block 2 into empty block 1.
+        inst = make_instance([9, 3, 5, 9], lb=3, ub=4, cb=10)
+        assert inst.nb == 3
+        matrix = np.array([[1, 1, 2, 1], [2, 2, 2, 0]])
+        calls = []
+        kernel = _kernels.repair_assignment
+
+        def recording(block_of, *args):
+            calls.append(block_of.copy())
+            return kernel(block_of, *args)
+
+        monkeypatch.setattr(_kernels, "repair_assignment", recording)
+        expected = [_repair_array(inst, row.copy()) for row in matrix]
+        calls.clear()
+        assert _repair_array(inst, matrix) is matrix
+        np.testing.assert_array_equal(matrix, [[0, 2, 2, 1], [1, 2, 2, 0]])
+        np.testing.assert_array_equal(matrix, expected)
+        # one batched pass, then one from-scratch repack of row 0 alone
+        assert len(calls) == 2
+        np.testing.assert_array_equal(calls[1], [[inst.nb] * 4])
 
     def test_only_offending_transactions_move(self, rng):
         for _ in range(30):

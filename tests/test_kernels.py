@@ -1,6 +1,6 @@
 """Numeric kernels: the grouped split search against a per-row search, its
-tie rule, and repair against the per-move scan and the from-scratch packing
-it replaced."""
+tie rule, and repair, of one row or a matrix of rows, against the per-move
+scan and the from-scratch packing it replaced."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -260,3 +260,47 @@ def test_repair_matches_references(case):
     got = np.full_like(start, nb)
     assert _kernels.repair_assignment(got, sizes, nb, ub, cb) is placed
     np.testing.assert_array_equal(got, packed)
+
+
+@st.composite
+def _repair_batch(draw):
+    """A (P, n) matrix on an instance drawn as in ``_any_repair_case``, but
+    with caps that just cover the totals, so one start often wedges where
+    another is repaired: each row a start in [0, nb) or all-unplaced, plus,
+    when the greedy packing places every transaction, that packing as a
+    row that is already feasible."""
+    n = draw(st.integers(1, 30))
+    nb = draw(st.integers(1, 6))
+    sizes = np.array(draw(st.lists(st.integers(1, 12), min_size=n, max_size=n)),
+                     dtype=np.int64)
+    total = int(sizes.sum())
+    ub = draw(st.integers(-(-n // nb), n))
+    least = max(int(sizes.max()), -(-total // nb))
+    cb = draw(st.integers(least, least + total // (2 * nb) + 1))
+    start = st.lists(st.integers(0, nb - 1), min_size=n, max_size=n)
+    rows = [np.full(n, nb) if r is None else np.array(r)
+            for r in draw(st.lists(st.none() | start, min_size=1, max_size=8))]
+    placed, packed = greedy_repack(sizes, nb, ub, cb)
+    if placed:
+        rows.insert(draw(st.integers(0, len(rows))), packed)
+    return np.array(rows, dtype=np.int64), sizes, nb, ub, cb
+
+
+@settings(max_examples=200, deadline=None)
+@given(_repair_batch())
+def test_batch_repair_matches_each_row_alone(case):
+    """Repairing a matrix gives every row the assignment that the per-move
+    scan, or the greedy packing for an all-unplaced row, gives it alone,
+    also where a wedge leaves it partial, and returns True iff every row's
+    reference does."""
+    matrix, sizes, nb, ub, cb = case
+    expected, placed = matrix.copy(), []
+    for row in expected:
+        if (row == nb).all():
+            ok, row[:] = greedy_repack(sizes, nb, ub, cb)
+        else:
+            ok = scan_repair(row, sizes, nb, ub, cb)
+        placed.append(ok)
+    got = matrix.copy()
+    assert _kernels.repair_assignment(got, sizes, nb, ub, cb) is all(placed)
+    np.testing.assert_array_equal(got, expected)

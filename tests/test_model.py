@@ -95,6 +95,13 @@ class TestInstanceConstruction:
         with pytest.raises(InfeasibleInstanceError):
             make_instance([100, 100, 100], lb=3, ub=3, cb=100)
 
+    def test_rejects_more_large_transactions_than_blocks(self):
+        # nb = ceil(4/2)+1 = 3 blocks; no two 7-byte transactions share a
+        # 10-byte block, although 3 * 10 >= 28 bytes
+        with pytest.raises(InfeasibleInstanceError, match="^4 transactions exceed half"):
+            make_instance([7, 7, 7, 7], lb=2, ub=4, cb=10)
+        assert make_instance([7, 7, 7, 3], lb=2, ub=4, cb=10).nb == 3
+
     def test_rejects_noncontiguous_ids(self):
         with pytest.raises(InfeasibleInstanceError):
             ProblemInstance(
