@@ -3,15 +3,16 @@
 Candidates are encoded as block-index vectors (one gene per transaction),
 so the one-block-per-transaction rule is structural and the search space
 is exactly the set of such vectors. A population is a (pop, n) integer
-matrix of such vectors. The variation operators :func:`select`,
-:func:`crossover` and :func:`mutate` act on these arrays, and :func:`run`
-composes them. Feasibility against the per-block count and byte caps is
-restored by one batched repair per generation, after every child's draws,
-never through fitness penalties, keeping the fitness landscape identical
-to the objective being minimized; rows whose repair wedges are repacked
-from scratch with the same kernel. Repair draws no random numbers, so
-batching it leaves the random stream, and every result, as one repair per
-child would.
+matrix of such vectors, and each generation is drawn as arrays over the
+whole population: :func:`select_parents` runs every tournament at once,
+:func:`crossover_pairs` crosses every parent pair and :func:`mutate_genes`
+mutates every child, each in a few numpy calls. Feasibility against the
+per-block count and byte caps is restored by one batched repair per
+generation, never through fitness penalties, keeping the fitness
+landscape identical to the objective being minimized; rows whose repair
+wedges are repacked from scratch with the same kernel. Repair draws no
+random numbers, so one generator seeded from the config seed draws the
+whole run.
 Each generation is priced in one call to the model's population
 evaluator, :func:`blocktune.model.processing_times`.
 
@@ -45,8 +46,8 @@ from .model import (
 class GaConfig:
     """Search hyperparameters; fixed documented defaults, all overridable.
 
-    ``mutation_rate`` defaults to 2/n per transaction with a floor of 0.01
-    when left as None.
+    ``mutation_rate`` defaults to 2/n per transaction, clamped to
+    [0.01, 1], when left as None.
     """
 
     population_size: int = 100
@@ -73,7 +74,7 @@ class GaConfig:
     def effective_mutation_rate(self, n: int) -> float:
         if self.mutation_rate is not None:
             return self.mutation_rate
-        return max(0.01, 2.0 / n)
+        return min(1.0, max(0.01, 2.0 / n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,45 +117,52 @@ def _repair_array(instance: ProblemInstance, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def select(fit: np.ndarray, tournament_size: int, rng: np.random.Generator) -> int:
-    """Tournament selection: the index of the lowest fitness among
-    ``tournament_size`` distinct uniform draws, ties broken by the lower
-    population index."""
-    draws = np.sort(rng.choice(fit.size, size=min(tournament_size, fit.size),
-                               replace=False))
-    return int(draws[np.argmin(fit[draws])])
+def select_parents(fit: np.ndarray, count: int, tournament_size: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """The population indices of ``count`` tournament winners. Each
+    tournament draws min(tournament_size, P) distinct members (the lowest of
+    a row of uniform keys) and picks the lowest fitness among them, ties
+    broken by the lower population index."""
+    t = min(tournament_size, fit.size)
+    draws = np.sort(np.argpartition(rng.random((count, fit.size)), t - 1,
+                                    axis=1)[:, :t], axis=1)
+    return draws[np.arange(count), np.argmin(fit[draws], axis=1)]
 
 
-def crossover(parent_a: np.ndarray, parent_b: np.ndarray, rng: np.random.Generator):
-    """Uniform per-transaction exchange: each gene swaps between the two
-    children with probability 0.5. Children are not repaired."""
-    swap = rng.random(parent_a.size) < 0.5
-    return np.where(swap, parent_b, parent_a), np.where(swap, parent_a, parent_b)
+def crossover_pairs(pairs: np.ndarray, crossover_rate: float,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Uniform crossover of every parent pair in ``pairs`` (pairs, 2, n), in
+    place: with probability ``crossover_rate`` a pair exchanges each gene
+    with probability 0.5. Children are not repaired."""
+    count, _, n = pairs.shape
+    bits = rng.integers(0, 256, size=-(-count * n // 8), dtype=np.uint8)
+    swap = (np.unpackbits(bits, count=count * n).reshape(count, n).view(bool)
+            & (rng.random(count) < crossover_rate)[:, None])
+    # XOR swap: where ``swap`` holds, each child gets the other's gene
+    first, second = pairs[:, 0], pairs[:, 1]
+    diff = (first ^ second) * swap
+    first ^= diff
+    second ^= diff
+    return pairs
 
 
-def mutate(block_of: np.ndarray, nb: int, mutation_rate: float,
-           rng: np.random.Generator) -> np.ndarray:
-    """A copy of ``block_of`` with each gene reassigned to a uniformly random
-    block in [0, nb) with probability ``mutation_rate``. Not repaired."""
-    child = block_of.copy()
-    hit = rng.random(child.size) < mutation_rate
-    if hit.any():
-        child[hit] = rng.integers(0, nb, size=int(hit.sum()))
-    return child
+def mutate_genes(children: np.ndarray, nb: int, mutation_rate: float,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Reassign each gene of ``children`` to a uniformly random block in
+    [0, nb) with probability ``mutation_rate``, in place: a Binomial(size,
+    rate) number of distinct positions, which has the law of one Bernoulli
+    draw per gene. Not repaired."""
+    hits = rng.choice(children.size, rng.binomial(children.size, mutation_rate),
+                      replace=False, shuffle=False)
+    children[np.unravel_index(hits, children.shape)] = rng.integers(0, nb, size=hits.size)
+    return children
 
 
-def initialize_population(instance: ProblemInstance, config: GaConfig) -> np.ndarray:
-    """The (population_size, n) matrix of feasible starting assignments:
-    transactions assigned in a random order to uniformly random blocks,
-    then repaired. Member seeds derive deterministically from the config
-    seed."""
-    seeds = np.random.SeedSequence(config.rng_seed).spawn(config.population_size)
-    population = np.empty((config.population_size, instance.n), dtype=np.int64)
-    for row, seq in zip(population, seeds):
-        rng = np.random.default_rng(seq)
-        order = rng.permutation(instance.n)
-        row[order] = rng.integers(0, instance.nb, size=instance.n)
-    return _repair_array(instance, population)
+def initialize_population(instance: ProblemInstance, size: int,
+                          rng: np.random.Generator) -> np.ndarray:
+    """The (size, n) matrix of feasible starting assignments: every
+    transaction in a uniformly random block, then repaired."""
+    return _repair_array(instance, rng.integers(0, instance.nb, size=(size, instance.n)))
 
 
 def _population_fitness(instance: ProblemInstance, predictor, matrix: np.ndarray):
@@ -174,18 +182,22 @@ def _population_fitness(instance: ProblemInstance, predictor, matrix: np.ndarray
 def run(instance: ProblemInstance, predictor, config: GaConfig = GaConfig()) -> GaResult:
     """Full generational loop with elitism and stagnation-based stopping.
 
-    Each child comes from two tournament selections, crossover with
-    probability ``crossover_rate`` and mutation; the generation's children
-    are then repaired in one batch. Per-generation best fitness is
+    One generator seeded from ``config.rng_seed`` draws the initial
+    population and every generation. A generation is built as arrays:
+    2·⌈children/2⌉ tournaments at once, the winners paired and crossed,
+    every child's genes mutated, the last pair's second child dropped when
+    the child count is odd; the children are then repaired in one batch
+    and the elites appended last. Per-generation best fitness is
     non-increasing; the returned best assignment is feasible and carries
     the recommended block size (its largest per-block transaction count).
     """
-    matrix = initialize_population(instance, config)
+    rng = np.random.default_rng(config.rng_seed)
+    matrix = initialize_population(instance, config.population_size, rng)
     fit, extra, total_q = _population_fitness(instance, predictor, matrix)
 
-    rng = np.random.default_rng(np.random.SeedSequence((config.rng_seed, 1)))
     mutation_rate = config.effective_mutation_rate(instance.n)
     n_children = config.population_size - config.elitism_count
+    n_pairs = -(-n_children // 2)
 
     best_idx = int(np.argmin(fit))
     best_arr = matrix[best_idx].copy()
@@ -199,18 +211,13 @@ def run(instance: ProblemInstance, predictor, config: GaConfig = GaConfig()) -> 
         # tournament, so putting fresh children first lets equally-good
         # offspring keep drifting across fitness plateaus.
         elites = matrix[np.argsort(fit, kind="stable")[:config.elitism_count]]
-        children = []
-        while len(children) < n_children:
-            pa = matrix[select(fit, config.tournament_size, rng)]
-            pb = matrix[select(fit, config.tournament_size, rng)]
-            if rng.random() < config.crossover_rate:
-                pa, pb = crossover(pa, pb, rng)
-            # The last pair may fill only one slot; the dropped child draws
-            # no mutation numbers.
-            for parent in (pa, pb)[:n_children - len(children)]:
-                children.append(mutate(parent, instance.nb, mutation_rate, rng))
+        parents = select_parents(fit, 2 * n_pairs, config.tournament_size, rng)
+        pairs = crossover_pairs(matrix[parents].reshape(n_pairs, 2, instance.n),
+                                config.crossover_rate, rng)
+        children = mutate_genes(pairs.reshape(2 * n_pairs, instance.n)[:n_children],
+                                instance.nb, mutation_rate, rng)
 
-        matrix = np.concatenate([_repair_array(instance, np.stack(children)), elites])
+        matrix = np.concatenate([_repair_array(instance, children), elites])
         fit, gen_extra, gen_q = _population_fitness(instance, predictor, matrix)
         extra += gen_extra
         total_q += gen_q

@@ -96,8 +96,9 @@ def instance_path(tmp_path):
 
 class TestExitCodes:
     def test_ok_and_pinned_optimize(self, tmp_path, model_path, instance_path):
-        """gen-data, train and optimize reproduce the optimize.json that the
-        same configs produced before the GA and the objective were merged."""
+        """gen-data, train and optimize reproduce the pinned optimize.json
+        byte for byte; it may change only with the GA's random stream or
+        the objective."""
         assert run(tmp_path, "optimize", instance_path, model_path) == cli.EXIT_OK
         assert (tmp_path / "optimize.json").read_bytes() == PINNED_OPTIMIZE.read_bytes()
 

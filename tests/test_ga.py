@@ -4,18 +4,18 @@ near-optimality against exhaustive enumeration."""
 import numpy as np
 import pytest
 
-from blocktune import _kernels
+from blocktune import _kernels, ga
 from blocktune.errors import BlocktuneError, EnumerationBudgetError
 from blocktune.ga import (
     GaConfig,
     _population_fitness,
     _repair_array,
     brute_force_optimum,
-    crossover,
+    crossover_pairs,
     initialize_population,
-    mutate,
+    mutate_genes,
     run,
-    select,
+    select_parents,
 )
 from blocktune.model import (
     AssignmentMatrix,
@@ -32,6 +32,10 @@ def small_config(seed=0, pop=30, gens=60):
                     stagnation_limit=25, rng_seed=seed)
 
 
+def population(inst, size=30, seed=0):
+    return initialize_population(inst, size, np.random.default_rng(seed))
+
+
 def feasible(inst, block_of):
     return validate_assignment(inst, AssignmentMatrix(block_of, inst.nb)).ok
 
@@ -39,27 +43,27 @@ def feasible(inst, block_of):
 class TestInitializePopulation:
     def test_single_transaction(self):
         inst = make_instance([100])
-        pop = initialize_population(inst, small_config())
+        pop = population(inst)
         assert pop.shape == (30, 1)
         for row in pop:
             assert feasible(inst, row)
 
     def test_same_seed_identical(self):
         inst = make_instance([50, 60, 70, 80], lb=2)
-        a = initialize_population(inst, small_config(seed=9))
-        b = initialize_population(inst, small_config(seed=9))
+        a = population(inst, seed=9)
+        b = population(inst, seed=9)
         np.testing.assert_array_equal(a, b)
 
     def test_different_seed_differs(self):
         inst = make_instance([50, 60, 70, 80] * 3, lb=2)
-        a = initialize_population(inst, small_config(seed=1))
-        b = initialize_population(inst, small_config(seed=2))
+        a = population(inst, seed=1)
+        b = population(inst, seed=2)
         assert not np.array_equal(a, b)
 
     def test_always_feasible_on_random_instances(self, rng):
         for _ in range(25):
             inst = random_instance(rng)
-            pop = initialize_population(inst, GaConfig(population_size=10, rng_seed=1))
+            pop = population(inst, size=10, seed=1)
             for row in pop:
                 assert feasible(inst, row)
 
@@ -73,7 +77,7 @@ class TestFitness:
                              feature_ranges=[[1, 5], [0, 1e9], [0, np.inf]])
         for _ in range(10):
             inst = random_instance(rng)
-            pop = initialize_population(inst, GaConfig(population_size=12, rng_seed=2))
+            pop = population(inst, size=12, seed=2)
             fit, extrapolating, queries = _population_fitness(inst, stub, pop)
             for row, value in zip(pop, fit):
                 assert value == total_processing_time(
@@ -92,86 +96,138 @@ class TestFitness:
             assert result.best_fitness >= best - 1e-12
 
 
-class TestSelect:
+class TestSelectParents:
+    def test_draws_distinct_members(self):
+        # With t = P - 1 distinct draws, the one member left out is the
+        # only way to lose; the worst member wins only if it is left in
+        # alone, which distinct draws of P - 1 out of P never allow.
+        fit = np.arange(5, dtype=float)[::-1].copy()
+        winners = select_parents(fit, 2000, 4, np.random.default_rng(0))
+        assert set(winners.tolist()) == {3, 4}
+        # member 4 wins unless it is the one left out: P = 1/5
+        assert abs((winners == 3).mean() - 0.2) < 0.04
+
     def test_full_tournament_returns_best(self):
         fit = np.array([5.0, 1.0, 3.0, 2.0])
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            assert select(fit, 4, rng) == 1
+        winners = select_parents(fit, 10, 4, np.random.default_rng(0))
+        np.testing.assert_array_equal(winners, [1] * 10)
+        # a tournament larger than the population draws every member once
+        np.testing.assert_array_equal(
+            select_parents(fit, 10, 9, np.random.default_rng(1)), [1] * 10)
 
     def test_population_of_one(self):
-        assert select(np.array([2.0]), 3, np.random.default_rng(1)) == 0
+        np.testing.assert_array_equal(
+            select_parents(np.array([2.0]), 3, 3, np.random.default_rng(1)), [0, 0, 0])
 
     def test_tie_breaks_by_lower_index(self):
-        assert select(np.ones(4), 4, np.random.default_rng(3)) == 0
+        np.testing.assert_array_equal(
+            select_parents(np.ones(4), 6, 4, np.random.default_rng(3)), [0] * 6)
+        # among tied best draws the lowest index wins
+        fit = np.array([2.0, 1.0, 1.0, 1.0, 3.0])
+        winners = select_parents(fit, 5000, 3, np.random.default_rng(4))
+        # member 3 wins only in the one draw {3, 0 or 4, the other}: 1/10
+        assert set(winners.tolist()) <= {1, 2, 3}
+        assert abs((winners == 3).mean() - 0.1) < 0.02
 
     def test_selection_pressure(self):
         fit = np.array([1.0] + [2.0] * 9)
-        rng = np.random.default_rng(7)
-        hits = sum(select(fit, 3, rng) == 0 for _ in range(10_000))
+        winners = select_parents(fit, 10_000, 3, np.random.default_rng(7))
         # P(best in a 3-of-10 tournament without replacement) = 0.3
-        assert hits > 0.25 * 10_000
+        assert (winners == 0).sum() > 0.25 * 10_000
 
 
-class TestCrossover:
+class TestCrossoverPairs:
     def test_identical_parents_identical_children(self):
         parent = np.array([0, 1, 2])
-        a, b = crossover(parent, parent, np.random.default_rng(0))
-        np.testing.assert_array_equal(a, parent)
-        np.testing.assert_array_equal(b, parent)
+        pairs = np.tile(parent, (4, 2, 1))
+        out = crossover_pairs(pairs, 1.0, np.random.default_rng(0))
+        assert out is pairs
+        np.testing.assert_array_equal(out, np.tile(parent, (4, 2, 1)))
 
-    def test_genes_come_from_parents(self):
-        pa = np.array([0, 0, 1, 1, 2])
-        pb = np.array([2, 1, 0, 2, 0])
+    def test_each_position_keeps_its_pair_of_genes(self):
         rng = np.random.default_rng(11)
-        for _ in range(20):
-            a, b = crossover(pa, pb, rng)
-            for child in (a, b):
-                assert ((child == pa) | (child == pb)).all()
-            # complementary swap: each position is exchanged or not
-            np.testing.assert_array_equal(np.sort(np.stack([a, b]), axis=0),
-                                          np.sort(np.stack([pa, pb]), axis=0))
+        parents = rng.integers(0, 5, size=(20, 2, 13))
+        out = crossover_pairs(parents.copy(), 1.0, rng)
+        # complementary swap: each position is exchanged or not
+        np.testing.assert_array_equal(np.sort(out, axis=1), np.sort(parents, axis=1))
+        swapped = (out[:, 0] != parents[:, 0]) & (parents[:, 0] != parents[:, 1])
+        assert swapped.any() and not swapped.all()
+
+    def test_swaps_half_the_genes(self):
+        parents = np.stack([np.zeros((50, 200), int), np.ones((50, 200), int)], axis=1)
+        out = crossover_pairs(parents, 1.0, np.random.default_rng(5))
+        # 10,000 fair swaps: mean 0.5, sigma 0.005
+        assert abs(out[:, 0].mean() - 0.5) < 0.02
+
+    def test_rate_zero_copies_the_parents(self):
+        rng = np.random.default_rng(12)
+        parents = rng.integers(0, 5, size=(30, 2, 9))
+        out = crossover_pairs(parents.copy(), 0.0, rng)
+        np.testing.assert_array_equal(out, parents)
+
+    def test_rate_decides_per_pair(self):
+        parents = np.stack([np.zeros((2000, 16), int), np.ones((2000, 16), int)], axis=1)
+        out = crossover_pairs(parents, 0.3, np.random.default_rng(6))
+        crossed = out[:, 0].any(axis=1)
+        # an uncrossed pair is a copy; a crossed pair of 16 genes keeps
+        # its first child whole with probability 2**-16
+        assert not out[~crossed, 0].any() and out[~crossed, 1].all()
+        assert abs(crossed.mean() - 0.3) < 0.04
 
     def test_children_always_feasible(self, rng):
         """Crossover children become feasible after the repair that run
         gives each generation's children."""
         for _ in range(20):
             inst = random_instance(rng, n_max=30)
-            pop = initialize_population(inst, GaConfig(population_size=4, rng_seed=5))
-            for child in crossover(pop[0], pop[1], rng):
-                assert feasible(inst, _repair_array(inst, child))
+            pop = population(inst, size=4, seed=5)
+            out = crossover_pairs(pop.reshape(2, 2, inst.n), 1.0, rng)
+            for child in _repair_array(inst, out.reshape(4, inst.n)):
+                assert feasible(inst, child)
 
 
-class TestMutate:
+class TestMutateGenes:
     def test_rate_zero_unchanged(self):
-        block_of = np.array([0, 1, 2])
-        out = mutate(block_of, 4, 0.0, np.random.default_rng(0))
-        np.testing.assert_array_equal(out, block_of)
-        assert out is not block_of
+        children = np.array([[0, 1, 2], [2, 1, 0]])
+        out = mutate_genes(children, 4, 0.0, np.random.default_rng(0))
+        assert out is children
+        np.testing.assert_array_equal(out, [[0, 1, 2], [2, 1, 0]])
+
+    def test_rate_one_redraws_every_gene(self):
+        children = np.full((200, 50), -1)
+        mutate_genes(children, 5, 1.0, np.random.default_rng(13))
+        assert ((children >= 0) & (children < 5)).all()
+        counts = np.bincount(children.ravel(), minlength=5)
+        # 10,000 uniform draws over 5 blocks: each count 2,000 +- 40
+        assert (np.abs(counts - 2000) < 200).all()
 
     def test_rate_one_stays_feasible_and_uniform(self):
         # nb = ceil(n/lb)+1 >= 2 always, so the one-block case cannot be
         # built; with every gene redrawn the result must still be feasible.
         inst = make_instance([10, 10, 10, 10], lb=2, ub=4)
-        block_of = np.zeros(4, dtype=np.int64)
-        seen = set()
-        rng = np.random.default_rng(13)
-        for _ in range(50):
-            out = mutate(block_of, inst.nb, 1.0, rng)
-            assert feasible(inst, out)
-            seen.add(tuple(out.tolist()))
-        assert len(seen) > 10
-        assert not block_of.any()
+        out = mutate_genes(np.zeros((50, 4), dtype=np.int64), inst.nb, 1.0,
+                           np.random.default_rng(13))
+        for row in out:
+            assert feasible(inst, row)
+        assert len({tuple(row) for row in out.tolist()}) > 10
+
+    def test_hit_count_is_binomial(self):
+        rng = np.random.default_rng(21)
+        children, nb, rate, trials = 98, 200, 0.01, 200
+        hits = [np.count_nonzero(mutate_genes(np.full((children, 40), -1), nb, rate, rng) >= 0)
+                for _ in range(trials)]
+        mean = children * 40 * rate
+        sigma = np.sqrt(children * 40 * rate * (1 - rate) / trials)
+        assert abs(np.mean(hits) - mean) < 4 * sigma
 
     def test_output_always_feasible(self, rng):
         """Mutants stay in block range and become feasible after the repair
         that run gives each generation's children."""
         for _ in range(20):
             inst = random_instance(rng, n_max=30)
-            pop = initialize_population(inst, GaConfig(population_size=3, rng_seed=3))
-            out = mutate(pop[0], inst.nb, 0.5, rng)
+            out = mutate_genes(population(inst, size=3, seed=3), inst.nb, 0.5, rng)
             assert ((out >= 0) & (out < inst.nb)).all()
-            assert feasible(inst, _repair_array(inst, out))
+            for row in _repair_array(inst, out):
+                assert feasible(inst, row)
 
 
 class TestRepair:
@@ -231,6 +287,7 @@ class TestRepair:
 
 class TestRun:
     def test_single_transaction(self):
+        """n = 1 runs at the default mutation rate, 2/n clamped to 1."""
         inst = make_instance([100])
         stub = affine_stub()
         result = run(inst, stub, small_config())
@@ -238,6 +295,31 @@ class TestRun:
         expected = total_processing_time(inst, AssignmentMatrix(result.block_of, inst.nb),
                                          stub)
         assert result.best_fitness == pytest.approx(expected)
+
+    def test_odd_child_count_puts_elites_last(self, monkeypatch):
+        """With 9 members and 2 elites, each generation drops the last
+        pair's second child: 7 children, then the previous generation's two
+        best rows in fitness order."""
+        priced = []
+        price = ga._population_fitness
+
+        def recording(inst, predictor, matrix):
+            result = price(inst, predictor, matrix)
+            priced.append((matrix.copy(), result[0]))
+            return result
+
+        monkeypatch.setattr(ga, "_population_fitness", recording)
+        inst = make_instance([50, 120, 80, 200, 30, 150, 90], lb=2, ub=4)
+        config = GaConfig(population_size=9, elitism_count=2, max_generations=12,
+                          stagnation_limit=12, rng_seed=4)
+        result = run(inst, affine_stub(), config)
+        assert len(priced) == result.generations_run + 1 == 13
+        for (before, fit), (after, _) in zip(priced, priced[1:]):
+            assert after.shape == (9, inst.n)
+            np.testing.assert_array_equal(after[7:],
+                                          before[np.argsort(fit, kind="stable")[:2]])
+            for row in after:
+                assert feasible(inst, row)
 
     def test_determinism_bit_identical(self):
         inst = make_instance([50, 120, 80, 200, 30, 150], lb=2, ub=4)
@@ -359,3 +441,6 @@ def test_config_validation():
     assert GaConfig().effective_mutation_rate(1000) == pytest.approx(0.01)
     assert GaConfig().effective_mutation_rate(10) == pytest.approx(0.2)
     assert GaConfig(mutation_rate=0.3).effective_mutation_rate(10) == pytest.approx(0.3)
+    # 2/n is clamped to the [0, 1] range mutation_rate itself must keep
+    assert GaConfig().effective_mutation_rate(1) == 1.0
+    assert GaConfig().effective_mutation_rate(2) == 1.0
