@@ -67,8 +67,18 @@ class TrainingGrid:
     timeout_s: float = 120.0
 
     def __post_init__(self):
-        if not self.block_sizes:
-            raise ConfigError("block_sizes must not be empty")
+        if not self.block_sizes or min(self.block_sizes) < 1:
+            raise ConfigError(f"block_sizes must be a non-empty list of integers >= 1, "
+                              f"got {list(self.block_sizes)}")
+        for name in ("replicates", "total_tx", "max_bytes"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 < self.timeout_s < math.inf:
+            raise ConfigError(f"timeout_s must be finite and > 0, got {self.timeout_s}")
+        for name in ("tx_size_factors", "bandwidth_factors"):
+            if not all(0 < f < math.inf for f in getattr(self, name)):
+                raise ConfigError(f"{name} must be finite and > 0, "
+                                  f"got {list(getattr(self, name))}")
         if len(set(self.tx_size_factors)) < 2:
             raise ConfigError(
                 "tx_size_factors needs at least two distinct values (a single "

@@ -59,15 +59,17 @@ class Transaction:
 
 @dataclass(frozen=True)
 class NodeProfile:
-    """A committing node with a strictly positive bandwidth in bytes/second."""
+    """A committing node with a finite, strictly positive bandwidth in
+    bytes/second."""
 
     id: int
     bandwidth_bytes_per_sec: float
 
     def __post_init__(self):
-        if not self.bandwidth_bytes_per_sec > 0:
+        if not 0 < self.bandwidth_bytes_per_sec < math.inf:
             raise InfeasibleInstanceError(
-                f"node {self.id}: bandwidth must be > 0, got {self.bandwidth_bytes_per_sec}")
+                f"node {self.id}: bandwidth_bytes_per_sec must be finite and > 0, "
+                f"got {self.bandwidth_bytes_per_sec}")
 
 
 @dataclass(frozen=True)

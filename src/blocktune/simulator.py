@@ -1,4 +1,4 @@
-"""Deterministic discrete-event stand-in for a live batch-committing ledger.
+"""Deterministic stand-in for a live batch-committing ledger, in arrays.
 
 One orderer collects arriving transactions and cuts blocks when the pending
 batch hits the transaction cap, would exceed the byte cap with the next
@@ -17,22 +17,25 @@ oversized bursts on thin links disproportionately expensive. Multiplicative
 Gaussian noise with a small configurable standard deviation jitters the
 validation and committing costs, clamped so costs stay positive.
 
-Blocks are cut one block at a time, then priced once on every node, in
-arrays. :func:`run_simulation` queues the priced blocks through each node's
-link and CPU; :func:`generate_training_dataset` never queues, and takes one
-training row per block into a (k, 6) float64 array whose columns are in
-``surrogate.DATASET_COLUMNS`` order.
+Blocks are cut one block at a time, then priced once on every node.
+:func:`run_simulation` queues the priced blocks through each node's link
+and CPU, each a first-in, first-out server: a block finishes at max(ready,
+the previous block's finish) + its service, the Lindley recursion, which
+:func:`_serve` solves for every block and node at once. Blocks ready at
+equal times are served in block order. :func:`generate_training_dataset`
+never queues, and takes one training row per block into a (k, 6) float64
+array whose columns are in ``surrogate.DATASET_COLUMNS`` order.
 
-Event times are continuous doubles; simultaneous events resolve in
-(time, sequence) order. Runs with equal configs and seeds are identical.
-Distinct runs share no state and may execute concurrently.
+Times are continuous doubles. Runs with equal configs and seeds are
+identical. Distinct runs share no state and may execute concurrently.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -59,8 +62,9 @@ class WorkloadProfile:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.arrival_rate_tps <= 0:
-            raise ConfigError("arrival_rate_tps must be > 0")
+        if not 0 < self.arrival_rate_tps < math.inf:
+            raise ConfigError(f"arrival_rate_tps must be finite and > 0, "
+                              f"got {self.arrival_rate_tps}")
         if self.total_tx < 1:
             raise ConfigError("total_tx must be >= 1")
         if self.arrival_process not in ("fixed", "poisson"):
@@ -103,10 +107,10 @@ class GroundTruthCost:
     noise_sd_fraction: float = 0.02
 
     def __post_init__(self):
-        for name in ("vt_per_tx_s", "vt_per_byte_s", "ct_fixed_s", "ct_per_byte_s",
-                     "dispatch_overhead_s", "burst_window_s", "noise_sd_fraction"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not 0 <= value < math.inf:
+                raise ConfigError(f"{f.name} must be finite and >= 0, got {value}")
         if self.noise_sd_fraction >= 0.2:
             raise ConfigError("noise_sd_fraction must be < 0.2")
 
@@ -134,8 +138,8 @@ class BlockCutRule:
     def __post_init__(self):
         if self.max_tx_count < 1 or self.max_bytes < 1:
             raise ConfigError("block cut limits must be >= 1")
-        if self.timeout_s <= 0:
-            raise ConfigError("timeout_s must be > 0")
+        if not 0 < self.timeout_s < math.inf:
+            raise ConfigError(f"timeout_s must be finite and > 0, got {self.timeout_s}")
 
 
 @dataclass(frozen=True)
@@ -260,9 +264,14 @@ def _cut_blocks(arrivals, sizes, rule: BlockCutRule):
     return first, last - first, cum[last] - cum[first], cut_time, reason
 
 
-def _block_costs(count, nbytes, config: SimConfig):
-    """Price every block on every node: (transfer, vt, ct) arrays of shape
-    (blocks, nodes). The noise is one draw in (block, node, vt/ct) order."""
+def _cut_and_price(config: SimConfig):
+    """The arrivals of ``config``'s workload, its blocks (first, count, bytes,
+    cut_time, reason) from :func:`_cut_blocks`, and every block's (transfer,
+    vt, ct) on every node, arrays of shape (blocks, nodes). The noise is one
+    draw in (block, node, vt/ct) order."""
+    arrivals, sizes = _generate_workload(config.workload)
+    blocks = _cut_blocks(arrivals, sizes, config.block_cut)
+    count, nbytes = blocks[1], blocks[2]
     cost = config.cost
     bw = np.array([node.bandwidth_bytes_per_sec for node in config.nodes])
     transfer = cost.transfer_s(nbytes[:, None], bw)
@@ -272,7 +281,17 @@ def _block_costs(count, nbytes, config: SimConfig):
                        _NOISE_FLOOR)
     vt = cost.vt_s(count, nbytes)[:, None] * noise[:, :, 0]
     ct = cost.ct_s(nbytes)[:, None] * noise[:, :, 1]
-    return transfer, vt, ct
+    return arrivals, blocks, (transfer, vt, ct)
+
+
+def _serve(ready, service):
+    """Finish times of first-in, first-out servers, one per column, that take
+    their rows in order: finish_i = max(ready_i, finish_{i-1}) + service_i.
+    With S_i the service through row i and S_-1 = 0, that unrolls to S_i +
+    max over j <= i of (ready_j - S_{j-1}); inputs must be finite."""
+    done = np.cumsum(service, axis=0)
+    before = np.concatenate((np.zeros_like(done[:1]), done[:-1]))
+    return done + np.maximum.accumulate(ready - before, axis=0)
 
 
 def run_simulation(config: SimConfig) -> SimResult:
@@ -281,40 +300,19 @@ def run_simulation(config: SimConfig) -> SimResult:
     Every generated transaction is committed exactly once; commit times
     respect causality (commit >= cut >= first-member arrival).
     """
-    arrivals, sizes = _generate_workload(config.workload)
-    blocks = _cut_blocks(arrivals, sizes, config.block_cut)
-    costs = _block_costs(blocks[1], blocks[2], config)
-    dispatch = config.cost.dispatch_overhead_s
-    m = len(config.nodes)
-    link_free, cpu_free = [0.0] * m, [0.0] * m
-    records = []
-    latency_sum = 0.0
-    makespan = 0.0
-    rows = zip(*(a.tolist() for a in blocks + costs))
-    for index, (first, count, nbytes, cut_time, reason, transfers, vts, cts) in \
-            enumerate(rows):
-        dispatch_done = cut_time + dispatch
-        commit = 0.0
-        for k in range(m):
-            link_free[k] = max(dispatch_done, link_free[k]) + transfers[k]
-            cpu_free[k] = max(link_free[k], cpu_free[k]) + vts[k] + cts[k]
-            commit = max(commit, cpu_free[k])
-        block_latency = commit * count - float(arrivals[first:first + count].sum())
-        latency_sum += block_latency
-        makespan = max(makespan, commit)
-        records.append(BlockRecord(
-            index=index, tx_count=count, block_bytes=nbytes,
-            cut_time_s=cut_time, cut_reason=reason, commit_time_s=commit,
-            mean_latency_s=block_latency / count))
-
+    arrivals, blocks, (transfer, vt, ct) = _cut_and_price(config)
+    first, count, nbytes, cut_time, reason = blocks
+    link = _serve(cut_time[:, None] + config.cost.dispatch_overhead_s, transfer)
+    commit = _serve(link, vt + ct).max(axis=1)
+    latency = commit * count - np.add.reduceat(arrivals, first)
     total = config.workload.total_tx
-    return SimResult(
-        throughput_tps=total / makespan,
-        mean_latency_s=latency_sum / total,
-        makespan_s=makespan,
-        total_tx=total,
-        per_block_records=tuple(records),
-    )
+    makespan = float(commit.max())
+    records = map(BlockRecord, itertools.count(), count.tolist(), nbytes.tolist(),
+                  cut_time.tolist(), reason.tolist(), commit.tolist(),
+                  (latency / count).tolist())
+    return SimResult(throughput_tps=total / makespan,
+                     mean_latency_s=float(latency.sum()) / total, makespan_s=makespan,
+                     total_tx=total, per_block_records=tuple(records))
 
 
 def derive_seed(root: int, *parts) -> int:
@@ -359,11 +357,9 @@ def generate_training_dataset(base: SimConfig, block_sizes, tx_sizes, bandwidths
                 nodes=(NodeProfile(0, float(bw)),),
                 block_cut=replace(base.block_cut, max_tx_count=int(bs)),
                 rng_seed=derive_seed(base.rng_seed, cell, rep))
-            arrivals, sizes = _generate_workload(config.workload)
-            _, count, nbytes, _, _ = _cut_blocks(arrivals, sizes, config.block_cut)
-            transfer, vt, ct = _block_costs(count, nbytes, config)
-            vt, ct = vt[:, 0], ct[:, 0]
-            service = base.cost.dispatch_overhead_s + transfer[:, 0] + vt + ct
+            _, (_, count, nbytes, _, _), costs = _cut_and_price(config)
+            transfer, vt, ct = (c[:, 0] for c in costs)
+            service = base.cost.dispatch_overhead_s + transfer + vt + ct
             chunks.append(np.column_stack(
                 (count, nbytes, np.full(count.size, float(bw)), vt, ct, service)))
     return np.concatenate(chunks)

@@ -512,6 +512,22 @@ class SurrogateConfig:
     holdout_fraction: float = 0.0
     rng_seed: int = 0
 
+    def __post_init__(self):
+        if self.poly_degree not in POLY_DEGREES:
+            raise ConfigError(f"poly_degree must be one of {POLY_DEGREES}, "
+                              f"got {self.poly_degree}")
+        for name, least in (("boost_rounds", 0), ("boost_tree_depth", 0),
+                            ("tree_max_depth", 0), ("boost_min_samples_leaf", 1),
+                            ("tree_min_samples_leaf", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if not 0 < self.boost_learning_rate <= 1:
+            raise ConfigError(f"boost_learning_rate must be in (0, 1], "
+                              f"got {self.boost_learning_rate}")
+        if not 0 <= self.holdout_fraction < 1:
+            raise ConfigError(f"holdout_fraction must be in [0, 1), "
+                              f"got {self.holdout_fraction}")
+
 
 @dataclass(frozen=True)
 class FitReport:
@@ -595,7 +611,7 @@ def fit_predictor(data, config: SurrogateConfig = SurrogateConfig()
     vt, ct, lat = (data[:, col].copy() for col in (3, 4, 5))
 
     n = points.shape[0]
-    if 0 < config.holdout_fraction < 1 and n >= 10:
+    if config.holdout_fraction > 0 and n >= 10:
         rng = np.random.default_rng(config.rng_seed)
         order = rng.permutation(n)
         n_hold = max(1, int(round(config.holdout_fraction * n)))

@@ -395,6 +395,43 @@ def config_argv(command, config, model_path):
     # ZeroDivisionError traceback
     ("simulate", edited(SIMULATE, ("workload", "arrival_rate_tps"), float("nan")),
      "workload.arrival_rate_tps must be a number, got nan"),
+    # Infinity parses as JSON too; each of these once ran, the first writing
+    # "makespan_s": Infinity
+    ("simulate", dict(SIMULATE, cost={"ct_fixed_s": float("inf")}),
+     "cost: ct_fixed_s must be finite"),
+    ("simulate", edited(SIMULATE, ("workload", "arrival_rate_tps"), float("inf")),
+     "workload: arrival_rate_tps must be finite"),
+    ("simulate", edited(SIMULATE, ("block_cut", "timeout_s"), float("inf")),
+     "block_cut: timeout_s must be finite"),
+    # each of these once ran with the value ignored or clamped
+    ("pipeline", dict(PIPELINE, surrogate={"holdout_fraction": 1.5}),
+     "surrogate: holdout_fraction must be in [0, 1)"),
+    ("pipeline", dict(PIPELINE, surrogate={"holdout_fraction": -0.5}),
+     "surrogate: holdout_fraction must be in [0, 1)"),
+    ("pipeline", dict(PIPELINE, surrogate={"boost_rounds": -3}),
+     "surrogate: boost_rounds must be >= 0"),
+    ("pipeline", dict(PIPELINE, surrogate={"tree_max_depth": -1}),
+     "surrogate: tree_max_depth must be >= 0"),
+    ("pipeline", dict(PIPELINE, surrogate={"tree_min_samples_leaf": 0}),
+     "surrogate: tree_min_samples_leaf must be >= 1"),
+    ("train", {"surrogate": {"boost_learning_rate": 1.5}},
+     "surrogate: boost_learning_rate must be in (0, 1]"),
+    ("train", {"surrogate": {"poly_degree": 4}}, "surrogate: poly_degree must be one of"),
+    # these two once failed with an error that named another cause
+    ("pipeline", edited(PIPELINE, ("train_grid", "bandwidth_factors"), [0, 1]),
+     "train_grid: bandwidth_factors must be finite and > 0"),
+    ("sensitivity", edited(SWEEP, ("train_grid", "tx_size_factors"), [-1, 1]),
+     "train_grid: tx_size_factors must be finite and > 0"),
+    ("pipeline", edited(PIPELINE, ("train_grid", "tx_size_factors"), [1, float("inf")]),
+     "train_grid: tx_size_factors must be finite and > 0"),
+    # these once failed only when the grid was simulated
+    ("pipeline", edited(PIPELINE, ("train_grid", "block_sizes"), [0, 4]),
+     "train_grid: block_sizes must be a non-empty list of integers >= 1"),
+    ("pipeline", edited(PIPELINE, ("train_grid", "replicates"), 0),
+     "train_grid: replicates must be >= 1"),
+    # and this one ran
+    ("sensitivity", edited(SWEEP, ("train_grid", "timeout_s"), float("inf")),
+     "train_grid: timeout_s must be finite and > 0"),
 ])
 def test_bad_config_value_exits_1(tmp_path, capsys, model_path, command, config, key):
     """A config value or section of the wrong type, a value out of range, an
@@ -408,6 +445,31 @@ def test_bad_config_value_exits_1(tmp_path, capsys, model_path, command, config,
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err and err.count("\n") == 1
     assert "Traceback" not in err
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
+@pytest.mark.parametrize("command, config", [
+    # a LinAlgError traceback before
+    ("pipeline", edited(PIPELINE, ("instance", "nodes", 0, "bandwidth_bytes_per_sec"),
+                        float("inf"))),
+    # a ZeroDivisionError traceback before
+    ("simulate", {"workload": {"arrival_rate_tps": 10.0, "total_tx": 1, "tx_size_bytes": 1},
+                  "nodes": [{"bandwidth_bytes_per_sec": float("inf")}],
+                  "block_cut": {"max_tx_count": 1, "max_bytes": 1, "timeout_s": 1.0},
+                  "cost": {name: 0.0 for name in ("vt_per_tx_s", "vt_per_byte_s",
+                                                  "ct_fixed_s", "ct_per_byte_s",
+                                                  "dispatch_overhead_s",
+                                                  "noise_sd_fraction")}}),
+])
+def test_infinite_bandwidth_exits_2(tmp_path, capsys, command, config):
+    """A node's bandwidth must be finite: an infinite one exits 2, like a
+    bandwidth of 0, with one error line naming the key, before any work."""
+    path = write(tmp_path / "c.json", config)
+    capsys.readouterr()
+    assert run(tmp_path, command, path) == cli.EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bandwidth_bytes_per_sec must be finite" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
     assert os.listdir(tmp_path) == ["c.json"]
 
 
