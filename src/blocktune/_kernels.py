@@ -1,14 +1,17 @@
 """Hot numeric kernels in vectorized numpy: tree split search, tree
 prediction, cell tables, and assignment repair.
 
-The split search works on a node's groups, not its rows: a group is one
-distinct feature row with its row count and target sum, which is all the
+The split search works on groups, not rows: a group is one distinct
+feature row with its row count and target sum, which is all the
 squared-error gain of a split needs. Training sets repeat feature rows
 heavily (a simulated grid cell gives every block the same features), so a
-node of tens of thousands of rows has tens of groups; on all-distinct data
+tree of tens of thousands of rows has tens of groups; on all-distinct data
 each group is one row and the search is the per-row search it replaces.
 This is LightGBM's histogram split search (Ke et al., NeurIPS 2017) with
-one bin per distinct value, so nothing is approximated.
+one bin per distinct value, so nothing is approximated. The groups are
+sorted once per feature for a whole fit, and :func:`level_splits` searches
+every node of one tree depth in the same pass over that order, each node
+seeing only its own groups.
 
 A fitted tree or forest is constant on each cell of the grid cut by its
 own thresholds, so :func:`tabulate` evaluates it once per cell and
@@ -43,49 +46,85 @@ import math
 import numpy as np
 
 # Split gains closer than this times the node's sum of squared targets are
-# ties (see best_split).
+# ties (see level_splits).
 TIE_RTOL = 1e-12
+# The most (node, feature, group) cells one pass of level_splits holds: a
+# level's arrays stay at 2 MB each however many nodes it has.
+_LEVEL_CELLS = 1 << 18
 
 
-def best_split(x, counts, sums, sum_sq, min_samples_leaf):
-    """Best (feature, threshold) split of a node's groups by squared-error
-    reduction.
+def level_splits(x, order, counts, sums, node_of, sum_sq, min_samples_leaf):
+    """Best (feature, threshold) split of every node of a tree level by
+    squared-error reduction, in one array pass per block of nodes.
 
-    A group is one distinct feature row ``x[g]`` of the node, standing for
-    ``counts[g]`` training rows whose targets sum to ``sums[g]``; ``sum_sq``
-    is the sum of the node's squared targets. Rows of a group share every
-    feature value, so a split never divides a group, and its gain is
+    A group is one distinct feature row ``x[g]`` (x is (G, F)), standing for
+    ``counts[g]`` training rows whose targets sum to ``sums[g]``.
+    ``order[f]`` is feature f's stable argsort of the groups, computed once
+    per fit. ``node_of[g]`` is the level node in [0, K) that group g
+    belongs to, or -1 for a group of no node searched here, and
+    ``sum_sq[k]`` is node k's sum of squared targets. Rows of a group share
+    every feature value, so a split never divides a group, and its gain is
     ``S_L**2 / n_L + S_R**2 / n_R - S**2 / n`` over the row counts ``n`` and
-    target sums ``S`` of the two sides. Candidate thresholds are the
-    midpoints between consecutive distinct values of each feature column;
-    ``min_samples_leaf`` counts rows. Each feature column sorts the node's G
-    groups once, O(G log G), and every array is (G - 1, features).
+    target sums ``S`` of the two sides.
 
-    Gains within ``TIE_RTOL * sum_sq`` of the best are ties: the
+    A node's prefix sums are cumulative sums over (node, feature, group)
+    arrays in each feature's order that hold zeros at the groups of other
+    nodes; adding 0.0 is exact, so they are the sums over the node's own
+    groups in its own sorted order. A candidate threshold is the midpoint
+    between a member's value and the next member's value in that feature,
+    when the two differ; ``min_samples_leaf`` counts rows.
+
+    Gains within ``TIE_RTOL * sum_sq[k]`` of node k's best are ties: the
     formula's rounding error is far below that. Among ties the lowest
-    feature, then the lowest threshold, wins. Returns
-    ``(feature, threshold, gain)``, with feature = -1 when no admissible
-    split has a positive gain.
+    feature, then the lowest threshold, wins. Returns ``(feature,
+    threshold, gain)``, arrays of K entries, with feature = -1 where no
+    admissible split has a positive gain.
     """
-    n = counts.sum()
-    total = sums.sum()
-    order = np.argsort(x, axis=0, kind="stable")
-    xs = np.take_along_axis(x, order, axis=0)
-    # row k of each column: the groups up to sorted position k go left
-    left_n = np.cumsum(counts[order], axis=0)[:-1]
-    left_s = np.cumsum(sums[order], axis=0)[:-1]
-    right_n, right_s = n - left_n, total - left_s
-    gain = (left_s * left_s / left_n + right_s * right_s / right_n
-            - total * total / n)
-    valid = ((xs[:-1] < xs[1:]) & (left_n >= min_samples_leaf)
-             & (right_n >= min_samples_leaf))
-    # feature-major, so candidates run in (feature, threshold) order
-    gain = np.where(valid, gain, -np.inf).T.ravel()
-    if not (gain.size and gain.max() > 0):
-        return -1, 0.0, 0.0
-    j = int(np.argmax(gain >= gain.max() - TIE_RTOL * sum_sq))
-    f, k = divmod(j, xs.shape[0] - 1)
-    return f, float(0.5 * (xs[k, f] + xs[k + 1, f])), float(gain[j])
+    n_nodes = sum_sq.size
+    n_features = order.shape[0]
+    feature = np.full(n_nodes, -1, dtype=np.int64)
+    threshold = np.zeros(n_nodes)
+    gain = np.zeros(n_nodes)
+    least = max(min_samples_leaf, 1)
+    # nodes searched per pass, so that no array exceeds _LEVEL_CELLS cells
+    step = max(1, _LEVEL_CELLS // x.size)
+    for lo in range(0, n_nodes, step):
+        width = min(step, n_nodes - lo)
+        local = node_of - lo
+        kept = (local >= 0) & (local < width)
+        if not kept.any():
+            continue
+        # each feature's order of the pass's groups
+        ranked = order[kept[order]].reshape(n_features, -1)
+        member = local[ranked] == np.arange(width)[:, None, None]
+        left_n = np.where(member, counts[ranked], 0).cumsum(axis=2)
+        left_s = np.where(member, sums[ranked], 0.0).cumsum(axis=2)
+        n, s = left_n[:, 0, -1], left_s[:, 0, -1]
+        # Members in (node, feature, sorted position) order: while a member
+        # leaves rows to its right, the next entry is the node's next member
+        # in that feature.
+        k, f, j = np.nonzero(member)
+        xm = x[ranked[f, j], f]
+        ln, ls = left_n[k, f, j], left_s[k, f, j]
+        i = np.flatnonzero((xm[:-1] < xm[1:]) & (ln[:-1] >= least)
+                           & (n[k[:-1]] - ln[:-1] >= least))
+        if i.size == 0:
+            continue
+        kc, lnc, lsc, nc, sc = k[i], ln[i], ls[i], n[k[i]], s[k[i]]
+        rn, rs = nc - lnc, sc - lsc
+        cand = lsc * lsc / lnc + rs * rs / rn - sc * sc / nc
+        best = np.full(width, -np.inf)
+        np.maximum.at(best, kc, cand)
+        # candidates run in (node, feature, threshold) order
+        tie = np.flatnonzero(cand >= (best - TIE_RTOL * sum_sq[lo:lo + width])[kc])
+        first = np.full(width, i.size)
+        np.minimum.at(first, kc[tie], tie)
+        won = np.flatnonzero(best > 0)
+        c = i[first[won]]
+        feature[lo + won] = f[c]
+        threshold[lo + won] = 0.5 * (xm[c] + xm[c + 1])
+        gain[lo + won] = cand[first[won]]
+    return feature, threshold, gain
 
 
 def tree_predict(feature, threshold, left, right, value, points):

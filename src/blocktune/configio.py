@@ -61,7 +61,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError
+from .errors import ConfigError, InternalInvariantError
 from .model import NodeProfile, ProblemInstance, Transaction
 
 TOOL_VERSION = __version__
@@ -112,9 +112,15 @@ def _replacing(path):
 
 
 def write_json(path, payload):
-    """Write ``payload`` as sorted, indented JSON, atomically."""
+    """Write ``payload`` as sorted, indented JSON, atomically. NaN and
+    infinities are not JSON: a payload holding one, which the checks on
+    every input should rule out, raises InternalInvariantError and leaves
+    the old file."""
     with _replacing(path) as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+        try:
+            json.dump(payload, fh, indent=1, sort_keys=True, allow_nan=False)
+        except ValueError as exc:
+            raise InternalInvariantError(f"{path}: {exc}") from None
         fh.write("\n")
 
 

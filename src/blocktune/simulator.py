@@ -264,23 +264,35 @@ def _cut_blocks(arrivals, sizes, rule: BlockCutRule):
     return first, last - first, cum[last] - cum[first], cut_time, reason
 
 
-def _cut_and_price(config: SimConfig):
+def _finite_times(*times):
+    """Raise ConfigError naming ``cost`` unless every time is finite: each
+    cost parameter is finite, but a product or a sum of them can overflow."""
+    if not all(np.isfinite(t).all() for t in times):
+        raise ConfigError("cost: the simulated times overflow; "
+                          "the cost parameters are too large or too small")
+
+
+def _cut_and_price(config: SimConfig, drawn=None):
     """The arrivals of ``config``'s workload, its blocks (first, count, bytes,
     cut_time, reason) from :func:`_cut_blocks`, and every block's (transfer,
-    vt, ct) on every node, arrays of shape (blocks, nodes). The noise is one
-    draw in (block, node, vt/ct) order."""
-    arrivals, sizes = _generate_workload(config.workload)
+    vt, ct) on every node, arrays of shape (blocks, nodes). ``drawn`` is the
+    workload's (arrivals, sizes) when the caller has drawn them already.
+    The noise is one draw in (block, node, vt/ct) order. A priced time that
+    is not finite raises ConfigError naming ``cost``."""
+    arrivals, sizes = _generate_workload(config.workload) if drawn is None else drawn
     blocks = _cut_blocks(arrivals, sizes, config.block_cut)
     count, nbytes = blocks[1], blocks[2]
     cost = config.cost
     bw = np.array([node.bandwidth_bytes_per_sec for node in config.nodes])
-    transfer = cost.transfer_s(nbytes[:, None], bw)
     noise_rng = np.random.default_rng(np.random.SeedSequence((config.rng_seed, 2)))
     noise = np.maximum(1.0 + noise_rng.normal(0.0, cost.noise_sd_fraction,
                                               size=(count.size, bw.size, 2)),
                        _NOISE_FLOOR)
-    vt = cost.vt_s(count, nbytes)[:, None] * noise[:, :, 0]
-    ct = cost.ct_s(nbytes)[:, None] * noise[:, :, 1]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        transfer = cost.transfer_s(nbytes[:, None], bw)
+        vt = cost.vt_s(count, nbytes)[:, None] * noise[:, :, 0]
+        ct = cost.ct_s(nbytes)[:, None] * noise[:, :, 1]
+    _finite_times(transfer, vt, ct)
     return arrivals, blocks, (transfer, vt, ct)
 
 
@@ -294,24 +306,31 @@ def _serve(ready, service):
     return done + np.maximum.accumulate(ready - before, axis=0)
 
 
-def run_simulation(config: SimConfig) -> SimResult:
+def run_simulation(config: SimConfig, drawn=None) -> SimResult:
     """Run one scenario end to end and measure throughput and latency.
 
     Every generated transaction is committed exactly once; commit times
-    respect causality (commit >= cut >= first-member arrival).
+    respect causality (commit >= cut >= first-member arrival). ``drawn``,
+    when given, is ``config.workload``'s (arrivals, sizes) as
+    :func:`_generate_workload` draws them, for a caller that runs one
+    workload under several cut rules. A priced or queued time that is not
+    finite raises ConfigError naming ``cost``.
     """
-    arrivals, blocks, (transfer, vt, ct) = _cut_and_price(config)
+    arrivals, blocks, (transfer, vt, ct) = _cut_and_price(config, drawn)
     first, count, nbytes, cut_time, reason = blocks
-    link = _serve(cut_time[:, None] + config.cost.dispatch_overhead_s, transfer)
-    commit = _serve(link, vt + ct).max(axis=1)
-    latency = commit * count - np.add.reduceat(arrivals, first)
+    with np.errstate(over="ignore", invalid="ignore"):
+        link = _serve(cut_time[:, None] + config.cost.dispatch_overhead_s, transfer)
+        commit = _serve(link, vt + ct).max(axis=1)
+        latency = commit * count - np.add.reduceat(arrivals, first)
+        total_latency = float(latency.sum())
+    _finite_times(commit, latency, total_latency)
     total = config.workload.total_tx
     makespan = float(commit.max())
     records = map(BlockRecord, itertools.count(), count.tolist(), nbytes.tolist(),
                   cut_time.tolist(), reason.tolist(), commit.tolist(),
                   (latency / count).tolist())
     return SimResult(throughput_tps=total / makespan,
-                     mean_latency_s=float(latency.sum()) / total, makespan_s=makespan,
+                     mean_latency_s=total_latency / total, makespan_s=makespan,
                      total_tx=total, per_block_records=tuple(records))
 
 
@@ -359,7 +378,9 @@ def generate_training_dataset(base: SimConfig, block_sizes, tx_sizes, bandwidths
                 rng_seed=derive_seed(base.rng_seed, cell, rep))
             _, (_, count, nbytes, _, _), costs = _cut_and_price(config)
             transfer, vt, ct = (c[:, 0] for c in costs)
-            service = base.cost.dispatch_overhead_s + transfer + vt + ct
+            with np.errstate(over="ignore"):
+                service = base.cost.dispatch_overhead_s + transfer + vt + ct
+            _finite_times(service)
             chunks.append(np.column_stack(
                 (count, nbytes, np.full(count.size, float(bw)), vt, ct, service)))
     return np.concatenate(chunks)
@@ -367,13 +388,15 @@ def generate_training_dataset(base: SimConfig, block_sizes, tx_sizes, bandwidths
 
 def throughput_vs_blocksize(config: SimConfig, candidate_sizes):
     """Measure (block size, throughput, mean latency) for every candidate
-    transaction cap, holding the workload (and its seed) fixed."""
+    transaction cap, holding the workload (and its seed) fixed: the
+    workload is drawn once and every size runs on it."""
     if not candidate_sizes:
         raise ConfigError("candidate_sizes must not be empty")
+    drawn = _generate_workload(config.workload)
     curve = []
     for size in candidate_sizes:
         point = replace(config,
                         block_cut=replace(config.block_cut, max_tx_count=int(size)))
-        result = run_simulation(point)
+        result = run_simulation(point, drawn)
         curve.append((int(size), result.throughput_tps, result.mean_latency_s))
     return curve

@@ -16,12 +16,18 @@ Training data is one (k, 6) float64 array with its columns in
 Trees are fitted on distinct feature rows. A simulated training set repeats
 its rows heavily (every block of a grid cell has the same block size,
 transaction size and bandwidth), so :func:`fit_boosted` and
-:func:`fit_tree` each group the rows once (:func:`group_rows`) and every
-split search runs over the groups' row counts and target sums
-(:func:`blocktune._kernels.best_split`). What a node stores stays per row:
-its ``value`` is the mean of its rows' targets in row order, and its
-``n_samples`` and ``min_samples_leaf`` count rows, so every stored number
-is the one a per-row search choosing the same splits would store. The
+:func:`fit_tree` each group the rows once (:func:`group_rows`), sort the
+groups once per feature, and grow every tree over the groups alone: a
+tree grows a level at a time, every node of one depth split in one
+:func:`blocktune._kernels.level_splits` call, as XGBoost's depth-wise
+growth does (Chen and Guestrin, KDD 2016). A tree touches no row: each
+level costs one array pass over (level node, feature, distinct row) cells.
+A node's ``value`` is the sum, in group order, of its groups' target sums
+divided by its row count: the mean of its rows' targets, rounded apart
+from ``ndarray.mean`` only in the last bits. Its ``n_samples`` and
+``min_samples_leaf`` count rows, so the splits are the ones a per-row
+search would choose. Nodes are numbered breadth-first; a stored tree of
+any numbering with every child after its parent walks the same. The
 polynomial is fitted on the rows.
 
 ``RegressionTree`` and ``BoostedEnsemble`` are plain data, and their
@@ -283,10 +289,11 @@ def fit_polynomial(points, targets, degree: int = 2) -> PolynomialModel:
 class RegressionTree:
     """A CART-style regression tree in flat-array form.
 
-    Internal nodes store (split feature, threshold); leaves predict the mean
-    of the training targets that reached them. Splits maximize the
-    squared-error reduction over midpoints between consecutive sorted
-    feature values.
+    Internal nodes store (split feature, threshold); every node stores the
+    mean of the training targets that reached it (summed by distinct row,
+    see the module notes) and their count. Splits maximize the
+    squared-error reduction over midpoints between consecutive distinct
+    feature values of a node.
     """
 
     feature: np.ndarray
@@ -352,62 +359,85 @@ def group_rows(points):
     return ordered[first], inverse, np.bincount(inverse)
 
 
-def _fit_tree_arrays(points, targets, groups, max_depth, min_samples_leaf):
-    unique, inverse, counts = groups
+def _feature_order(unique):
+    """Each feature's stable argsort of the groups, (features, groups)."""
+    return np.ascontiguousarray(np.argsort(unique, axis=0, kind="stable").T)
+
+
+def _group_sums(inverse, counts, targets):
+    """Each group's target sum, summed in row order, and the sum of its
+    targets' squared deviations from the group mean."""
     sums = np.bincount(inverse, weights=targets, minlength=counts.size)
-    feature, threshold, left, right, value, n_samples = [], [], [], [], [], []
+    spread = targets - (sums / counts)[inverse]
+    return sums, np.bincount(inverse, weights=spread * spread, minlength=counts.size)
 
-    def build(idx, members, depth):
-        # idx: the node's training rows, in row order; members: its groups
-        node = len(feature)
-        sub = targets[idx]
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(float(sub.mean()))
-        n_samples.append(idx.size)
-        if depth >= max_depth or idx.size < 2 or idx.size < 2 * min_samples_leaf:
-            return node
-        f, thr, gain = _kernels.best_split(unique[members], counts[members],
-                                           sums[members], float(sub @ sub),
-                                           min_samples_leaf)
-        if f < 0 or gain <= _GAIN_EPS:
-            return node
-        mask = points[:, f][idx] <= thr
-        to_left = unique[members, f] <= thr
-        left_id = build(idx[mask], members[to_left], depth + 1)
-        right_id = build(idx[~mask], members[~to_left], depth + 1)
-        feature[node] = f
-        threshold[node] = thr
-        left[node] = left_id
-        right[node] = right_id
-        return node
 
-    build(np.arange(points.shape[0]), np.arange(counts.size), 0)
-    # build holds itself through its closure: dropping the name frees that
-    # cycle, and the targets it holds, now rather than at the next collection
-    del build
-    return feature, threshold, left, right, value, n_samples
+def _grow_tree(unique, order, counts, sums, spread, max_depth, min_samples_leaf):
+    """Grow one tree over the groups ``unique`` (row counts ``counts``,
+    target sums ``sums`` and targets' squared deviations from their group
+    mean ``spread``), splitting every node of a depth in one
+    :func:`_kernels.level_splits` call.
+
+    Nodes are numbered breadth-first. A node's ``value`` is the sum, in
+    group order, of its groups' target sums divided by its row count, and
+    its ``n_samples`` is that row count. Returns the tree's arrays and each
+    group's leaf.
+    """
+    sum_sq = spread + sums * sums / counts
+    node_of = np.zeros(counts.size, dtype=np.int64)
+    levels = []
+    lo, hi = 0, 1  # the node ids of the current depth
+    for depth in range(max_depth + 1):
+        width = hi - lo
+        # groups in leaves above this depth fall in the extra bin, ``width``
+        local = np.where(node_of >= lo, node_of - lo, width)
+        n = np.bincount(local, weights=counts, minlength=width + 1)[:width]
+        value = np.bincount(local, weights=sums, minlength=width + 1)[:width] / n
+        feature = np.full(width, -1, dtype=np.int64)
+        threshold = np.zeros(width)
+        searched = (n >= 2) & (n >= 2 * min_samples_leaf) & (depth < max_depth)
+        if searched.any():
+            q = np.bincount(local, weights=sum_sq, minlength=width + 1)[:width]
+            in_search = np.append(searched, False)[local]
+            f, thr, gain = _kernels.level_splits(unique, order, counts, sums,
+                                                 np.where(in_search, local, -1), q,
+                                                 min_samples_leaf)
+            split = (f >= 0) & (gain > _GAIN_EPS)
+            feature[split], threshold[split] = f[split], thr[split]
+        split = feature >= 0
+        children = np.where(split, hi + 2 * np.cumsum(split) - 2, -1)
+        levels.append((feature, threshold, children, value, n))
+        if not split.any():
+            break
+        moving = np.flatnonzero(np.append(split, False)[local])
+        at = local[moving]
+        node_of[moving] = children[at] + (unique[moving, feature[at]] > threshold[at])
+        lo, hi = hi, children.max() + 2
+    feature, threshold, left, value, n = (np.concatenate(a) for a in zip(*levels))
+    right = np.where(left >= 0, left + 1, -1)
+    return (feature, threshold, left, right, value, n.astype(np.int64)), node_of
 
 
 def fit_tree(points, targets, max_depth: int = 6,
              min_samples_leaf: int = 5) -> RegressionTree:
     """Grow a regression tree on ``targets`` at ``points`` (n, 3) greedily,
-    stopping on depth, leaf size, or zero gain.
+    a level at a time, stopping on depth, leaf size, or zero gain.
 
-    The split search runs over the distinct feature rows of ``points``
-    (:func:`group_rows`), with their row counts and target sums. Each
-    node's ``value`` is the mean of its rows' targets in row order, and
-    ``n_samples`` and ``min_samples_leaf`` count rows, so the tree is the
-    one a search over every row would grow.
+    The tree grows over the distinct feature rows of ``points``
+    (:func:`group_rows`), with their row counts, target sums (in row order)
+    and spreads about their means. ``n_samples`` and ``min_samples_leaf`` count rows,
+    so the tree splits as one grown over every row would; a node's
+    ``value`` is its groups' target sums, summed in group order, over its
+    row count.
     """
     points = np.asarray(points, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if points.shape[0] == 0:
         raise FitError("cannot fit a tree on an empty sample set")
-    arrays = _fit_tree_arrays(points, targets, group_rows(points), max_depth,
-                              min_samples_leaf)
+    unique, inverse, counts = group_rows(points)
+    sums, spread = _group_sums(inverse, counts, targets)
+    arrays, _ = _grow_tree(unique, _feature_order(unique), counts, sums, spread,
+                           max_depth, min_samples_leaf)
     return RegressionTree(*arrays, max_depth=max_depth,
                           min_samples_leaf=min_samples_leaf)
 
@@ -448,10 +478,15 @@ def fit_boosted(points, targets, rounds: int = 100, learning_rate: float = 0.1,
 
     Round 0 predicts the target mean; each round fits a tree to the current
     residuals and adds it scaled by ``learning_rate``. The rows are grouped
-    once, and every tree searches its splits over those distinct rows, as
-    in :func:`fit_tree`; residuals stay per row, and each round predicts
-    once per distinct row and gathers, which gives every row the number a
-    per-row prediction would.
+    and sorted once, and every tree grows over those distinct rows, as in
+    :func:`fit_tree`. Each distinct row carries its residual sum: the
+    round-0 residuals summed in row order, less each later round's step
+    (``learning_rate`` times the value of the leaf the row reached) times
+    its row count. Its residuals' sum of squares is their spread about
+    their mean, which no round changes, plus the squared sum over the row
+    count. The row residuals take each round's step from the leaf their
+    distinct row reached, without a walk, and ``train_mse`` is their mean
+    square.
     """
     if not 0 < learning_rate <= 1:
         raise FitError(f"learning_rate must be in (0, 1], got {learning_rate}")
@@ -460,18 +495,21 @@ def fit_boosted(points, targets, rounds: int = 100, learning_rate: float = 0.1,
     if points.shape[0] < 2:
         raise FitError("boosting needs at least 2 samples")
 
-    groups = group_rows(points)
-    unique, inverse, _ = groups
+    unique, inverse, counts = group_rows(points)
+    order = _feature_order(unique)
     base = float(targets.mean())
     residuals = targets - base
+    sums, spread = _group_sums(inverse, counts, residuals)
     train_mse = [float(np.mean(residuals ** 2))]
     trees = []
     for _ in range(rounds):
-        tree = RegressionTree(*_fit_tree_arrays(points, residuals, groups,
-                                                tree_depth, min_samples_leaf),
-                              max_depth=tree_depth,
+        arrays, leaf = _grow_tree(unique, order, counts, sums, spread, tree_depth,
+                                  min_samples_leaf)
+        tree = RegressionTree(*arrays, max_depth=tree_depth,
                               min_samples_leaf=min_samples_leaf)
-        residuals = residuals - learning_rate * tree.predict(unique)[inverse]
+        step = learning_rate * tree.value[leaf]
+        residuals = residuals - step[inverse]
+        sums = sums - counts * step
         trees.append(tree)
         train_mse.append(float(np.mean(residuals ** 2)))
     return BoostedEnsemble(base, tuple(trees), learning_rate, tuple(train_mse))

@@ -97,8 +97,8 @@ def instance_path(tmp_path):
 class TestExitCodes:
     def test_ok_and_pinned_optimize(self, tmp_path, model_path, instance_path):
         """gen-data, train and optimize reproduce the pinned optimize.json
-        byte for byte; it may change only with the GA's random stream or
-        the objective."""
+        byte for byte; it may change only with the GA's random stream, the
+        objective or the fitted model's arithmetic."""
         assert run(tmp_path, "optimize", instance_path, model_path) == cli.EXIT_OK
         assert (tmp_path / "optimize.json").read_bytes() == PINNED_OPTIMIZE.read_bytes()
 
@@ -432,6 +432,10 @@ def config_argv(command, config, model_path):
     # and this one ran
     ("sensitivity", edited(SWEEP, ("train_grid", "timeout_s"), float("inf")),
      "train_grid: timeout_s must be finite and > 0"),
+    # every cost is finite, but this window overflowed the transfer time: the
+    # run warned, exited 0 and wrote "makespan_s": Infinity
+    ("simulate", dict(SIMULATE, cost={"burst_window_s": 1e-320}),
+     "cost: the simulated times overflow"),
 ])
 def test_bad_config_value_exits_1(tmp_path, capsys, model_path, command, config, key):
     """A config value or section of the wrong type, a value out of range, an

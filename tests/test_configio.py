@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from blocktune import cli, configio, experiments, ga, simulator, surrogate
-from blocktune.errors import ConfigError
+from blocktune.errors import ConfigError, InternalInvariantError
 from blocktune.model import NodeProfile, ProblemInstance
 
 # The dataclasses a config object is read into directly. The ones their
@@ -126,13 +126,16 @@ def rows_then_fail():
     # json.dump has written part of the object when it meets one it cannot
     # serialise
     lambda path: configio.write_json(path, {"a": 1, "b": object()}),
-], ids=["csv", "json"])
+    # NaN and infinities are not JSON
+    lambda path: configio.write_json(path, {"a": 1, "b": float("inf")}),
+    lambda path: configio.write_json(path, {"a": [0.5, float("nan")]}),
+], ids=["csv", "json", "json-infinity", "json-nan"])
 def test_failed_write_keeps_the_old_file(tmp_path, write):
     """A write that fails midway leaves the old file's bytes and no
     temporary file."""
     path = tmp_path / "out"
     path.write_bytes(b"old,bytes\n")
-    with pytest.raises((RuntimeError, TypeError)):
+    with pytest.raises((RuntimeError, TypeError, InternalInvariantError)):
         write(path)
     assert path.read_bytes() == b"old,bytes\n"
     assert os.listdir(tmp_path) == ["out"]

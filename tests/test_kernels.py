@@ -1,8 +1,10 @@
-"""Numeric kernels: the grouped split search against a per-row search, its
-tie rule, and repair, of one row or a matrix of rows, against the per-move
-scan and the from-scratch packing it replaced."""
+"""Numeric kernels: the level split search against a per-row search, its
+tie rule and its nodes searched together or apart, and repair, of one row
+or a matrix of rows, against the per-move scan and the from-scratch packing
+it replaced."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,11 +12,21 @@ from blocktune import _kernels
 
 
 def split_inputs(points, targets):
-    """The grouped kernel's inputs for the rows ``points``, ``targets``."""
+    """The grouped search's inputs for one node holding the rows ``points``,
+    ``targets``: (x, counts, sums, sum_sq)."""
     x, inverse = np.unique(points, axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
     return (x, np.bincount(inverse), np.bincount(inverse, weights=targets),
             float(targets @ targets))
+
+
+def one_node_split(x, counts, sums, sum_sq, min_samples_leaf):
+    """(feature, threshold, gain) of a level of one node holding every group."""
+    order = np.argsort(x, axis=0, kind="stable").T
+    f, threshold, gain = _kernels.level_splits(
+        x, order, counts, sums, np.zeros(counts.size, dtype=np.int64),
+        np.array([sum_sq]), min_samples_leaf)
+    return int(f[0]), float(threshold[0]), float(gain[0])
 
 
 def row_gain(points, targets, f, threshold):
@@ -40,15 +52,15 @@ def row_best_gain(points, targets, min_samples_leaf):
     return best
 
 
-def test_best_split_no_valid_split():
+def test_level_split_no_valid_split():
     """One distinct row has no threshold; two distinct rows cannot both
     leave min_samples_leaf rows on each side."""
     one = split_inputs(np.ones((4, 3)), np.array([1.0, 2.0, 3.0, 4.0]))
-    assert _kernels.best_split(*one, 1) == (-1, 0.0, 0.0)
+    assert one_node_split(*one, 1) == (-1, 0.0, 0.0)
     points = np.array([[1.0, 0.0, 0.0]] * 3 + [[2.0, 0.0, 0.0]])
     two = split_inputs(points, np.array([1.0, 1.0, 1.0, 5.0]))
-    assert _kernels.best_split(*two, 1)[0] == 0
-    assert _kernels.best_split(*two, 2) == (-1, 0.0, 0.0)
+    assert one_node_split(*two, 1)[0] == 0
+    assert one_node_split(*two, 2) == (-1, 0.0, 0.0)
 
 
 # A latency-tree node fitted on the tune-mixed-3node-n200 benchmark
@@ -75,7 +87,7 @@ NODE_TARGETS = np.array([
 
 
 def test_mirror_partition_tie_goes_to_lowest_feature():
-    f, threshold, _ = _kernels.best_split(*split_inputs(NODE_ROWS, NODE_TARGETS), 5)
+    f, threshold, _ = one_node_split(*split_inputs(NODE_ROWS, NODE_TARGETS), 5)
     assert (f, threshold) == (0, 50.0)
 
 
@@ -86,9 +98,9 @@ def test_rounding_tie_goes_to_lowest_feature(monkeypatch):
     x = np.array([[1.0, 3.0, 0.0], [2.0, 2.0, 0.0], [3.0, 1.0, 0.0], [4.0, 4.0, 0.0]])
     sums = np.array([0.4, 0.8, 0.6, 3.1])
     args = (x, np.ones(4, dtype=np.int64), sums, float(sums @ sums), 1)
-    assert _kernels.best_split(*args)[:2] == (0, 3.5)
+    assert one_node_split(*args)[:2] == (0, 3.5)
     monkeypatch.setattr(_kernels, "TIE_RTOL", 0.0)
-    assert _kernels.best_split(*args)[:2] == (1, 3.5)
+    assert one_node_split(*args)[:2] == (1, 3.5)
 
 
 @st.composite
@@ -112,8 +124,8 @@ def test_grouped_split_matches_row_search(case):
     """The grouped kernel reaches the best gain of an exhaustive per-row
     search, and the split it returns attains that gain on the rows."""
     points, targets, min_samples_leaf = case
-    f, threshold, gain = _kernels.best_split(*split_inputs(points, targets),
-                                             min_samples_leaf)
+    f, threshold, gain = one_node_split(*split_inputs(points, targets),
+                                        min_samples_leaf)
     best = row_best_gain(points, targets, min_samples_leaf)
     atol = 1e-9 * float(targets @ targets)
     if best is None or best <= atol:
@@ -124,6 +136,35 @@ def test_grouped_split_matches_row_search(case):
     assert np.isclose(row_gain(points, targets, f, threshold), best, rtol=1e-9, atol=atol)
     values = np.unique(points[:, f])
     assert threshold in 0.5 * (values[:-1] + values[1:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grouped_rows(), st.lists(st.integers(-1, 3), min_size=6, max_size=6),
+       st.sampled_from([1, 7, 1 << 20]))
+def test_level_searches_each_node_alone(case, nodes, cells):
+    """A level's split per node is, bit for bit, the node's split searched
+    alone, whether the level's nodes share one pass or each pass holds as
+    few (node, feature, group) cells as the bound allows; a group of node
+    -1 is searched in none."""
+    points, targets, min_samples_leaf = case
+    x, counts, sums, _ = split_inputs(points, targets)
+    order = np.argsort(x, axis=0, kind="stable").T
+    node_of = np.array(nodes[:counts.size], dtype=np.int64)
+    if not (node_of >= 0).any():
+        return
+    present = np.unique(node_of[node_of >= 0])
+    node_of = np.where(node_of >= 0, np.searchsorted(present, node_of), -1)
+    # any tie scale serves, as both searches of a node get the same one
+    sum_sq = np.bincount(node_of[node_of >= 0], weights=sums[node_of >= 0] ** 2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_LEVEL_CELLS", cells)
+        got = _kernels.level_splits(x, order, counts, sums, node_of, sum_sq,
+                                    min_samples_leaf)
+    for k in range(present.size):
+        mine = node_of == k
+        alone = one_node_split(x[mine], counts[mine], sums[mine], sum_sq[k],
+                               min_samples_leaf)
+        assert (int(got[0][k]), float(got[1][k]), float(got[2][k])) == alone
 
 
 def _check_repaired(block_of, start, sizes, nb, ub, cb):

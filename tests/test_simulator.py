@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from blocktune import simulator
 from blocktune.configio import write_csv
 from blocktune.errors import ConfigError
 from blocktune.model import NodeProfile
@@ -242,6 +243,28 @@ class TestThroughputCurve:
         curve = throughput_vs_blocksize(config_for(total_tx=40), [7])
         assert len(curve) == 1
         assert curve[0][0] == 7
+
+    def test_scan_equals_each_size_run_alone(self, monkeypatch):
+        """The scan draws its workload once, and each point is the one
+        run_simulation gives that size on its own, bit for bit."""
+        draws = []
+        generate = simulator._generate_workload
+        monkeypatch.setattr(simulator, "_generate_workload",
+                            lambda profile: draws.append(profile) or generate(profile))
+        cost = GroundTruthCost(noise_sd_fraction=0.05, burst_window_s=0.004)
+        config = replace(config_for(total_tx=300, rate=400.0, timeout=0.4, cost=cost,
+                                    seed=11),
+                         workload=WorkloadProfile(400.0, 300, arrival_process="poisson",
+                                                  tx_size_range_bytes=(200, 2000),
+                                                  rng_seed=13))
+        sizes = [1, 3, 10, 40, 300]
+        curve = throughput_vs_blocksize(config, sizes)
+        assert len(draws) == 1
+        for size, tps, latency in curve:
+            alone = run_simulation(replace(config, block_cut=replace(
+                config.block_cut, max_tx_count=size)))
+            assert (tps, latency) == (alone.throughput_tps, alone.mean_latency_s)
+        assert [point[0] for point in curve] == sizes
 
     def test_all_candidates_commit_everything(self):
         config = config_for(total_tx=120, rate=400.0, timeout=0.4)

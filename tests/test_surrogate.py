@@ -36,7 +36,7 @@ from blocktune.surrogate import (
     monomial_name,
     save_dataset,
 )
-from blocktune.surrogate import _design_matrix, _monomial_exponents
+from blocktune.surrogate import _GAIN_EPS, _design_matrix, _monomial_exponents
 
 
 def grid_points(rng=None, n=60):
@@ -452,12 +452,21 @@ def node_rows(tree, points):
     return reached
 
 
-def assert_values_are_row_means(tree, points, targets):
-    reached = node_rows(tree, points)
-    assert sorted(reached) == list(range(tree.n_nodes))
-    for node, rows in reached.items():
-        assert tree.n_samples[node] == rows.size
-        assert tree.value[node] == targets[rows].mean()
+def assert_values_are_group_sums(tree, points, targets, sums):
+    """Every node stores the sum, in group order, of the target sums
+    ``sums`` of the distinct rows routed to it, divided by the count of rows
+    routed to it, bit for bit, and counts those rows. That value is within
+    1e-12 of ``ndarray.mean`` of the rows' ``targets``, relative to the
+    largest target: a boosting round's root holds residuals that average
+    to about zero, so no relative bound on the mean itself could hold."""
+    unique, _, counts = group_rows(points)
+    groups, rows = node_rows(tree, unique), node_rows(tree, points)
+    assert sorted(rows) == list(range(tree.n_nodes))
+    scale = np.abs(targets).max()
+    for node, members in groups.items():
+        assert tree.n_samples[node] == rows[node].size == counts[members].sum()
+        assert tree.value[node] == np.cumsum(sums[members])[-1] / rows[node].size
+        assert abs(tree.value[node] - targets[rows[node]].mean()) <= 1e-12 * scale
 
 
 class TestGroupedFit:
@@ -470,19 +479,142 @@ class TestGroupedFit:
         np.testing.assert_array_equal(counts, want[2])
         assert unique.shape[0] < points.shape[0] // 10
 
-    def test_node_values_are_row_means(self, grid_data, grid_predictor):
-        """Every node of the latency tree and of each boosted tree stores
-        ``ndarray.mean`` of the training targets routed to it (for a boosted
-        tree, the residuals its round fitted), bit for bit, and counts those
-        rows."""
+    def test_node_values_are_group_sums(self, grid_data, grid_predictor):
+        """The latency tree's distinct rows carry their targets' row-order
+        sums. A boosting round's carry the residual sums: the round-0
+        residuals' row-order sums, less each later round's step times the
+        row count. The training MSE is the rows' own."""
         points, vt, lat = grid_data[:, :3], grid_data[:, 3], grid_data[:, 5]
-        assert_values_are_row_means(grid_predictor.latency_model, points, lat)
+        unique, inverse, counts = group_rows(points)
+        assert_values_are_group_sums(grid_predictor.latency_model, points, lat,
+                                     np.bincount(inverse, weights=lat))
         model = grid_predictor.vt_model
         residuals = vt - model.base_value
+        sums = np.bincount(inverse, weights=residuals)
         for tree in model.trees:
-            assert_values_are_row_means(tree, points, residuals)
+            assert_values_are_group_sums(tree, points, residuals, sums)
+            step = model.learning_rate * tree.predict(unique)
             residuals = residuals - model.learning_rate * tree.predict(points)
+            sums = sums - counts * step
         assert model.train_mse[-1] == np.mean(residuals ** 2)
+
+
+def reference_split(x, counts, sums, sum_sq, min_samples_leaf):
+    """The per-node split search the level kernel replaced: one node's
+    groups sorted per feature, gains from their prefix sums, gains within
+    TIE_RTOL * sum_sq of the best tied to the lowest feature, then the
+    lowest threshold. Returns (feature, threshold, gain), feature -1 when
+    no admissible split has a positive gain."""
+    n = counts.sum()
+    total = sums.sum()
+    order = np.argsort(x, axis=0, kind="stable")
+    xs = np.take_along_axis(x, order, axis=0)
+    left_n = np.cumsum(counts[order], axis=0)[:-1]
+    left_s = np.cumsum(sums[order], axis=0)[:-1]
+    right_n, right_s = n - left_n, total - left_s
+    gain = (left_s * left_s / left_n + right_s * right_s / right_n
+            - total * total / n)
+    valid = ((xs[:-1] < xs[1:]) & (left_n >= min_samples_leaf)
+             & (right_n >= min_samples_leaf))
+    gain = np.where(valid, gain, -np.inf).T.ravel()
+    if not (gain.size and gain.max() > 0):
+        return -1, 0.0, 0.0
+    j = int(np.argmax(gain >= gain.max() - _kernels.TIE_RTOL * sum_sq))
+    f, k = divmod(j, xs.shape[0] - 1)
+    return f, float(0.5 * (xs[k, f] + xs[k + 1, f])), float(gain[j])
+
+
+def reference_tree(points, targets, max_depth, min_samples_leaf):
+    """The recursive grower the level-wise one replaced: one call per node,
+    depth first, each node gathering its rows, storing their
+    ``ndarray.mean`` and searching its own groups with
+    :func:`reference_split`."""
+    unique, inverse, counts = group_rows(points)
+    sums = np.bincount(inverse, weights=targets, minlength=counts.size)
+    feature, threshold, left, right, value, n_samples = [], [], [], [], [], []
+
+    def build(idx, members, depth):
+        node = len(feature)
+        sub = targets[idx]
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(float(sub.mean()))
+        n_samples.append(idx.size)
+        if depth >= max_depth or idx.size < 2 or idx.size < 2 * min_samples_leaf:
+            return node
+        f, thr, gain = reference_split(unique[members], counts[members],
+                                       sums[members], float(sub @ sub),
+                                       min_samples_leaf)
+        if f < 0 or gain <= _GAIN_EPS:
+            return node
+        mask = points[idx, f] <= thr
+        to_left = unique[members, f] <= thr
+        left_id = build(idx[mask], members[to_left], depth + 1)
+        right_id = build(idx[~mask], members[~to_left], depth + 1)
+        feature[node], threshold[node] = f, thr
+        left[node], right[node] = left_id, right_id
+        return node
+
+    build(np.arange(points.shape[0]), np.arange(counts.size), 0)
+    return RegressionTree(feature, threshold, left, right, value, n_samples,
+                          max_depth, min_samples_leaf)
+
+
+def assert_same_tree(got, want, atol, node=0, want_node=0):
+    """The trees split alike from these nodes down, with equal row counts,
+    whatever their node numbering; values agree within 1e-12 relative or
+    ``atol``."""
+    assert got.feature[node] == want.feature[want_node]
+    assert got.n_samples[node] == want.n_samples[want_node]
+    assert np.isclose(got.value[node], want.value[want_node], rtol=1e-12, atol=atol)
+    if want.feature[want_node] >= 0:
+        assert got.threshold[node] == want.threshold[want_node]
+        assert_same_tree(got, want, atol, got.left[node], want.left[want_node])
+        assert_same_tree(got, want, atol, got.right[node], want.right[want_node])
+
+
+@st.composite
+def grouped_dataset(draw):
+    """Rows of up to 12 distinct feature rows on a small grid, so feature
+    values tie across rows, each repeated 1-5 times in shuffled order, with
+    targets from a small set whose sums round."""
+    n_groups = draw(st.integers(1, 12))
+    distinct = draw(st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=n_groups,
+                             max_size=n_groups, unique=True))
+    repeats = draw(st.lists(st.integers(1, 5), min_size=n_groups, max_size=n_groups))
+    points = np.repeat(np.array(distinct, dtype=np.float64), repeats, axis=0)
+    targets = np.array(draw(st.lists(
+        st.sampled_from([-2.0, 0.0, 0.1, 0.3, 0.7, 1.0, 3.5]),
+        min_size=len(points), max_size=len(points))))
+    order = np.array(draw(st.permutations(range(len(points)))), dtype=np.int64)
+    return points[order], targets[order]
+
+
+@settings(max_examples=400, deadline=None)
+@given(grouped_dataset(), st.integers(0, 6), st.integers(1, 5),
+       st.sampled_from([1, 1 << 20]))
+def test_level_grower_matches_recursive_reference(case, max_depth, min_samples_leaf,
+                                                  cells):
+    """Growing a tree a level at a time splits every node as the recursive
+    per-node grower does, with the same row counts, and its group-sum
+    values agree with that grower's row means; a boosted tree too. So it
+    does when each pass of the level kernel holds one node."""
+    points, targets = case
+    atol = 1e-12 * np.abs(targets).max()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_LEVEL_CELLS", cells)
+        tree = fit_tree(points, targets, max_depth, min_samples_leaf)
+        model = fit_boosted(points, targets, rounds=1, learning_rate=1.0,
+                            tree_depth=max_depth, min_samples_leaf=min_samples_leaf
+                            ) if points.shape[0] >= 2 else None
+    assert_same_tree(tree, reference_tree(points, targets, max_depth, min_samples_leaf),
+                     atol)
+    if model is not None:
+        want = reference_tree(points, targets - targets.mean(), max_depth,
+                              min_samples_leaf)
+        assert_same_tree(model.trees[0], want, atol)
 
 
 class TestCellTable:
@@ -579,7 +711,8 @@ class TestStoredModelChecks:
                    for t in d["vt_model"]["trees"])
         mutation(d)
         path = tmp_path / "model.json"
-        write_json(path, d)
+        # json.dumps, not write_json: the writer refuses NaN and infinities
+        path.write_text(json.dumps(d), encoding="utf-8")
         with pytest.raises(DatasetError, match=message):
             PerformancePredictor.load(path)
 
