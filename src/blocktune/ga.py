@@ -14,7 +14,9 @@ wedges are repacked from scratch with the same kernel. Repair draws no
 random numbers, so one generator seeded from the config seed draws the
 whole run.
 Each generation is priced in one call to the model's population
-evaluator, :func:`blocktune.model.processing_times`.
+evaluator, :func:`blocktune.model.processing_times`, which prices each
+distinct block of the generation once per node. Query counts still count
+one query per non-empty block and node of every member.
 
 Runs are fully deterministic: identical (instance, predictor, config)
 produce bit-identical results.
@@ -166,17 +168,19 @@ def initialize_population(instance: ProblemInstance, size: int,
 
 
 def _population_fitness(instance: ProblemInstance, predictor, matrix: np.ndarray):
-    """The objective for every row of ``matrix`` (pop, n), with the number of
-    feature rows priced outside the predictor's training range.
+    """The objective for every row of ``matrix`` (pop, n), with its query
+    counts: one query per non-empty block and node of every row, and those
+    outside the predictor's training range. A distinct block is priced once,
+    but its queries count once per block with its composition.
 
     Returns (fitness vector, extrapolating query count, total query count).
     Rows must already be feasible.
     """
-    fit, rows = processing_times(instance, matrix, predictor)
+    fit, rows, weights = processing_times(instance, matrix, predictor)
     extrapolating = 0
     if hasattr(predictor, "extrapolation_mask"):
-        extrapolating = int(predictor.extrapolation_mask(rows).sum())
-    return fit, extrapolating, rows.shape[0]
+        extrapolating = int(weights[predictor.extrapolation_mask(rows)].sum())
+    return fit, extrapolating, int(weights.sum())
 
 
 def run(instance: ProblemInstance, predictor, config: GaConfig = GaConfig()) -> GaResult:
@@ -273,7 +277,7 @@ def brute_force_optimum(instance: ProblemInstance, predictor,
                     & (byte_sums <= instance.limits.cb).all(axis=1))
         if not feasible.any():
             continue
-        fit, _ = processing_times(instance, cand[feasible], predictor)
+        fit, _, _ = processing_times(instance, cand[feasible], predictor)
         local = int(np.argmin(fit))
         if fit[local] < best_fit:
             best_fit = float(fit[local])

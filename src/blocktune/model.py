@@ -10,16 +10,18 @@ of the slowest committing node's predicted storing time plus latency for
 that block's composition.
 
 One evaluator computes it: :func:`block_times` prices every block of a
-(pop, n) matrix of assignments in one predict call, and
-:func:`processing_times` sums each row in block order. The genetic search
-and :func:`total_processing_time` both go through it, so an assignment
+(pop, n) matrix of assignments in one predict call, each distinct
+(tx_count, block_bytes) pair once per node, and :func:`processing_times`
+sums each row in block order. The genetic search, the exhaustive search
+and :func:`total_processing_time` all go through it, so an assignment
 prices the same alone or in a population.
 
 Performance predictors are duck-typed and batch-only: anything exposing
 ``predict_f_batch(points)`` and ``predict_g_batch(points)`` over (k, 3)
 arrays with columns (tx_count, block_bytes, bandwidth) works, which lets
-tests plug in analytic stubs. An optional ``extrapolation_mask(points)``
-flags rows outside the training envelope for reports.
+tests plug in analytic stubs. Each row's answer must not depend on the
+other rows of its batch. An optional ``extrapolation_mask(points)`` flags
+rows outside the training envelope for reports.
 
 All types are immutable after construction and safe to share between
 concurrent evaluators; every operation here is a pure function of its
@@ -293,35 +295,61 @@ def block_times(instance: ProblemInstance, matrix: np.ndarray, predictor):
     """Processing time of every block of every assignment row of ``matrix``
     (pop, n): the slowest node's predicted f + g, 0 for an empty block.
 
-    Returns the (pop, nb) times and the feature rows priced: one
-    (tx_count, block_bytes, bandwidth) row per non-empty block and node,
-    population-major, then block, then node order, all in one predict call.
+    A block's time depends only on its (tx_count, block_bytes) pair, so each
+    distinct pair of the non-empty blocks is priced once, on every node, in
+    one predict call, and its time is gathered back to each block with that
+    pair. The predictor must price a row the same whatever else its batch
+    holds, so a block's time does not depend on the rest of the matrix.
+
+    Returns the (pop, nb) times, the feature rows priced and each row's
+    weight: one (tx_count, block_bytes, bandwidth) row per distinct pair and
+    node, in (tx_count, block_bytes) order, then node order, weighted by the
+    number of blocks with that pair, so the weights sum to the number of
+    non-empty blocks times the node count.
     """
     counts, byte_sums = block_stats(instance, matrix)
     nonempty = np.flatnonzero(counts)
+    block_counts = counts.ravel()[nonempty]
+    block_bytes = byte_sums.ravel()[nonempty]
+    # (count, bytes) order with no combined key that could overflow: sort by
+    # bytes, then stably by count. Bytes grow with the count, so the stable
+    # sort meets long sorted runs, which it merges quickly.
+    by_bytes = np.argsort(block_bytes)
+    order = by_bytes[np.argsort(block_counts[by_bytes], kind="stable")]
+    sorted_counts, sorted_bytes = block_counts[order], block_bytes[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = ((sorted_counts[1:] != sorted_counts[:-1])
+                 | (sorted_bytes[1:] != sorted_bytes[:-1]))
+    starts = np.flatnonzero(first)
+    pair_of = np.empty(order.size, dtype=np.int64)
+    pair_of[order] = np.cumsum(first) - 1
+
     m = instance.m
-    rows = np.empty((nonempty.size * m, 3), dtype=np.float64)
-    rows[:, 0] = np.repeat(counts.ravel()[nonempty].astype(np.float64), m)
-    rows[:, 1] = np.repeat(byte_sums.ravel()[nonempty], m)
-    rows[:, 2] = np.tile(instance.bandwidths, nonempty.size)
+    rows = np.empty((starts.size * m, 3), dtype=np.float64)
+    rows[:, 0] = np.repeat(sorted_counts[starts].astype(np.float64), m)
+    rows[:, 1] = np.repeat(sorted_bytes[starts], m)
+    rows[:, 2] = np.tile(instance.bandwidths, starts.size)
     per_node = (np.asarray(predictor.predict_f_batch(rows), dtype=np.float64)
                 + np.asarray(predictor.predict_g_batch(rows), dtype=np.float64))
     times = np.zeros(counts.size, dtype=np.float64)
-    times[nonempty] = per_node.reshape(nonempty.size, m).max(axis=1)
-    return times.reshape(counts.shape), rows
+    times[nonempty] = per_node.reshape(starts.size, m).max(axis=1)[pair_of]
+    weights = np.repeat(np.diff(starts, append=order.size), m)
+    return times.reshape(counts.shape), rows, weights
 
 
 def processing_times(instance: ProblemInstance, matrix: np.ndarray, predictor):
     """The objective for every assignment row of ``matrix`` (pop, n): the
     sum of its block times, accumulated in block order. Returns the (pop,)
-    totals and the feature rows priced (see :func:`block_times`).
+    totals with the feature rows priced and their weights (see
+    :func:`block_times`): each distinct block is priced once, and a row's
+    weight is how many blocks it priced.
 
     Rows must already be feasible.
     """
-    times, rows = block_times(instance, matrix, predictor)
+    times, rows, weights = block_times(instance, matrix, predictor)
     # cumsum adds strictly in block order. sum(axis=1) adds pairwise and
     # rounds differently, which would change saved best_fitness values.
-    return np.cumsum(times, axis=1)[:, -1], rows
+    return np.cumsum(times, axis=1)[:, -1], rows, weights
 
 
 def total_processing_time(instance: ProblemInstance, assignment: AssignmentMatrix,
@@ -334,7 +362,7 @@ def total_processing_time(instance: ProblemInstance, assignment: AssignmentMatri
     if not report.ok:
         raise ConstraintViolationError(
             "assignment is infeasible: " + "; ".join(report.to_lines()))
-    totals, _ = processing_times(instance, assignment.block_of[None, :], predictor)
+    totals, _, _ = processing_times(instance, assignment.block_of[None, :], predictor)
     return float(totals[0])
 
 

@@ -41,7 +41,13 @@ is tabulated only when its grid has at most as many cells as the model
 had training rows (``n_samples[0]`` of its first tree), so filling the
 table never costs more than one walk of the training set; above that
 bound the predictor answers with the model's walk. The polynomial is
-evaluated directly.
+evaluated directly, as coefficient × monomial added in monomial order.
+
+Every answer is a function of its own row alone, bit for bit: a lookup, a
+walk or an element-wise sum, never a matrix product, whose rounding
+depends on the batch. So :func:`blocktune.model.block_times` prices each
+distinct block of a GA generation once, and the objective still prices an
+assignment the same alone or in a population.
 
 The model classes are dataclasses whose fields are the stored model's
 keys, so :func:`blocktune.configio.build_config` reads a stored model and
@@ -51,9 +57,10 @@ tree's arrays of one length, integer-valued where they count or index,
 features in range, finite values and every internal node's children after
 it, so that every walk ends; the polynomial's exponents equal to its
 degree's monomials, one finite coefficient each and three finite means and
-positive scales; a learning rate in (0, 1]; three feature ranges; and each
-model's ``family``. :meth:`PerformancePredictor.load` raises DatasetError
-naming the file and the key.
+positive scales; a learning rate in (0, 1]; three feature ranges, each
+with low <= high; and each model's ``family``.
+:meth:`PerformancePredictor.load` raises DatasetError naming the file and
+the key.
 
 Fitting is deterministic given identical samples and hyperparameters, and
 fitted models are immutable, so predictors can be shared freely between
@@ -173,13 +180,12 @@ def monomial_name(exponents) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _design_matrix(z, exponents):
-    """Monomial columns at standardized rows ``z``. Each power
-    ``z[:, f] ** e`` is computed once, and a monomial multiplies its factors
-    in feature order, as ``np.prod`` over them does, so every column is the
-    same bit for bit."""
+def _monomials(z, exponents):
+    """Each monomial's column at standardized rows ``z``, in ``exponents``
+    order. Each power ``z[:, f] ** e`` is computed once, and a monomial
+    multiplies its factors in feature order, as ``np.prod`` over them does,
+    so every column is the same bit for bit."""
     powers = {}
-    cols = []
     for exps in exponents:
         col = None
         for f, e in enumerate(exps):
@@ -188,8 +194,12 @@ def _design_matrix(z, exponents):
                 if power is None:
                     power = powers[f, e] = z[:, f] ** e
                 col = power if col is None else col * power
-        cols.append(np.ones(z.shape[0]) if col is None else col)
-    return np.column_stack(cols)
+        yield np.ones(z.shape[0]) if col is None else col
+
+
+def _design_matrix(z, exponents):
+    """The (rows, monomials) design at standardized rows ``z``."""
+    return np.column_stack(list(_monomials(z, exponents)))
 
 
 @dataclass(eq=False)
@@ -231,9 +241,15 @@ class PolynomialModel:
                               f"got {scale.tolist()!r}")
 
     def predict(self, points) -> np.ndarray:
+        """Σ coefficient × monomial, added row by row in monomial order, so
+        a row's value does not depend on the other rows of its batch (a
+        matrix-vector product rounds by batch)."""
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         z = (points - self.feature_mean) / self.feature_scale
-        return _design_matrix(z, self.exponents) @ self.coefficients
+        total = np.zeros(z.shape[0])
+        for coef, col in zip(self.coefficients, _monomials(z, self.exponents)):
+            total += coef * col
+        return total
 
 
 def fit_polynomial(points, targets, degree: int = 2) -> PolynomialModel:
@@ -263,10 +279,12 @@ def fit_polynomial(points, targets, degree: int = 2) -> PolynomialModel:
     z = (points - mean) / scale
     design = _design_matrix(z, exponents)
 
-    rank = np.linalg.matrix_rank(design)
+    # lstsq(rcond=None) cuts singular values at eps·max(M, N)·σ_max, the
+    # tolerance matrix_rank takes by default, so its rank is matrix_rank's.
+    coef, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
     if rank < n_terms:
-        # Under the tolerance matrix_rank used on the whole design, adding a
-        # column raises the rank by 0 or 1, so n_terms - rank are named.
+        # Under that tolerance on the whole design, adding a column raises
+        # the rank by 0 or 1, so n_terms - rank are named.
         tol = np.linalg.norm(design, 2) * max(design.shape) * np.finfo(np.float64).eps
         bad, prefix_rank = [], 0
         for j, exps in enumerate(exponents):
@@ -276,8 +294,6 @@ def fit_polynomial(points, targets, degree: int = 2) -> PolynomialModel:
             prefix_rank = r
         raise FitError(
             "rank-deficient polynomial design; degenerate columns: " + ", ".join(bad))
-
-    coef, _, _, _ = np.linalg.lstsq(design, targets, rcond=None)
     return PolynomialModel(degree, exponents, coef, mean, scale)
 
 
@@ -602,6 +618,9 @@ class PerformancePredictor:
             raise ConfigError(f"feature_ranges: expected {len(FEATURE_NAMES)} "
                               f"[low, high] pairs, got {len(self.feature_ranges)}")
         self._lo, self._hi = np.array(self.feature_ranges, dtype=np.float64).T
+        for i, (lo, hi) in enumerate(zip(self._lo, self._hi)):
+            if not lo <= hi:
+                raise ConfigError(f"feature_ranges[{i}]: low {lo} exceeds high {hi}")
         self._vt = _cell_lookup(self.vt_model, self.vt_model.trees)
         self._latency = _cell_lookup(self.latency_model, [self.latency_model])
 

@@ -2,8 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+from blocktune.ga import initialize_population
 from blocktune.model import BlockLimits, NodeProfile, ProblemInstance, Transaction
+from blocktune.simulator import (
+    BlockCutRule,
+    GroundTruthCost,
+    SimConfig,
+    WorkloadProfile,
+    generate_training_dataset,
+)
+from blocktune.surrogate import SurrogateConfig, fit_predictor
 
 
 class StubPredictor:
@@ -61,8 +71,9 @@ def make_instance(sizes, bandwidths=(1e6,), lb=1, ub=None, cb=None):
     )
 
 
-def random_instance(rng, n_max=50):
-    """A random instance that is always repairable.
+def random_instance(rng, n_max=50, uniform=False):
+    """A random instance that is always repairable; with ``uniform`` every
+    transaction has the first drawn size.
 
     Tightness alternates between the two caps: either the count cap binds
     and the byte cap covers everything (cb >= total bytes), or the count
@@ -72,6 +83,8 @@ def random_instance(rng, n_max=50):
     """
     n = int(rng.integers(1, n_max + 1))
     sizes = rng.integers(50, 2000, size=n).tolist()
+    if uniform:
+        sizes = sizes[:1] * n
     total = sum(sizes)
     if rng.random() < 0.5:
         ub = int(rng.integers(max(1, n // 4), n + 1))
@@ -92,6 +105,42 @@ def random_instance(rng, n_max=50):
     return make_instance(sizes, bandwidths, lb=lb, ub=ub, cb=cb)
 
 
+@st.composite
+def feasible_populations(draw):
+    """(instance, population): a random repairable instance of 1-3 nodes,
+    with uniform or ranged transaction sizes, and up to 12 feasible members,
+    some repeated, so that block compositions recur within and across
+    members."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inst = random_instance(rng, n_max=40, uniform=draw(st.booleans()))
+    members = initialize_population(inst, draw(st.integers(1, 8)), rng)
+    picks = draw(st.lists(st.integers(0, members.shape[0] - 1), min_size=1,
+                          max_size=12))
+    return inst, members[picks]
+
+
+def block_rows(inst, count, nbytes):
+    """The (m, 3) feature rows of one block of ``count`` transactions and
+    ``nbytes`` bytes, one per node."""
+    return np.column_stack([np.full(inst.m, float(count)), np.full(inst.m, float(nbytes)),
+                            inst.bandwidths])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture(scope="session")
+def fitted_predictor():
+    """A predictor fitted, as a tune pipeline fits one, on a simulated grid
+    of 4 block sizes x 3 transaction sizes x 3 bandwidths."""
+    base = SimConfig(
+        workload=WorkloadProfile(arrival_rate_tps=400.0, total_tx=400,
+                                 tx_size_bytes=1024, rng_seed=5),
+        nodes=(NodeProfile(0, 8.0e6),),
+        block_cut=BlockCutRule(max_tx_count=40, max_bytes=1 << 23, timeout_s=120.0),
+        cost=GroundTruthCost(), rng_seed=7)
+    data = generate_training_dataset(base, [5, 10, 20, 40], [256, 1024, 2048],
+                                     [1.0e6, 4.0e6, 1.6e7])
+    return fit_predictor(data, SurrogateConfig(boost_rounds=30))

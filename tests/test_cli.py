@@ -187,6 +187,21 @@ class TestMalformedModel:
         assert not (tmp_path / "optimize.json").exists()
 
 
+    def test_inverted_feature_range_exits_1(self, tmp_path, model_path, instance_path,
+                                            capsys):
+        """A training range with low above high flagged every query as
+        extrapolating, and optimize exited 0."""
+        d = load(model_path)
+        d["feature_ranges"][0].reverse()
+        model = write(tmp_path / "inverted.json", d)
+        capsys.readouterr()
+        assert run(tmp_path, "optimize", instance_path, model) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert (err.startswith(f"error: {model}") and "feature_ranges[0]" in err
+                and err.count("\n") == 1)
+        assert not (tmp_path / "optimize.json").exists()
+
+
 class TestSeedPriority:
     def seed_used(self, out_dir, instance_path, model_path, *flags):
         assert cli.main(["--quiet", "--no-timestamps", "--out-dir", str(out_dir),

@@ -3,6 +3,8 @@ near-optimality against exhaustive enumeration."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocktune import _kernels, ga
 from blocktune.errors import BlocktuneError, EnumerationBudgetError
@@ -19,12 +21,20 @@ from blocktune.ga import (
 )
 from blocktune.model import (
     AssignmentMatrix,
+    block_stats,
     recommended_block_size,
     total_processing_time,
     validate_assignment,
 )
 
-from conftest import StubPredictor, affine_stub, make_instance, random_instance
+from conftest import (
+    StubPredictor,
+    affine_stub,
+    block_rows,
+    feasible_populations,
+    make_instance,
+    random_instance,
+)
 
 
 def small_config(seed=0, pop=30, gens=60):
@@ -85,6 +95,25 @@ class TestFitness:
             counts = np.stack([np.bincount(row, minlength=inst.nb) for row in pop])
             assert queries == np.count_nonzero(counts) * inst.m
             assert extrapolating == np.count_nonzero(counts > 5) * inst.m
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=feasible_populations(), fitted=st.booleans())
+    def test_query_counts_count_every_block(self, fitted_predictor, case, fitted):
+        """A distinct block is priced once, but the query counts are those
+        of pricing every non-empty block of every member alone: one query
+        per block and node, each flagged by its own rows."""
+        inst, pop = case
+        predictor = fitted_predictor if fitted else StubPredictor(
+            lambda c, b, w: 0.01 + 0.003 * c, lambda c, b, w: b / w,
+            feature_ranges=[[1, 5], [0, 1e9], [0, np.inf]])
+        _, extrapolating, queries = _population_fitness(inst, predictor, pop)
+        want_queries = want_extrapolating = 0
+        counts, byte_sums = block_stats(inst, pop)
+        for i, j in zip(*np.nonzero(counts)):
+            own = block_rows(inst, counts[i, j], byte_sums[i, j])
+            want_queries += own.shape[0]
+            want_extrapolating += int(predictor.extrapolation_mask(own).sum())
+        assert (queries, extrapolating) == (want_queries, want_extrapolating)
 
     def test_never_below_brute_force(self, rng):
         stub = affine_stub()
@@ -295,6 +324,17 @@ class TestRun:
         expected = total_processing_time(inst, AssignmentMatrix(result.block_of, inst.nb),
                                          stub)
         assert result.best_fitness == pytest.approx(expected)
+
+    def test_best_fitness_is_objective_of_best(self, fitted_predictor):
+        """On a mixed-size 3-node instance, the best fitness the search
+        reports is exactly the objective of its best assignment priced
+        alone."""
+        sizes = np.random.default_rng(3).integers(200, 3000, size=60)
+        inst = make_instance(sizes, bandwidths=(1e6, 4e6, 1.6e7), lb=5, ub=12,
+                             cb=20_000)
+        result = run(inst, fitted_predictor, small_config(seed=5, pop=40, gens=40))
+        assert result.best_fitness == total_processing_time(
+            inst, AssignmentMatrix(result.block_of, inst.nb), fitted_predictor)
 
     def test_odd_child_count_puts_elites_last(self, monkeypatch):
         """With 9 members and 2 elites, each generation drops the last

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocktune.errors import (
     ConstraintViolationError,
@@ -20,12 +22,19 @@ from blocktune.model import (
     block_stats,
     block_times,
     derive_block_count,
+    processing_times,
     recommended_block_size,
     total_processing_time,
     validate_assignment,
 )
 
-from conftest import StubPredictor, make_instance
+from conftest import (
+    StubPredictor,
+    affine_stub,
+    block_rows,
+    feasible_populations,
+    make_instance,
+)
 
 
 def python_total_time(instance, block_of, f, g):
@@ -167,7 +176,7 @@ def stats(inst, block_of, j):
 
 def block_time(inst, block_of, j, predictor):
     """Processing time of block ``j`` of one assignment."""
-    times, _ = block_times(inst, np.array([block_of]), predictor)
+    times, _, _ = block_times(inst, np.array([block_of]), predictor)
     return float(times[0, j])
 
 
@@ -210,6 +219,36 @@ class TestBlockProcessingTime:
         assign = [0, 1, 0]
         for j in range(base.nb):
             assert block_time(more, assign, j, stub) >= block_time(base, assign, j, stub)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=feasible_populations(), fitted=st.booleans())
+def test_population_prices_each_row_alone(fitted_predictor, case, fitted):
+    """A matrix prices each distinct block once, yet every member's block
+    times and total are bit for bit those of the member priced alone, and
+    each block's time is the slowest node of its own rows priced alone."""
+    inst, pop = case
+    predictor = fitted_predictor if fitted else affine_stub()
+    times, rows, weights = block_times(inst, pop, predictor)
+    totals, _, _ = processing_times(inst, pop, predictor)
+    for i, member in enumerate(pop):
+        alone_times, _, _ = block_times(inst, member[None, :], predictor)
+        alone_total, _, _ = processing_times(inst, member[None, :], predictor)
+        assert np.array_equal(times[i], alone_times[0])
+        assert totals[i] == alone_total[0]
+
+    counts, byte_sums = block_stats(inst, pop)
+    assert (times[counts == 0] == 0).all()
+    for j in np.flatnonzero(counts[0]):
+        own = block_rows(inst, counts[0, j], byte_sums[0, j])
+        assert times[0, j] == (predictor.predict_f_batch(own)
+                               + predictor.predict_g_batch(own)).max()
+    # one row per distinct (count, bytes) pair and node, weighted by blocks
+    pairs = np.unique(np.column_stack([counts.ravel(), byte_sums.ravel()])[
+        counts.ravel() > 0], axis=0)
+    assert rows.shape == (pairs.shape[0] * inst.m, 3)
+    assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
+    assert weights.sum() == np.count_nonzero(counts) * inst.m
 
 
 class TestTotalProcessingTime:

@@ -130,6 +130,28 @@ class TestPolynomial:
             for exps in exponents])
         assert np.array_equal(_design_matrix(z, exponents), reference)
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), degree=st.sampled_from([1, 2, 3]),
+           data=st.data())
+    def test_row_does_not_depend_on_its_batch(self, seed, degree, data):
+        """Any subset of a batch predicts the bits the full batch gives those
+        rows: each row adds coefficient x monomial in monomial order, with
+        no matrix product, whose rounding depends on the batch."""
+        rng = np.random.default_rng(seed)
+        points = grid_points(rng, n=40)
+        model = fit_polynomial(points, 0.02 + 1e-3 * points[:, 0] + rng.normal(size=40),
+                               degree)
+        rows = grid_points(rng, n=data.draw(st.integers(1, 200), label="rows"))
+        subset = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1,
+                                    max_size=len(rows)), label="subset")
+        full = model.predict(rows)
+        assert np.array_equal(model.predict(rows[subset]), full[subset])
+        z = (rows - model.feature_mean) / model.feature_scale
+        want = np.zeros(len(rows))
+        for coef, col in zip(model.coefficients, _design_matrix(z, model.exponents).T):
+            want += coef * col
+        assert np.array_equal(full, want)
+
     def test_bad_degree(self):
         with pytest.raises(FitError):
             fit_polynomial(grid_points(), np.ones(60), degree=4)
