@@ -241,7 +241,8 @@ def _spearman(values, recommendations) -> float | None:
 
 
 def _stabilization_index(points) -> float | None:
-    """Std of recommendations over the top half of the sweep values."""
+    """Std of recommendations over the top half of the sweep values, the
+    median value included when their count is odd."""
     values = sorted({p.value for p in points})
     top = set(values[len(values) // 2:])
     recs = [p.recommended_block_size for p in points if p.value in top]

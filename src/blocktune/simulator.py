@@ -17,14 +17,19 @@ oversized bursts on thin links disproportionately expensive. Multiplicative
 Gaussian noise with a small configurable standard deviation jitters the
 validation and committing costs, clamped so costs stay positive.
 
-Blocks are cut one block at a time, then priced once on every node.
-:func:`run_simulation` queues the priced blocks through each node's link
-and CPU, each a first-in, first-out server: a block finishes at max(ready,
-the previous block's finish) + its service, the Lindley recursion, which
-:func:`_serve` solves for every block and node at once. Blocks ready at
-equal times are served in block order. :func:`generate_training_dataset`
-never queues, and takes one training row per block into a (k, 6) float64
-array whose columns are in ``surrogate.DATASET_COLUMNS`` order.
+Blocks are cut one block at a time by :func:`_cut_blocks`, then priced
+once on every link by :func:`_price`, the one place the cost formula is
+applied. :func:`run_simulation` queues the priced blocks through each
+node's link and CPU, each a first-in, first-out server: a block finishes
+at max(ready, the previous block's finish) + its service, the Lindley
+recursion, which :func:`_serve` solves for every block and node at once.
+Blocks ready at equal times are served in block order.
+:func:`generate_training_dataset` never queues. Grid cells that draw the
+same workload under the same cut rule share one cut (on a fixed-rate grid,
+every bandwidth and replicate of a block size and tx size), each cell keeps
+its own noise draw, and the blocks of the whole grid are priced in one
+pass, one training row per block, into a (k, 6) float64 array whose
+columns are in ``surrogate.DATASET_COLUMNS`` order.
 
 Times are continuous doubles. Runs with equal configs and seeds are
 identical. Distinct runs share no state and may execute concurrently.
@@ -272,28 +277,44 @@ def _finite_times(*times):
                           "the cost parameters are too large or too small")
 
 
-def _cut_and_price(config: SimConfig, drawn=None):
-    """The arrivals of ``config``'s workload, its blocks (first, count, bytes,
-    cut_time, reason) from :func:`_cut_blocks`, and every block's (transfer,
-    vt, ct) on every node, arrays of shape (blocks, nodes). ``drawn`` is the
-    workload's (arrivals, sizes) when the caller has drawn them already.
-    The noise is one draw in (block, node, vt/ct) order. A priced time that
-    is not finite raises ConfigError naming ``cost``."""
-    arrivals, sizes = _generate_workload(config.workload) if drawn is None else drawn
-    blocks = _cut_blocks(arrivals, sizes, config.block_cut)
-    count, nbytes = blocks[1], blocks[2]
-    cost = config.cost
-    bw = np.array([node.bandwidth_bytes_per_sec for node in config.nodes])
-    noise_rng = np.random.default_rng(np.random.SeedSequence((config.rng_seed, 2)))
-    noise = np.maximum(1.0 + noise_rng.normal(0.0, cost.noise_sd_fraction,
-                                              size=(count.size, bw.size, 2)),
-                       _NOISE_FLOOR)
+def _jitter(seed: int, sd: float, shape):
+    """The Gaussian noise of a scenario seeded ``seed``: one draw of ``shape``
+    from ``SeedSequence((seed, 2))``, in C order."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
+    return rng.normal(0.0, sd, size=shape)
+
+
+def _price(cost: GroundTruthCost, count, nbytes, bw, jitter):
+    """Every block's (transfer, vt, ct) on its links, arrays of shape
+    (blocks, links). ``count`` and ``nbytes`` are per block; ``bw`` is a
+    run's node bandwidths, (nodes,), or each block's own link, (blocks, 1);
+    ``jitter`` is :func:`_jitter`'s (blocks, links, 2) draw, which scales vt
+    and ct by 1 + jitter floored at ``_NOISE_FLOOR``. Overflow is left to the
+    caller's :func:`_finite_times` check."""
+    noise = np.maximum(1.0 + jitter, _NOISE_FLOOR)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         transfer = cost.transfer_s(nbytes[:, None], bw)
         vt = cost.vt_s(count, nbytes)[:, None] * noise[:, :, 0]
         ct = cost.ct_s(nbytes)[:, None] * noise[:, :, 1]
-    _finite_times(transfer, vt, ct)
-    return arrivals, blocks, (transfer, vt, ct)
+    return transfer, vt, ct
+
+
+def _cut_and_price(config: SimConfig, drawn=None):
+    """The arrivals of ``config``'s workload, its blocks (first, count, bytes,
+    cut_time, reason) from :func:`_cut_blocks`, and every block's (transfer,
+    vt, ct) on every node from :func:`_price`, arrays of shape (blocks,
+    nodes). ``drawn`` is the workload's (arrivals, sizes) when the caller has
+    drawn them already. The noise is one draw in (block, node, vt/ct) order.
+    A priced time that is not finite raises ConfigError naming ``cost``."""
+    arrivals, sizes = _generate_workload(config.workload) if drawn is None else drawn
+    blocks = _cut_blocks(arrivals, sizes, config.block_cut)
+    count, nbytes = blocks[1], blocks[2]
+    bw = np.array([node.bandwidth_bytes_per_sec for node in config.nodes])
+    jitter = _jitter(config.rng_seed, config.cost.noise_sd_fraction,
+                     (count.size, bw.size, 2))
+    costs = _price(config.cost, count, nbytes, bw, jitter)
+    _finite_times(*costs)
+    return arrivals, blocks, costs
 
 
 def _serve(ready, service):
@@ -353,37 +374,61 @@ def generate_training_dataset(base: SimConfig, block_sizes, tx_sizes, bandwidths
     are never queued.
 
     Each cell is a single-node scenario so the bandwidth feature is
-    unambiguous. The latency target is the block's own service latency
-    (dispatch + transfer + validation + commit), i.e. the per-block cost
-    the optimizer prices, not the workload-dependent end-to-end latency.
-    Returns the (k, 6) float64 dataset array, columns in
-    ``surrogate.DATASET_COLUMNS`` order.
+    unambiguous. Its noise seed, and on a Poisson grid its workload seed,
+    is :func:`derive_seed` of the base seed, the cell's index and the
+    replicate. A one-size fixed-rate workload draws nothing from its seed,
+    so a fixed-rate grid clears that seed. The :func:`_cut_blocks` results
+    are cached on the pair (workload, cut rule), that workload's seed
+    included: on a fixed-rate grid the cells with the same block size and
+    tx size share one cut, whatever their bandwidth or replicate, and a
+    Poisson cell keeps its own. The noise stays per cell: each cell draws
+    its own :func:`_jitter`, in cell then replicate order. The blocks of
+    every cell are then priced in one :func:`_price` pass, each on its own
+    cell's bandwidth, and the service times are checked once: a time that
+    is not finite raises ConfigError naming ``cost``.
+
+    The latency target is the block's own service latency (dispatch +
+    transfer + validation + commit), i.e. the per-block cost the optimizer
+    prices, not the workload-dependent end-to-end latency. Returns the
+    (k, 6) float64 dataset array, columns in ``surrogate.DATASET_COLUMNS``
+    order.
     """
     if not block_sizes or not tx_sizes or not bandwidths:
         raise ConfigError("training grid must not be empty")
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
-    chunks = []
+    fixed = base.workload.arrival_process == "fixed"
+    cuts = {}
+    counts, nbytes, links, jitters = [], [], [], []
     cells = itertools.product(block_sizes, tx_sizes, bandwidths)
     for cell, (bs, ts, bw) in enumerate(cells):
         for rep in range(replicates):
-            workload = replace(base.workload, tx_size_bytes=int(ts),
-                               tx_size_range_bytes=None,
-                               rng_seed=derive_seed(base.workload.rng_seed, cell, rep))
+            workload = replace(
+                base.workload, tx_size_bytes=int(ts), tx_size_range_bytes=None,
+                rng_seed=0 if fixed else derive_seed(base.workload.rng_seed, cell, rep))
             config = replace(
                 base,
                 workload=workload,
                 nodes=(NodeProfile(0, float(bw)),),
                 block_cut=replace(base.block_cut, max_tx_count=int(bs)),
                 rng_seed=derive_seed(base.rng_seed, cell, rep))
-            _, (_, count, nbytes, _, _), costs = _cut_and_price(config)
-            transfer, vt, ct = (c[:, 0] for c in costs)
-            with np.errstate(over="ignore"):
-                service = base.cost.dispatch_overhead_s + transfer + vt + ct
-            _finite_times(service)
-            chunks.append(np.column_stack(
-                (count, nbytes, np.full(count.size, float(bw)), vt, ct, service)))
-    return np.concatenate(chunks)
+            key = (workload, config.block_cut)
+            if key not in cuts:
+                cuts[key] = _cut_blocks(*_generate_workload(workload),
+                                        config.block_cut)[1:3]
+            count, block_bytes = cuts[key]
+            counts.append(count)
+            nbytes.append(block_bytes)
+            links.append(float(bw))
+            jitters.append(_jitter(config.rng_seed, base.cost.noise_sd_fraction,
+                                   (count.size, 1, 2)))
+    count, nbytes = np.concatenate(counts), np.concatenate(nbytes)
+    bw = np.repeat(links, [c.size for c in counts])[:, None]
+    transfer, vt, ct = _price(base.cost, count, nbytes, bw, np.concatenate(jitters))
+    with np.errstate(over="ignore"):
+        service = base.cost.dispatch_overhead_s + transfer + vt + ct
+    _finite_times(service)
+    return np.column_stack((count, nbytes, bw, vt, ct, service))
 
 
 def throughput_vs_blocksize(config: SimConfig, candidate_sizes):

@@ -501,8 +501,8 @@ def fit_boosted(points, targets, rounds: int = 100, learning_rate: float = 0.1,
     its row count. Its residuals' sum of squares is their spread about
     their mean, which no round changes, plus the squared sum over the row
     count. The row residuals take each round's step from the leaf their
-    distinct row reached, without a walk, and ``train_mse`` is their mean
-    square.
+    distinct row reached, without a walk, in place, and ``train_mse`` is
+    their mean square, squared into one reused buffer.
     """
     if not 0 < learning_rate <= 1:
         raise FitError(f"learning_rate must be in (0, 1], got {learning_rate}")
@@ -516,7 +516,8 @@ def fit_boosted(points, targets, rounds: int = 100, learning_rate: float = 0.1,
     base = float(targets.mean())
     residuals = targets - base
     sums, spread = _group_sums(inverse, counts, residuals)
-    train_mse = [float(np.mean(residuals ** 2))]
+    squares = residuals * residuals
+    train_mse = [float(squares.mean())]
     trees = []
     for _ in range(rounds):
         arrays, leaf = _grow_tree(unique, order, counts, sums, spread, tree_depth,
@@ -524,10 +525,10 @@ def fit_boosted(points, targets, rounds: int = 100, learning_rate: float = 0.1,
         tree = RegressionTree(*arrays, max_depth=tree_depth,
                               min_samples_leaf=min_samples_leaf)
         step = learning_rate * tree.value[leaf]
-        residuals = residuals - step[inverse]
+        np.subtract(residuals, step[inverse], out=residuals)
         sums = sums - counts * step
         trees.append(tree)
-        train_mse.append(float(np.mean(residuals ** 2)))
+        train_mse.append(float(np.multiply(residuals, residuals, out=squares).mean()))
     return BoostedEnsemble(base, tuple(trees), learning_rate, tuple(train_mse))
 
 

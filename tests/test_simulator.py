@@ -1,6 +1,8 @@
 """Simulator: conservation, causality, determinism, hand-checked timing, the
-array queue against a per-block event loop, and outputs pinned bit for bit."""
+array queue against a per-block event loop, the one-pass training grid
+against a per-cell loop, and outputs pinned bit for bit."""
 
+import itertools
 import json
 from dataclasses import astuple, replace
 from pathlib import Path
@@ -27,6 +29,7 @@ from blocktune.simulator import (
     WorkloadProfile,
     _cut_and_price,
     _cut_blocks,
+    derive_seed,
     generate_training_dataset,
     run_simulation,
     throughput_vs_blocksize,
@@ -237,6 +240,36 @@ class TestGenerateTrainingDataset:
         b = generate_training_dataset(base, [5], [1000], [1e6], replicates=2)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("process, cuts", [("fixed", 4), ("poisson", 24)])
+    def test_fixed_rate_cells_share_a_cut(self, monkeypatch, process, cuts):
+        """A fixed-rate grid cuts each (block size, tx size) once, whatever
+        the bandwidth and replicate; a Poisson grid cuts every cell and
+        replicate."""
+        calls = []
+        cut = simulator._cut_blocks
+        monkeypatch.setattr(simulator, "_cut_blocks",
+                            lambda *args: calls.append(args) or cut(*args))
+        base = config_for(total_tx=30, max_tx=10, process=process)
+        generate_training_dataset(base, [3, 8], [600, 1500], [1e6, 4e6], replicates=3)
+        assert len(calls) == cuts
+
+    @pytest.mark.parametrize("cost, block_size", [
+        (GroundTruthCost(burst_window_s=1e-320), 5),    # transfer overflows
+        (GroundTruthCost(vt_per_tx_s=1e307), 20),       # vt overflows at 18 tx
+        # vt and ct are finite alone, and only their sum overflows
+        (GroundTruthCost(vt_per_tx_s=9e307, ct_fixed_s=9e307,
+                         noise_sd_fraction=0.0), 1),
+    ])
+    def test_overflowing_cost_rejected(self, cost, block_size):
+        base = config_for(total_tx=30, cost=cost)
+        with pytest.raises(ConfigError, match="^cost: "):
+            generate_training_dataset(base, [block_size], [1000], [1e6, 2e6])
+
+    def test_transaction_above_byte_cap_rejected(self):
+        base = config_for(total_tx=30, max_bytes=4000)
+        with pytest.raises(ConfigError, match="max_bytes=4000"):
+            generate_training_dataset(base, [5], [1000, 5000], [1e6, 2e6])
+
 
 class TestThroughputCurve:
     def test_single_candidate(self):
@@ -331,6 +364,81 @@ def test_cut_blocks_matches_per_transaction_scan(gaps, sizes, max_tx, max_bytes,
     rule = BlockCutRule(max_tx_count=max_tx, max_bytes=max_bytes, timeout_s=timeout)
     blocks = list(zip(*(a.tolist() for a in _cut_blocks(arrivals, sizes, rule))))
     assert blocks == reference_cut_blocks(arrivals, sizes, rule)
+
+
+def reference_training_dataset(base, block_sizes, tx_sizes, bandwidths, replicates=1):
+    """The per-cell loop the one-pass grid replaced: each cell and replicate
+    draws, cuts and prices its own single-node scenario. Returns the dataset
+    and the set of cut reasons its blocks were cut by."""
+    chunks, reasons = [], set()
+    cells = itertools.product(block_sizes, tx_sizes, bandwidths)
+    for cell, (bs, ts, bw) in enumerate(cells):
+        for rep in range(replicates):
+            workload = replace(base.workload, tx_size_bytes=int(ts),
+                               tx_size_range_bytes=None,
+                               rng_seed=derive_seed(base.workload.rng_seed, cell, rep))
+            config = replace(
+                base, workload=workload, nodes=(NodeProfile(0, float(bw)),),
+                block_cut=replace(base.block_cut, max_tx_count=int(bs)),
+                rng_seed=derive_seed(base.rng_seed, cell, rep))
+            _, (_, count, nbytes, _, reason), costs = _cut_and_price(config)
+            transfer, vt, ct = (c[:, 0] for c in costs)
+            service = base.cost.dispatch_overhead_s + transfer + vt + ct
+            reasons.update(reason.tolist())
+            chunks.append(np.column_stack(
+                (count, nbytes, np.full(count.size, float(bw)), vt, ct, service)))
+    return np.concatenate(chunks), reasons
+
+
+def binding_grid(process):
+    """A grid whose cells are cut by all three reasons: at 100 tps a 0.025 s
+    timeout closes blocks of 3, 2,000-byte transactions fill the 5,000-byte
+    cap at 2, and a cap of 2 transactions binds first on the smaller ones."""
+    base = config_for(total_tx=40, rate=100.0, max_bytes=5000, timeout=0.025,
+                      cost=GroundTruthCost(noise_sd_fraction=0.05, burst_window_s=0.004),
+                      seed=5, process=process)
+    return base, [2, 8], [600, 2000], [1e5, 3e6], 2
+
+
+@pytest.mark.parametrize("process", ["fixed", "poisson"])
+def test_binding_grid_cuts_by_every_reason(process):
+    _, reasons = reference_training_dataset(*binding_grid(process))
+    assert reasons == {CUT_COUNT, CUT_BYTES, CUT_TIMEOUT}
+
+
+@st.composite
+def training_grids(draw):
+    """Fixed or Poisson arrivals, 1-3 replicates, 2-3 bandwidths, zero or
+    non-zero noise, and byte caps and timeouts short enough to bind; the
+    axes may repeat a value."""
+    base = config_for(
+        total_tx=draw(st.integers(1, 60)), rate=draw(st.floats(20.0, 2000.0)),
+        max_bytes=draw(st.integers(3000, 12000)), timeout=draw(st.floats(0.002, 0.3)),
+        cost=GroundTruthCost(
+            burst_window_s=draw(st.sampled_from([0.0, 0.005])),
+            noise_sd_fraction=draw(st.sampled_from([0.0]) | st.floats(0.01, 0.19))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        process=draw(st.sampled_from(["fixed", "poisson"])))
+    base = replace(base, workload=replace(base.workload,
+                                          rng_seed=draw(st.integers(0, 2**32 - 1))))
+    return (base,
+            draw(st.lists(st.integers(1, 12), min_size=1, max_size=3)),
+            draw(st.lists(st.integers(100, 3000), min_size=1, max_size=3)),
+            draw(st.lists(st.floats(1e4, 1e7), min_size=2, max_size=3)),
+            draw(st.integers(1, 3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid=training_grids())
+@example(grid=binding_grid("fixed"))
+@example(grid=binding_grid("poisson"))
+def test_training_grid_equals_per_cell_loop(grid):
+    """The shared cuts and the one pricing pass give the per-cell loop's
+    dataset byte for byte."""
+    got = generate_training_dataset(*grid)
+    want, _ = reference_training_dataset(*grid)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def reference_run_simulation(config):

@@ -307,6 +307,14 @@ class TestPredictor:
                                       [False, True, True, True])
         np.testing.assert_allclose(p.predict_g_batch(q), 0.5)
 
+    def test_range_ends_are_not_extrapolation(self):
+        """A row on the trained minimum or maximum of every feature lies in
+        the training range; one ulp past the maximum does not."""
+        p = _stub_predictor(ranges=[[1, 10], [100, 1000], [1e6, 1e7]])
+        q = np.array([[10.0, 1000.0, 1e7], [1.0, 100.0, 1e6],
+                      [10.0, 1000.0, np.nextafter(1e7, np.inf)]])
+        np.testing.assert_array_equal(p.extrapolation_mask(q), [False, False, True])
+
     def test_purity_bit_identical(self):
         rng = np.random.default_rng(41)
         points = grid_points(rng, n=100)
