@@ -29,7 +29,9 @@ an all-unplaced start it is worst-fit decreasing packing (Johnson, JCSS
 counts and loads of every row come from one ``bincount``, the members to
 evict from one sort, and each step of its loop makes one move in every
 row still draining, so a generation costs as many steps as its busiest row
-has moves, not one Python iteration per row and move.
+has moves, not one Python iteration per row and move. It keeps every row's
+counts and loads up to date through its moves and reports the final ones,
+so a caller that prices the repaired rows need not count them again.
 
 All kernels share the same deterministic tie-breaking rules: when several
 candidates are equally good, the one encountered first (lowest feature
@@ -170,7 +172,7 @@ def table_predict(edges, table, points):
                        for f, e in enumerate(edges))]
 
 
-def repair_assignment(block_of, sizes, nb, ub, cb):
+def repair_assignment(block_of, sizes, nb, ub, cb, out=None, weights=None):
     """Move transactions until every block fits the count cap ``ub`` and the
     byte cap ``cb``, in place, in every row of ``block_of`` (P, n) at once; a
     1-D ``block_of`` is one row. An entry equal to ``nb`` is unplaced.
@@ -189,59 +191,70 @@ def repair_assignment(block_of, sizes, nb, ub, cb):
     step's moves are independent, and the loop runs as many steps as the
     busiest row has moves. Returns True iff every row fits; a wedged row
     keeps the moves made before the transaction that fits nowhere.
+
+    ``out``, when given, is a pair of arrays shaped (P, nb), or (nb,) for a
+    1-D row, such as one (2, P, nb) array; it receives every row's final
+    per-block transaction counts and byte loads over the blocks [0, nb).
+    ``weights`` is ``sizes`` as float64 repeated over at least P rows, flat,
+    which a caller repairing many batches can build once; it is built here
+    when omitted.
     """
     rows = block_of if block_of.ndim == 2 else block_of[None, :]
     p, n = rows.shape
     width = nb + 1
+    if weights is None:
+        weights = np.broadcast_to(sizes.astype(np.float64), rows.shape).ravel()
     # bin r * width + j is block j of row r; bin r * width + nb is unplaced
     bins = (rows + (np.arange(p) * width)[:, None]).ravel()
     counts = np.bincount(bins, minlength=p * width)
-    loads = np.bincount(bins, weights=np.broadcast_to(
-        sizes.astype(np.float64), rows.shape).ravel(),
-        minlength=p * width).astype(np.int64)
+    loads = np.bincount(bins, weights=weights[:p * n],
+                        minlength=p * width).astype(np.int64)
+    counts2, loads2 = counts.reshape(p, width), loads.reshape(p, width)
     unplaced = np.arange(p * width) % width == nb
     # the unplaced bin has room for nothing
     count_cap = np.where(unplaced, 0, ub)
     byte_cap = np.where(unplaced, 0, cb)
-    queue = np.flatnonzero(((counts > count_cap) | (loads > byte_cap))[bins])
-    if queue.size == 0:
-        return True
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(-sizes, kind="stable")] = np.arange(n)
-    queue = queue[np.argsort(bins[queue] * n + rank[queue % n])]
-    q_bin, q_row, q_member = bins[queue], queue // n, queue % n
-    q_size = sizes[q_member]
-    # each entry's next block: the first entry of the following bin
-    firsts = np.flatnonzero(np.r_[True, q_bin[1:] != q_bin[:-1]])
-    bounds = np.append(firsts, queue.size)
-    next_block = np.repeat(bounds[1:], np.diff(bounds))
-    heads = np.flatnonzero(np.r_[True, q_row[1:] != q_row[:-1]])
-    ptr, end = heads, np.append(heads[1:], queue.size)
-    counts2, loads2 = counts.reshape(p, width), loads.reshape(p, width)
+    overloaded = (counts > count_cap) | (loads > byte_cap)
     placed = True
-    while ptr.size:
-        b = q_bin[ptr]
-        ptr = np.where((counts[b] <= count_cap[b]) & (loads[b] <= byte_cap[b]),
-                       next_block[ptr], ptr)
-        live = ptr < end
-        ptr, end = ptr[live], end[live]
-        r = q_row[ptr]
-        # The least-loaded block with a free slot has the bytes for s if
-        # any block with a free slot has them.
-        slot_loads = np.where(counts2[r, :nb] < ub, loads2[r, :nb], cb + 1)
-        d = np.argmin(slot_loads, axis=1)
-        s = q_size[ptr]
-        fits = slot_loads[np.arange(r.size), d] + s <= cb
-        if not fits.all():
-            placed = False
-            ptr, end, r, d, s = ptr[fits], end[fits], r[fits], d[fits], s[fits]
-        rows[r, q_member[ptr]] = d
-        src, dst = q_bin[ptr], r * width + d
-        counts[src] -= 1
-        loads[src] -= s
-        counts[dst] += 1
-        loads[dst] += s
-        ptr += 1
-        live = ptr < end
-        ptr, end = ptr[live], end[live]
+    if overloaded.any():
+        queue = np.flatnonzero(overloaded[bins])
+        rank = np.empty(n, dtype=np.int64)
+        rank[np.argsort(-sizes, kind="stable")] = np.arange(n)
+        queue = queue[np.argsort(bins[queue] * n + rank[queue % n])]
+        q_bin, q_row, q_member = bins[queue], queue // n, queue % n
+        q_size = sizes[q_member]
+        # each entry's next block: the first entry of the following bin
+        firsts = np.flatnonzero(np.r_[True, q_bin[1:] != q_bin[:-1]])
+        bounds = np.append(firsts, queue.size)
+        next_block = np.repeat(bounds[1:], np.diff(bounds))
+        heads = np.flatnonzero(np.r_[True, q_row[1:] != q_row[:-1]])
+        ptr, end = heads, np.append(heads[1:], queue.size)
+        while ptr.size:
+            b = q_bin[ptr]
+            ptr = np.where((counts[b] <= count_cap[b]) & (loads[b] <= byte_cap[b]),
+                           next_block[ptr], ptr)
+            live = ptr < end
+            ptr, end = ptr[live], end[live]
+            r = q_row[ptr]
+            # The least-loaded block with a free slot has the bytes for s if
+            # any block with a free slot has them.
+            slot_loads = np.where(counts2[r, :nb] < ub, loads2[r, :nb], cb + 1)
+            d = np.argmin(slot_loads, axis=1)
+            s = q_size[ptr]
+            fits = slot_loads[np.arange(r.size), d] + s <= cb
+            if not fits.all():
+                placed = False
+                ptr, end, r, d, s = ptr[fits], end[fits], r[fits], d[fits], s[fits]
+            rows[r, q_member[ptr]] = d
+            src, dst = q_bin[ptr], r * width + d
+            counts[src] -= 1
+            loads[src] -= s
+            counts[dst] += 1
+            loads[dst] += s
+            ptr += 1
+            live = ptr < end
+            ptr, end = ptr[live], end[live]
+    if out is not None:
+        out[0][...] = counts2[:, :nb]
+        out[1][...] = loads2[:, :nb]
     return placed

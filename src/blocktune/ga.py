@@ -13,10 +13,13 @@ landscape identical to the objective being minimized; rows whose repair
 wedges are repacked from scratch with the same kernel. Repair draws no
 random numbers, so one generator seeded from the config seed draws the
 whole run.
-Each generation is priced in one call to the model's population
-evaluator, :func:`blocktune.model.processing_times`, which prices each
-distinct block of the generation once per node. Query counts still count
-one query per non-empty block and node of every member.
+Repair reports the per-block counts and byte loads of every row it
+repairs, and each generation is priced from them in one call to the
+model's population evaluator, :func:`blocktune.model.processing_times`,
+which prices each distinct block of the generation once per node; the
+elites carry their counts over with them, so no generation counts its
+blocks twice. Query counts still count one query per non-empty block and
+node of every member.
 
 Runs are fully deterministic: identical (instance, predictor, config)
 produce bit-identical results.
@@ -95,27 +98,39 @@ class GaResult:
     total_queries: int = 0
 
 
-def _repair_array(instance: ProblemInstance, arr: np.ndarray) -> np.ndarray:
+def _repair_array(instance: ProblemInstance, arr: np.ndarray, stats=None,
+                  weights=None) -> np.ndarray:
     """Make every row of ``arr`` (P, n), or the one assignment ``arr`` (n,),
     feasible in place, moving transactions out of overloaded blocks, and
     return it; feasible rows are left unchanged. Entries must lie in
-    [0, nb)."""
+    [0, nb).
+
+    ``stats``, when given, is an int64 array (2, P, nb) that receives the
+    repaired rows' per-block transaction counts and byte loads, as
+    :func:`blocktune.model.block_stats` would count them. ``weights`` is the
+    kernel's flat byte weights for at least P rows (see
+    :func:`blocktune._kernels.repair_assignment`).
+    """
     args = (instance.sizes, instance.nb, instance.limits.ub, instance.limits.cb)
     rows = np.atleast_2d(arr)
-    if not _kernels.repair_assignment(rows, *args):
+    if stats is None:
+        stats = np.empty((2, rows.shape[0], instance.nb), dtype=np.int64)
+    if not _kernels.repair_assignment(rows, *args, stats, weights):
         # Local moves can wedge when both caps are tight at once; then the
         # same rule packs every transaction of the wedged rows from scratch
         # (worst-fit decreasing). Moves stay in [0, nb), so a wedged row is
         # one still over a cap.
-        counts, byte_sums = block_stats(instance, rows)
+        counts, loads = stats
         wedged = np.flatnonzero(((counts > instance.limits.ub)
-                                 | (byte_sums > instance.limits.cb)).any(axis=1))
+                                 | (loads > instance.limits.cb)).any(axis=1))
         repacked = np.full((wedged.size, instance.n), instance.nb)
-        if not _kernels.repair_assignment(repacked, *args):
+        repacked_stats = np.empty((2, wedged.size, instance.nb), dtype=np.int64)
+        if not _kernels.repair_assignment(repacked, *args, repacked_stats, weights):
             raise InternalInvariantError(
                 "repair could not place a transaction although the instance "
                 "passed its capacity checks")
         rows[wedged] = repacked
+        stats[:, wedged] = repacked_stats
     return arr
 
 
@@ -161,22 +176,29 @@ def mutate_genes(children: np.ndarray, nb: int, mutation_rate: float,
 
 
 def initialize_population(instance: ProblemInstance, size: int,
-                          rng: np.random.Generator) -> np.ndarray:
+                          rng: np.random.Generator, stats=None,
+                          weights=None) -> np.ndarray:
     """The (size, n) matrix of feasible starting assignments: every
-    transaction in a uniformly random block, then repaired."""
-    return _repair_array(instance, rng.integers(0, instance.nb, size=(size, instance.n)))
+    transaction in a uniformly random block, then repaired. ``stats`` and
+    ``weights`` are passed to :func:`_repair_array`."""
+    return _repair_array(instance, rng.integers(0, instance.nb, size=(size, instance.n)),
+                         stats, weights)
 
 
-def _population_fitness(instance: ProblemInstance, predictor, matrix: np.ndarray):
+def _population_fitness(instance: ProblemInstance, predictor, matrix: np.ndarray,
+                        stats=None):
     """The objective for every row of ``matrix`` (pop, n), with its query
     counts: one query per non-empty block and node of every row, and those
     outside the predictor's training range. A distinct block is priced once,
     but its queries count once per block with its composition.
 
-    Returns (fitness vector, extrapolating query count, total query count).
-    Rows must already be feasible.
+    ``stats`` is the rows' (counts, byte sums) pair as
+    :func:`blocktune.model.block_stats` returns it; it is counted here when
+    omitted. Returns (fitness vector, extrapolating query count, total query
+    count). Rows must already be feasible.
     """
-    fit, rows, weights = processing_times(instance, matrix, predictor)
+    counts, byte_sums = block_stats(instance, matrix) if stats is None else stats
+    fit, rows, weights = processing_times(instance, counts, byte_sums, predictor)
     extrapolating = 0
     if hasattr(predictor, "extrapolation_mask"):
         extrapolating = int(weights[predictor.extrapolation_mask(rows)].sum())
@@ -196,8 +218,13 @@ def run(instance: ProblemInstance, predictor, config: GaConfig = GaConfig()) -> 
     the recommended block size (its largest per-block transaction count).
     """
     rng = np.random.default_rng(config.rng_seed)
-    matrix = initialize_population(instance, config.population_size, rng)
-    fit, extra, total_q = _population_fitness(instance, predictor, matrix)
+    # Repair's byte weights for a whole population, built once per run.
+    weights = np.tile(instance.sizes.astype(np.float64), config.population_size)
+    # stats[:, i] is the per-block (counts, loads) of row i of matrix
+    stats = np.empty((2, config.population_size, instance.nb), dtype=np.int64)
+    matrix = initialize_population(instance, config.population_size, rng, stats,
+                                   weights)
+    fit, extra, total_q = _population_fitness(instance, predictor, matrix, stats)
 
     mutation_rate = config.effective_mutation_rate(instance.n)
     n_children = config.population_size - config.elitism_count
@@ -214,15 +241,18 @@ def run(instance: ProblemInstance, predictor, config: GaConfig = GaConfig()) -> 
         # Elites are appended last: on fitness ties the lower index wins a
         # tournament, so putting fresh children first lets equally-good
         # offspring keep drifting across fitness plateaus.
-        elites = matrix[np.argsort(fit, kind="stable")[:config.elitism_count]]
+        elite_rows = np.argsort(fit, kind="stable")[:config.elitism_count]
         parents = select_parents(fit, 2 * n_pairs, config.tournament_size, rng)
         pairs = crossover_pairs(matrix[parents].reshape(n_pairs, 2, instance.n),
                                 config.crossover_rate, rng)
         children = mutate_genes(pairs.reshape(2 * n_pairs, instance.n)[:n_children],
                                 instance.nb, mutation_rate, rng)
 
-        matrix = np.concatenate([_repair_array(instance, children), elites])
-        fit, gen_extra, gen_q = _population_fitness(instance, predictor, matrix)
+        child_stats = np.empty((2, n_children, instance.nb), dtype=np.int64)
+        _repair_array(instance, children, child_stats, weights)
+        matrix = np.concatenate([children, matrix[elite_rows]])
+        stats = np.concatenate([child_stats, stats[:, elite_rows]], axis=1)
+        fit, gen_extra, gen_q = _population_fitness(instance, predictor, matrix, stats)
         extra += gen_extra
         total_q += gen_q
         generations_run += 1
@@ -277,7 +307,8 @@ def brute_force_optimum(instance: ProblemInstance, predictor,
                     & (byte_sums <= instance.limits.cb).all(axis=1))
         if not feasible.any():
             continue
-        fit, _, _ = processing_times(instance, cand[feasible], predictor)
+        fit, _, _ = processing_times(instance, counts[feasible], byte_sums[feasible],
+                                     predictor)
         local = int(np.argmin(fit))
         if fit[local] < best_fit:
             best_fit = float(fit[local])

@@ -10,11 +10,14 @@ of the slowest committing node's predicted storing time plus latency for
 that block's composition.
 
 One evaluator computes it: :func:`block_times` prices every block of a
-(pop, n) matrix of assignments in one predict call, each distinct
-(tx_count, block_bytes) pair once per node, and :func:`processing_times`
-sums each row in block order. The genetic search, the exhaustive search
-and :func:`total_processing_time` all go through it, so an assignment
-prices the same alone or in a population.
+population of assignments, given as each row's per-block transaction
+counts and byte sums, in one predict call, each distinct (tx_count,
+block_bytes) pair once per node, and :func:`processing_times` sums each
+row in block order. Callers count once and price from those counts: the
+genetic search from the counts and loads its repair reports, the
+exhaustive search and :func:`total_processing_time` from the
+:func:`block_stats` their feasibility checks use. So an assignment prices
+the same alone or in a population.
 
 Performance predictors are duck-typed and batch-only: anything exposing
 ``predict_f_batch(points)`` and ``predict_g_batch(points)`` over (k, 3)
@@ -279,7 +282,12 @@ def validate_assignment(instance: ProblemInstance,
                         assignment: AssignmentMatrix) -> ConstraintReport:
     """Check every block against both caps; reports all violations, not just
     the first."""
-    counts, byte_sums = _assignment_stats(instance, assignment)
+    return _constraint_report(instance, *_assignment_stats(instance, assignment))
+
+
+def _constraint_report(instance: ProblemInstance, counts, byte_sums) -> ConstraintReport:
+    """Every cap violation of one assignment with these length-nb counts and
+    byte sums."""
     violations = []
     for j in range(instance.nb):
         if counts[j] > instance.limits.ub:
@@ -291,15 +299,19 @@ def validate_assignment(instance: ProblemInstance,
     return ConstraintReport(tuple(violations))
 
 
-def block_times(instance: ProblemInstance, matrix: np.ndarray, predictor):
-    """Processing time of every block of every assignment row of ``matrix``
-    (pop, n): the slowest node's predicted f + g, 0 for an empty block.
+def block_times(instance: ProblemInstance, counts: np.ndarray,
+                byte_sums: np.ndarray, predictor):
+    """Processing time of every block of a population of assignments, given
+    by each row's per-block transaction counts and byte sums, both (pop, nb)
+    as :func:`block_stats` returns them: the slowest node's predicted f + g,
+    0 for an empty block. Byte sums may be integer or float64; either gives
+    the same times.
 
     A block's time depends only on its (tx_count, block_bytes) pair, so each
     distinct pair of the non-empty blocks is priced once, on every node, in
     one predict call, and its time is gathered back to each block with that
     pair. The predictor must price a row the same whatever else its batch
-    holds, so a block's time does not depend on the rest of the matrix.
+    holds, so a block's time does not depend on the rest of the population.
 
     Returns the (pop, nb) times, the feature rows priced and each row's
     weight: one (tx_count, block_bytes, bandwidth) row per distinct pair and
@@ -307,7 +319,6 @@ def block_times(instance: ProblemInstance, matrix: np.ndarray, predictor):
     number of blocks with that pair, so the weights sum to the number of
     non-empty blocks times the node count.
     """
-    counts, byte_sums = block_stats(instance, matrix)
     nonempty = np.flatnonzero(counts)
     block_counts = counts.ravel()[nonempty]
     block_bytes = byte_sums.ravel()[nonempty]
@@ -337,16 +348,17 @@ def block_times(instance: ProblemInstance, matrix: np.ndarray, predictor):
     return times.reshape(counts.shape), rows, weights
 
 
-def processing_times(instance: ProblemInstance, matrix: np.ndarray, predictor):
-    """The objective for every assignment row of ``matrix`` (pop, n): the
-    sum of its block times, accumulated in block order. Returns the (pop,)
-    totals with the feature rows priced and their weights (see
-    :func:`block_times`): each distinct block is priced once, and a row's
-    weight is how many blocks it priced.
+def processing_times(instance: ProblemInstance, counts: np.ndarray,
+                     byte_sums: np.ndarray, predictor):
+    """The objective for every assignment of a population, given by its
+    per-block counts and byte sums (see :func:`block_times`): the sum of its
+    block times, accumulated in block order. Returns the (pop,) totals with
+    the feature rows priced and their weights: each distinct block is
+    priced once, and a row's weight is how many blocks it priced.
 
-    Rows must already be feasible.
+    The assignments must already be feasible.
     """
-    times, rows, weights = block_times(instance, matrix, predictor)
+    times, rows, weights = block_times(instance, counts, byte_sums, predictor)
     # cumsum adds strictly in block order. sum(axis=1) adds pairwise and
     # rounds differently, which would change saved best_fitness values.
     return np.cumsum(times, axis=1)[:, -1], rows, weights
@@ -358,11 +370,13 @@ def total_processing_time(instance: ProblemInstance, assignment: AssignmentMatri
 
     Raises if the assignment violates a cap; callers repair first.
     """
-    report = validate_assignment(instance, assignment)
+    counts, byte_sums = _assignment_stats(instance, assignment)
+    report = _constraint_report(instance, counts, byte_sums)
     if not report.ok:
         raise ConstraintViolationError(
             "assignment is infeasible: " + "; ".join(report.to_lines()))
-    totals, _, _ = processing_times(instance, assignment.block_of[None, :], predictor)
+    totals, _, _ = processing_times(instance, counts[None, :], byte_sums[None, :],
+                                    predictor)
     return float(totals[0])
 
 

@@ -343,8 +343,8 @@ class TestRun:
         priced = []
         price = ga._population_fitness
 
-        def recording(inst, predictor, matrix):
-            result = price(inst, predictor, matrix)
+        def recording(inst, predictor, matrix, *stats):
+            result = price(inst, predictor, matrix, *stats)
             priced.append((matrix.copy(), result[0]))
             return result
 
@@ -360,6 +360,37 @@ class TestRun:
                                           before[np.argsort(fit, kind="stable")[:2]])
             for row in after:
                 assert feasible(inst, row)
+
+    def test_fitness_prices_the_counts_of_its_matrix(self, monkeypatch):
+        """Every evaluation of a run prices the per-block counts and loads of
+        the matrix it scores, as block_stats counts them: the children's
+        from their repair, the wedged rows' from their repack and the
+        elites' carried over from the generation before."""
+        priced, repaired = [], []
+        price, kernel = ga._population_fitness, _kernels.repair_assignment
+
+        def recording(inst, predictor, matrix, stats):
+            priced.append((matrix.copy(), stats.copy()))
+            return price(inst, predictor, matrix, stats)
+
+        def repair(*args):
+            repaired.append(kernel(*args))
+            return repaired[-1]
+
+        monkeypatch.setattr(ga, "_population_fitness", recording)
+        monkeypatch.setattr(_kernels, "repair_assignment", repair)
+        # nb = ceil(8/3)+1 = 4 blocks of at most 3 transactions and 14 bytes
+        # for 46 bytes: both caps are tight, so local moves often wedge.
+        inst = make_instance([9, 3, 5, 9, 4, 6, 8, 2], lb=3, ub=3, cb=14)
+        config = GaConfig(population_size=12, elitism_count=3, max_generations=15,
+                          stagnation_limit=15, rng_seed=1)
+        result = run(inst, affine_stub(), config)
+        assert len(priced) == result.generations_run + 1
+        assert False in repaired
+        for matrix, (counts, loads) in priced:
+            want_counts, want_loads = block_stats(inst, matrix)
+            np.testing.assert_array_equal(counts, want_counts)
+            np.testing.assert_array_equal(loads, want_loads)
 
     def test_determinism_bit_identical(self):
         inst = make_instance([50, 120, 80, 200, 30, 150], lb=2, ub=4)

@@ -1,11 +1,11 @@
 """Numeric kernels: the level split search against a per-row search, its
 tie rule and its nodes searched together or apart, and repair, of one row
 or a matrix of rows, against the per-move scan and the from-scratch packing
-it replaced."""
+it replaced, and the counts and loads it reports."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blocktune import _kernels
@@ -345,3 +345,45 @@ def test_batch_repair_matches_each_row_alone(case):
     got = matrix.copy()
     assert _kernels.repair_assignment(got, sizes, nb, ub, cb) is all(placed)
     np.testing.assert_array_equal(got, expected)
+
+
+def row_stats(rows, sizes, nb):
+    """Per-block transaction counts and byte loads over [0, nb) of each row
+    of ``rows`` (P, n), counted alone; an unplaced entry (nb) is in no
+    block."""
+    return (np.stack([np.bincount(r, minlength=nb + 1)[:nb] for r in rows]),
+            np.stack([np.bincount(r, weights=sizes, minlength=nb + 1)[:nb]
+                      for r in rows]))
+
+
+# In the first batch row 0 wedges from its start. In the second no 4 blocks
+# of 2 transactions hold 12, so both rows wedge, row 1 from all-unplaced.
+@example((np.array([[1, 1, 2, 1], [3, 3, 3, 3], [0, 1, 2, 2]]),
+          np.array([9, 3, 5, 9]), 3, 4, 10))
+@example((np.array([[0] * 12, [4] * 12]), np.array([1] * 12), 4, 2, 12))
+@settings(max_examples=200, deadline=None)
+@given(_repair_batch())
+def test_repair_reports_final_counts_and_loads(case):
+    """The counts and loads repair reports for a batch are those of the rows
+    it leaves, also where a row wedges, from a start in [0, nb) or from
+    all-unplaced, with the byte weights built by the kernel or passed in."""
+    matrix, sizes, nb, ub, cb = case
+    for weights in (None, np.tile(sizes.astype(np.float64), matrix.shape[0] + 1)):
+        got = matrix.copy()
+        out = np.full((2, matrix.shape[0], nb), -1)
+        _kernels.repair_assignment(got, sizes, nb, ub, cb, out, weights)
+        np.testing.assert_array_equal(out, row_stats(got, sizes, nb))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_any_repair_case(), st.booleans())
+def test_repair_reports_one_row(case, unplaced):
+    """A 1-D row reports its own (nb,) counts and loads, from its start or
+    from all-unplaced, wedged or not."""
+    start, sizes, nb, ub, cb = case
+    got = np.full_like(start, nb) if unplaced else start.copy()
+    counts, loads = np.full(nb, -1), np.full(nb, -1)
+    _kernels.repair_assignment(got, sizes, nb, ub, cb, (counts, loads))
+    want_counts, want_loads = row_stats(got[None, :], sizes, nb)
+    np.testing.assert_array_equal(counts, want_counts[0])
+    np.testing.assert_array_equal(loads, want_loads[0])

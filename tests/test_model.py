@@ -176,7 +176,7 @@ def stats(inst, block_of, j):
 
 def block_time(inst, block_of, j, predictor):
     """Processing time of block ``j`` of one assignment."""
-    times, _, _ = block_times(inst, np.array([block_of]), predictor)
+    times, _, _ = block_times(inst, *block_stats(inst, np.array([block_of])), predictor)
     return float(times[0, j])
 
 
@@ -229,15 +229,16 @@ def test_population_prices_each_row_alone(fitted_predictor, case, fitted):
     each block's time is the slowest node of its own rows priced alone."""
     inst, pop = case
     predictor = fitted_predictor if fitted else affine_stub()
-    times, rows, weights = block_times(inst, pop, predictor)
-    totals, _, _ = processing_times(inst, pop, predictor)
+    counts, byte_sums = block_stats(inst, pop)
+    times, rows, weights = block_times(inst, counts, byte_sums, predictor)
+    totals, _, _ = processing_times(inst, counts, byte_sums, predictor)
     for i, member in enumerate(pop):
-        alone_times, _, _ = block_times(inst, member[None, :], predictor)
-        alone_total, _, _ = processing_times(inst, member[None, :], predictor)
+        alone = block_stats(inst, member[None, :])
+        alone_times, _, _ = block_times(inst, *alone, predictor)
+        alone_total, _, _ = processing_times(inst, *alone, predictor)
         assert np.array_equal(times[i], alone_times[0])
         assert totals[i] == alone_total[0]
 
-    counts, byte_sums = block_stats(inst, pop)
     assert (times[counts == 0] == 0).all()
     for j in np.flatnonzero(counts[0]):
         own = block_rows(inst, counts[0, j], byte_sums[0, j])

@@ -1,0 +1,190 @@
+"""Mutation check: every listed mutant of the program must be killed by the
+tests named for it.
+
+Run from the root of a blocktune source tree (standard library only, plus
+the test dependencies):
+
+    python3 tools/mutants.py                 # every mutant
+    python3 tools/mutants.py --list          # names only
+    python3 tools/mutants.py NAME [NAME ...] # the named mutants
+
+A mutant is one exact text replacement in one file. For each, the runner
+copies the tree's source, tests and benchmark into a temporary directory,
+applies the replacement there and runs the mutant's named tests. A mutant
+those tests do not kill is run against the whole suite, to tell a stale
+test list from a true survivor. Both runs deselect the pinned checks,
+which compare outputs with files regenerated from the code they check: a
+pin cannot vouch for the change that rewrote it, so a mutant killed only
+by a pin counts as surviving. Hypothesis runs with a fixed seed, so a
+result repeats.
+
+Exit status 0 iff every mutant is killed by its named tests; 2 when those
+tests fail on the unmutated tree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+# What a test run needs from the tree.
+COPIED = ("src", "tests", "bench", "BENCHMARK.json", "pyproject.toml")
+# Byte checks against tests/data/pinned_*.json.
+PINNED = ("-k", "not pinned and not Pinned",
+          "--deselect", "tests/test_cli.py::test_bare_instance_with_ga_runs")
+PYTEST = ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+          "--hypothesis-seed=0") + PINNED
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple
+
+
+MUTANTS = (
+    # Pricing from repair's counts.
+    Mutant("elite-stats-from-first-rows", "src/blocktune/ga.py",
+           "stats[:, elite_rows]", "stats[:, :config.elitism_count]",
+           ("tests/test_ga.py::TestRun::test_fitness_prices_the_counts_of_its_matrix",)),
+    Mutant("wedged-rows-keep-first-stats", "src/blocktune/ga.py",
+           "        stats[:, wedged] = repacked_stats\n", "",
+           ("tests/test_ga.py::TestRun::test_fitness_prices_the_counts_of_its_matrix",)),
+    Mutant("repair-reports-start-stats", "src/blocktune/_kernels.py",
+           "        out[0][...] = counts2[:, :nb]\n"
+           "        out[1][...] = loads2[:, :nb]\n",
+           "        out[0][...] = np.bincount(bins, minlength=p * width)"
+           ".reshape(p, width)[:, :nb]\n"
+           "        out[1][...] = np.bincount(bins, weights=weights[:p * n], "
+           "minlength=p * width).reshape(p, width)[:, :nb]\n",
+           ("tests/test_kernels.py::test_repair_reports_final_counts_and_loads",
+            "tests/test_kernels.py::test_repair_reports_one_row")),
+    # Documented behaviour that once survived the whole suite.
+    Mutant("range-end-extrapolates", "src/blocktune/surrogate.py",
+           "(rows > self._hi)", "(rows >= self._hi)",
+           ("tests/test_surrogate.py::TestPredictor::test_range_ends_are_not_extrapolation",)),
+    Mutant("tie-is-a-loss", "src/blocktune/experiments.py",
+           "all(tps_by_size[rec] >= tps for size, tps in tps_by_size.items())",
+           "all(tps_by_size[rec] > tps for size, tps in tps_by_size.items() "
+           "if size != rec)",
+           ("tests/test_experiments.py::test_validation_calls_a_tie_a_win",)),
+    Mutant("odd-top-half-short", "src/blocktune/experiments.py",
+           "values[len(values) // 2:]", "values[(len(values) + 1) // 2:]",
+           ("tests/test_experiments.py::test_stabilization_index_takes_the_top_half",)),
+    Mutant("neighbours-clamped-past-ub", "src/blocktune/experiments.py",
+           "min(max(rec + off, 1), ub)", "min(max(rec + off, 1), ub + 1)",
+           ("tests/test_experiments.py::test_validation_never_simulates_above_ub",)),
+    # The training grid's shared cuts and single pricing pass.
+    Mutant("grid-key-drops-seed", "src/blocktune/simulator.py",
+           "key = (workload, config.block_cut)",
+           "key = (replace(workload, rng_seed=0), config.block_cut)",
+           ("tests/test_simulator.py::test_training_grid_equals_per_cell_loop",)),
+    Mutant("grid-key-drops-cut-rule", "src/blocktune/simulator.py",
+           "key = (workload, config.block_cut)", "key = workload",
+           ("tests/test_simulator.py::test_training_grid_equals_per_cell_loop",)),
+    Mutant("grid-noise-from-base-seed", "src/blocktune/simulator.py",
+           "jitters.append(_jitter(config.rng_seed,",
+           "jitters.append(_jitter(base.rng_seed,",
+           ("tests/test_simulator.py::test_training_grid_equals_per_cell_loop",)),
+    Mutant("grid-skips-service-check", "src/blocktune/simulator.py",
+           "    _finite_times(service)\n"
+           "    return np.column_stack((count, nbytes, bw, vt, ct, service))\n",
+           "    return np.column_stack((count, nbytes, bw, vt, ct, service))\n",
+           ("tests/test_simulator.py::test_training_grid_equals_per_cell_loop",
+            "tests/test_simulator.py::TestGenerateTrainingDataset::"
+            "test_overflowing_cost_rejected")),
+)
+
+
+def _copy_tree(root: str, dest: str) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache",
+                                    ".bench_work")
+    for part in COPIED:
+        src = os.path.join(root, part)
+        if os.path.isdir(src):
+            shutil.copytree(src, os.path.join(dest, part), ignore=ignore)
+        else:
+            shutil.copy2(src, os.path.join(dest, part))
+
+
+def _passes(cwd: str, targets) -> bool:
+    """Whether the ``targets`` of the copy at ``cwd`` pass, pinned checks
+    deselected. Failing tests and collection errors kill a mutant; any
+    other pytest failure, such as a test id that does not exist, raises."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(cwd, "src"))
+    # The copy, not an installed blocktune, must be the one imported.
+    found = subprocess.run(
+        [sys.executable, "-c", "import blocktune; print(blocktune.__file__)"],
+        cwd=cwd, env=env, capture_output=True, text=True).stdout.strip()
+    if found and not os.path.realpath(found).startswith(os.path.realpath(cwd)):
+        raise RuntimeError(f"blocktune imports from {found}, not from the copy in {cwd}")
+    code = subprocess.run([sys.executable, *PYTEST, *targets], cwd=cwd, env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    if code not in (0, 1, 2):
+        raise RuntimeError(f"pytest exited with status {code} on {' '.join(targets)}")
+    return code == 0
+
+
+def check(root: str, mutant: Mutant) -> str:
+    """'killed', 'killed-elsewhere' (by the suite, not its named tests),
+    'survived' or 'stale' (its old text is not in the file exactly once)."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        _copy_tree(root, tmp)
+        path = os.path.join(tmp, mutant.path)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        if text.count(mutant.old) != 1:
+            return "stale"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text.replace(mutant.old, mutant.new))
+        if not _passes(tmp, mutant.tests):
+            return "killed"
+        return "survived" if _passes(tmp, ["tests"]) else "killed-elsewhere"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    parser.add_argument("--list", action="store_true", help="print the names and exit")
+    args = parser.parse_args(argv)
+    by_name = {m.name: m for m in MUTANTS}
+    if args.list:
+        print("\n".join(by_name))
+        return 0
+    unknown = [n for n in args.names if n not in by_name]
+    if unknown:
+        parser.error(f"unknown mutants: {', '.join(unknown)}")
+    root = os.getcwd()
+    if not os.path.isfile(os.path.join(root, "src", "blocktune", "__init__.py")):
+        parser.error("run from the root of a blocktune source tree")
+    chosen = [by_name[n] for n in args.names] if args.names else list(MUTANTS)
+    # A named test that fails without any mutant would pass every mutant off
+    # as killed.
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        _copy_tree(root, tmp)
+        tests = sorted({t for m in chosen for t in m.tests})
+        if not _passes(tmp, tests):
+            print("the named tests fail on the unmutated tree", file=sys.stderr)
+            return 2
+    failed = []
+    for mutant in chosen:
+        t0 = time.perf_counter()
+        result = check(root, mutant)
+        print(f"{result:16} {mutant.name} ({time.perf_counter() - t0:.1f} s)", flush=True)
+        if result != "killed":
+            failed.append(mutant.name)
+    if failed:
+        print(f"not killed by their named tests: {', '.join(failed)}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
