@@ -27,10 +27,11 @@ BLOCKTUNE_SEED environment variable, then the config file; a seed outside
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 
 from . import configio, experiments, ga, simulator, surrogate
 from .configio import resolve_seed, to_json, write_csv, write_json
@@ -57,6 +58,17 @@ class DataGrid:
     tx_sizes: tuple[int, ...]
     bandwidths: tuple[float, ...]
     replicates: int = 1
+
+    def __post_init__(self):
+        for name in ("block_sizes", "tx_sizes"):
+            if not getattr(self, name) or min(getattr(self, name)) < 1:
+                raise ConfigError(f"{name} must be a non-empty list of integers >= 1, "
+                                  f"got {list(getattr(self, name))}")
+        if not self.bandwidths or not all(0 < bw < math.inf for bw in self.bandwidths):
+            raise ConfigError(f"bandwidths must be a non-empty list of finite numbers "
+                              f"> 0, got {list(self.bandwidths)}")
+        if self.replicates < 1:
+            raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
 
 
 # The columns of sensitivity's series table, each a SweepPoint field.
@@ -100,7 +112,7 @@ def cmd_simulate(args) -> int:
     blocks_path = f"{out}.blocks.csv"
     write_json(out, result.to_dict())
     write_csv(blocks_path, simulator.BLOCK_TABLE_COLUMNS,
-              map(astuple, result.per_block_records))
+              result.per_block_records.tolist())
     _emit(args, [f"simulated {result.total_tx} transactions in "
                  f"{len(result.per_block_records)} blocks: "
                  f"{result.throughput_tps:.1f} tps, "

@@ -210,13 +210,6 @@ class AssignmentMatrix:
     def __len__(self) -> int:
         return self.block_of.size
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, AssignmentMatrix) and self.nb == other.nb
-                and np.array_equal(self.block_of, other.block_of))
-
-    def __hash__(self):
-        return hash((self.nb, self.block_of.tobytes()))
-
 
 @dataclass(frozen=True)
 class Violation:

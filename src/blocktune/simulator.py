@@ -23,13 +23,16 @@ applied. :func:`run_simulation` queues the priced blocks through each
 node's link and CPU, each a first-in, first-out server: a block finishes
 at max(ready, the previous block's finish) + its service, the Lindley
 recursion, which :func:`_serve` solves for every block and node at once.
-Blocks ready at equal times are served in block order.
-:func:`generate_training_dataset` never queues. Grid cells that draw the
-same workload under the same cut rule share one cut (on a fixed-rate grid,
-every bandwidth and replicate of a block size and tx size), each cell keeps
-its own noise draw, and the blocks of the whole grid are priced in one
-pass, one training row per block, into a (k, 6) float64 array whose
-columns are in ``surrogate.DATASET_COLUMNS`` order.
+Blocks ready at equal times are served in block order. The blocks stay
+columns: a run's per-block trace is one read-only record array, a field per
+``BLOCK_TABLE_COLUMNS`` name, built from those arrays.
+:func:`generate_training_dataset` never queues. It checks each distinct
+grid value once, grid cells that draw the same workload under the same cut
+rule share one cut (on a fixed-rate grid, every bandwidth and replicate of
+a block size and tx size), each cell keeps its own noise draw, and the
+blocks of the whole grid are priced in one pass, one training row per
+block, into a (k, 6) float64 array whose columns are in
+``surrogate.DATASET_COLUMNS`` order.
 
 Times are continuous doubles. Runs with equal configs and seeds are
 identical. Distinct runs share no state and may execute concurrently.
@@ -167,54 +170,40 @@ class SimConfig:
                 f"under max_bytes={self.block_cut.max_bytes}")
 
 
-@dataclass(frozen=True)
-class BlockRecord:
-    """Everything measured about one committed block.
-
-    ``mean_latency_s`` is the end-to-end transaction view (arrival to
-    commit), which includes batching wait and queueing behind earlier
-    blocks.
-    """
-
-    index: int
-    tx_count: int
-    block_bytes: int
-    cut_time_s: float
-    cut_reason: str
-    commit_time_s: float
-    mean_latency_s: float
-
-
-# The header of ``simulate``'s per-block table, one column per BlockRecord
-# field in order.
+# The fields of ``SimResult.per_block_records``, in order, and the header of
+# ``simulate``'s per-block table.
 BLOCK_TABLE_COLUMNS = ("block", "tx_count", "block_bytes", "cut_time_s", "cut_reason",
                        "commit_time_s", "mean_latency_s")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimResult:
-    """Throughput, latency, and the per-block trace of one run. Its JSON,
-    :meth:`to_dict`, is a summary: the block count and the count per cut
-    reason stand in for the per-block records."""
+    """Throughput, latency, and the per-block trace of one run.
+
+    ``per_block_records`` is a read-only ``np.recarray``, one row per block
+    in cut order and one field per ``BLOCK_TABLE_COLUMNS`` name; a block's
+    ``mean_latency_s`` is its transactions' mean arrival-to-commit time,
+    which includes batching wait and queueing behind earlier blocks, and
+    ``len()`` is the block count. The JSON, :meth:`to_dict`, is a summary:
+    the block count and the count per cut reason stand in for the records.
+    """
 
     throughput_tps: float
     mean_latency_s: float
     makespan_s: float
     total_tx: int
-    per_block_records: tuple
+    per_block_records: np.recarray
 
     def to_dict(self) -> dict:
+        reasons = self.per_block_records.cut_reason
         return {
             "throughput_tps": self.throughput_tps,
             "mean_latency_s": self.mean_latency_s,
             "makespan_s": self.makespan_s,
             "total_tx": self.total_tx,
             "blocks": len(self.per_block_records),
-            "cut_reasons": {
-                reason: sum(1 for r in self.per_block_records
-                            if r.cut_reason == reason)
-                for reason in (CUT_COUNT, CUT_BYTES, CUT_TIMEOUT)
-            },
+            "cut_reasons": {reason: int(np.count_nonzero(reasons == reason))
+                            for reason in (CUT_COUNT, CUT_BYTES, CUT_TIMEOUT)},
         }
 
 
@@ -347,12 +336,13 @@ def run_simulation(config: SimConfig, drawn=None) -> SimResult:
     _finite_times(commit, latency, total_latency)
     total = config.workload.total_tx
     makespan = float(commit.max())
-    records = map(BlockRecord, itertools.count(), count.tolist(), nbytes.tolist(),
-                  cut_time.tolist(), reason.tolist(), commit.tolist(),
-                  (latency / count).tolist())
+    records = np.rec.fromarrays(
+        (np.arange(count.size), count, nbytes, cut_time, reason, commit, latency / count),
+        names=BLOCK_TABLE_COLUMNS)
+    records.flags.writeable = False
     return SimResult(throughput_tps=total / makespan,
                      mean_latency_s=total_latency / total, makespan_s=makespan,
-                     total_tx=total, per_block_records=tuple(records))
+                     total_tx=total, per_block_records=records)
 
 
 def derive_seed(root: int, *parts) -> int:
@@ -374,18 +364,20 @@ def generate_training_dataset(base: SimConfig, block_sizes, tx_sizes, bandwidths
     are never queued.
 
     Each cell is a single-node scenario so the bandwidth feature is
-    unambiguous. Its noise seed, and on a Poisson grid its workload seed,
-    is :func:`derive_seed` of the base seed, the cell's index and the
-    replicate. A one-size fixed-rate workload draws nothing from its seed,
-    so a fixed-rate grid clears that seed. The :func:`_cut_blocks` results
-    are cached on the pair (workload, cut rule), that workload's seed
-    included: on a fixed-rate grid the cells with the same block size and
-    tx size share one cut, whatever their bandwidth or replicate, and a
-    Poisson cell keeps its own. The noise stays per cell: each cell draws
-    its own :func:`_jitter`, in cell then replicate order. The blocks of
-    every cell are then priced in one :func:`_price` pass, each on its own
-    cell's bandwidth, and the service times are checked once: a time that
-    is not finite raises ConfigError naming ``cost``.
+    unambiguous. Each distinct block size, tx size and bandwidth is checked
+    once, as that scenario's cut rule, workload and node, and against the
+    byte cap, raising what building the scenario would. A cell's noise
+    seed, and on a Poisson grid its workload seed, is :func:`derive_seed`
+    of the base seed, the cell's index and the replicate. A one-size
+    fixed-rate workload draws nothing from its seed, so a fixed-rate grid
+    clears that seed. The :func:`_cut_blocks` results are cached on (block
+    size, tx size, workload seed): on a fixed-rate grid the cells with the
+    same block size and tx size share one cut, whatever their bandwidth or
+    replicate, and a Poisson cell keeps its own. The noise stays per cell:
+    each cell draws its own :func:`_jitter`, in cell then replicate order.
+    The blocks of every cell are then priced in one :func:`_price` pass,
+    each on its own cell's bandwidth, and the service times are checked
+    once: a time that is not finite raises ConfigError naming ``cost``.
 
     The latency target is the block's own service latency (dispatch +
     transfer + validation + commit), i.e. the per-block cost the optimizer
@@ -397,31 +389,31 @@ def generate_training_dataset(base: SimConfig, block_sizes, tx_sizes, bandwidths
         raise ConfigError("training grid must not be empty")
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
+    workloads = {}
+    for ts in tx_sizes:
+        workloads[ts] = replace(base.workload, tx_size_bytes=int(ts),
+                                tx_size_range_bytes=None)
+        replace(base, workload=workloads[ts])  # its transactions fit under max_bytes
+    for bw in bandwidths:
+        NodeProfile(0, float(bw))
+    rules = {bs: replace(base.block_cut, max_tx_count=int(bs)) for bs in block_sizes}
     fixed = base.workload.arrival_process == "fixed"
     cuts = {}
     counts, nbytes, links, jitters = [], [], [], []
     cells = itertools.product(block_sizes, tx_sizes, bandwidths)
     for cell, (bs, ts, bw) in enumerate(cells):
         for rep in range(replicates):
-            workload = replace(
-                base.workload, tx_size_bytes=int(ts), tx_size_range_bytes=None,
-                rng_seed=0 if fixed else derive_seed(base.workload.rng_seed, cell, rep))
-            config = replace(
-                base,
-                workload=workload,
-                nodes=(NodeProfile(0, float(bw)),),
-                block_cut=replace(base.block_cut, max_tx_count=int(bs)),
-                rng_seed=derive_seed(base.rng_seed, cell, rep))
-            key = (workload, config.block_cut)
+            seed = 0 if fixed else derive_seed(base.workload.rng_seed, cell, rep)
+            key = (bs, ts, seed)
             if key not in cuts:
-                cuts[key] = _cut_blocks(*_generate_workload(workload),
-                                        config.block_cut)[1:3]
+                drawn = _generate_workload(replace(workloads[ts], rng_seed=seed))
+                cuts[key] = _cut_blocks(*drawn, rules[bs])[1:3]
             count, block_bytes = cuts[key]
             counts.append(count)
             nbytes.append(block_bytes)
             links.append(float(bw))
-            jitters.append(_jitter(config.rng_seed, base.cost.noise_sd_fraction,
-                                   (count.size, 1, 2)))
+            jitters.append(_jitter(derive_seed(base.rng_seed, cell, rep),
+                                   base.cost.noise_sd_fraction, (count.size, 1, 2)))
     count, nbytes = np.concatenate(counts), np.concatenate(nbytes)
     bw = np.repeat(links, [c.size for c in counts])[:, None]
     transfer, vt, ct = _price(base.cost, count, nbytes, bw, np.concatenate(jitters))

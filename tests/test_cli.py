@@ -8,9 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from blocktune import _kernels, cli
+from blocktune import _kernels, cli, configio, simulator
 from blocktune.simulator import derive_seed
 
 PINNED_OPTIMIZE = Path(__file__).parent / "data" / "pinned_optimize.json"
@@ -451,6 +452,20 @@ def config_argv(command, config, model_path):
     # run warned, exited 0 and wrote "makespan_s": Infinity
     ("simulate", dict(SIMULATE, cost={"burst_window_s": 1e-320}),
      "cost: the simulated times overflow"),
+    # these failed inside the simulator, with an error naming no grid key or
+    # another key, and a zero bandwidth exited 2 naming a node
+    ("gen-data", edited(GEN_DATA, ("grid", "block_sizes"), [0]),
+     "grid: block_sizes must be a non-empty list of integers >= 1"),
+    ("gen-data", edited(GEN_DATA, ("grid", "tx_sizes"), [500, 0]),
+     "grid: tx_sizes must be a non-empty list of integers >= 1"),
+    ("gen-data", edited(GEN_DATA, ("grid", "bandwidths"), [0]),
+     "grid: bandwidths must be a non-empty list of finite numbers > 0"),
+    ("gen-data", edited(GEN_DATA, ("grid", "bandwidths"), [1.0e6, float("inf")]),
+     "grid: bandwidths must be a non-empty list of finite numbers > 0"),
+    ("gen-data", edited(GEN_DATA, ("grid", "tx_sizes"), []),
+     "grid: tx_sizes must be a non-empty list of integers >= 1"),
+    ("gen-data", edited(GEN_DATA, ("grid", "replicates"), 0),
+     "grid: replicates must be >= 1"),
 ])
 def test_bad_config_value_exits_1(tmp_path, capsys, model_path, command, config, key):
     """A config value or section of the wrong type, a value out of range, an
@@ -465,6 +480,43 @@ def test_bad_config_value_exits_1(tmp_path, capsys, model_path, command, config,
     assert err.startswith("error:") and key in err and err.count("\n") == 1
     assert "Traceback" not in err
     assert os.listdir(tmp_path) == ["c.json"]
+
+
+# The scenario of tests/data/pinned_simulation.json: its 36 blocks are cut by
+# all three reasons.
+SIMULATE_MIXED = {
+    "workload": {"arrival_rate_tps": 300.0, "total_tx": 240, "arrival_process": "poisson",
+                 "tx_size_range_bytes": [200, 3000], "rng_seed": 21},
+    "nodes": [{"bandwidth_bytes_per_sec": bw} for bw in (2.0e6, 5.0e5, 1.0e6)],
+    "block_cut": {"max_tx_count": 9, "max_bytes": 12000, "timeout_s": 0.03},
+    "cost": {"burst_window_s": 0.005, "noise_sd_fraction": 0.05}, "rng_seed": 8}
+
+
+def test_simulate_summary_counts_its_block_table(tmp_path):
+    """simulate's summary counts the rows and the cut reasons of its
+    per-block table, which holds one row per record of the run; the records
+    are a read-only record array with the table's columns."""
+    path = write(tmp_path / "sim.json", SIMULATE_MIXED)
+    assert run(tmp_path, "simulate", path, "-o", "r.json") == cli.EXIT_OK
+    summary = load(tmp_path / "r.json")
+    header, *rows = (tmp_path / "r.json.blocks.csv").read_text(encoding="utf-8").splitlines()
+    assert header.split(",") == list(simulator.BLOCK_TABLE_COLUMNS)
+    reasons = [row.split(",")[simulator.BLOCK_TABLE_COLUMNS.index("cut_reason")]
+               for row in rows]
+    records = simulator.run_simulation(configio.build_config(
+        simulator.SimConfig, SIMULATE_MIXED, "sim")).per_block_records
+    assert len(records) == summary["blocks"] == len(rows) == 36
+    assert summary["cut_reasons"] == {
+        reason: reasons.count(reason)
+        for reason in (simulator.CUT_COUNT, simulator.CUT_BYTES, simulator.CUT_TIMEOUT)}
+    assert min(summary["cut_reasons"].values()) > 0
+    assert isinstance(records, np.recarray)
+    assert records.dtype.names == simulator.BLOCK_TABLE_COLUMNS
+    assert not records.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        records.tx_count[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        records[0] = records[1]
 
 
 @pytest.mark.parametrize("command, config", [

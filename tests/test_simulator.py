@@ -4,7 +4,9 @@ against a per-cell loop, and outputs pinned bit for bit."""
 
 import itertools
 import json
-from dataclasses import astuple, replace
+import math
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from blocktune import simulator
 from blocktune.configio import write_csv
-from blocktune.errors import ConfigError
+from blocktune.errors import BlocktuneError, ConfigError
 from blocktune.model import NodeProfile
 from blocktune.simulator import (
     BLOCK_TABLE_COLUMNS,
@@ -22,7 +24,6 @@ from blocktune.simulator import (
     CUT_COUNT,
     CUT_TIMEOUT,
     BlockCutRule,
-    BlockRecord,
     GroundTruthCost,
     SimConfig,
     SimResult,
@@ -80,8 +81,15 @@ def block_table(result, tmp_path):
     """``simulate``'s per-block table of ``result``, written as the CLI
     writes it."""
     path = tmp_path / "blocks.csv"
-    write_csv(path, BLOCK_TABLE_COLUMNS, map(astuple, result.per_block_records))
+    write_csv(path, BLOCK_TABLE_COLUMNS, result.per_block_records.tolist())
     return path.read_text(encoding="utf-8")
+
+
+def run_fields(result):
+    """Every field of ``result``, the records as row tuples: two runs are
+    equal when these are."""
+    return (result.throughput_tps, result.mean_latency_s, result.makespan_s,
+            result.total_tx, result.per_block_records.tolist())
 
 
 class TestRunSimulation:
@@ -166,15 +174,15 @@ class TestRunSimulation:
     def test_zero_noise_seed_determinism(self):
         a = run_simulation(config_for(seed=5))
         b = run_simulation(config_for(seed=5))
-        assert a == b
+        assert run_fields(a) == run_fields(b)
 
     def test_noisy_seed_determinism_and_seed_sensitivity(self):
         noisy = GroundTruthCost(noise_sd_fraction=0.05)
         a = run_simulation(config_for(cost=noisy, seed=5))
         b = run_simulation(config_for(cost=noisy, seed=5))
         c = run_simulation(config_for(cost=noisy, seed=6))
-        assert a == b
-        assert a != c
+        assert run_fields(a) == run_fields(b)
+        assert run_fields(a) != run_fields(c)
 
     def test_slowest_node_gates_commit(self):
         config = config_for(total_tx=5, max_tx=5, timeout=10.0)
@@ -269,6 +277,19 @@ class TestGenerateTrainingDataset:
         base = config_for(total_tx=30, max_bytes=4000)
         with pytest.raises(ConfigError, match="max_bytes=4000"):
             generate_training_dataset(base, [5], [1000, 5000], [1e6, 2e6])
+
+    @pytest.mark.parametrize("axis, value", [("block_sizes", 0), ("tx_sizes", 0),
+                                             ("bandwidths", 0.0), ("bandwidths", math.inf)])
+    def test_bad_value_raises_as_its_scenario(self, axis, value):
+        """A grid value that no scenario accepts raises the exception, and
+        the message, of building its cell's scenario."""
+        base = config_for(total_tx=30)
+        grid = {"block_sizes": [5], "tx_sizes": [1000], "bandwidths": [1e6]}
+        grid[axis] = grid[axis] + [value]
+        with pytest.raises(BlocktuneError) as built:
+            reference_training_dataset(base, **grid)
+        with pytest.raises(type(built.value), match=f"^{re.escape(str(built.value))}$"):
+            generate_training_dataset(base, **grid)
 
 
 class TestThroughputCurve:
@@ -463,13 +484,12 @@ def reference_run_simulation(config):
         block_latency = commit * count - float(arrivals[first:first + count].sum())
         latency_sum += block_latency
         makespan = max(makespan, commit)
-        records.append(BlockRecord(
-            index=index, tx_count=count, block_bytes=nbytes,
-            cut_time_s=cut_time, cut_reason=reason, commit_time_s=commit,
-            mean_latency_s=block_latency / count))
+        records.append((index, count, nbytes, cut_time, reason, commit,
+                        block_latency / count))
     total = config.workload.total_tx
     return SimResult(throughput_tps=total / makespan, mean_latency_s=latency_sum / total,
-                     makespan_s=makespan, total_tx=total, per_block_records=tuple(records))
+                     makespan_s=makespan, total_tx=total,
+                     per_block_records=np.rec.fromrecords(records, names=BLOCK_TABLE_COLUMNS))
 
 
 @st.composite
@@ -499,16 +519,17 @@ def sim_configs(draw):
 @given(config=sim_configs())
 @example(config=pinned_sim_config())
 def test_run_simulation_matches_event_loop(config):
-    """The array queue gives the event loop's blocks exactly and its times to
-    within 1e-9 relative."""
+    """The array queue gives the event loop's blocks exactly and its times,
+    per block and per run, to within 1e-9 relative."""
     got, want = run_simulation(config), reference_run_simulation(config)
-    # index, tx_count, block_bytes, cut_time_s and cut_reason
-    assert ([astuple(r)[:5] for r in got.per_block_records]
-            == [astuple(r)[:5] for r in want.per_block_records])
+    records, expected = got.per_block_records, want.per_block_records
+    assert records.dtype.names == BLOCK_TABLE_COLUMNS
+    for name in ("block", "tx_count", "block_bytes", "cut_time_s", "cut_reason"):
+        assert records[name].tolist() == expected[name].tolist(), name
     assert got.to_dict()["cut_reasons"] == want.to_dict()["cut_reasons"]
-    np.testing.assert_allclose([r.commit_time_s for r in got.per_block_records],
-                               [r.commit_time_s for r in want.per_block_records],
-                               rtol=1e-9, atol=0)
+    for name in ("commit_time_s", "mean_latency_s"):
+        np.testing.assert_allclose(records[name], expected[name], rtol=1e-9, atol=0,
+                                   err_msg=name)
     for name in ("throughput_tps", "mean_latency_s", "makespan_s"):
         assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-9, abs=0)
 

@@ -84,14 +84,13 @@ MUTANTS = (
            ("tests/test_experiments.py::test_validation_never_simulates_above_ub",)),
     # The training grid's shared cuts and single pricing pass.
     Mutant("grid-key-drops-seed", "src/blocktune/simulator.py",
-           "key = (workload, config.block_cut)",
-           "key = (replace(workload, rng_seed=0), config.block_cut)",
+           "key = (bs, ts, seed)", "key = (bs, ts)",
            ("tests/test_simulator.py::test_training_grid_equals_per_cell_loop",)),
     Mutant("grid-key-drops-cut-rule", "src/blocktune/simulator.py",
-           "key = (workload, config.block_cut)", "key = workload",
+           "key = (bs, ts, seed)", "key = (ts, seed)",
            ("tests/test_simulator.py::test_training_grid_equals_per_cell_loop",)),
     Mutant("grid-noise-from-base-seed", "src/blocktune/simulator.py",
-           "jitters.append(_jitter(config.rng_seed,",
+           "jitters.append(_jitter(derive_seed(base.rng_seed, cell, rep),",
            "jitters.append(_jitter(base.rng_seed,",
            ("tests/test_simulator.py::test_training_grid_equals_per_cell_loop",)),
     Mutant("grid-skips-service-check", "src/blocktune/simulator.py",
@@ -101,6 +100,21 @@ MUTANTS = (
            ("tests/test_simulator.py::test_training_grid_equals_per_cell_loop",
             "tests/test_simulator.py::TestGenerateTrainingDataset::"
             "test_overflowing_cost_rejected")),
+    Mutant("grid-skips-bandwidth-check", "src/blocktune/simulator.py",
+           "    for bw in bandwidths:\n        NodeProfile(0, float(bw))\n", "",
+           ("tests/test_simulator.py::TestGenerateTrainingDataset::"
+            "test_bad_value_raises_as_its_scenario",)),
+    # The per-block record array.
+    Mutant("cut-reasons-from-wrong-column", "src/blocktune/simulator.py",
+           "reasons = self.per_block_records.cut_reason",
+           "reasons = self.per_block_records.block_bytes",
+           ("tests/test_cli.py::test_simulate_summary_counts_its_block_table",)),
+    Mutant("block-latency-not-per-tx", "src/blocktune/simulator.py",
+           "commit, latency / count),", "commit, latency),",
+           ("tests/test_simulator.py::test_run_simulation_matches_event_loop",)),
+    Mutant("records-writable", "src/blocktune/simulator.py",
+           "    records.flags.writeable = False\n", "",
+           ("tests/test_cli.py::test_simulate_summary_counts_its_block_table",)),
 )
 
 
