@@ -27,11 +27,10 @@ BLOCKTUNE_SEED environment variable, then the config file; a seed outside
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 from . import configio, experiments, ga, simulator, surrogate
 from .configio import resolve_seed, to_json, write_csv, write_json
@@ -47,28 +46,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INFEASIBLE = 2
 EXIT_INTERNAL = 3
-
-
-@dataclass(frozen=True)
-class DataGrid:
-    """gen-data's ``grid``: a training sample set simulates every (block
-    size, transaction size, bandwidth) cell ``replicates`` times."""
-
-    block_sizes: tuple[int, ...]
-    tx_sizes: tuple[int, ...]
-    bandwidths: tuple[float, ...]
-    replicates: int = 1
-
-    def __post_init__(self):
-        for name in ("block_sizes", "tx_sizes"):
-            if not getattr(self, name) or min(getattr(self, name)) < 1:
-                raise ConfigError(f"{name} must be a non-empty list of integers >= 1, "
-                                  f"got {list(getattr(self, name))}")
-        if not self.bandwidths or not all(0 < bw < math.inf for bw in self.bandwidths):
-            raise ConfigError(f"bandwidths must be a non-empty list of finite numbers "
-                              f"> 0, got {list(self.bandwidths)}")
-        if self.replicates < 1:
-            raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
 
 
 # The columns of sensitivity's series table, each a SweepPoint field.
@@ -127,10 +104,10 @@ def cmd_gen_data(args) -> int:
     seed = resolve_seed(args.seed, sim.get("rng_seed"))
     base = configio.build_config(simulator.SimConfig, dict(sim, rng_seed=seed),
                                  f"{args.config}.sim")
-    grid = configio.build_config(DataGrid, raw.get("grid", {}), f"{args.config}.grid")
+    grid = configio.build_config(simulator.DataGrid, raw.get("grid", {}),
+                                 f"{args.config}.grid")
     out = _out_path(args, args.out)
-    data = simulator.generate_training_dataset(
-        base, grid.block_sizes, grid.tx_sizes, grid.bandwidths, grid.replicates)
+    data = simulator.generate_training_dataset(base, grid)
     surrogate.save_dataset(data, out)
     _emit(args, [f"wrote {len(data)} training samples to {out}"])
     _finish(args, out, raw, {"root": seed}, [args.config], [out],

@@ -34,6 +34,7 @@ from .ga import GaConfig
 from .model import BlockLimits, NodeProfile, ProblemInstance, Transaction
 from .simulator import (
     BlockCutRule,
+    DataGrid,
     GroundTruthCost,
     SimConfig,
     WorkloadProfile,
@@ -50,13 +51,14 @@ NEIGHBOR_OFFSETS = (-2, -1, 0, 1, 2)
 
 @dataclass(frozen=True)
 class TrainingGrid:
-    """Simulation grid used to harvest training samples around a working
-    point. Factors scale relative to the point's transaction size and
-    bandwidth; the long timeout keeps block formation cut-driven.
+    """Simulation grid used to harvest training samples around an
+    instance, whose cells :meth:`resolve` chooses; the long timeout keeps
+    block formation cut-driven.
 
-    At least two transaction sizes are required: with a single constant
-    size, block bytes are proportional to the transaction count and the
-    committing-time polynomial design turns rank-deficient."""
+    At least two transaction sizes are required, here as factors and in
+    :meth:`resolve` once rounded: with a single constant size, block bytes
+    are proportional to the transaction count and the committing-time
+    polynomial design turns rank-deficient."""
 
     block_sizes: tuple[int, ...]
     tx_size_factors: tuple[float, ...] = (0.75, 1.0, 1.25)
@@ -84,6 +86,20 @@ class TrainingGrid:
                 "tx_size_factors needs at least two distinct values (a single "
                 "transaction size makes block bytes collinear with the "
                 "transaction count)")
+
+    def resolve(self, instance: ProblemInstance) -> DataGrid:
+        """The cells to simulate for ``instance``: the tx size factors times
+        its largest transaction, rounded to whole bytes, and the bandwidth
+        factors times its first node's bandwidth."""
+        tx_size = int(instance.sizes.max())
+        tx_sizes = sorted({max(1, int(round(tx_size * f))) for f in self.tx_size_factors})
+        if len(tx_sizes) < 2:
+            raise ConfigError(f"train_grid.tx_size_factors round to one transaction "
+                              f"size, {tx_sizes[0]} bytes, at {tx_size}-byte transactions")
+        bandwidth = float(instance.bandwidths[0])
+        bandwidths = sorted({bandwidth * f for f in self.bandwidth_factors})
+        return DataGrid(self.block_sizes, tuple(tx_sizes), tuple(bandwidths),
+                        self.replicates)
 
 
 @dataclass(frozen=True)
@@ -174,24 +190,21 @@ def _tune(spec, instance: ProblemInstance, rate: float, process: str,
           data_seed: int, ga_seed: int):
     """generate data -> fit predictor -> genetic search for ``instance`` with
     the settings of ``spec`` (a :class:`SweepSpec` or :class:`Scenario`),
-    training around its largest transaction and first node's bandwidth."""
+    training on the cells its ``train_grid`` resolves to."""
     grid = spec.train_grid
-    tx_size = int(instance.sizes.max())
-    bandwidth = float(instance.bandwidths[0])
+    cells = grid.resolve(instance)
+    # each cell replaces the base's tx size and node
     base = SimConfig(
         workload=WorkloadProfile(
             arrival_rate_tps=rate, total_tx=grid.total_tx, arrival_process=process,
-            tx_size_bytes=tx_size, rng_seed=derive_seed(data_seed, "workload")),
-        nodes=(NodeProfile(0, bandwidth),),
+            tx_size_bytes=cells.tx_sizes[0], rng_seed=derive_seed(data_seed, "workload")),
+        nodes=(NodeProfile(0, cells.bandwidths[0]),),
         block_cut=BlockCutRule(max_tx_count=max(grid.block_sizes),
                                max_bytes=grid.max_bytes, timeout_s=grid.timeout_s),
         cost=spec.cost,
         rng_seed=data_seed,
     )
-    tx_sizes = sorted({max(1, int(round(tx_size * f))) for f in grid.tx_size_factors})
-    bandwidths = sorted({bandwidth * f for f in grid.bandwidth_factors})
-    samples = generate_training_dataset(base, list(grid.block_sizes), tx_sizes,
-                                        bandwidths, grid.replicates)
+    samples = generate_training_dataset(base, cells)
     predictor = fit_predictor(samples, spec.surrogate)
     result = ga.run(instance, predictor, replace(spec.ga, rng_seed=ga_seed))
     return samples, predictor, result

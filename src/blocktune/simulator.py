@@ -26,16 +26,16 @@ recursion, which :func:`_serve` solves for every block and node at once.
 Blocks ready at equal times are served in block order. The blocks stay
 columns: a run's per-block trace is one read-only record array, a field per
 ``BLOCK_TABLE_COLUMNS`` name, built from those arrays.
-:func:`generate_training_dataset` never queues. It checks each distinct
-grid value once, grid cells that draw the same workload under the same cut
-rule share one cut (on a fixed-rate grid, every bandwidth and replicate of
-a block size and tx size), each cell keeps its own noise draw, and the
-blocks of the whole grid are priced in one pass, one training row per
-block, into a (k, 6) float64 array whose columns are in
-``surrogate.DATASET_COLUMNS`` order.
+:func:`generate_training_dataset` never queues. The cells of its
+:class:`DataGrid` that draw the same workload under the same cut rule share
+one cut, each keeps its own noise draw, and the whole grid is priced in one
+pass, one training row per block, into a (k, 6) float64 array whose columns
+are in ``surrogate.DATASET_COLUMNS`` order.
 
-Times are continuous doubles. Runs with equal configs and seeds are
-identical. Distinct runs share no state and may execute concurrently.
+Each entry takes a validated :class:`SimConfig`, plus a :class:`DataGrid`
+or a list of block sizes, and draws its own workloads. Times are
+continuous doubles. Runs with equal configs and seeds are identical.
+Distinct runs share no state and may execute concurrently.
 """
 
 from __future__ import annotations
@@ -170,6 +170,28 @@ class SimConfig:
                 f"under max_bytes={self.block_cut.max_bytes}")
 
 
+@dataclass(frozen=True)
+class DataGrid:
+    """gen-data's ``grid``: a training sample set simulates every (block
+    size, transaction size, bandwidth) cell ``replicates`` times."""
+
+    block_sizes: tuple[int, ...]
+    tx_sizes: tuple[int, ...]
+    bandwidths: tuple[float, ...]
+    replicates: int = 1
+
+    def __post_init__(self):
+        for name in ("block_sizes", "tx_sizes"):
+            if not getattr(self, name) or min(getattr(self, name)) < 1:
+                raise ConfigError(f"{name} must be a non-empty list of integers >= 1, "
+                                  f"got {list(getattr(self, name))}")
+        if not self.bandwidths or not all(0 < bw < math.inf for bw in self.bandwidths):
+            raise ConfigError(f"bandwidths must be a non-empty list of finite numbers "
+                              f"> 0, got {list(self.bandwidths)}")
+        if self.replicates < 1:
+            raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
+
+
 # The fields of ``SimResult.per_block_records``, in order, and the header of
 # ``simulate``'s per-block table.
 BLOCK_TABLE_COLUMNS = ("block", "tx_count", "block_bytes", "cut_time_s", "cut_reason",
@@ -288,14 +310,13 @@ def _price(cost: GroundTruthCost, count, nbytes, bw, jitter):
     return transfer, vt, ct
 
 
-def _cut_and_price(config: SimConfig, drawn=None):
+def _cut_and_price(config: SimConfig):
     """The arrivals of ``config``'s workload, its blocks (first, count, bytes,
     cut_time, reason) from :func:`_cut_blocks`, and every block's (transfer,
     vt, ct) on every node from :func:`_price`, arrays of shape (blocks,
-    nodes). ``drawn`` is the workload's (arrivals, sizes) when the caller has
-    drawn them already. The noise is one draw in (block, node, vt/ct) order.
-    A priced time that is not finite raises ConfigError naming ``cost``."""
-    arrivals, sizes = _generate_workload(config.workload) if drawn is None else drawn
+    nodes). The noise is one draw in (block, node, vt/ct) order. A priced
+    time that is not finite raises ConfigError naming ``cost``."""
+    arrivals, sizes = _generate_workload(config.workload)
     blocks = _cut_blocks(arrivals, sizes, config.block_cut)
     count, nbytes = blocks[1], blocks[2]
     bw = np.array([node.bandwidth_bytes_per_sec for node in config.nodes])
@@ -316,17 +337,14 @@ def _serve(ready, service):
     return done + np.maximum.accumulate(ready - before, axis=0)
 
 
-def run_simulation(config: SimConfig, drawn=None) -> SimResult:
+def run_simulation(config: SimConfig) -> SimResult:
     """Run one scenario end to end and measure throughput and latency.
 
     Every generated transaction is committed exactly once; commit times
-    respect causality (commit >= cut >= first-member arrival). ``drawn``,
-    when given, is ``config.workload``'s (arrivals, sizes) as
-    :func:`_generate_workload` draws them, for a caller that runs one
-    workload under several cut rules. A priced or queued time that is not
-    finite raises ConfigError naming ``cost``.
+    respect causality (commit >= cut >= first-member arrival). A priced or
+    queued time that is not finite raises ConfigError naming ``cost``.
     """
-    arrivals, blocks, (transfer, vt, ct) = _cut_and_price(config, drawn)
+    arrivals, blocks, (transfer, vt, ct) = _cut_and_price(config)
     first, count, nbytes, cut_time, reason = blocks
     with np.errstate(over="ignore", invalid="ignore"):
         link = _serve(cut_time[:, None] + config.cost.dispatch_overhead_s, transfer)
@@ -357,18 +375,16 @@ def derive_seed(root: int, *parts) -> int:
     return int(np.random.SeedSequence(ints).generate_state(1)[0])
 
 
-def generate_training_dataset(base: SimConfig, block_sizes, tx_sizes, bandwidths,
-                              replicates: int = 1):
-    """Cut and price one scenario per (block size, tx size, bandwidth) grid
-    cell and replicate, harvesting one training row per block; the blocks
-    are never queued.
+def generate_training_dataset(base: SimConfig, grid: DataGrid):
+    """Cut and price one scenario per (block size, tx size, bandwidth) cell
+    of ``grid`` and replicate, harvesting one training row per block; the
+    blocks are never queued.
 
-    Each cell is a single-node scenario so the bandwidth feature is
-    unambiguous. Each distinct block size, tx size and bandwidth is checked
-    once, as that scenario's cut rule, workload and node, and against the
-    byte cap, raising what building the scenario would. A cell's noise
-    seed, and on a Poisson grid its workload seed, is :func:`derive_seed`
-    of the base seed, the cell's index and the replicate. A one-size
+    Each cell is ``base`` with one node, so the bandwidth feature is
+    unambiguous. Each distinct tx size is checked once against the byte
+    cap, raising what building its scenario would. A cell's noise seed,
+    and on a Poisson grid its workload seed, is :func:`derive_seed` of the
+    base seed, the cell's index and the replicate. A one-size
     fixed-rate workload draws nothing from its seed, so a fixed-rate grid
     clears that seed. The :func:`_cut_blocks` results are cached on (block
     size, tx size, workload seed): on a fixed-rate grid the cells with the
@@ -385,24 +401,18 @@ def generate_training_dataset(base: SimConfig, block_sizes, tx_sizes, bandwidths
     (k, 6) float64 dataset array, columns in ``surrogate.DATASET_COLUMNS``
     order.
     """
-    if not block_sizes or not tx_sizes or not bandwidths:
-        raise ConfigError("training grid must not be empty")
-    if replicates < 1:
-        raise ConfigError("replicates must be >= 1")
     workloads = {}
-    for ts in tx_sizes:
+    for ts in grid.tx_sizes:
         workloads[ts] = replace(base.workload, tx_size_bytes=int(ts),
                                 tx_size_range_bytes=None)
         replace(base, workload=workloads[ts])  # its transactions fit under max_bytes
-    for bw in bandwidths:
-        NodeProfile(0, float(bw))
-    rules = {bs: replace(base.block_cut, max_tx_count=int(bs)) for bs in block_sizes}
+    rules = {bs: replace(base.block_cut, max_tx_count=int(bs)) for bs in grid.block_sizes}
     fixed = base.workload.arrival_process == "fixed"
     cuts = {}
     counts, nbytes, links, jitters = [], [], [], []
-    cells = itertools.product(block_sizes, tx_sizes, bandwidths)
+    cells = itertools.product(grid.block_sizes, grid.tx_sizes, grid.bandwidths)
     for cell, (bs, ts, bw) in enumerate(cells):
-        for rep in range(replicates):
+        for rep in range(grid.replicates):
             seed = 0 if fixed else derive_seed(base.workload.rng_seed, cell, rep)
             key = (bs, ts, seed)
             if key not in cuts:
@@ -425,15 +435,13 @@ def generate_training_dataset(base: SimConfig, block_sizes, tx_sizes, bandwidths
 
 def throughput_vs_blocksize(config: SimConfig, candidate_sizes):
     """Measure (block size, throughput, mean latency) for every candidate
-    transaction cap, holding the workload (and its seed) fixed: the
-    workload is drawn once and every size runs on it."""
+    transaction cap, each run alone by :func:`run_simulation` on
+    ``config``'s workload (and its seed)."""
     if not candidate_sizes:
         raise ConfigError("candidate_sizes must not be empty")
-    drawn = _generate_workload(config.workload)
     curve = []
     for size in candidate_sizes:
-        point = replace(config,
-                        block_cut=replace(config.block_cut, max_tx_count=int(size)))
-        result = run_simulation(point, drawn)
+        result = run_simulation(replace(
+            config, block_cut=replace(config.block_cut, max_tx_count=int(size))))
         curve.append((int(size), result.throughput_tps, result.mean_latency_s))
     return curve

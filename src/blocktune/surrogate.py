@@ -657,10 +657,11 @@ def fit_predictor(data, config: SurrogateConfig = SurrogateConfig()
     """Fit all three models on the (k, 6) dataset array ``data``, whose
     columns are in DATASET_COLUMNS order.
 
-    With ``holdout_fraction`` > 0 the models are fitted on a deterministic
-    train split and the report carries both train and holdout MSE per
-    target; otherwise everything trains on the full set. The MSEs come from
-    what the predictor answers, its cell tables included.
+    With ``holdout_fraction`` > 0 and at least 10 rows the models are
+    fitted on a deterministic train split and the report carries both train
+    and holdout MSE per target; otherwise everything trains on the full set.
+    The training envelope, ``feature_ranges``, spans the train rows. The
+    MSEs come from what the predictor answers, its cell tables included.
     """
     if len(data) == 0:
         raise FitError("cannot fit a predictor on an empty dataset")
@@ -687,7 +688,7 @@ def fit_predictor(data, config: SurrogateConfig = SurrogateConfig()
     latency_model = fit_tree(tp, lat[train], max_depth=config.tree_max_depth,
                              min_samples_leaf=config.tree_min_samples_leaf)
 
-    ranges = tuple(zip(points.min(axis=0).tolist(), points.max(axis=0).tolist()))
+    ranges = tuple(zip(tp.min(axis=0).tolist(), tp.max(axis=0).tolist()))
     predictor = PerformancePredictor(vt_model, ct_model, latency_model, ranges)
 
     def _mse(predict, idx, target):

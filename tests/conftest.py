@@ -8,6 +8,7 @@ from blocktune.ga import initialize_population
 from blocktune.model import BlockLimits, NodeProfile, ProblemInstance, Transaction
 from blocktune.simulator import (
     BlockCutRule,
+    DataGrid,
     GroundTruthCost,
     SimConfig,
     WorkloadProfile,
@@ -141,6 +142,6 @@ def fitted_predictor():
         nodes=(NodeProfile(0, 8.0e6),),
         block_cut=BlockCutRule(max_tx_count=40, max_bytes=1 << 23, timeout_s=120.0),
         cost=GroundTruthCost(), rng_seed=7)
-    data = generate_training_dataset(base, [5, 10, 20, 40], [256, 1024, 2048],
-                                     [1.0e6, 4.0e6, 1.6e7])
+    data = generate_training_dataset(base, DataGrid((5, 10, 20, 40), (256, 1024, 2048),
+                                                    (1.0e6, 4.0e6, 1.6e7)))
     return fit_predictor(data, SurrogateConfig(boost_rounds=30))

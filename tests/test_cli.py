@@ -466,6 +466,16 @@ def config_argv(command, config, model_path):
      "grid: tx_sizes must be a non-empty list of integers >= 1"),
     ("gen-data", edited(GEN_DATA, ("grid", "replicates"), 0),
      "grid: replicates must be >= 1"),
+    # the default factors round 1- and 2-byte transactions to one size, and
+    # the fit failed on a rank-deficient design, naming no key
+    ("pipeline", edited(PIPELINE, TRANSACTIONS, {"count": 10, "size_bytes": 1}),
+     "train_grid.tx_size_factors round to one transaction size, 1 bytes"),
+    ("pipeline", edited(PIPELINE, TRANSACTIONS, {"count": 10, "size_bytes": 2}),
+     "train_grid.tx_size_factors round to one transaction size, 2 bytes"),
+    # a finite factor times the node's bandwidth overflows: this exited 2,
+    # naming a node
+    ("pipeline", edited(PIPELINE, ("train_grid", "bandwidth_factors"), [1, 1e308]),
+     "bandwidths must be a non-empty list of finite numbers > 0"),
 ])
 def test_bad_config_value_exits_1(tmp_path, capsys, model_path, command, config, key):
     """A config value or section of the wrong type, a value out of range, an

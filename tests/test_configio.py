@@ -11,13 +11,13 @@ from numbers import Real
 import numpy as np
 import pytest
 
-from blocktune import cli, configio, experiments, ga, simulator, surrogate
+from blocktune import configio, experiments, ga, simulator, surrogate
 from blocktune.errors import ConfigError, InternalInvariantError
 from blocktune.model import NodeProfile, ProblemInstance
 
 # The dataclasses a config object is read into directly. The ones their
 # fields nest are found by walking the fields.
-ROOTS = (experiments.Scenario, experiments.SweepSpec, cli.DataGrid,
+ROOTS = (experiments.Scenario, experiments.SweepSpec, simulator.DataGrid,
          simulator.SimConfig, ga.GaConfig, surrogate.SurrogateConfig, ProblemInstance,
          NodeProfile, *configio.TRANSACTION_FORMS.values(),
          surrogate.PerformancePredictor)

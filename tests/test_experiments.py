@@ -12,10 +12,12 @@ from blocktune.experiments import (
     Scenario,
     SweepPoint,
     SweepSpec,
+    TrainingGrid,
     _spearman,
     _stabilization_index,
     validate_scenario,
 )
+from blocktune.simulator import DataGrid
 
 SWEEP = {"varied_factor": "tx_size", "values": [500, 1000, 2000, 4000],
          "fixed": {"arrival_rate": 200.0, "bandwidth": 4.0e6}, "instance_n": 10,
@@ -107,3 +109,17 @@ def test_validation_never_simulates_above_ub():
     outcome = validate_scenario(scenario(lb=1, ub=1))
     assert outcome.recommended_block_size == 1
     assert [c.block_size for c in outcome.candidates] == [1]
+
+
+def test_training_grid_resolves_around_largest_size_and_first_node():
+    """The training envelope of a three-node instance of mixed sizes: the
+    tx size factors times its largest transaction, rounded, and the
+    bandwidth factors times its first node's bandwidth alone."""
+    instance = configio.build_instance({
+        "transactions": {"sizes_bytes": [300, 1001, 640]},
+        "nodes": [{"bandwidth_bytes_per_sec": bw} for bw in (2.0e6, 5.0e5, 8.0e6)],
+        "limits": {"lb": 1, "ub": 3, "cb": 4096}})
+    grid = TrainingGrid(block_sizes=(2, 6), replicates=2)
+    assert grid.resolve(instance) == DataGrid(
+        block_sizes=(2, 6), tx_sizes=(751, 1001, 1251),
+        bandwidths=(1.0e6, 2.0e6, 4.0e6), replicates=2)

@@ -5,7 +5,6 @@ against a per-cell loop, and outputs pinned bit for bit."""
 import itertools
 import json
 import math
-import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,6 +23,7 @@ from blocktune.simulator import (
     CUT_COUNT,
     CUT_TIMEOUT,
     BlockCutRule,
+    DataGrid,
     GroundTruthCost,
     SimConfig,
     SimResult,
@@ -73,8 +73,8 @@ def pinned_dataset():
                       timeout=0.02, cost=GroundTruthCost(burst_window_s=0.005,
                                                          noise_sd_fraction=0.05),
                       seed=12, process="poisson")
-    return generate_training_dataset(base, [3, 8], [600, 1500], [1e6, 4e6],
-                                     replicates=2)
+    return generate_training_dataset(base, DataGrid((3, 8), (600, 1500), (1e6, 4e6),
+                                                    replicates=2))
 
 
 def block_table(result, tmp_path):
@@ -213,15 +213,15 @@ class TestGenerateTrainingDataset:
     def test_grid_sample_count(self, tmp_path):
         # every run forms >= 3 blocks: 30 transactions, cut size <= 10
         base = config_for(total_tx=30, max_tx=10, timeout=50.0)
-        data = generate_training_dataset(
-            base, block_sizes=[5, 10], tx_sizes=[500, 1000],
-            bandwidths=[1e6, 1e7], replicates=1)
+        data = generate_training_dataset(base, DataGrid(
+            block_sizes=(5, 10), tx_sizes=(500, 1000), bandwidths=(1e6, 1e7),
+            replicates=1))
         assert data.shape[0] >= 24
         assert data.shape[1] == len(DATASET_COLUMNS)
 
     def test_zero_noise_matches_cost_formula(self):
         base = config_for(total_tx=40, max_tx=8, timeout=50.0, cost=ZERO_NOISE)
-        data = generate_training_dataset(base, [8], [1200], [2e6])
+        data = generate_training_dataset(base, DataGrid((8,), (1200,), (2e6,)))
         tx_count, block_bytes, bandwidth, vt, ct, _ = data.T
         np.testing.assert_array_equal(block_bytes, 1200 * tx_count)
         np.testing.assert_array_equal(bandwidth, 2e6)
@@ -233,19 +233,19 @@ class TestGenerateTrainingDataset:
     def test_emitted_file_round_trips(self, tmp_path):
         base = config_for(total_tx=30, max_tx=10, timeout=50.0)
         out = tmp_path / "dataset.csv"
-        data = generate_training_dataset(base, [5, 10], [1000], [1e6])
+        data = generate_training_dataset(base, DataGrid((5, 10), (1000,), (1e6,)))
         save_dataset(data, out)
         assert np.array_equal(load_dataset(out), data)
 
     def test_empty_grid_rejected(self):
-        base = config_for()
-        with pytest.raises(ConfigError):
-            generate_training_dataset(base, [], [1000], [1e6])
+        with pytest.raises(ConfigError, match="^block_sizes must be a non-empty list"):
+            DataGrid((), (1000,), (1e6,))
 
     def test_replicates_deterministic(self):
         base = config_for(total_tx=30, max_tx=10)
-        a = generate_training_dataset(base, [5], [1000], [1e6], replicates=2)
-        b = generate_training_dataset(base, [5], [1000], [1e6], replicates=2)
+        grid = DataGrid((5,), (1000,), (1e6,), replicates=2)
+        a = generate_training_dataset(base, grid)
+        b = generate_training_dataset(base, grid)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("process, cuts", [("fixed", 4), ("poisson", 24)])
@@ -258,7 +258,8 @@ class TestGenerateTrainingDataset:
         monkeypatch.setattr(simulator, "_cut_blocks",
                             lambda *args: calls.append(args) or cut(*args))
         base = config_for(total_tx=30, max_tx=10, process=process)
-        generate_training_dataset(base, [3, 8], [600, 1500], [1e6, 4e6], replicates=3)
+        generate_training_dataset(base, DataGrid((3, 8), (600, 1500), (1e6, 4e6),
+                                                 replicates=3))
         assert len(calls) == cuts
 
     @pytest.mark.parametrize("cost, block_size", [
@@ -271,25 +272,27 @@ class TestGenerateTrainingDataset:
     def test_overflowing_cost_rejected(self, cost, block_size):
         base = config_for(total_tx=30, cost=cost)
         with pytest.raises(ConfigError, match="^cost: "):
-            generate_training_dataset(base, [block_size], [1000], [1e6, 2e6])
+            generate_training_dataset(base, DataGrid((block_size,), (1000,), (1e6, 2e6)))
 
     def test_transaction_above_byte_cap_rejected(self):
         base = config_for(total_tx=30, max_bytes=4000)
         with pytest.raises(ConfigError, match="max_bytes=4000"):
-            generate_training_dataset(base, [5], [1000, 5000], [1e6, 2e6])
+            generate_training_dataset(base, DataGrid((5,), (1000, 5000), (1e6, 2e6)))
 
     @pytest.mark.parametrize("axis, value", [("block_sizes", 0), ("tx_sizes", 0),
                                              ("bandwidths", 0.0), ("bandwidths", math.inf)])
     def test_bad_value_raises_as_its_scenario(self, axis, value):
-        """A grid value that no scenario accepts raises the exception, and
-        the message, of building its cell's scenario."""
-        base = config_for(total_tx=30)
-        grid = {"block_sizes": [5], "tx_sizes": [1000], "bandwidths": [1e6]}
-        grid[axis] = grid[axis] + [value]
-        with pytest.raises(BlocktuneError) as built:
-            reference_training_dataset(base, **grid)
-        with pytest.raises(type(built.value), match=f"^{re.escape(str(built.value))}$"):
-            generate_training_dataset(base, **grid)
+        """A grid value whose cell's scenario cannot be built is rejected
+        when the grid is built, as a ConfigError naming its axis, so it never
+        reaches generate_training_dataset."""
+        axes = {"block_sizes": (5,), "tx_sizes": (1000,), "bandwidths": (1e6,)}
+        cell = {name: values[0] for name, values in axes.items()}
+        cell[axis] = value
+        with pytest.raises(BlocktuneError):
+            cell_scenario(config_for(total_tx=30), 0, 0, *cell.values())
+        axes[axis] += (value,)
+        with pytest.raises(ConfigError, match=f"^{axis} must be a non-empty list"):
+            DataGrid(**axes)
 
 
 class TestThroughputCurve:
@@ -298,13 +301,9 @@ class TestThroughputCurve:
         assert len(curve) == 1
         assert curve[0][0] == 7
 
-    def test_scan_equals_each_size_run_alone(self, monkeypatch):
-        """The scan draws its workload once, and each point is the one
-        run_simulation gives that size on its own, bit for bit."""
-        draws = []
-        generate = simulator._generate_workload
-        monkeypatch.setattr(simulator, "_generate_workload",
-                            lambda profile: draws.append(profile) or generate(profile))
+    def test_scan_equals_each_size_run_alone(self):
+        """Each point of the scan is the one run_simulation gives that size
+        on its own, bit for bit."""
         cost = GroundTruthCost(noise_sd_fraction=0.05, burst_window_s=0.004)
         config = replace(config_for(total_tx=300, rate=400.0, timeout=0.4, cost=cost,
                                     seed=11),
@@ -313,7 +312,6 @@ class TestThroughputCurve:
                                                   rng_seed=13))
         sizes = [1, 3, 10, 40, 300]
         curve = throughput_vs_blocksize(config, sizes)
-        assert len(draws) == 1
         for size, tps, latency in curve:
             alone = run_simulation(replace(config, block_cut=replace(
                 config.block_cut, max_tx_count=size)))
@@ -387,21 +385,25 @@ def test_cut_blocks_matches_per_transaction_scan(gaps, sizes, max_tx, max_bytes,
     assert blocks == reference_cut_blocks(arrivals, sizes, rule)
 
 
-def reference_training_dataset(base, block_sizes, tx_sizes, bandwidths, replicates=1):
+def cell_scenario(base, cell, rep, bs, ts, bw):
+    """The single-node scenario of replicate ``rep`` of the grid cell with
+    index ``cell`` and values (block size, tx size, bandwidth)."""
+    workload = replace(base.workload, tx_size_bytes=int(ts), tx_size_range_bytes=None,
+                       rng_seed=derive_seed(base.workload.rng_seed, cell, rep))
+    return replace(base, workload=workload, nodes=(NodeProfile(0, float(bw)),),
+                   block_cut=replace(base.block_cut, max_tx_count=int(bs)),
+                   rng_seed=derive_seed(base.rng_seed, cell, rep))
+
+
+def reference_training_dataset(base, grid):
     """The per-cell loop the one-pass grid replaced: each cell and replicate
     draws, cuts and prices its own single-node scenario. Returns the dataset
     and the set of cut reasons its blocks were cut by."""
     chunks, reasons = [], set()
-    cells = itertools.product(block_sizes, tx_sizes, bandwidths)
+    cells = itertools.product(grid.block_sizes, grid.tx_sizes, grid.bandwidths)
     for cell, (bs, ts, bw) in enumerate(cells):
-        for rep in range(replicates):
-            workload = replace(base.workload, tx_size_bytes=int(ts),
-                               tx_size_range_bytes=None,
-                               rng_seed=derive_seed(base.workload.rng_seed, cell, rep))
-            config = replace(
-                base, workload=workload, nodes=(NodeProfile(0, float(bw)),),
-                block_cut=replace(base.block_cut, max_tx_count=int(bs)),
-                rng_seed=derive_seed(base.rng_seed, cell, rep))
+        for rep in range(grid.replicates):
+            config = cell_scenario(base, cell, rep, bs, ts, bw)
             _, (_, count, nbytes, _, reason), costs = _cut_and_price(config)
             transfer, vt, ct = (c[:, 0] for c in costs)
             service = base.cost.dispatch_overhead_s + transfer + vt + ct
@@ -418,7 +420,7 @@ def binding_grid(process):
     base = config_for(total_tx=40, rate=100.0, max_bytes=5000, timeout=0.025,
                       cost=GroundTruthCost(noise_sd_fraction=0.05, burst_window_s=0.004),
                       seed=5, process=process)
-    return base, [2, 8], [600, 2000], [1e5, 3e6], 2
+    return base, DataGrid((2, 8), (600, 2000), (1e5, 3e6), replicates=2)
 
 
 @pytest.mark.parametrize("process", ["fixed", "poisson"])
@@ -442,11 +444,11 @@ def training_grids(draw):
         process=draw(st.sampled_from(["fixed", "poisson"])))
     base = replace(base, workload=replace(base.workload,
                                           rng_seed=draw(st.integers(0, 2**32 - 1))))
-    return (base,
-            draw(st.lists(st.integers(1, 12), min_size=1, max_size=3)),
-            draw(st.lists(st.integers(100, 3000), min_size=1, max_size=3)),
-            draw(st.lists(st.floats(1e4, 1e7), min_size=2, max_size=3)),
-            draw(st.integers(1, 3)))
+    return base, DataGrid(
+        tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))),
+        tuple(draw(st.lists(st.integers(100, 3000), min_size=1, max_size=3))),
+        tuple(draw(st.lists(st.floats(1e4, 1e7), min_size=2, max_size=3))),
+        draw(st.integers(1, 3)))
 
 
 @settings(max_examples=150, deadline=None)

@@ -16,6 +16,7 @@ from blocktune.errors import DatasetError, FitError
 from blocktune.model import NodeProfile
 from blocktune.simulator import (
     BlockCutRule,
+    DataGrid,
     GroundTruthCost,
     SimConfig,
     WorkloadProfile,
@@ -368,6 +369,25 @@ class TestPredictor:
         assert p.fit_report.n_holdout == 25
         assert p.fit_report.holdout_mse["vt"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_envelope_spans_the_train_rows(self):
+        """A holdout row beyond every train row lies outside the training
+        envelope, so a query there is flagged as extrapolating."""
+        config = SurrogateConfig(holdout_fraction=0.25)
+        rng = np.random.default_rng(61)
+        points = grid_points(rng, n=40)
+        points[:, 0] = rng.integers(1, 49, size=40)
+        # fit_predictor's split: the first 10 of this permutation are held out
+        held = np.random.default_rng(config.rng_seed).permutation(40)[0]
+        points[held, 0] = 500
+        p = fit_predictor(dataset(points, 0.001 * points[:, 0], 1e-8 * points[:, 1],
+                                  0.01), config)
+        train_max = np.delete(points[:, 0], held).max()
+        assert p.fit_report.n_holdout == 10
+        assert p.feature_ranges[0][1] == train_max
+        query = points[[held, held]].copy()
+        query[1, 0] = train_max
+        assert p.extrapolation_mask(query).tolist() == [True, False]
+
     def test_json_round_trip(self, tmp_path):
         """A fitted predictor read back from its JSON writes the same JSON,
         and each of its models predicts as the fitted one does."""
@@ -405,8 +425,8 @@ def grid_data():
         nodes=(NodeProfile(0, 8.0e6),),
         block_cut=BlockCutRule(max_tx_count=100, max_bytes=1 << 23, timeout_s=120.0),
         cost=GroundTruthCost(), rng_seed=7)
-    return generate_training_dataset(base, [5, 10, 20, 40, 60, 80, 100],
-                                     [768, 1024, 1280], [4.0e6, 8.0e6, 1.6e7])
+    return generate_training_dataset(base, DataGrid((5, 10, 20, 40, 60, 80, 100),
+                                                    (768, 1024, 1280), (4.0e6, 8.0e6, 1.6e7)))
 
 
 @pytest.fixture(scope="module")

@@ -101,9 +101,33 @@ MUTANTS = (
             "tests/test_simulator.py::TestGenerateTrainingDataset::"
             "test_overflowing_cost_rejected")),
     Mutant("grid-skips-bandwidth-check", "src/blocktune/simulator.py",
-           "    for bw in bandwidths:\n        NodeProfile(0, float(bw))\n", "",
+           "if not self.bandwidths or not all(0 < bw < math.inf "
+           "for bw in self.bandwidths):",
+           "if not self.bandwidths:",
            ("tests/test_simulator.py::TestGenerateTrainingDataset::"
             "test_bad_value_raises_as_its_scenario",)),
+    # The training grid's cells and envelope.
+    Mutant("tx-sizes-may-collapse", "src/blocktune/experiments.py",
+           "if len(tx_sizes) < 2:", "if len(tx_sizes) < 1:",
+           ("tests/test_cli.py::test_bad_config_value_exits_1",)),
+    Mutant("envelope-from-all-rows", "src/blocktune/surrogate.py",
+           "ranges = tuple(zip(tp.min(axis=0).tolist(), tp.max(axis=0).tolist()))",
+           "ranges = tuple(zip(points.min(axis=0).tolist(), "
+           "points.max(axis=0).tolist()))",
+           ("tests/test_surrogate.py::TestPredictor::test_envelope_spans_the_train_rows",)),
+    # The level-at-a-time split search.
+    Mutant("level-tie-tolerance-dropped", "src/blocktune/_kernels.py",
+           "cand >= (best - TIE_RTOL * sum_sq[lo:lo + width])[kc]", "cand >= best[kc]",
+           ("tests/test_surrogate.py::test_level_grower_matches_recursive_reference",)),
+    Mutant("level-threshold-next-global-value", "src/blocktune/_kernels.py",
+           "0.5 * (xm[c] + xm[c + 1])", "0.5 * (xm[c] + x[ranked[f[c], j[c] + 1], f[c]])",
+           ("tests/test_surrogate.py::test_level_grower_matches_recursive_reference",)),
+    Mutant("level-min-samples-leaf-ignored", "src/blocktune/_kernels.py",
+           "least = max(min_samples_leaf, 1)", "least = 1",
+           ("tests/test_surrogate.py::test_level_grower_matches_recursive_reference",)),
+    Mutant("level-empty-pass-searched", "src/blocktune/_kernels.py",
+           "        if not kept.any():\n            continue\n", "",
+           ("tests/test_surrogate.py::test_level_grower_matches_recursive_reference",)),
     # The per-block record array.
     Mutant("cut-reasons-from-wrong-column", "src/blocktune/simulator.py",
            "reasons = self.per_block_records.cut_reason",
