@@ -13,14 +13,14 @@ sorted once per feature for a whole fit, and :func:`level_splits` searches
 every node of one tree depth in the same pass over that order, each node
 seeing only its own groups.
 
-A fitted tree or forest is constant on each cell of the grid cut by its
-own thresholds, so :func:`tabulate` evaluates it once per cell and
-:func:`table_predict` answers a batch with one ``searchsorted`` per
-feature and one gather, bit for bit what the walk returns. The walk,
-:func:`tree_predict`, fills each table and answers for a model whose grid
-has more cells than the caller's bound; a forest is walked one tree at a
-time. The caller decides what to tabulate: ``surrogate.PerformancePredictor``
-builds one table for its forest and one for its latency tree.
+A tree model is a node set: its trees' nodes back to back in arrays, with
+an internal node's children at global indices after it. A tree's root is a
+node no other node points to, and the walk, :func:`forest_predict`,
+answers every tree from its roots in one call. A fitted model is constant
+on each cell of the grid cut by its own thresholds, so :func:`tabulate`
+walks it once per cell and :func:`table_predict` answers a batch with one
+``searchsorted`` per feature and one gather, bit for bit what the walk
+returns. The caller decides what to tabulate.
 
 :func:`repair_assignment` is the one placement rule of repair: a moved
 transaction goes to the least-loaded block that still fits both caps. From
@@ -53,6 +53,9 @@ TIE_RTOL = 1e-12
 # The most (node, feature, group) cells one pass of level_splits holds: a
 # level's arrays stay at 2 MB each however many nodes it has.
 _LEVEL_CELLS = 1 << 18
+# The most (row, tree) cells in one chunk of forest_predict: its arrays stay
+# in cache, and chunks of _LEVEL_CELLS walked slower than one tree at a time.
+_WALK_CELLS = 1 << 14
 
 
 def level_splits(x, order, counts, sums, node_of, sum_sq, min_samples_leaf):
@@ -129,19 +132,25 @@ def level_splits(x, order, counts, sums, node_of, sum_sq, min_samples_leaf):
     return feature, threshold, gain
 
 
-def tree_predict(feature, threshold, left, right, value, points):
-    """Evaluate one flat-array regression tree on ``points`` (m, n_features)."""
-    m = points.shape[0]
-    node = np.zeros(m, dtype=np.int64)
-    while True:
-        f = feature[node]
-        active = f >= 0
-        if not active.any():
-            break
-        idx = node[active]
-        go_left = points[active, f[active]] <= threshold[idx]
-        node[active] = np.where(go_left, left[idx], right[idx])
-    return value[node]
+def forest_predict(feature, threshold, left, right, value, roots, points,
+                   base=0.0, rate=1.0):
+    """``base`` plus ``rate`` times each tree's leaf value at ``points`` (m,
+    n_features), added in ``roots`` order by a ``cumsum``, which adds in
+    sequence. Every row walks every tree at once, a level per step, in row
+    chunks of at most ``_WALK_CELLS`` (row, tree) cells."""
+    out, t = np.empty(points.shape[0]), roots.size
+    step = max(1, _WALK_CELLS // max(t, 1))
+    for lo in range(0, out.size, step):
+        rows = points[lo:lo + step]
+        n, flat = rows.shape[0], rows.ravel()
+        node, offset = np.tile(roots, n), np.repeat(np.arange(n) * rows.shape[1], t)
+        while (active := feature[node] >= 0).any():
+            idx = node[active]
+            go_left = flat[offset[active] + feature[idx]] <= threshold[idx]
+            node[active] = np.where(go_left, left[idx], right[idx])
+        terms = np.column_stack((np.full(n, base), rate * value[node].reshape(n, t)))
+        out[lo:lo + n] = np.cumsum(terms, axis=1)[:, -1]
+    return out
 
 
 def tabulate(feature, threshold, evaluate, n_features, max_cells):

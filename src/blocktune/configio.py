@@ -50,7 +50,6 @@ derive deterministically from the resolved root seed
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
 import os
 import types
@@ -182,18 +181,11 @@ def check_keys(d, keys, where: str) -> dict:
     return d
 
 
-@functools.cache
-def _type_hints(cls) -> dict:
-    """``typing.get_type_hints(cls)``, evaluated once per class: a stored
-    model reads the tree class once per tree."""
-    return typing.get_type_hints(cls)
-
-
 def build_config(cls, d, where: str, **given):
     """The dataclass ``cls`` read from the JSON object ``d`` by the rule in
     the module docstring. ``given`` sets fields that the file does not: a
     key of ``d`` that names one is unknown. ``where`` names ``d`` in errors."""
-    hints = _type_hints(cls)
+    hints = typing.get_type_hints(cls)
     read = [f for f in fields(cls) if f.init and f.name not in given]
     check_keys(d, [f.name for f in read], where)
     kwargs = dict(given)

@@ -90,7 +90,7 @@ class TrainingGrid:
     def resolve(self, instance: ProblemInstance) -> DataGrid:
         """The cells to simulate for ``instance``: the tx size factors times
         its largest transaction, rounded to whole bytes, and the bandwidth
-        factors times its first node's bandwidth."""
+        factors times its first node's bandwidth, each finite and > 0."""
         tx_size = int(instance.sizes.max())
         tx_sizes = sorted({max(1, int(round(tx_size * f))) for f in self.tx_size_factors})
         if len(tx_sizes) < 2:
@@ -98,6 +98,9 @@ class TrainingGrid:
                               f"size, {tx_sizes[0]} bytes, at {tx_size}-byte transactions")
         bandwidth = float(instance.bandwidths[0])
         bandwidths = sorted({bandwidth * f for f in self.bandwidth_factors})
+        if not 0 < bandwidths[0] <= bandwidths[-1] < math.inf:
+            raise ConfigError(f"train_grid.bandwidth_factors times the {bandwidth} "
+                              f"bytes/s bandwidth must be finite and > 0, got {bandwidths}")
         return DataGrid(self.block_sizes, tuple(tx_sizes), tuple(bandwidths),
                         self.replicates)
 

@@ -185,19 +185,18 @@ def initialize_population(instance: ProblemInstance, size: int,
                          stats, weights)
 
 
-def _population_fitness(instance: ProblemInstance, predictor, matrix: np.ndarray,
-                        stats=None):
+def _population_fitness(instance: ProblemInstance, predictor, matrix: np.ndarray, stats):
     """The objective for every row of ``matrix`` (pop, n), with its query
     counts: one query per non-empty block and node of every row, and those
     outside the predictor's training range. A distinct block is priced once,
     but its queries count once per block with its composition.
 
     ``stats`` is the rows' (counts, byte sums) pair as
-    :func:`blocktune.model.block_stats` returns it; it is counted here when
-    omitted. Returns (fitness vector, extrapolating query count, total query
-    count). Rows must already be feasible.
+    :func:`blocktune.model.block_stats` returns it. Returns (fitness vector,
+    extrapolating query count, total query count). Rows must already be
+    feasible.
     """
-    counts, byte_sums = block_stats(instance, matrix) if stats is None else stats
+    counts, byte_sums = stats
     fit, rows, weights = processing_times(instance, counts, byte_sums, predictor)
     extrapolating = 0
     if hasattr(predictor, "extrapolation_mask"):

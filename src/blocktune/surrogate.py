@@ -26,22 +26,20 @@ A node's ``value`` is the sum, in group order, of its groups' target sums
 divided by its row count: the mean of its rows' targets, rounded apart
 from ``ndarray.mean`` only in the last bits. Its ``n_samples`` and
 ``min_samples_leaf`` count rows, so the splits are the ones a per-row
-search would choose. Nodes are numbered breadth-first; a stored tree of
-any numbering with every child after its parent walks the same. The
-polynomial is fitted on the rows.
+search would choose. The polynomial is fitted on the rows.
 
-``RegressionTree`` and ``BoostedEnsemble`` are plain data, and their
-``predict`` is the walk: a tree walks its nodes, and the ensemble adds its
-trees' walks in round order. ``PerformancePredictor`` builds the only two
-cell tables, once, when built: the forest and the latency tree are each
-constant on every cell of the grid their own thresholds cut, so ``f`` and
-``g`` look a batch up with one ``searchsorted`` per feature and one
-gather (see :mod:`blocktune._kernels`), bit-identical to the walk. A model
-is tabulated only when its grid has at most as many cells as the model
-had training rows (``n_samples[0]`` of its first tree), so filling the
-table never costs more than one walk of the training set; above that
-bound the predictor answers with the model's walk. The polynomial is
-evaluated directly, as coefficient × monomial added in monomial order.
+``RegressionTree`` and ``BoostedEnsemble`` are plain data, each one node
+set (see :mod:`blocktune._kernels`) with one ``max_depth`` and
+``min_samples_leaf``: a tree's one root is node 0, and the ensemble stores
+its rounds' trees back to back, each numbered breadth-first on from the
+last. Their ``predict`` is one walk. ``PerformancePredictor`` builds the
+only two cell tables, once, when built, and answers ``f`` and ``g`` from
+them, bit-identical to the walk. A model is tabulated only when its grid
+has at most as many cells as the model had training rows
+(``n_samples[0]``), so filling the table never costs more than one walk of
+the training set; above that bound the predictor answers with the model's
+walk. The polynomial is evaluated directly, as coefficient × monomial
+added in monomial order.
 
 Every answer is a function of its own row alone, bit for bit: a lookup, a
 walk or an element-wise sum, never a matrix product, whose rounding
@@ -52,13 +50,9 @@ assignment the same alone or in a population.
 The model classes are dataclasses whose fields are the stored model's
 keys, so :func:`blocktune.configio.build_config` reads a stored model and
 :func:`blocktune.configio.to_json` writes one, by the rule every config
-follows. Each ``__post_init__`` checks what a type hint cannot say: each
-tree's arrays of one length, integer-valued where they count or index,
-features in range, finite values and every internal node's children after
-it, so that every walk ends; the polynomial's exponents equal to its
-degree's monomials, one finite coefficient each and three finite means and
-positive scales; a learning rate in (0, 1]; three feature ranges, each
-with low <= high; and each model's ``family``.
+follows. Each ``__post_init__`` checks what a type hint cannot say, such
+as a node set's children after their parents, so that every walk ends (one
+check, :func:`_check_nodes`, per model), and each model's ``family``.
 :meth:`PerformancePredictor.load` raises DatasetError naming the file and
 the key.
 
@@ -301,16 +295,41 @@ def fit_polynomial(points, targets, degree: int = 2) -> PolynomialModel:
 # regression trees and boosting
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class RegressionTree:
-    """A CART-style regression tree in flat-array form.
+def _check_nodes(model):
+    """Reject a node set the walk could not answer for, and return its roots.
+    ``feature``, ``left``, ``right`` and ``n_samples`` become int64 arrays."""
+    n = len(model.feature)
+    for name in ("feature", "threshold", "left", "right", "value", "n_samples"):
+        a = np.asarray(getattr(model, name), dtype=np.float64)
+        if a.shape != (n,):
+            raise ConfigError(f"{name}: {a.size} entries, feature has {n}")
+        if not np.isfinite(a).all():
+            raise ConfigError(f"{name}: not finite")
+        if name not in ("threshold", "value"):
+            if (a != np.trunc(a)).any():
+                raise ConfigError(f"{name}: expected integers")
+            a = a.astype(np.int64)
+        setattr(model, name, a)
+    if ((model.feature < -1) | (model.feature >= len(FEATURE_NAMES))).any():
+        raise ConfigError(f"feature: must be -1 (leaf) or a feature index below "
+                          f"{len(FEATURE_NAMES)}")
+    internal = np.flatnonzero(model.feature >= 0)
+    pointed = np.zeros(n, dtype=bool)
+    for name in ("left", "right"):
+        child = getattr(model, name)[internal]
+        if ((child <= internal) | (child >= n)).any():
+            raise ConfigError(f"{name}: an internal node's child must lie after "
+                              f"it and below {n}")
+        pointed[child] = True
+    return np.flatnonzero(~pointed)
 
-    Internal nodes store (split feature, threshold); every node stores the
-    mean of the training targets that reached it (summed by distinct row,
-    see the module notes) and their count. Splits maximize the
-    squared-error reduction over midpoints between consecutive distinct
-    feature values of a node.
-    """
+
+@dataclass(eq=False)
+class _NodeSet:
+    """CART-style regression trees as one node set: an internal node stores
+    its children and the split (feature, threshold, a midpoint between
+    distinct values) that reduces squared error most, and every node the
+    mean and the count of the training targets that reached it."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -320,44 +339,31 @@ class RegressionTree:
     n_samples: np.ndarray
     max_depth: int
     min_samples_leaf: int
+
+    def __post_init__(self):
+        _check_family(self)
+        self._roots = _check_nodes(self)
+
+    def _walk(self, points, base=0.0, rate=1.0) -> np.ndarray:
+        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        return _kernels.forest_predict(self.feature, self.threshold, self.left,
+                                       self.right, self.value, self._roots, points,
+                                       base, rate)
+
+
+@dataclass(eq=False)
+class RegressionTree(_NodeSet):
+    """One regression tree: a node set whose one root is node 0."""
+
     family: str = "tree"
 
     def __post_init__(self):
-        """Reject a tree the walk could not answer for; ``feature``,
-        ``left``, ``right`` and ``n_samples`` become int64 arrays."""
-        _check_family(self)
-        n = len(self.feature)
-        if n == 0:
-            raise ConfigError("feature: a tree needs at least one node")
-        for name in ("feature", "threshold", "left", "right", "value", "n_samples"):
-            a = np.asarray(getattr(self, name), dtype=np.float64)
-            if a.shape != (n,):
-                raise ConfigError(f"{name}: {a.size} entries, feature has {n}")
-            if not np.isfinite(a).all():
-                raise ConfigError(f"{name}: not finite")
-            if name not in ("threshold", "value"):
-                if (a != np.trunc(a)).any():
-                    raise ConfigError(f"{name}: expected integers")
-                a = a.astype(np.int64)
-            setattr(self, name, a)
-        if ((self.feature < -1) | (self.feature >= len(FEATURE_NAMES))).any():
-            raise ConfigError(f"feature: must be -1 (leaf) or a feature index below "
-                              f"{len(FEATURE_NAMES)}")
-        internal = np.flatnonzero(self.feature >= 0)
-        for name in ("left", "right"):
-            child = getattr(self, name)[internal]
-            if ((child <= internal) | (child >= n)).any():
-                raise ConfigError(f"{name}: an internal node's child must lie after "
-                                  f"it and below {n}")
-
-    @property
-    def n_nodes(self) -> int:
-        return self.feature.size
+        super().__post_init__()
+        if self._roots.tolist() != [0]:
+            raise ConfigError(f"a tree has one root, node 0, not {self._roots.tolist()}")
 
     def predict(self, points) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return _kernels.tree_predict(self.feature, self.threshold, self.left,
-                                     self.right, self.value, points)
+        return self._walk(points)
 
 
 def group_rows(points):
@@ -388,21 +394,21 @@ def _group_sums(inverse, counts, targets):
     return sums, np.bincount(inverse, weights=spread * spread, minlength=counts.size)
 
 
-def _grow_tree(unique, order, counts, sums, spread, max_depth, min_samples_leaf):
+def _grow_tree(unique, order, counts, sums, spread, max_depth, min_samples_leaf, first=0):
     """Grow one tree over the groups ``unique`` (row counts ``counts``,
     target sums ``sums`` and targets' squared deviations from their group
     mean ``spread``), splitting every node of a depth in one
     :func:`_kernels.level_splits` call.
 
-    Nodes are numbered breadth-first. A node's ``value`` is the sum, in
-    group order, of its groups' target sums divided by its row count, and
-    its ``n_samples`` is that row count. Returns the tree's arrays and each
-    group's leaf.
+    Nodes are numbered breadth-first from ``first``. A node's ``value`` is
+    the sum, in group order, of its groups' target sums divided by its row
+    count, and its ``n_samples`` is that row count. Returns the tree's
+    arrays and each group's leaf value.
     """
     sum_sq = spread + sums * sums / counts
-    node_of = np.zeros(counts.size, dtype=np.int64)
+    node_of = np.full(counts.size, first, dtype=np.int64)
     levels = []
-    lo, hi = 0, 1  # the node ids of the current depth
+    lo, hi = first, first + 1  # the node ids of the current depth
     for depth in range(max_depth + 1):
         width = hi - lo
         # groups in leaves above this depth fall in the extra bin, ``width``
@@ -431,7 +437,8 @@ def _grow_tree(unique, order, counts, sums, spread, max_depth, min_samples_leaf)
         lo, hi = hi, children.max() + 2
     feature, threshold, left, value, n = (np.concatenate(a) for a in zip(*levels))
     right = np.where(left >= 0, left + 1, -1)
-    return (feature, threshold, left, right, value, n.astype(np.int64)), node_of
+    leaf_value = value[node_of - first]
+    return (feature, threshold, left, right, value, n.astype(np.int64)), leaf_value
 
 
 def fit_tree(points, targets, max_depth: int = 6,
@@ -454,37 +461,29 @@ def fit_tree(points, targets, max_depth: int = 6,
     sums, spread = _group_sums(inverse, counts, targets)
     arrays, _ = _grow_tree(unique, _feature_order(unique), counts, sums, spread,
                            max_depth, min_samples_leaf)
-    return RegressionTree(*arrays, max_depth=max_depth,
-                          min_samples_leaf=min_samples_leaf)
+    return RegressionTree(*arrays, max_depth, min_samples_leaf)
 
 
 @dataclass(eq=False)
-class BoostedEnsemble:
-    """Squared-error gradient boosting over depth-limited regression trees.
-
-    Prediction is the target mean plus the learning-rate-scaled sum of the
-    per-round trees; the recorded training MSE trace is non-increasing.
-    """
+class BoostedEnsemble(_NodeSet):
+    """Squared-error gradient boosting: the target mean plus ``learning_rate``
+    times each round's tree, the rounds in the index order of their roots.
+    The training MSE trace is non-increasing."""
 
     base_value: float
-    trees: tuple[RegressionTree, ...]
     learning_rate: float
     train_mse: tuple[float, ...]
     family: str = "boosted"
 
     def __post_init__(self):
-        _check_family(self)
+        super().__post_init__()
         if not math.isfinite(self.base_value):
             raise ConfigError(f"base_value must be finite, got {self.base_value}")
         if not 0 < self.learning_rate <= 1:
             raise ConfigError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
 
     def predict(self, points) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        out = np.full(points.shape[0], self.base_value)
-        for tree in self.trees:
-            out += self.learning_rate * tree.predict(points)
-        return out
+        return self._walk(points, self.base_value, self.learning_rate)
 
 
 def fit_boosted(points, targets, rounds: int = 100, learning_rate: float = 0.1,
@@ -518,38 +517,35 @@ def fit_boosted(points, targets, rounds: int = 100, learning_rate: float = 0.1,
     sums, spread = _group_sums(inverse, counts, residuals)
     squares = residuals * residuals
     train_mse = [float(squares.mean())]
-    trees = []
+    rounds_nodes, first = [], 0
     for _ in range(rounds):
-        arrays, leaf = _grow_tree(unique, order, counts, sums, spread, tree_depth,
-                                  min_samples_leaf)
-        tree = RegressionTree(*arrays, max_depth=tree_depth,
-                              min_samples_leaf=min_samples_leaf)
-        step = learning_rate * tree.value[leaf]
+        arrays, leaf_value = _grow_tree(unique, order, counts, sums, spread, tree_depth,
+                                        min_samples_leaf, first)
+        step = learning_rate * leaf_value
         np.subtract(residuals, step[inverse], out=residuals)
         sums = sums - counts * step
-        trees.append(tree)
+        rounds_nodes.append(arrays)
+        first += arrays[0].size
         train_mse.append(float(np.multiply(residuals, residuals, out=squares).mean()))
-    return BoostedEnsemble(base, tuple(trees), learning_rate, tuple(train_mse))
+    nodes = [np.concatenate(a) for a in zip(*rounds_nodes)] or [np.empty(0)] * 6
+    return BoostedEnsemble(*nodes, tree_depth, min_samples_leaf, base, learning_rate,
+                           tuple(train_mse))
 
 
 # ---------------------------------------------------------------------------
 # composite predictor
 # ---------------------------------------------------------------------------
 
-def _cell_lookup(model, trees):
-    """The function that answers for ``model``: a lookup into the cell
-    table of the grid its ``trees`` cut (:func:`_kernels.tabulate`), or the
-    model's own walk when that grid has more cells than the model had
-    training rows, so that filling a table never costs more than one walk
-    of the training set."""
-    if not trees:
-        return model.predict
-    table = _kernels.tabulate(np.concatenate([t.feature for t in trees]),
-                              np.concatenate([t.threshold for t in trees]),
-                              model.predict, len(FEATURE_NAMES), trees[0].n_samples[0])
-    if table is None:
-        return model.predict
-    return functools.partial(_kernels.table_predict, *table)
+def _cell_lookup(model):
+    """The function that answers for the tree model ``model``: a lookup into
+    its cell table (:func:`_kernels.tabulate`), or its own walk when its grid
+    has more cells than it had training rows (``n_samples[0]``)."""
+    if model.feature.size:
+        table = _kernels.tabulate(model.feature, model.threshold, model.predict,
+                                  len(FEATURE_NAMES), model.n_samples[0])
+        if table is not None:
+            return functools.partial(_kernels.table_predict, *table)
+    return model.predict
 
 
 @dataclass(frozen=True)
@@ -622,8 +618,8 @@ class PerformancePredictor:
         for i, (lo, hi) in enumerate(zip(self._lo, self._hi)):
             if not lo <= hi:
                 raise ConfigError(f"feature_ranges[{i}]: low {lo} exceeds high {hi}")
-        self._vt = _cell_lookup(self.vt_model, self.vt_model.trees)
-        self._latency = _cell_lookup(self.latency_model, [self.latency_model])
+        self._vt = _cell_lookup(self.vt_model)
+        self._latency = _cell_lookup(self.latency_model)
 
     def _rows(self, points) -> np.ndarray:
         return np.atleast_2d(np.asarray(points, dtype=np.float64))

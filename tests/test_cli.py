@@ -135,14 +135,14 @@ class TestMalformedModel:
 
     def broken_model(self, tmp_path, model_path, edit):
         d = load(model_path)
-        tree = next(t for t in d["vt_model"]["trees"] if t["feature"][0] >= 0)
-        edit(tree)
+        assert d["vt_model"]["feature"][0] >= 0  # the first round splits at its root
+        edit(d["vt_model"])
         return write(tmp_path / "broken.json", d)
 
     def test_cycle_exits_1(self, tmp_path, model_path, instance_path):
         # Run in a subprocess: a walk through a cycle never ends.
-        def cycle(tree):
-            tree["left"][0] = 0
+        def cycle(forest):
+            forest["left"][0] = 0
         model = self.broken_model(tmp_path, model_path, cycle)
         env = dict(os.environ, PYTHONPATH=str(SRC))
         env.pop("BLOCKTUNE_SEED", None)
@@ -155,8 +155,8 @@ class TestMalformedModel:
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("key, edit", [
-        ("right", lambda tree: tree["right"].__setitem__(0, len(tree["right"]))),
-        ("value", lambda tree: tree.pop("value")),
+        ("right", lambda forest: forest["right"].__setitem__(0, len(forest["right"]))),
+        ("value", lambda forest: forest.pop("value")),
     ])
     def test_bad_child_or_missing_key_exits_1(self, tmp_path, model_path,
                                               instance_path, capsys, key, edit):
@@ -164,8 +164,38 @@ class TestMalformedModel:
         capsys.readouterr()
         assert run(tmp_path, "optimize", instance_path, model) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "vt_model.trees[" in err and key in err
+        assert err.startswith("error:") and f"{model}.vt_model: " in err and key in err
         assert "Traceback" not in err
+
+    def test_per_round_tree_objects_exit_1(self, tmp_path, model_path, instance_path,
+                                           capsys):
+        """A model stored in the earlier layout, one object per boosting
+        round under ``trees`` with each round's nodes numbered from 0, exits
+        1 naming vt_model and trees: the node arrays are the only layout
+        read."""
+        d = load(model_path)
+        forest = d["vt_model"]
+        keys = ("feature", "threshold", "left", "right", "value", "n_samples")
+        pointed = set(forest["left"]) | set(forest["right"])
+        starts = [i for i in range(len(forest["feature"])) if i not in pointed]
+        trees = []
+        for lo, hi in zip(starts, starts[1:] + [len(forest["feature"])]):
+            tree = {key: forest[key][lo:hi] for key in keys}
+            for key in ("left", "right"):
+                tree[key] = [c - lo if c >= 0 else -1 for c in tree[key]]
+            trees.append(dict(tree, max_depth=forest["max_depth"],
+                              min_samples_leaf=forest["min_samples_leaf"], family="tree"))
+        assert len(trees) == len(forest["train_mse"]) - 1 == 10
+        d["vt_model"] = {"base_value": forest["base_value"], "trees": trees,
+                         "learning_rate": forest["learning_rate"],
+                         "train_mse": forest["train_mse"], "family": "boosted"}
+        model = write(tmp_path / "per_round.json", d)
+        capsys.readouterr()
+        assert run(tmp_path, "optimize", instance_path, model) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}.vt_model: unknown key 'trees'")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "optimize.json").exists()
 
     @pytest.mark.parametrize("key, edit", [
         # a matmul traceback before the model classes were read by the
@@ -473,9 +503,10 @@ def config_argv(command, config, model_path):
     ("pipeline", edited(PIPELINE, TRANSACTIONS, {"count": 10, "size_bytes": 2}),
      "train_grid.tx_size_factors round to one transaction size, 2 bytes"),
     # a finite factor times the node's bandwidth overflows: this exited 2,
-    # naming a node
+    # naming a node, and then 1, naming the simulator grid's bandwidths
     ("pipeline", edited(PIPELINE, ("train_grid", "bandwidth_factors"), [1, 1e308]),
-     "bandwidths must be a non-empty list of finite numbers > 0"),
+     "train_grid.bandwidth_factors times the 4000000.0 bytes/s bandwidth must be "
+     "finite and > 0"),
 ])
 def test_bad_config_value_exits_1(tmp_path, capsys, model_path, command, config, key):
     """A config value or section of the wrong type, a value out of range, an

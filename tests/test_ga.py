@@ -88,7 +88,8 @@ class TestFitness:
         for _ in range(10):
             inst = random_instance(rng)
             pop = population(inst, size=12, seed=2)
-            fit, extrapolating, queries = _population_fitness(inst, stub, pop)
+            fit, extrapolating, queries = _population_fitness(inst, stub, pop,
+                                                               block_stats(inst, pop))
             for row, value in zip(pop, fit):
                 assert value == total_processing_time(
                     inst, AssignmentMatrix(row, inst.nb), stub)
@@ -106,7 +107,8 @@ class TestFitness:
         predictor = fitted_predictor if fitted else StubPredictor(
             lambda c, b, w: 0.01 + 0.003 * c, lambda c, b, w: b / w,
             feature_ranges=[[1, 5], [0, 1e9], [0, np.inf]])
-        _, extrapolating, queries = _population_fitness(inst, predictor, pop)
+        _, extrapolating, queries = _population_fitness(inst, predictor, pop,
+                                                         block_stats(inst, pop))
         want_queries = want_extrapolating = 0
         counts, byte_sums = block_stats(inst, pop)
         for i, j in zip(*np.nonzero(counts)):

@@ -1,5 +1,6 @@
-"""Surrogate models: exact recovery, monotone training loss, cell tables
-equal to the tree walks, stored-model checks, dataset I/O."""
+"""Surrogate models: exact recovery, monotone training loss, the forest walk
+and the cell tables equal to per-tree walks, stored-model checks, dataset
+I/O."""
 
 import gc
 import json
@@ -7,12 +8,12 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from blocktune import _kernels
+from blocktune import _kernels, surrogate
 from blocktune.configio import build_config, to_json, write_json
-from blocktune.errors import DatasetError, FitError
+from blocktune.errors import ConfigError, DatasetError, FitError
 from blocktune.model import NodeProfile
 from blocktune.simulator import (
     BlockCutRule,
@@ -161,7 +162,7 @@ class TestPolynomial:
 class TestRegressionTree:
     def test_single_sample_single_leaf(self):
         tree = fit_tree(np.array([[3.0, 100.0, 1e6]]), np.array([0.42]))
-        assert tree.n_nodes == 1 and tree.feature[0] == -1
+        assert tree.feature.size == 1 and tree.feature[0] == -1
         assert tree.predict([[9.0, 9.0, 9.0]])[0] == pytest.approx(0.42)
 
     def test_hand_computable_split(self):
@@ -183,7 +184,7 @@ class TestRegressionTree:
         for leaf_value in np.unique(preds):
             members = targets[preds == leaf_value]
             assert leaf_value == pytest.approx(members.mean())
-            assert members.size >= 5 or tree.n_nodes == 1
+            assert members.size >= 5 or tree.feature.size == 1
 
     def test_empty_raises(self):
         with pytest.raises(FitError):
@@ -270,10 +271,22 @@ class TestBoosting:
         with pytest.raises(FitError):
             fit_boosted(grid_points(n=10), np.ones(10), learning_rate=0.0)
 
+    def test_a_fit_checks_its_nodes_once(self, monkeypatch):
+        """A fit builds no tree object per round: the whole forest's node
+        set is checked once, as the ensemble it returns."""
+        checked = []
+        check = surrogate._check_nodes
+        monkeypatch.setattr(surrogate, "_check_nodes",
+                            lambda model: checked.append(type(model)) or check(model))
+        model = fit_boosted(grid_points(n=40), np.arange(40.0), rounds=20)
+        assert checked == [BoostedEnsemble]
+        assert len(split_forest(model)) == 20
+
 
 def _stub_predictor(vt=0.01, ct=0.02, latency=0.5, ranges=None):
     """Predictor built from constant models with known outputs."""
-    vt_model = BoostedEnsemble(vt, [], 0.1, [0.0])
+    vt_model = BoostedEnsemble(*[[]] * 6, max_depth=3, min_samples_leaf=1, base_value=vt,
+                               learning_rate=0.1, train_mse=[0.0])
     exps = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
     ct_model = PolynomialModel(1, exps, [ct, 0.0, 0.0, 0.0],
                                np.zeros(3), np.ones(3))
@@ -446,9 +459,9 @@ def probe_rows(predictor, n_rows=50_000, seed=61):
     the latency tree has on it, one ulp to either side, midway between
     neighbours, beyond both ends, +-inf and NaN, drawn independently per
     column."""
-    trees = [*predictor.vt_model.trees, predictor.latency_model]
-    feature = np.concatenate([t.feature for t in trees])
-    threshold = np.concatenate([t.threshold for t in trees])
+    models = (predictor.vt_model, predictor.latency_model)
+    feature = np.concatenate([m.feature for m in models])
+    threshold = np.concatenate([m.threshold for m in models])
     rng = np.random.default_rng(seed)
     cols = []
     for f in range(3):
@@ -474,6 +487,134 @@ def assert_answers_are_the_walks(predictor, rows):
         np.maximum(predictor.latency_model.predict(rows), 0.0))
 
 
+def split_forest(model):
+    """The rounds of a fitted ensemble as separate trees: a fit stores each
+    round's nodes back to back, from its root up to the next round's, and
+    here each is renumbered from 0."""
+    internal = model.feature >= 0
+    pointed = np.concatenate([model.left[internal], model.right[internal]])
+    roots = np.setdiff1d(np.arange(model.feature.size), pointed)
+    trees = []
+    for lo, hi in zip(roots, np.append(roots[1:], model.feature.size)):
+        left, right = (np.where(c[lo:hi] >= 0, c[lo:hi] - lo, -1)
+                       for c in (model.left, model.right))
+        trees.append(RegressionTree(model.feature[lo:hi], model.threshold[lo:hi], left,
+                                    right, model.value[lo:hi], model.n_samples[lo:hi],
+                                    model.max_depth, model.min_samples_leaf))
+    return trees
+
+
+def tree_walk(tree, points):
+    """The walk of one tree that the forest walk replaced: every row from
+    node 0, one level per step."""
+    node = np.zeros(points.shape[0], dtype=np.int64)
+    while True:
+        f = tree.feature[node]
+        active = f >= 0
+        if not active.any():
+            break
+        idx = node[active]
+        go_left = points[active, f[active]] <= tree.threshold[idx]
+        node[active] = np.where(go_left, tree.left[idx], tree.right[idx])
+    return tree.value[node]
+
+
+def per_tree_predict(model, points):
+    """The ensemble's answer as it was computed before the one-call walk:
+    the base value plus, round by round, the learning rate times that
+    round's tree walk."""
+    out = np.full(points.shape[0], model.base_value)
+    for tree in split_forest(model):
+        out += model.learning_rate * tree_walk(tree, points)
+    return out
+
+
+class TestForestWalk:
+    @pytest.mark.parametrize("cells, n_rows", [(None, 20_000), (1000, 2_000), (1, 300)])
+    def test_one_call_is_the_per_tree_walk(self, grid_predictor, recall_predictor,
+                                           monkeypatch, cells, n_rows):
+        """Both models answer, bit for bit, what walking one tree at a time
+        gives, on batches that cross chunk boundaries: 163 and then 81 rows
+        a chunk at the default cap (100 and 200 rounds), 10 and 5 at a cap
+        of 1,000 cells, and one row a chunk at a cap of one cell."""
+        if cells is not None:
+            monkeypatch.setattr(_kernels, "_WALK_CELLS", cells)
+        for predictor in (grid_predictor, recall_predictor):
+            rows = probe_rows(predictor, n_rows)
+            forest = predictor.vt_model
+            assert n_rows > max(1, _kernels._WALK_CELLS // len(split_forest(forest)))
+            np.testing.assert_array_equal(forest.predict(rows),
+                                          per_tree_predict(forest, rows))
+            np.testing.assert_array_equal(predictor.latency_model.predict(rows),
+                                          tree_walk(predictor.latency_model, rows))
+
+    def test_zero_rounds_and_one_leaf(self):
+        points = grid_points(n=20)
+        model = fit_boosted(points, np.linspace(0.0, 2.0, 20), rounds=0)
+        assert model.feature.size == 0
+        np.testing.assert_array_equal(model.predict(points), per_tree_predict(model, points))
+        np.testing.assert_array_equal(model.predict(np.empty((0, 3))), [])
+        tree = fit_tree(points, np.full(20, 0.25))
+        np.testing.assert_array_equal(tree.predict(points), np.full(20, 0.25))
+
+    def test_rounds_are_stored_back_to_back(self, grid_predictor):
+        """Each round's tree follows the last, numbered on from its nodes:
+        splitting the forest at its roots gives the rounds in order, each
+        one tree of the fitted depth."""
+        model = grid_predictor.vt_model
+        trees = split_forest(model)
+        assert len(trees) == len(model.train_mse) - 1 == 100
+        assert sum(t.feature.size for t in trees) == model.feature.size
+        assert all(t.max_depth == 3 and t.min_samples_leaf == 1 for t in trees)
+        for field in ("feature", "threshold", "value", "n_samples"):
+            np.testing.assert_array_equal(
+                np.concatenate([getattr(t, field) for t in trees]), getattr(model, field))
+
+
+def two_round_nodes(**edits):
+    """A two-round node set: round 0 splits tx_count at 5 into two leaves
+    (nodes 1 and 2), and round 1 is one leaf, node 3; ``edits`` replace
+    single entries, ``name=(node, value)``."""
+    nodes = {"feature": [0, -1, -1, -1], "threshold": [5.0, 0.0, 0.0, 0.0],
+             "left": [1, -1, -1, -1], "right": [2, -1, -1, -1],
+             "value": [0.5, 1.0, 2.0, 4.0], "n_samples": [4, 2, 2, 4]}
+    for name, (node, value) in edits.items():
+        nodes[name][node] = value
+    return nodes
+
+
+class TestNodeChecks:
+    def test_roots_are_the_rounds(self):
+        model = BoostedEnsemble(**two_round_nodes(), max_depth=1, min_samples_leaf=1,
+                                base_value=0.25, learning_rate=0.5, train_mse=[1.0] * 3)
+        points = np.array([[5.0, 1.0, 1.0], [6.0, 1.0, 1.0]])
+        np.testing.assert_array_equal(model.predict(points),
+                                      [0.25 + 0.5 * 1.0 + 0.5 * 4.0,
+                                       0.25 + 0.5 * 2.0 + 0.5 * 4.0])
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"left": (0, 0)}, "left: an internal node's child must lie after it"),
+        ({"right": (0, 0)}, "right: an internal node's child must lie after it"),
+        ({"right": (0, 4)}, "right: an internal node's child must lie after it and below 4"),
+        ({"feature": (0, 3)}, "feature: must be -1"),
+        ({"n_samples": (1, 2.5)}, "n_samples: expected integers"),
+        ({"threshold": (0, np.inf)}, "threshold: not finite"),
+    ])
+    def test_walk_must_end(self, edit, message):
+        """Every internal node's children lie after it and inside the set,
+        so no walk loops; a node that is its own child is rejected before
+        any walk."""
+        with pytest.raises(ConfigError, match=message):
+            BoostedEnsemble(**two_round_nodes(**edit), max_depth=1, min_samples_leaf=1,
+                            base_value=0.0, learning_rate=0.1, train_mse=[1.0] * 3)
+
+    @pytest.mark.parametrize("nodes", [
+        two_round_nodes(), {name: [] for name in two_round_nodes()}])
+    def test_a_tree_has_one_root(self, nodes):
+        with pytest.raises(ConfigError, match="a tree has one root, node 0"):
+            RegressionTree(**nodes, max_depth=1, min_samples_leaf=1)
+
+
 @pytest.fixture
 def tables(monkeypatch):
     """What every ``_kernels.tabulate`` call made during the test returned:
@@ -493,7 +634,7 @@ def node_rows(tree, points):
     """Node -> the indices, in row order, of the rows of ``points`` that the
     tree routes through it."""
     reached = {0: np.arange(points.shape[0])}
-    for node in range(tree.n_nodes):
+    for node in range(tree.feature.size):
         if tree.feature[node] >= 0:
             rows = reached[node]
             go_left = points[rows, tree.feature[node]] <= tree.threshold[node]
@@ -511,7 +652,7 @@ def assert_values_are_group_sums(tree, points, targets, sums):
     to about zero, so no relative bound on the mean itself could hold."""
     unique, _, counts = group_rows(points)
     groups, rows = node_rows(tree, unique), node_rows(tree, points)
-    assert sorted(rows) == list(range(tree.n_nodes))
+    assert sorted(rows) == list(range(tree.feature.size))
     scale = np.abs(targets).max()
     for node, members in groups.items():
         assert tree.n_samples[node] == rows[node].size == counts[members].sum()
@@ -541,7 +682,7 @@ class TestGroupedFit:
         model = grid_predictor.vt_model
         residuals = vt - model.base_value
         sums = np.bincount(inverse, weights=residuals)
-        for tree in model.trees:
+        for tree in split_forest(model):
             assert_values_are_group_sums(tree, points, residuals, sums)
             step = model.learning_rate * tree.predict(unique)
             residuals = residuals - model.learning_rate * tree.predict(points)
@@ -645,6 +786,16 @@ def grouped_dataset(draw):
 @settings(max_examples=400, deadline=None)
 @given(grouped_dataset(), st.integers(0, 6), st.integers(1, 5),
        st.sampled_from([1, 1 << 20]))
+# The root's only candidate split leaves one row on its left, fewer than
+# min_samples_leaf, so the root stays a leaf.
+@example(case=(np.array([[0.0, 0, 0], [1, 0, 0], [1, 0, 0], [1, 0, 0]]),
+               np.array([3.5, 0.0, 0.0, 0.0])),
+         max_depth=1, min_samples_leaf=2, cells=1 << 20)
+# The root splits off the 0 row, a depth-1 node too small to search, so its
+# one-node pass of the level kernel holds no group.
+@example(case=(np.array([[0.0, 0, 0], [10, 0, 0], [11, 0, 0]]),
+               np.array([0.0, 10.0, 12.0])),
+         max_depth=2, min_samples_leaf=1, cells=1)
 def test_level_grower_matches_recursive_reference(case, max_depth, min_samples_leaf,
                                                   cells):
     """Growing a tree a level at a time splits every node as the recursive
@@ -664,7 +815,7 @@ def test_level_grower_matches_recursive_reference(case, max_depth, min_samples_l
     if model is not None:
         want = reference_tree(points, targets - targets.mean(), max_depth,
                               min_samples_leaf)
-        assert_same_tree(model.trees[0], want, atol)
+        assert_same_tree(split_forest(model)[0], want, atol)
 
 
 class TestCellTable:
@@ -688,7 +839,7 @@ class TestCellTable:
         so the loaded forest is not tabulated; the one-leaf latency tree
         is."""
         clone = build_config(PerformancePredictor, to_json(recall_predictor), "model")
-        assert recall_predictor.latency_model.n_nodes == 1  # a constant target
+        assert recall_predictor.latency_model.feature.size == 1  # a constant target
         assert len(tables) == 2
         assert tables[0] is None and tables[1] is not None
         rows = probe_rows(recall_predictor, n_rows=5_000)
@@ -715,21 +866,44 @@ def stored_model():
     return json.dumps(to_json(p))
 
 
+def child_before_parent(d):
+    """Point the forest's last internal node's left child back at the node
+    before it."""
+    forest = d["vt_model"]
+    node = max(i for i, f in enumerate(forest["feature"]) if f >= 0)
+    forest["left"][node] = node - 1
+
+
+def second_root(d):
+    """Append a leaf that no node points to: a second root."""
+    tree = d["latency_model"]
+    for name, value in (("feature", -1), ("threshold", 0.0), ("left", -1),
+                        ("right", -1), ("value", 0.1), ("n_samples", 1)):
+        tree[name].append(value)
+
+
 class TestStoredModelChecks:
     @pytest.mark.parametrize("mutation, message", [
-        (lambda d: d["vt_model"]["trees"][1].pop("value"),
-         r"vt_model\.trees\[1\]: missing required key 'value'"),
+        (lambda d: d["vt_model"].pop("value"), "vt_model: missing required key 'value'"),
+        (lambda d: d["vt_model"].pop("max_depth"),
+         "vt_model: missing required key 'max_depth'"),
         (lambda d: d.pop("latency_model"), "missing required key 'latency_model'"),
         (lambda d: d["ct_model"].pop("coefficients"), "ct_model: missing required key"),
         (lambda d: d["latency_model"]["left"].pop(), "latency_model: left"),
         (lambda d: d["latency_model"]["feature"].__setitem__(0, 3),
          "latency_model: feature"),
-        (lambda d: d["vt_model"]["trees"][0]["right"].__setitem__(0, 99),
-         r"vt_model\.trees\[0\]: right"),
+        (lambda d: d["vt_model"]["right"].__setitem__(0, 99), "vt_model: right"),
+        (child_before_parent,
+         "vt_model: left: an internal node's child must lie after it"),
+        (second_root, "latency_model: a tree has one root, node 0, not"),
         (lambda d: d["latency_model"]["threshold"].__setitem__(0, float("inf")),
          "latency_model: threshold: not finite"),
-        (lambda d: d["vt_model"]["trees"][2]["value"].__setitem__(0, float("nan")),
-         r"vt_model\.trees\[2\]\.value\[0\] must be a number, got nan"),
+        (lambda d: d["vt_model"]["threshold"].__setitem__(0, float("nan")),
+         r"vt_model\.threshold\[0\] must be a number, got nan"),
+        (lambda d: d["vt_model"]["value"].__setitem__(1, float("-inf")),
+         "vt_model: value: not finite"),
+        (lambda d: d["vt_model"]["left"].__setitem__(0, 1.5),
+         "vt_model: left: expected integers"),
         (lambda d: d["latency_model"]["left"].__setitem__(0, 0.5),
          "latency_model: left: expected integers"),
         # Each of these ran, or died in a traceback, before the model
@@ -747,18 +921,18 @@ class TestStoredModelChecks:
          r"feature_ranges: expected 3 \[low, high\] pairs, got 1"),
         (lambda d: d["ct_model"]["feature_scale"].__setitem__(0, 0),
          "ct_model: feature_scale"),
-        (lambda d: d["vt_model"]["trees"][0].__setitem__("depth", 3),
-         r"vt_model\.trees\[0\]: unknown key 'depth'"),
+        (lambda d: d["vt_model"].__setitem__("depth", 3), "vt_model: unknown key 'depth'"),
         (lambda d: d["vt_model"].__setitem__("family", "tree"),
          "vt_model: family must be 'boosted', got 'tree'"),
+        (lambda d: d["latency_model"].__setitem__("family", "boosted"),
+         "latency_model: family must be 'tree', got 'boosted'"),
     ])
     def test_rejected_naming_model_and_key(self, stored_model, tmp_path, mutation,
                                            message):
         d = json.loads(stored_model)
-        # every tree splits at its root, and has fewer than 99 nodes
+        # both models split at node 0, and the forest has fewer than 99 nodes
         assert d["latency_model"]["feature"][0] >= 0
-        assert all(t["feature"][0] >= 0 and len(t["feature"]) < 99
-                   for t in d["vt_model"]["trees"])
+        assert d["vt_model"]["feature"][0] >= 0 and len(d["vt_model"]["feature"]) < 99
         mutation(d)
         path = tmp_path / "model.json"
         # json.dumps, not write_json: the writer refuses NaN and infinities

@@ -128,6 +128,26 @@ MUTANTS = (
     Mutant("level-empty-pass-searched", "src/blocktune/_kernels.py",
            "        if not kept.any():\n            continue\n", "",
            ("tests/test_surrogate.py::test_level_grower_matches_recursive_reference",)),
+    # The node-set check and the one-call forest walk.
+    Mutant("child-may-be-its-parent", "src/blocktune/surrogate.py",
+           "if ((child <= internal) | (child >= n)).any():",
+           "if ((child < internal) | (child >= n)).any():",
+           ("tests/test_surrogate.py::TestNodeChecks::test_walk_must_end",)),
+    Mutant("tree-may-have-two-roots", "src/blocktune/surrogate.py",
+           "if self._roots.tolist() != [0]:", "if self._roots.tolist()[:1] != [0]:",
+           ("tests/test_surrogate.py::TestNodeChecks::test_a_tree_has_one_root",)),
+    Mutant("rounds-numbered-from-zero", "src/blocktune/surrogate.py",
+           "min_samples_leaf, first)", "min_samples_leaf)",
+           ("tests/test_surrogate.py::TestForestWalk::test_rounds_are_stored_back_to_back",)),
+    Mutant("walk-chunk-skips-a-row", "src/blocktune/_kernels.py",
+           "for lo in range(0, out.size, step):", "for lo in range(0, out.size, step + 1):",
+           ("tests/test_surrogate.py::TestForestWalk::test_one_call_is_the_per_tree_walk",)),
+    Mutant("learning-rate-once", "src/blocktune/_kernels.py",
+           "        terms = np.column_stack((np.full(n, base), rate * value[node].reshape(n, t)))\n"
+           "        out[lo:lo + n] = np.cumsum(terms, axis=1)[:, -1]\n",
+           "        terms = np.column_stack((np.zeros(n), value[node].reshape(n, t)))\n"
+           "        out[lo:lo + n] = base + rate * np.cumsum(terms, axis=1)[:, -1]\n",
+           ("tests/test_surrogate.py::TestForestWalk::test_one_call_is_the_per_tree_walk",)),
     # The per-block record array.
     Mutant("cut-reasons-from-wrong-column", "src/blocktune/simulator.py",
            "reasons = self.per_block_records.cut_reason",
