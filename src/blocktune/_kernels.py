@@ -1,5 +1,6 @@
-"""Hot numeric kernels in vectorized numpy: tree split search, tree
-prediction, cell tables, and assignment repair.
+"""Hot numeric kernels in vectorized numpy: distinct rows (for pricing and
+fitting alike), tree split search, tree prediction, cell tables, and
+assignment repair.
 
 The split search works on groups, not rows: a group is one distinct
 feature row with its row count and target sum, which is all the
@@ -56,6 +57,30 @@ _LEVEL_CELLS = 1 << 18
 # The most (row, tree) cells in one chunk of forest_predict: its arrays stay
 # in cache, and chunks of _LEVEL_CELLS walked slower than one tree at a time.
 _WALK_CELLS = 1 << 14
+
+
+def group_rows(*columns):
+    """The distinct rows of the 1-D ``columns`` in lexicographic order, the
+    first column first: ``(first, inverse, counts)``, one row index per
+    group, each row's group and each group's row count, as ``np.unique``
+    of the stacked NaN-free rows with ``axis=0`` finds them, ten times as fast.
+
+    An argsort of the last column and a stable argsort of each earlier one
+    order the rows, in a third of ``np.lexsort``'s time, and a group starts
+    wherever a column differs from its sorted neighbour.
+    """
+    order = np.argsort(columns[-1])
+    for column in columns[-2::-1]:
+        order = order[np.argsort(column[order], kind="stable")]
+    start = np.zeros(order.size, dtype=bool)
+    start[:1] = True
+    for column in columns:
+        ordered = column[order]
+        start[1:] |= ordered[1:] != ordered[:-1]
+    inverse = np.empty(order.size, dtype=np.int64)
+    inverse[order] = np.cumsum(start) - 1
+    starts = np.flatnonzero(start)
+    return order[starts], inverse, np.diff(starts, append=order.size)
 
 
 def level_splits(x, order, counts, sums, node_of, sum_sq, min_samples_leaf):

@@ -261,7 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", default="sim_result.json")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("gen-data", help="harvest training samples over a grid")
+    p = sub.add_parser("gen-data", help="harvest training samples over a grid",
+                       description="The grid replaces sim.nodes, sim.block_cut.max_tx_count "
+                       "and sim.workload's tx size, which change no sample; that tx size is "
+                       "still checked against sim.block_cut.max_bytes.")
     p.add_argument("config")
     p.add_argument("-o", "--out", default="dataset.csv")
     p.set_defaults(func=cmd_gen_data)

@@ -223,8 +223,15 @@ def read_value(hint, value, where: str):
         return {key: read_value(args[1], v, f"{where}.{key}")
                 for key, v in check_object(value, where).items()}
     if hint is np.ndarray:
-        return np.array([check_number(v, f"{where}[{i}]")
-                         for i, v in enumerate(check_list(value, where))], dtype=np.float64)
+        # Each entry passes check_number: one check per distinct type and one
+        # NaN scan, or else the per-entry check names the first that fails.
+        items = check_list(value, where)
+        if all(t is not bool and issubclass(t, Real) for t in set(map(type, items))):
+            array = np.array(items, dtype=np.float64)
+            if not np.isnan(array).any():
+                return array
+        return np.array([check_number(v, f"{where}[{i}]") for i, v in enumerate(items)],
+                        dtype=np.float64)
     if is_dataclass(hint):
         return build_config(hint, value, where)
     if hint is int:

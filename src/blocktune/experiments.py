@@ -28,7 +28,7 @@ from numbers import Real
 
 import numpy as np
 
-from . import configio, ga
+from . import _kernels, configio, ga
 from .errors import BlocktuneError, ConfigError
 from .ga import GaConfig
 from .model import BlockLimits, NodeProfile, ProblemInstance, Transaction
@@ -131,6 +131,8 @@ class SweepSpec:
             if factor not in FACTORS:
                 raise ConfigError(f"fixed: unknown factor {factor!r} "
                                   f"(factors: {', '.join(FACTORS)})")
+            if factor == self.varied_factor:
+                raise ConfigError(f"fixed: {factor!r} is the varied factor")
         if len(self.values) < 3:
             raise ConfigError("a sweep needs at least 3 values")
         diffs = np.diff(np.asarray(self.values, dtype=np.float64))
@@ -242,8 +244,7 @@ def run_point(spec: SweepSpec, value, run_index: int) -> SweepPoint:
 
 def _average_ranks(x) -> np.ndarray:
     """1-based ranks of ``x``; tied values share the mean of their positions."""
-    _, group, counts = np.unique(np.asarray(x, dtype=np.float64),
-                                 return_inverse=True, return_counts=True)
+    _, group, counts = _kernels.group_rows(np.asarray(x, dtype=np.float64))
     last = np.cumsum(counts)  # each group's last 1-based position
     return (last - 0.5 * (counts - 1))[group]
 
@@ -289,7 +290,8 @@ def run_sensitivity(spec: SweepSpec) -> SweepResult:
 @dataclass(frozen=True)
 class Scenario:
     """One validation scenario: an instance to tune plus the simulated
-    deployment it will be checked against."""
+    deployment it will be checked against; candidate sizes replace its
+    ``block_cut.max_tx_count``, which is checked but changes no output."""
 
     instance: ProblemInstance
     workload: WorkloadProfile

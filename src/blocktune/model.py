@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .errors import (
     ConstraintViolationError,
     EmptyInstanceError,
@@ -315,29 +316,18 @@ def block_times(instance: ProblemInstance, counts: np.ndarray,
     nonempty = np.flatnonzero(counts)
     block_counts = counts.ravel()[nonempty]
     block_bytes = byte_sums.ravel()[nonempty]
-    # (count, bytes) order with no combined key that could overflow: sort by
-    # bytes, then stably by count. Bytes grow with the count, so the stable
-    # sort meets long sorted runs, which it merges quickly.
-    by_bytes = np.argsort(block_bytes)
-    order = by_bytes[np.argsort(block_counts[by_bytes], kind="stable")]
-    sorted_counts, sorted_bytes = block_counts[order], block_bytes[order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = ((sorted_counts[1:] != sorted_counts[:-1])
-                 | (sorted_bytes[1:] != sorted_bytes[:-1]))
-    starts = np.flatnonzero(first)
-    pair_of = np.empty(order.size, dtype=np.int64)
-    pair_of[order] = np.cumsum(first) - 1
+    first, pair_of, blocks = _kernels.group_rows(block_counts, block_bytes)
 
     m = instance.m
-    rows = np.empty((starts.size * m, 3), dtype=np.float64)
-    rows[:, 0] = np.repeat(sorted_counts[starts].astype(np.float64), m)
-    rows[:, 1] = np.repeat(sorted_bytes[starts], m)
-    rows[:, 2] = np.tile(instance.bandwidths, starts.size)
+    rows = np.empty((first.size * m, 3), dtype=np.float64)
+    rows[:, 0] = np.repeat(block_counts[first].astype(np.float64), m)
+    rows[:, 1] = np.repeat(block_bytes[first], m)
+    rows[:, 2] = np.tile(instance.bandwidths, first.size)
     per_node = (np.asarray(predictor.predict_f_batch(rows), dtype=np.float64)
                 + np.asarray(predictor.predict_g_batch(rows), dtype=np.float64))
     times = np.zeros(counts.size, dtype=np.float64)
-    times[nonempty] = per_node.reshape(starts.size, m).max(axis=1)[pair_of]
-    weights = np.repeat(np.diff(starts, append=order.size), m)
+    times[nonempty] = per_node.reshape(first.size, m).max(axis=1)[pair_of]
+    weights = np.repeat(blocks, m)
     return times.reshape(counts.shape), rows, weights
 
 

@@ -16,9 +16,9 @@ Training data is one (k, 6) float64 array with its columns in
 Trees are fitted on distinct feature rows. A simulated training set repeats
 its rows heavily (every block of a grid cell has the same block size,
 transaction size and bandwidth), so :func:`fit_boosted` and
-:func:`fit_tree` each group the rows once (:func:`group_rows`), sort the
-groups once per feature, and grow every tree over the groups alone: a
-tree grows a level at a time, every node of one depth split in one
+:func:`fit_tree` each group the rows once (:func:`_kernels.group_rows`),
+sort the groups once per feature, and grow every tree over the groups
+alone: a tree grows a level at a time, every node of one depth split in one
 :func:`blocktune._kernels.level_splits` call, as XGBoost's depth-wise
 growth does (Chen and Guestrin, KDD 2016). A tree touches no row: each
 level costs one array pass over (level node, feature, distinct row) cells.
@@ -366,32 +366,20 @@ class RegressionTree(_NodeSet):
         return self._walk(points)
 
 
-def group_rows(points):
-    """The distinct rows of ``points`` (n, 3) in lexicographic order, each
-    row's group index and each group's row count: ``(unique, inverse,
-    counts)``. For NaN-free points these are the arrays of
-    ``np.unique(points, axis=0, return_inverse=True, return_counts=True)``,
-    which sorts a structured view and takes over ten times as long."""
-    order = np.lexsort(points.T[::-1])
-    ordered = points[order]
-    first = np.ones(ordered.shape[0], dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(order.size, dtype=np.int64)
-    inverse[order] = np.cumsum(first) - 1
-    return ordered[first], inverse, np.bincount(inverse)
-
-
 def _feature_order(unique):
     """Each feature's stable argsort of the groups, (features, groups)."""
     return np.ascontiguousarray(np.argsort(unique, axis=0, kind="stable").T)
 
 
-def _group_sums(inverse, counts, targets):
-    """Each group's target sum, summed in row order, and the sum of its
-    targets' squared deviations from the group mean."""
+def _groups(points, targets):
+    """The distinct rows of ``points`` (:func:`_kernels.group_rows`), each
+    row's group, each group's row count, its target sum, summed in row
+    order, and the sum of its targets' squared deviations from its mean."""
+    first, inverse, counts = _kernels.group_rows(*points.T)
     sums = np.bincount(inverse, weights=targets, minlength=counts.size)
     spread = targets - (sums / counts)[inverse]
-    return sums, np.bincount(inverse, weights=spread * spread, minlength=counts.size)
+    return (points[first], inverse, counts, sums,
+            np.bincount(inverse, weights=spread * spread, minlength=counts.size))
 
 
 def _grow_tree(unique, order, counts, sums, spread, max_depth, min_samples_leaf, first=0):
@@ -447,18 +435,17 @@ def fit_tree(points, targets, max_depth: int = 6,
     a level at a time, stopping on depth, leaf size, or zero gain.
 
     The tree grows over the distinct feature rows of ``points``
-    (:func:`group_rows`), with their row counts, target sums (in row order)
-    and spreads about their means. ``n_samples`` and ``min_samples_leaf`` count rows,
-    so the tree splits as one grown over every row would; a node's
-    ``value`` is its groups' target sums, summed in group order, over its
-    row count.
+    (:func:`_kernels.group_rows`), with their row counts, target sums (in
+    row order) and spreads about their means. ``n_samples`` and
+    ``min_samples_leaf`` count rows, so the tree splits as one grown over
+    every row would; a node's ``value`` is its groups' target sums, summed
+    in group order, over its row count.
     """
     points = np.asarray(points, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if points.shape[0] == 0:
         raise FitError("cannot fit a tree on an empty sample set")
-    unique, inverse, counts = group_rows(points)
-    sums, spread = _group_sums(inverse, counts, targets)
+    unique, _, counts, sums, spread = _groups(points, targets)
     arrays, _ = _grow_tree(unique, _feature_order(unique), counts, sums, spread,
                            max_depth, min_samples_leaf)
     return RegressionTree(*arrays, max_depth, min_samples_leaf)
@@ -510,11 +497,10 @@ def fit_boosted(points, targets, rounds: int = 100, learning_rate: float = 0.1,
     if points.shape[0] < 2:
         raise FitError("boosting needs at least 2 samples")
 
-    unique, inverse, counts = group_rows(points)
-    order = _feature_order(unique)
     base = float(targets.mean())
     residuals = targets - base
-    sums, spread = _group_sums(inverse, counts, residuals)
+    unique, inverse, counts, sums, spread = _groups(points, residuals)
+    order = _feature_order(unique)
     squares = residuals * residuals
     train_mse = [float(squares.mean())]
     rounds_nodes, first = [], 0

@@ -507,6 +507,10 @@ def config_argv(command, config, model_path):
     ("pipeline", edited(PIPELINE, ("train_grid", "bandwidth_factors"), [1, 1e308]),
      "train_grid.bandwidth_factors times the 4000000.0 bytes/s bandwidth must be "
      "finite and > 0"),
+    # the sweep's own values replaced it: the run exited 0, its output as if
+    # the entry were absent
+    ("sensitivity", edited(SWEEP, ("fixed", "tx_size"), 99999),
+     "fixed: 'tx_size' is the varied factor"),
 ])
 def test_bad_config_value_exits_1(tmp_path, capsys, model_path, command, config, key):
     """A config value or section of the wrong type, a value out of range, an

@@ -3,6 +3,7 @@ reader has a rule for, and the rules read values as the schema says. The
 writers: a write is whole or leaves the old file."""
 
 import os
+import re
 import types
 import typing
 from dataclasses import fields, is_dataclass
@@ -83,6 +84,8 @@ def test_nested_config_classes_are_reached():
     (float | None, None, None),
     (dict[str, float], {"a": 1}, {"a": 1.0}),
     (np.ndarray, [1, 2.5], np.array([1.0, 2.5])),
+    (np.ndarray, [np.int64(1), np.float32(0.5), float("-inf")], np.array([1.0, 0.5, -np.inf])),
+    (np.ndarray, [], np.array([])),
     (float, float("inf"), float("inf")),
 ])
 def test_read_value(hint, value, expected):
@@ -103,6 +106,15 @@ def test_read_value(hint, value, expected):
 def test_read_value_rejects(hint, value, message):
     with pytest.raises(ConfigError, match=message):
         configio.read_value(hint, value, "x")
+
+
+@pytest.mark.parametrize("bad, shown", [("1", "'1'"), (True, "True"), (None, "None"),
+                                        (float("nan"), "nan")])
+def test_array_names_its_first_non_number(bad, shown):
+    """An array entry must be a number, by the rule of a single number: the
+    first entry that is not is named, after numbers of numpy types too."""
+    with pytest.raises(ConfigError, match=re.escape(f"x[2] must be a number, got {shown}")):
+        configio.read_value(np.ndarray, [np.int64(1), np.float32(0.5), bad, bad], "x")
 
 
 def test_write_csv(tmp_path):

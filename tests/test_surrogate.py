@@ -33,7 +33,6 @@ from blocktune.surrogate import (
     fit_polynomial,
     fit_predictor,
     fit_tree,
-    group_rows,
     load_dataset,
     monomial_name,
     save_dataset,
@@ -643,6 +642,13 @@ def node_rows(tree, points):
     return reached
 
 
+def group_rows(points):
+    """The distinct rows of ``points`` (n, 3) in lexicographic order, each
+    row's group and each group's row count, as the fits group them."""
+    first, inverse, counts = _kernels.group_rows(*points.T)
+    return points[first], inverse, counts
+
+
 def assert_values_are_group_sums(tree, points, targets, sums):
     """Every node stores the sum, in group order, of the target sums
     ``sums`` of the distinct rows routed to it, divided by the count of rows
@@ -661,15 +667,6 @@ def assert_values_are_group_sums(tree, points, targets, sums):
 
 
 class TestGroupedFit:
-    def test_group_rows_matches_unique(self, grid_data):
-        points = grid_data[:, :3]
-        unique, inverse, counts = group_rows(points)
-        want = np.unique(points, axis=0, return_inverse=True, return_counts=True)
-        np.testing.assert_array_equal(unique, want[0])
-        np.testing.assert_array_equal(inverse, want[1].reshape(-1))
-        np.testing.assert_array_equal(counts, want[2])
-        assert unique.shape[0] < points.shape[0] // 10
-
     def test_node_values_are_group_sums(self, grid_data, grid_predictor):
         """The latency tree's distinct rows carry their targets' row-order
         sums. A boosting round's carry the residual sums: the round-0
@@ -677,6 +674,7 @@ class TestGroupedFit:
         row count. The training MSE is the rows' own."""
         points, vt, lat = grid_data[:, :3], grid_data[:, 3], grid_data[:, 5]
         unique, inverse, counts = group_rows(points)
+        assert unique.shape[0] < points.shape[0] // 10
         assert_values_are_group_sums(grid_predictor.latency_model, points, lat,
                                      np.bincount(inverse, weights=lat))
         model = grid_predictor.vt_model

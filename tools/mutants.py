@@ -67,6 +67,19 @@ MUTANTS = (
            "minlength=p * width).reshape(p, width)[:, :nb]\n",
            ("tests/test_kernels.py::test_repair_reports_final_counts_and_loads",
             "tests/test_kernels.py::test_repair_reports_one_row")),
+    # The one distinct-row kernel. Its test draws columns past 16 rows, where
+    # numpy's sorts leave insertion sort and an unstable sort reorders ties.
+    Mutant("group-rows-unstable-sort", "src/blocktune/_kernels.py",
+           'order = order[np.argsort(column[order], kind="stable")]',
+           "order = order[np.argsort(column[order])]",
+           ("tests/test_kernels.py::test_group_rows_matches_unique",)),
+    Mutant("group-starts-from-first-column", "src/blocktune/_kernels.py",
+           "    for column in columns:\n        ordered = column[order]\n",
+           "    for column in columns[:1]:\n        ordered = column[order]\n",
+           ("tests/test_kernels.py::test_group_rows_matches_unique",)),
+    Mutant("group-rows-keys-reversed", "src/blocktune/_kernels.py",
+           "for column in columns[-2::-1]:", "for column in columns[:-1]:",
+           ("tests/test_kernels.py::test_group_rows_matches_unique",)),
     # Documented behaviour that once survived the whole suite.
     Mutant("range-end-extrapolates", "src/blocktune/surrogate.py",
            "(rows > self._hi)", "(rows >= self._hi)",
