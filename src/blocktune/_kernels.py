@@ -9,10 +9,10 @@ heavily (a simulated grid cell gives every block the same features), so a
 tree of tens of thousands of rows has tens of groups; on all-distinct data
 each group is one row and the search is the per-row search it replaces.
 This is LightGBM's histogram split search (Ke et al., NeurIPS 2017) with
-one bin per distinct value, so nothing is approximated. The groups are
-sorted once per feature for a whole fit, and :func:`level_splits` searches
-every node of one tree depth in the same pass over that order, each node
-seeing only its own groups.
+one bin per distinct value, so nothing is approximated. A fit builds one
+:func:`split_plan` of what none of its rounds changes, and
+:func:`level_splits` searches every node of one tree depth in one pass
+over the plan's arrays, each node seeing only its own groups.
 
 A tree model is a node set: its trees' nodes back to back in arrays, with
 an internal node's children at global indices after it. A tree's root is a
@@ -45,14 +45,16 @@ mathematically equal gains tie however their sums happen to round.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
 # Split gains closer than this times the node's sum of squared targets are
 # ties (see level_splits).
 TIE_RTOL = 1e-12
-# The most (node, feature, group) cells one pass of level_splits holds: a
-# level's arrays stay at 2 MB each however many nodes it has.
+# The most values one array of a level_splits pass holds, four per (node,
+# feature, group) cell: a level's arrays stay at 2 MB each however many
+# nodes it has.
 _LEVEL_CELLS = 1 << 18
 # The most (row, tree) cells in one chunk of forest_predict: its arrays stay
 # in cache, and chunks of _LEVEL_CELLS walked slower than one tree at a time.
@@ -83,78 +85,99 @@ def group_rows(*columns):
     return order[starts], inverse, np.diff(starts, append=order.size)
 
 
-def level_splits(x, order, counts, sums, node_of, sum_sq, min_samples_leaf):
+# What no round of a fit changes in its split search: (feature, group) arrays,
+# a row per feature that can win (``features``), each in that feature's stable
+# sorted group ``order``: the sorted ``values``, row ``counts`` as floats, the
+# ``cuts`` ending runs of equal values, and the ``root_cuts`` that leave the
+# root ``least`` rows or more a side.
+SplitPlan = namedtuple("SplitPlan", "features order values counts cuts root_cuts least")
+
+
+def split_plan(x, counts, min_samples_leaf):
+    """The SplitPlan of the groups ``x`` (G, F), distinct rows in
+    lexicographic order holding ``counts`` rows each. A feature drops out
+    when it is constant, or when its order and cuts, so every prefix set it
+    offers, are an earlier kept feature's: its sums match that feature's
+    bit for bit, so it can only tie, and ties go to the lower feature. One
+    tx size makes ``block_bytes`` a multiple of ``tx_count``."""
+    order = np.argsort(x, axis=0, kind="stable").T
+    values = np.take_along_axis(x.T, order, axis=1)
+    cuts = np.zeros(order.shape, dtype=bool)
+    cuts[:, :-1] = values[:, :-1] < values[:, 1:]
+    kept = []
+    for f in range(order.shape[0]):
+        if cuts[f].any() and not any(np.array_equal(order[g], order[f])
+                                     and np.array_equal(cuts[g], cuts[f])
+                                     for g in kept):
+            kept.append(f)
+    ranked = counts[order[kept]].astype(np.float64)
+    left = ranked.cumsum(axis=1)
+    least = max(min_samples_leaf, 1)
+    root_cuts = cuts[kept] & (np.minimum(left, left[:, -1:] - left) >= least)
+    return SplitPlan(np.array(kept, dtype=np.int64), order[kept], values[kept], ranked,
+                     cuts[kept], root_cuts, least)
+
+
+def level_splits(plan, sums, node_of, sum_sq):
     """Best (feature, threshold) split of every node of a tree level by
     squared-error reduction, in one array pass per block of nodes.
 
-    A group is one distinct feature row ``x[g]`` (x is (G, F)), standing for
-    ``counts[g]`` training rows whose targets sum to ``sums[g]``.
-    ``order[f]`` is feature f's stable argsort of the groups, computed once
-    per fit. ``node_of[g]`` is the level node in [0, K) that group g
-    belongs to, or -1 for a group of no node searched here, and
-    ``sum_sq[k]`` is node k's sum of squared targets. Rows of a group share
-    every feature value, so a split never divides a group, and its gain is
-    ``S_L**2 / n_L + S_R**2 / n_R - S**2 / n`` over the row counts ``n`` and
-    target sums ``S`` of the two sides.
+    A group stands for its ``plan.counts`` rows, whose targets sum to
+    ``sums[g]``. ``node_of[g]`` is group g's node in [0, K), or K for a
+    group of no node searched here; None is the root, holding every group.
+    ``sum_sq[k]`` is node k's sum of squared targets. A split never divides
+    a group, and its gain is ``S_L**2 / n_L + S_R**2 / n_R - S**2 / n`` over
+    the row counts ``n`` and target sums ``S`` of the two sides.
 
     A node's prefix sums are cumulative sums over (node, feature, group)
-    arrays in each feature's order that hold zeros at the groups of other
-    nodes; adding 0.0 is exact, so they are the sums over the node's own
-    groups in its own sorted order. A candidate threshold is the midpoint
-    between a member's value and the next member's value in that feature,
-    when the two differ; ``min_samples_leaf`` counts rows.
+    arrays in each feature's order holding zeros at other nodes' groups;
+    adding 0.0 is exact, so they sum its own groups in its own order, and
+    its totals are the first feature's, in group order. A candidate is a
+    plan cut that leaves ``plan.least`` rows or more on each side. Cuts with
+    no member of the node between them repeat a prefix and its gain bit for
+    bit, so only the one after the node's last left member can win; the
+    threshold is the midpoint of that member's value and the next member's.
 
     Gains within ``TIE_RTOL * sum_sq[k]`` of node k's best are ties: the
     formula's rounding error is far below that. Among ties the lowest
     feature, then the lowest threshold, wins. Returns ``(feature,
-    threshold, gain)``, arrays of K entries, with feature = -1 where no
-    admissible split has a positive gain.
+    threshold, gain)``, arrays of K entries; a node whose gain is not
+    positive (-inf without a candidate) does not split.
     """
     n_nodes = sum_sq.size
-    n_features = order.shape[0]
-    feature = np.full(n_nodes, -1, dtype=np.int64)
-    threshold = np.zeros(n_nodes)
-    gain = np.zeros(n_nodes)
-    least = max(min_samples_leaf, 1)
-    # nodes searched per pass, so that no array exceeds _LEVEL_CELLS cells
-    step = max(1, _LEVEL_CELLS // x.size)
+    ranked = sums[plan.order]
+    if not ranked.size:
+        return np.full(n_nodes, -1), np.zeros(n_nodes), np.full(n_nodes, -np.inf)
+    stats = np.concatenate((plan.counts[None], ranked[None]))[:, None]
+    if node_of is not None:
+        ranked_node = node_of[plan.order]
+    step = max(1, _LEVEL_CELLS // (4 * ranked.size))  # nodes searched per pass
+    found = []
     for lo in range(0, n_nodes, step):
-        width = min(step, n_nodes - lo)
-        local = node_of - lo
-        kept = (local >= 0) & (local < width)
-        if not kept.any():
-            continue
-        # each feature's order of the pass's groups
-        ranked = order[kept[order]].reshape(n_features, -1)
-        member = local[ranked] == np.arange(width)[:, None, None]
-        left_n = np.where(member, counts[ranked], 0).cumsum(axis=2)
-        left_s = np.where(member, sums[ranked], 0.0).cumsum(axis=2)
-        n, s = left_n[:, 0, -1], left_s[:, 0, -1]
-        # Members in (node, feature, sorted position) order: while a member
-        # leaves rows to its right, the next entry is the node's next member
-        # in that feature.
-        k, f, j = np.nonzero(member)
-        xm = x[ranked[f, j], f]
-        ln, ls = left_n[k, f, j], left_s[k, f, j]
-        i = np.flatnonzero((xm[:-1] < xm[1:]) & (ln[:-1] >= least)
-                           & (n[k[:-1]] - ln[:-1] >= least))
-        if i.size == 0:
-            continue
-        kc, lnc, lsc, nc, sc = k[i], ln[i], ls[i], n[k[i]], s[k[i]]
-        rn, rs = nc - lnc, sc - lsc
-        cand = lsc * lsc / lnc + rs * rs / rn - sc * sc / nc
-        best = np.full(width, -np.inf)
-        np.maximum.at(best, kc, cand)
-        # candidates run in (node, feature, threshold) order
-        tie = np.flatnonzero(cand >= (best - TIE_RTOL * sum_sq[lo:lo + width])[kc])
-        first = np.full(width, i.size)
-        np.minimum.at(first, kc[tie], tie)
-        won = np.flatnonzero(best > 0)
-        c = i[first[won]]
-        feature[lo + won] = f[c]
-        threshold[lo + won] = 0.5 * (xm[c] + xm[c + 1])
-        gain[lo + won] = cand[first[won]]
-    return feature, threshold, gain
+        hi = min(lo + step, n_nodes)
+        # Row counts and target sums left and right of each position,
+        # (side, count or sum, node, feature, group); a count of 0 divides as 1.
+        sides = np.empty((2, 2, hi - lo) + ranked.shape)
+        if node_of is None:
+            np.cumsum(stats, axis=-1, out=sides[0])
+        else:
+            member = ranked_node == np.arange(lo, hi)[:, None, None]
+            np.cumsum(np.where(member, stats, 0.0), axis=-1, out=sides[0])
+        np.subtract(sides[0, :, :, :, -1:], sides[0], out=sides[1])
+        (n, s), rows = sides[0, :, :, :1, -1:], sides[:, 0]
+        cuts = (plan.root_cuts if node_of is None
+                else plan.cuts & (rows.min(axis=0) >= plan.least))
+        ratio = sides[:, 1] * sides[:, 1] / np.maximum(rows, 1.0)
+        cand = np.where(cuts, ratio[0] + ratio[1] - s * s / n, -np.inf).reshape(hi - lo, -1)
+        best = cand.max(axis=1)
+        # cells run in (feature, position) order
+        first = (cand >= (best - TIE_RTOL * sum_sq[lo:hi])[:, None]).argmax(axis=1)
+        k, f = np.arange(hi - lo), first // ranked.shape[1]
+        # the node's next member after the cut: the first prefix of more rows
+        after = (rows[0, k, f] > rows[0].reshape(hi - lo, -1)[k, first][:, None]).argmax(axis=1)
+        found.append((plan.features[f], 0.5 * (plan.values.take(first) + plan.values[f, after]),
+                      cand[k, first]))
+    return found[0] if len(found) == 1 else tuple(np.concatenate(a) for a in zip(*found))
 
 
 def forest_predict(feature, threshold, left, right, value, roots, points,

@@ -15,18 +15,19 @@ Training data is one (k, 6) float64 array with its columns in
 
 Trees are fitted on distinct feature rows. A simulated training set repeats
 its rows heavily (every block of a grid cell has the same block size,
-transaction size and bandwidth), so :func:`fit_boosted` and
-:func:`fit_tree` each group the rows once (:func:`_kernels.group_rows`),
-sort the groups once per feature, and grow every tree over the groups
-alone: a tree grows a level at a time, every node of one depth split in one
-:func:`blocktune._kernels.level_splits` call, as XGBoost's depth-wise
-growth does (Chen and Guestrin, KDD 2016). A tree touches no row: each
-level costs one array pass over (level node, feature, distinct row) cells.
-A node's ``value`` is the sum, in group order, of its groups' target sums
-divided by its row count: the mean of its rows' targets, rounded apart
-from ``ndarray.mean`` only in the last bits. Its ``n_samples`` and
-``min_samples_leaf`` count rows, so the splits are the ones a per-row
-search would choose. The polynomial is fitted on the rows.
+transaction size and bandwidth), so :func:`fit_predictor` groups the rows
+once (:func:`_kernels.group_rows`) for both tree fits and its MSEs, which
+price each distinct row once. Each fit builds one split plan
+(:func:`_kernels.split_plan`) of what no round changes: each feature's
+sorted group order and cuts, the root's admissible cuts, and the features
+that can win a split. Every tree grows over the groups alone, a level at a
+time, every node of one depth split in one :func:`_kernels.level_splits`
+pass over the plan, as XGBoost's depth-wise growth does (Chen and
+Guestrin, KDD 2016). A node's ``value`` is the sum, in group order, of its
+groups' target sums divided by its row count: the mean of its rows'
+targets, rounded apart from ``ndarray.mean`` only in the last bits. Its
+``n_samples`` and ``min_samples_leaf`` count rows, so the splits are the
+ones a per-row search would choose. The polynomial is fitted on the rows.
 
 ``RegressionTree`` and ``BoostedEnsemble`` are plain data, each one node
 set (see :mod:`blocktune._kernels`) with one ``max_depth`` and
@@ -366,89 +367,92 @@ class RegressionTree(_NodeSet):
         return self._walk(points)
 
 
-def _feature_order(unique):
-    """Each feature's stable argsort of the groups, (features, groups)."""
-    return np.ascontiguousarray(np.argsort(unique, axis=0, kind="stable").T)
-
-
-def _groups(points, targets):
-    """The distinct rows of ``points`` (:func:`_kernels.group_rows`), each
-    row's group, each group's row count, its target sum, summed in row
-    order, and the sum of its targets' squared deviations from its mean."""
-    first, inverse, counts = _kernels.group_rows(*points.T)
+def _groups(points, targets, groups=None):
+    """The distinct rows of ``points``, each row's group, each group's row
+    count, its target sum, summed in row order, and the sum of its targets'
+    squared deviations from its mean. ``groups`` is the rows'
+    :func:`_kernels.group_rows`, found here when omitted."""
+    first, inverse, counts = _kernels.group_rows(*points.T) if groups is None else groups
     sums = np.bincount(inverse, weights=targets, minlength=counts.size)
     spread = targets - (sums / counts)[inverse]
     return (points[first], inverse, counts, sums,
             np.bincount(inverse, weights=spread * spread, minlength=counts.size))
 
 
-def _grow_tree(unique, order, counts, sums, spread, max_depth, min_samples_leaf, first=0):
+def _grow_tree(plan, unique, counts, sums, spread, max_depth, levels, first=0):
     """Grow one tree over the groups ``unique`` (row counts ``counts``,
     target sums ``sums`` and targets' squared deviations from their group
-    mean ``spread``), splitting every node of a depth in one
-    :func:`_kernels.level_splits` call.
-
-    Nodes are numbered breadth-first from ``first``. A node's ``value`` is
-    the sum, in group order, of its groups' target sums divided by its row
-    count, and its ``n_samples`` is that row count. Returns the tree's
-    arrays and each group's leaf value.
-    """
+    mean ``spread``), a depth per :func:`_kernels.level_splits` call over
+    the fit's ``plan``, and append each depth's (feature, threshold, left,
+    value, n_samples) to ``levels``. Nodes are numbered breadth-first from
+    ``first``; a node's ``value`` is the sum, in group order, of its groups'
+    target sums over its row count, ``n_samples``. Returns each group's leaf
+    value and the tree's node count."""
     sum_sq = spread + sums * sums / counts
-    node_of = np.full(counts.size, first, dtype=np.int64)
-    levels = []
-    lo, hi = first, first + 1  # the node ids of the current depth
+    # each group's node among the current depth's, or ``width`` once in a leaf
+    node = np.zeros(counts.size, dtype=np.int64)
+    reached = np.zeros(counts.size, dtype=np.int64)  # its deepest node so far
+    values = []
+    lo, width = 0, 1  # the current depth's first node and node count
     for depth in range(max_depth + 1):
-        width = hi - lo
-        # groups in leaves above this depth fall in the extra bin, ``width``
-        local = np.where(node_of >= lo, node_of - lo, width)
-        n = np.bincount(local, weights=counts, minlength=width + 1)[:width]
-        value = np.bincount(local, weights=sums, minlength=width + 1)[:width] / n
-        feature = np.full(width, -1, dtype=np.int64)
-        threshold = np.zeros(width)
-        searched = (n >= 2) & (n >= 2 * min_samples_leaf) & (depth < max_depth)
-        if searched.any():
-            q = np.bincount(local, weights=sum_sq, minlength=width + 1)[:width]
-            in_search = np.append(searched, False)[local]
-            f, thr, gain = _kernels.level_splits(unique, order, counts, sums,
-                                                 np.where(in_search, local, -1), q,
-                                                 min_samples_leaf)
-            split = (f >= 0) & (gain > _GAIN_EPS)
-            feature[split], threshold[split] = f[split], thr[split]
-        split = feature >= 0
-        children = np.where(split, hi + 2 * np.cumsum(split) - 2, -1)
-        levels.append((feature, threshold, children, value, n))
-        if not split.any():
+        n = np.bincount(node, weights=counts, minlength=width + 1)[:width]
+        values.append(np.bincount(node, weights=sums, minlength=width + 1)[:width] / n)
+        if depth == max_depth:
+            levels.append((np.full(width, -1), np.zeros(width), np.full(width, -1),
+                           values[-1], n))
             break
-        moving = np.flatnonzero(np.append(split, False)[local])
-        at = local[moving]
-        node_of[moving] = children[at] + (unique[moving, feature[at]] > threshold[at])
-        lo, hi = hi, children.max() + 2
+        q = np.bincount(node, weights=sum_sq, minlength=width + 1)[:width]
+        f, thr, gain = _kernels.level_splits(plan, sums, node if depth else None, q)
+        # one entry per node and one for the groups in leaves, which never split
+        split = np.concatenate((gain, [-np.inf])) > _GAIN_EPS
+        kept, ids = split[:width], split.nonzero()[0]
+        feature, threshold = np.where(kept, f, -1), np.where(kept, thr, 0.0)
+        # each split node's left child, numbered among the next depth's nodes
+        pair = np.zeros(width, dtype=np.int64)
+        pair[ids] = np.arange(0, 2 * ids.size, 2)
+        levels.append((feature, threshold, np.where(kept, first + lo + width + pair, -1),
+                       values[-1], n))
+        if not ids.size:
+            break
+        moving = split[node].nonzero()[0]
+        at = node[moving]
+        lo, width = lo + width, 2 * ids.size
+        node = np.full(counts.size, width)
+        node[moving] = pair[at] + (unique[moving, feature[at]] > threshold[at])
+        reached[moving] = lo + node[moving]
+    return np.concatenate(values)[reached], lo + width
+
+
+def _node_arrays(levels):
+    """The six node arrays of the depths :func:`_grow_tree` appended."""
+    if not levels:
+        return [np.empty(0)] * 6
     feature, threshold, left, value, n = (np.concatenate(a) for a in zip(*levels))
-    right = np.where(left >= 0, left + 1, -1)
-    leaf_value = value[node_of - first]
-    return (feature, threshold, left, right, value, n.astype(np.int64)), leaf_value
+    return feature, threshold, left, np.where(left >= 0, left + 1, -1), value, n.astype(np.int64)
 
 
-def fit_tree(points, targets, max_depth: int = 6,
-             min_samples_leaf: int = 5) -> RegressionTree:
+def fit_tree(points, targets, max_depth: int = 6, min_samples_leaf: int = 5,
+             groups=None) -> RegressionTree:
     """Grow a regression tree on ``targets`` at ``points`` (n, 3) greedily,
     a level at a time, stopping on depth, leaf size, or zero gain.
 
     The tree grows over the distinct feature rows of ``points``
-    (:func:`_kernels.group_rows`), with their row counts, target sums (in
-    row order) and spreads about their means. ``n_samples`` and
-    ``min_samples_leaf`` count rows, so the tree splits as one grown over
-    every row would; a node's ``value`` is its groups' target sums, summed
-    in group order, over its row count.
+    (``groups``, their :func:`_kernels.group_rows`, found here when
+    omitted), with their row counts, target sums (in row order) and spreads
+    about their means, through one :func:`_kernels.split_plan`.
+    ``n_samples`` and ``min_samples_leaf`` count rows, so the tree splits as
+    one grown over every row would; a node's ``value`` is its groups'
+    target sums, summed in group order, over its row count.
     """
     points = np.asarray(points, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if points.shape[0] == 0:
         raise FitError("cannot fit a tree on an empty sample set")
-    unique, _, counts, sums, spread = _groups(points, targets)
-    arrays, _ = _grow_tree(unique, _feature_order(unique), counts, sums, spread,
-                           max_depth, min_samples_leaf)
-    return RegressionTree(*arrays, max_depth, min_samples_leaf)
+    unique, _, counts, sums, spread = _groups(points, targets, groups)
+    plan = _kernels.split_plan(unique, counts, min_samples_leaf)
+    levels = []
+    _grow_tree(plan, unique, counts, sums, spread, max_depth, levels)
+    return RegressionTree(*_node_arrays(levels), max_depth, min_samples_leaf)
 
 
 @dataclass(eq=False)
@@ -474,21 +478,23 @@ class BoostedEnsemble(_NodeSet):
 
 
 def fit_boosted(points, targets, rounds: int = 100, learning_rate: float = 0.1,
-                tree_depth: int = 3, min_samples_leaf: int = 1) -> BoostedEnsemble:
+                tree_depth: int = 3, min_samples_leaf: int = 1,
+                groups=None) -> BoostedEnsemble:
     """Boost regression trees on ``targets`` at ``points`` (n, 3) against
     squared error.
 
     Round 0 predicts the target mean; each round fits a tree to the current
     residuals and adds it scaled by ``learning_rate``. The rows are grouped
-    and sorted once, and every tree grows over those distinct rows, as in
-    :func:`fit_tree`. Each distinct row carries its residual sum: the
-    round-0 residuals summed in row order, less each later round's step
-    (``learning_rate`` times the value of the leaf the row reached) times
-    its row count. Its residuals' sum of squares is their spread about
-    their mean, which no round changes, plus the squared sum over the row
-    count. The row residuals take each round's step from the leaf their
-    distinct row reached, without a walk, in place, and ``train_mse`` is
-    their mean square, squared into one reused buffer.
+    once, and every tree grows over those distinct rows, as in
+    :func:`fit_tree`, through one split plan for the whole fit. Each
+    distinct row carries its residual sum: the round-0 residuals summed in
+    row order, less each later round's step (``learning_rate`` times the
+    value of the leaf the row reached) times its row count. Its residuals'
+    sum of squares is their spread about their mean, which no round
+    changes, plus the squared sum over the row count. The row residuals
+    take each round's step from the leaf their distinct row reached,
+    without a walk, in place, and ``train_mse`` is their mean square,
+    squared into one reused buffer.
     """
     if not 0 < learning_rate <= 1:
         raise FitError(f"learning_rate must be in (0, 1], got {learning_rate}")
@@ -499,23 +505,21 @@ def fit_boosted(points, targets, rounds: int = 100, learning_rate: float = 0.1,
 
     base = float(targets.mean())
     residuals = targets - base
-    unique, inverse, counts, sums, spread = _groups(points, residuals)
-    order = _feature_order(unique)
+    unique, inverse, counts, sums, spread = _groups(points, residuals, groups)
+    plan = _kernels.split_plan(unique, counts, min_samples_leaf)
     squares = residuals * residuals
     train_mse = [float(squares.mean())]
-    rounds_nodes, first = [], 0
+    levels, first = [], 0
     for _ in range(rounds):
-        arrays, leaf_value = _grow_tree(unique, order, counts, sums, spread, tree_depth,
-                                        min_samples_leaf, first)
+        leaf_value, size = _grow_tree(plan, unique, counts, sums, spread, tree_depth,
+                                      levels, first)
+        first += size
         step = learning_rate * leaf_value
         np.subtract(residuals, step[inverse], out=residuals)
         sums = sums - counts * step
-        rounds_nodes.append(arrays)
-        first += arrays[0].size
         train_mse.append(float(np.multiply(residuals, residuals, out=squares).mean()))
-    nodes = [np.concatenate(a) for a in zip(*rounds_nodes)] or [np.empty(0)] * 6
-    return BoostedEnsemble(*nodes, tree_depth, min_samples_leaf, base, learning_rate,
-                           tuple(train_mse))
+    return BoostedEnsemble(*_node_arrays(levels), tree_depth, min_samples_leaf, base,
+                           learning_rate, tuple(train_mse))
 
 
 # ---------------------------------------------------------------------------
@@ -662,13 +666,14 @@ def fit_predictor(data, config: SurrogateConfig = SurrogateConfig()
         hold = np.empty(0, dtype=np.int64)
 
     tp = points[train]
+    groups = _kernels.group_rows(*tp.T)
     vt_model = fit_boosted(tp, vt[train], rounds=config.boost_rounds,
                            learning_rate=config.boost_learning_rate,
                            tree_depth=config.boost_tree_depth,
-                           min_samples_leaf=config.boost_min_samples_leaf)
+                           min_samples_leaf=config.boost_min_samples_leaf, groups=groups)
     ct_model = fit_polynomial(tp, ct[train], degree=config.poly_degree)
     latency_model = fit_tree(tp, lat[train], max_depth=config.tree_max_depth,
-                             min_samples_leaf=config.tree_min_samples_leaf)
+                             min_samples_leaf=config.tree_min_samples_leaf, groups=groups)
 
     ranges = tuple(zip(tp.min(axis=0).tolist(), tp.max(axis=0).tolist()))
     predictor = PerformancePredictor(vt_model, ct_model, latency_model, ranges)
@@ -676,7 +681,9 @@ def fit_predictor(data, config: SurrogateConfig = SurrogateConfig()
     def _mse(predict, idx, target):
         if idx.size == 0:
             return None
-        return float(np.mean((predict(points[idx]) - target[idx]) ** 2))
+        # a train row's price is its distinct row's, priced once
+        prices = predict(tp[groups[0]])[groups[1]] if idx is train else predict(points[idx])
+        return float(np.mean((prices - target[idx]) ** 2))
 
     predictor.fit_report = FitReport(
         n_samples=int(n),

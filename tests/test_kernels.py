@@ -1,8 +1,8 @@
-"""Numeric kernels: distinct rows against ``np.unique``, the level split
-search against a per-row search, its tie rule and its nodes searched
-together or apart, and repair, of one row or a matrix of rows, against the
-per-move scan and the from-scratch packing it replaced, and the counts and
-loads it reports."""
+"""Numeric kernels: distinct rows against ``np.unique``, the split plan's
+features, the level split search against a per-row search, its tie rule
+and its nodes searched together or apart, and repair, of one row or a
+matrix of rows, against the per-move scan and the from-scratch packing it
+replaced, and the counts and loads it reports."""
 
 import numpy as np
 import pytest
@@ -57,13 +57,18 @@ def split_inputs(points, targets):
             float(targets @ targets))
 
 
+def as_split(feature, threshold, gain):
+    """A searched node's (feature, threshold, gain), or (-1, 0.0, 0.0) when
+    its best gain is not positive and it does not split."""
+    return (int(feature), float(threshold), float(gain)) if gain > 0 else (-1, 0.0, 0.0)
+
+
 def one_node_split(x, counts, sums, sum_sq, min_samples_leaf):
-    """(feature, threshold, gain) of a level of one node holding every group."""
-    order = np.argsort(x, axis=0, kind="stable").T
-    f, threshold, gain = _kernels.level_splits(
-        x, order, counts, sums, np.zeros(counts.size, dtype=np.int64),
-        np.array([sum_sq]), min_samples_leaf)
-    return int(f[0]), float(threshold[0]), float(gain[0])
+    """(feature, threshold, gain) of the root of a plan of its own, holding
+    every group."""
+    plan = _kernels.split_plan(x, counts, min_samples_leaf)
+    got = _kernels.level_splits(plan, sums, None, np.array([sum_sq]))
+    return as_split(*(a[0] for a in got))
 
 
 def row_gain(points, targets, f, threshold):
@@ -175,33 +180,71 @@ def test_grouped_split_matches_row_search(case):
     assert threshold in 0.5 * (values[:-1] + values[1:])
 
 
+def grouped(columns, repeats=2):
+    """A :func:`_grouped_rows` case: the rows of ``columns``, each repeated,
+    with targets that differ from row to row, and min_samples_leaf 1."""
+    points = np.repeat(np.column_stack(columns).astype(np.float64), repeats, axis=0)
+    return points, np.sin(np.arange(points.shape[0]) * 1.7) + 1.0, 1
+
+
+COUNT = np.array([1.0, 2, 3, 4, 2, 3])
+OTHER = np.array([0.0, 0, 1, 1, 2, 2])
+# block_bytes a multiple of tx_count, as on a grid of one tx size
+COLLINEAR = grouped([COUNT, 3 * COUNT, OTHER])
+# one bandwidth
+CONSTANT = grouped([COUNT, OTHER, np.full(6, 5.0)])
+# cut where the counts are, in the opposite order
+REVERSED = grouped([COUNT, 10 - COUNT, OTHER])
+
+
+@pytest.mark.parametrize("case, features", [
+    (COLLINEAR, [0, 2]), (CONSTANT, [0, 1]), (REVERSED, [0, 1, 2]),
+    # cut at the same positions as tx_count, but in another order
+    (grouped([np.arange(4.0), [2.0, 0, 3, 1], np.zeros(4)]), [0, 1])])
+def test_plan_drops_the_features_that_cannot_win(case, features):
+    """A constant feature drops out, and so does one whose sorted order and
+    cuts are an earlier kept feature's; a feature cut at the same
+    positions in another order stays."""
+    x, counts, _, _ = split_inputs(*case[:2])
+    plan = _kernels.split_plan(x, counts, 1)
+    assert plan.features.tolist() == features
+    order = np.argsort(x, axis=0, kind="stable").T[features]
+    np.testing.assert_array_equal(plan.order, order)
+    np.testing.assert_array_equal(plan.values, np.take_along_axis(x.T[features], order, 1))
+
+
 @settings(max_examples=200, deadline=None)
 @given(_grouped_rows(), st.lists(st.integers(-1, 3), min_size=6, max_size=6),
-       st.sampled_from([1, 7, 1 << 20]))
+       st.sampled_from([1, 100, 1 << 20]))
+@example(COLLINEAR, [0, 1, 1, 0, 2, -1], 1)
+@example(CONSTANT, [1, 1, 0, 0, 1, 0], 100)
+@example(REVERSED, [0, 0, 0, 1, 1, 1], 1 << 20)
 def test_level_searches_each_node_alone(case, nodes, cells):
     """A level's split per node is, bit for bit, the node's split searched
-    alone, whether the level's nodes share one pass or each pass holds as
-    few (node, feature, group) cells as the bound allows; a group of node
-    -1 is searched in none."""
+    alone as the root of a plan of its own, whether the level's nodes
+    share one pass, some passes hold several nodes, or each pass holds as
+    few values as the bound allows; a group of node K, past the level's K
+    nodes, is searched in none."""
     points, targets, min_samples_leaf = case
     x, counts, sums, _ = split_inputs(points, targets)
-    order = np.argsort(x, axis=0, kind="stable").T
     node_of = np.array(nodes[:counts.size], dtype=np.int64)
     if not (node_of >= 0).any():
         return
     present = np.unique(node_of[node_of >= 0])
-    node_of = np.where(node_of >= 0, np.searchsorted(present, node_of), -1)
+    node_of = np.where(node_of >= 0, np.searchsorted(present, node_of), present.size)
+    mine = node_of < present.size
     # any tie scale serves, as both searches of a node get the same one
-    sum_sq = np.bincount(node_of[node_of >= 0], weights=sums[node_of >= 0] ** 2)
+    sum_sq = np.bincount(node_of[mine], weights=sums[mine] ** 2)
+    plan = _kernels.split_plan(x, counts, min_samples_leaf)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_LEVEL_CELLS", cells)
-        got = _kernels.level_splits(x, order, counts, sums, node_of, sum_sq,
-                                    min_samples_leaf)
+        got = _kernels.level_splits(plan, sums, node_of, sum_sq)
+    assert all(a.shape == (present.size,) for a in got)
     for k in range(present.size):
         mine = node_of == k
         alone = one_node_split(x[mine], counts[mine], sums[mine], sum_sq[k],
                                min_samples_leaf)
-        assert (int(got[0][k]), float(got[1][k]), float(got[2][k])) == alone
+        assert as_split(*(a[k] for a in got)) == alone
 
 
 def _check_repaired(block_of, start, sizes, nb, ub, cb):

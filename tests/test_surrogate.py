@@ -781,9 +781,41 @@ def grouped_dataset(draw):
     return points[order], targets[order]
 
 
+def repeated(columns, repeats=(1, 3, 2, 1, 2, 2, 3, 1)):
+    """A :func:`grouped_dataset` case of the distinct rows of ``columns``,
+    each repeated, with targets that differ from row to row."""
+    points = np.column_stack(columns).astype(np.float64)
+    points = np.repeat(points, repeats[:points.shape[0]], axis=0)
+    return points, np.cos(np.arange(points.shape[0]) * 2.3) * 3.0
+
+
+COUNT = np.array([1, 2, 3, 4, 5, 2, 4, 5])
+OTHER = np.array([0, 0, 0, 1, 1, 1, 2, 2])
+
+
 @settings(max_examples=400, deadline=None)
 @given(grouped_dataset(), st.integers(0, 6), st.integers(1, 5),
        st.sampled_from([1, 1 << 20]))
+# block_bytes a multiple of tx_count, as on a grid of one tx size, leaves
+# the plan tx_count and the other feature
+@example(case=repeated([COUNT, 3 * COUNT, OTHER]), max_depth=3, min_samples_leaf=1,
+         cells=1 << 20)
+# one bandwidth: a constant feature
+@example(case=repeated([COUNT, OTHER, np.full(8, 7)]), max_depth=4, min_samples_leaf=2,
+         cells=1)
+# tx_count reversed gives the same partitions, found in the opposite order
+@example(case=repeated([COUNT, 10 - COUNT, OTHER]), max_depth=3, min_samples_leaf=1,
+         cells=1)
+# The root's admissible cuts count the rows in each feature's own order: on
+# the last feature, the 1-valued group of two rows sorts after the
+# 0-valued one, not where group order puts it.
+@example(case=(np.array([[0.0, 0, 0], [0, 0, 1], [0, 0, 2], [0, 0, 3], [0, 1, 1], [0, 1, 1]]),
+               np.array([-2.0, -2, -2, -2, -2, 0])),
+         max_depth=1, min_samples_leaf=3, cells=1)
+# a feature cut at tx_count's positions in another order can still win
+@example(case=repeated([np.arange(8), [5, 0, 7, 3, 1, 6, 2, 4], np.zeros(8)],
+                       repeats=(1,) * 8),
+         max_depth=2, min_samples_leaf=1, cells=1 << 20)
 # The root's only candidate split leaves one row on its left, fewer than
 # min_samples_leaf, so the root stays a leaf.
 @example(case=(np.array([[0.0, 0, 0], [1, 0, 0], [1, 0, 0], [1, 0, 0]]),

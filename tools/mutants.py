@@ -106,6 +106,14 @@ MUTANTS = (
            "jitters.append(_jitter(derive_seed(base.rng_seed, cell, rep),",
            "jitters.append(_jitter(base.rng_seed,",
            ("tests/test_simulator.py::test_training_grid_equals_per_cell_loop",)),
+    Mutant("grid-poisson-draw-shared", "src/blocktune/simulator.py",
+           "if not (fixed and ts in drawn):", "if ts not in drawn:",
+           ("tests/test_simulator.py::test_training_grid_equals_per_cell_loop",)),
+    Mutant("scan-draws-per-size", "src/blocktune/simulator.py",
+           "curve, drawn = [], _draw(config.workload, config.block_cut)",
+           "curve, drawn = [], None",
+           ("tests/test_simulator.py::TestThroughputCurve::"
+            "test_scan_equals_each_size_run_alone",)),
     Mutant("grid-skips-service-check", "src/blocktune/simulator.py",
            "    _finite_times(service)\n"
            "    return np.column_stack((count, nbytes, bw, vt, ct, service))\n",
@@ -128,18 +136,29 @@ MUTANTS = (
            "ranges = tuple(zip(points.min(axis=0).tolist(), "
            "points.max(axis=0).tolist()))",
            ("tests/test_surrogate.py::TestPredictor::test_envelope_spans_the_train_rows",)),
-    # The level-at-a-time split search.
+    # The split plan and the level-at-a-time split search.
+    Mutant("plan-prunes-on-cuts-alone", "src/blocktune/_kernels.py",
+           "not any(np.array_equal(order[g], order[f])\n"
+           "                                     and np.array_equal(cuts[g], cuts[f])",
+           "not any(np.array_equal(cuts[g], cuts[f])",
+           ("tests/test_kernels.py::test_plan_drops_the_features_that_cannot_win",
+            "tests/test_surrogate.py::test_level_grower_matches_recursive_reference")),
+    Mutant("plan-cuts-inside-runs", "src/blocktune/_kernels.py",
+           "cuts[:, :-1] = values[:, :-1] < values[:, 1:]",
+           "cuts[:, :-1] = values[:, :-1] <= values[:, 1:]",
+           ("tests/test_surrogate.py::test_level_grower_matches_recursive_reference",)),
+    Mutant("plan-root-counts-in-group-order", "src/blocktune/_kernels.py",
+           "left = ranked.cumsum(axis=1)",
+           "left = np.broadcast_to(counts.cumsum(), ranked.shape)",
+           ("tests/test_surrogate.py::test_level_grower_matches_recursive_reference",)),
     Mutant("level-tie-tolerance-dropped", "src/blocktune/_kernels.py",
-           "cand >= (best - TIE_RTOL * sum_sq[lo:lo + width])[kc]", "cand >= best[kc]",
+           "(cand >= (best - TIE_RTOL * sum_sq[lo:hi])[:, None])", "(cand >= best[:, None])",
            ("tests/test_surrogate.py::test_level_grower_matches_recursive_reference",)),
     Mutant("level-threshold-next-global-value", "src/blocktune/_kernels.py",
-           "0.5 * (xm[c] + xm[c + 1])", "0.5 * (xm[c] + x[ranked[f[c], j[c] + 1], f[c]])",
+           "plan.values[f, after]", "plan.values[f, j + 1]",
            ("tests/test_surrogate.py::test_level_grower_matches_recursive_reference",)),
     Mutant("level-min-samples-leaf-ignored", "src/blocktune/_kernels.py",
            "least = max(min_samples_leaf, 1)", "least = 1",
-           ("tests/test_surrogate.py::test_level_grower_matches_recursive_reference",)),
-    Mutant("level-empty-pass-searched", "src/blocktune/_kernels.py",
-           "        if not kept.any():\n            continue\n", "",
            ("tests/test_surrogate.py::test_level_grower_matches_recursive_reference",)),
     # The node-set check and the one-call forest walk.
     Mutant("child-may-be-its-parent", "src/blocktune/surrogate.py",
@@ -150,7 +169,7 @@ MUTANTS = (
            "if self._roots.tolist() != [0]:", "if self._roots.tolist()[:1] != [0]:",
            ("tests/test_surrogate.py::TestNodeChecks::test_a_tree_has_one_root",)),
     Mutant("rounds-numbered-from-zero", "src/blocktune/surrogate.py",
-           "min_samples_leaf, first)", "min_samples_leaf)",
+           "levels, first)", "levels)",
            ("tests/test_surrogate.py::TestForestWalk::test_rounds_are_stored_back_to_back",)),
     Mutant("walk-chunk-skips-a-row", "src/blocktune/_kernels.py",
            "for lo in range(0, out.size, step):", "for lo in range(0, out.size, step + 1):",
