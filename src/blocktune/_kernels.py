@@ -7,7 +7,7 @@ feature row with its row count and target sum, which is all the
 squared-error gain of a split needs. Training sets repeat feature rows
 heavily (a simulated grid cell gives every block the same features), so a
 tree of tens of thousands of rows has tens of groups; on all-distinct data
-each group is one row and the search is the per-row search it replaces.
+each group is one row (see :func:`level_splits` for what a level costs).
 This is LightGBM's histogram split search (Ke et al., NeurIPS 2017) with
 one bin per distinct value, so nothing is approximated. A fit builds one
 :func:`split_plan` of what none of its rounds changes, and
@@ -53,9 +53,10 @@ import numpy as np
 # ties (see level_splits).
 TIE_RTOL = 1e-12
 # The most values one array of a level_splits pass holds, four per (node,
-# feature, group) cell: a level's arrays stay at 2 MB each however many
-# nodes it has.
-_LEVEL_CELLS = 1 << 18
+# feature, group) cell, unless one node's groups alone hold more: a pass's
+# arrays stay at 128 kB each. Passes of 2**16 and 2**18 values fitted trees
+# of depth 6 on 1,000 distinct rows up to 1.3x slower.
+_LEVEL_CELLS = 1 << 14
 # The most (row, tree) cells in one chunk of forest_predict: its arrays stay
 # in cache, and chunks of _LEVEL_CELLS walked slower than one tree at a time.
 _WALK_CELLS = 1 << 14
@@ -93,6 +94,13 @@ def group_rows(*columns):
 SplitPlan = namedtuple("SplitPlan", "features order values counts cuts root_cuts least")
 
 
+def _cuts(values):
+    """Where each row of the sorted ``values`` ends a run of equal values."""
+    cuts = np.zeros(values.shape, dtype=bool)
+    cuts[:, :-1] = values[:, :-1] < values[:, 1:]
+    return cuts
+
+
 def split_plan(x, counts, min_samples_leaf):
     """The SplitPlan of the groups ``x`` (G, F), distinct rows in
     lexicographic order holding ``counts`` rows each. A feature drops out
@@ -102,8 +110,7 @@ def split_plan(x, counts, min_samples_leaf):
     tx size makes ``block_bytes`` a multiple of ``tx_count``."""
     order = np.argsort(x, axis=0, kind="stable").T
     values = np.take_along_axis(x.T, order, axis=1)
-    cuts = np.zeros(order.shape, dtype=bool)
-    cuts[:, :-1] = values[:, :-1] < values[:, 1:]
+    cuts = _cuts(values)
     kept = []
     for f in range(order.shape[0]):
         if cuts[f].any() and not any(np.array_equal(order[g], order[f])
@@ -116,6 +123,19 @@ def split_plan(x, counts, min_samples_leaf):
     root_cuts = cuts[kept] & (np.minimum(left, left[:, -1:] - left) >= least)
     return SplitPlan(np.array(kept, dtype=np.int64), order[kept], values[kept], ranked,
                      cuts[kept], root_cuts, least)
+
+
+def _passes(node_of, n_nodes, per_group):
+    """The (first, end) node ranges of the passes of a level too big for
+    one: runs of nodes whose number times their groups times ``per_group``
+    stays within _LEVEL_CELLS, or one node."""
+    ranges, lo, held = [], 0, 0
+    for k, size in enumerate(np.bincount(node_of, minlength=n_nodes)[:n_nodes].tolist()):
+        if k > lo and (k + 1 - lo) * (held + size) * per_group > _LEVEL_CELLS:
+            ranges.append((lo, k))
+            lo, held = k, 0
+        held += size
+    return ranges + [(lo, n_nodes)]
 
 
 def level_splits(plan, sums, node_of, sum_sq):
@@ -132,11 +152,19 @@ def level_splits(plan, sums, node_of, sum_sq):
     A node's prefix sums are cumulative sums over (node, feature, group)
     arrays in each feature's order holding zeros at other nodes' groups;
     adding 0.0 is exact, so they sum its own groups in its own order, and
-    its totals are the first feature's, in group order. A candidate is a
-    plan cut that leaves ``plan.least`` rows or more on each side. Cuts with
-    no member of the node between them repeat a prefix and its gain bit for
-    bit, so only the one after the node's last left member can win; the
-    threshold is the midpoint of that member's value and the next member's.
+    its totals are the first kept feature's. A candidate is a cut, the end
+    of a run of equal values, that leaves ``plan.least`` rows or more on
+    each side. Cuts with no member of the node between them repeat a prefix
+    and its gain bit for bit, so only the one after the node's last left
+    member can win; the threshold is the midpoint of that member's value
+    and the next member's.
+
+    A pass costs about 15 array operations over four values per (node,
+    feature, group) cell. When every node of the level fits in one pass of
+    ``_LEVEL_CELLS`` values, it searches the plan's arrays whole, leaf
+    groups included. Otherwise each pass holds a run of nodes whose own
+    groups fit, or one node, and gathers those groups, each feature's in its
+    order, with the cuts between their values.
 
     Gains within ``TIE_RTOL * sum_sq[k]`` of node k's best are ties: the
     formula's rounding error is far below that. Among ties the lowest
@@ -148,34 +176,39 @@ def level_splits(plan, sums, node_of, sum_sq):
     ranked = sums[plan.order]
     if not ranked.size:
         return np.full(n_nodes, -1), np.zeros(n_nodes), np.full(n_nodes, -np.inf)
-    stats = np.concatenate((plan.counts[None], ranked[None]))[:, None]
-    if node_of is not None:
-        ranked_node = node_of[plan.order]
-    step = max(1, _LEVEL_CELLS // (4 * ranked.size))  # nodes searched per pass
+    stats = np.array((plan.counts, ranked))
+    ranked_node = None if node_of is None else node_of[plan.order]
+    whole = node_of is None or 4 * n_nodes * ranked.size <= _LEVEL_CELLS
     found = []
-    for lo in range(0, n_nodes, step):
-        hi = min(lo + step, n_nodes)
+    for lo, hi in [(0, n_nodes)] if whole else _passes(node_of, n_nodes, 4 * ranked.shape[0]):
+        values, cuts, part, part_node = plan.values, plan.cuts, stats, ranked_node
+        if not whole:
+            # only the pass's groups, each feature's in its order, and the
+            # cuts between their values
+            kept = (ranked_node >= lo) & (ranked_node < hi)
+            values, part_node = (a[kept].reshape(len(kept), -1) for a in (values, ranked_node))
+            cuts, part = _cuts(values), stats[:, kept].reshape((2,) + values.shape)
         # Row counts and target sums left and right of each position,
         # (side, count or sum, node, feature, group); a count of 0 divides as 1.
-        sides = np.empty((2, 2, hi - lo) + ranked.shape)
+        sides = np.empty((2, 2, hi - lo) + values.shape)
         if node_of is None:
-            np.cumsum(stats, axis=-1, out=sides[0])
+            np.cumsum(part[:, None], axis=-1, out=sides[0])
         else:
-            member = ranked_node == np.arange(lo, hi)[:, None, None]
-            np.cumsum(np.where(member, stats, 0.0), axis=-1, out=sides[0])
+            member = part_node == np.arange(lo, hi)[:, None, None]
+            np.cumsum(np.where(member, part[:, None], 0.0), axis=-1, out=sides[0])
         np.subtract(sides[0, :, :, :, -1:], sides[0], out=sides[1])
         (n, s), rows = sides[0, :, :, :1, -1:], sides[:, 0]
         cuts = (plan.root_cuts if node_of is None
-                else plan.cuts & (rows.min(axis=0) >= plan.least))
+                else cuts & (rows.min(axis=0) >= plan.least))
         ratio = sides[:, 1] * sides[:, 1] / np.maximum(rows, 1.0)
         cand = np.where(cuts, ratio[0] + ratio[1] - s * s / n, -np.inf).reshape(hi - lo, -1)
         best = cand.max(axis=1)
         # cells run in (feature, position) order
         first = (cand >= (best - TIE_RTOL * sum_sq[lo:hi])[:, None]).argmax(axis=1)
-        k, f = np.arange(hi - lo), first // ranked.shape[1]
+        k, f = np.arange(hi - lo), first // values.shape[1]
         # the node's next member after the cut: the first prefix of more rows
         after = (rows[0, k, f] > rows[0].reshape(hi - lo, -1)[k, first][:, None]).argmax(axis=1)
-        found.append((plan.features[f], 0.5 * (plan.values.take(first) + plan.values[f, after]),
+        found.append((plan.features[f], 0.5 * (values.take(first) + values[f, after]),
                       cand[k, first]))
     return found[0] if len(found) == 1 else tuple(np.concatenate(a) for a in zip(*found))
 

@@ -244,31 +244,23 @@ def _generate_workload(profile: WorkloadProfile):
     return arrivals, sizes
 
 
-def _cut_bounds(arrivals, sizes, rule: BlockCutRule):
-    """What :func:`_cut_blocks` computes that no ``max_tx_count`` changes:
-    the size prefix sums and, per transaction, the end of a block starting
-    there by timeout and by bytes. A scan over block sizes needs them once."""
-    cum = np.concatenate(([0], np.cumsum(sizes)))
-    by_timeout = np.maximum(np.searchsorted(arrivals, arrivals + rule.timeout_s, side="left"),
-                            np.arange(1, arrivals.size + 1))
-    # cum[k] - cum[i] is the size of transactions i..k-1, so the first k past
-    # the cap is one beyond the first transaction that does not fit. A cap at
-    # or above the total never binds; clamping it keeps the sum in int64.
-    max_bytes = min(rule.max_bytes, int(cum[-1]))
-    return cum, by_timeout, np.searchsorted(cum, cum[:-1] + max_bytes, side="right") - 1
-
-
-def _cut_blocks(arrivals, sizes, rule: BlockCutRule, bounds=None):
+def _cut_blocks(arrivals, sizes, rule: BlockCutRule):
     """The arrays (first, count, bytes, cut_time, reason), one entry per block
     in cut order. A block starting at transaction i ends before the first of
     i + max_tx_count, the first arrival at or after arrivals[i] + timeout_s,
     and the first transaction that would overflow max_bytes; ties go to the
-    count cap, then the timeout, and the last block times out. ``bounds`` is
-    :func:`_cut_bounds` of a rule with the same timeout and byte cap,
-    computed here when omitted."""
+    count cap, then the timeout, and the last block times out."""
     n = arrivals.size
-    cum, by_timeout, by_bytes = bounds or _cut_bounds(arrivals, sizes, rule)
-    by_count = np.arange(n) + min(rule.max_tx_count, n + 1)
+    idx = np.arange(n)
+    cum = np.concatenate(([0], np.cumsum(sizes)))
+    by_count = idx + min(rule.max_tx_count, n + 1)
+    by_timeout = np.maximum(
+        np.searchsorted(arrivals, arrivals + rule.timeout_s, side="left"), idx + 1)
+    # cum[k] - cum[i] is the size of transactions i..k-1, so the first k past
+    # the cap is one beyond the first transaction that does not fit. A cap at
+    # or above the total never binds; clamping it keeps the sum in int64.
+    max_bytes = min(rule.max_bytes, int(cum[-1]))
+    by_bytes = np.searchsorted(cum, cum[:-1] + max_bytes, side="right") - 1
     end = np.minimum(np.minimum(by_count, by_timeout), by_bytes)
 
     first, i, ends = [], 0, end.tolist()
@@ -318,23 +310,14 @@ def _price(cost: GroundTruthCost, count, nbytes, bw, jitter):
     return transfer, vt, ct
 
 
-def _draw(profile: WorkloadProfile, rule: BlockCutRule):
-    """The arrivals and sizes of the workload ``profile`` and their
-    :func:`_cut_bounds` under ``rule``."""
-    arrivals, sizes = _generate_workload(profile)
-    return arrivals, sizes, _cut_bounds(arrivals, sizes, rule)
-
-
-def _cut_and_price(config: SimConfig, drawn=None):
+def _cut_and_price(config: SimConfig):
     """The arrivals of ``config``'s workload, its blocks (first, count, bytes,
     cut_time, reason) from :func:`_cut_blocks`, and every block's (transfer,
     vt, ct) on every node from :func:`_price`, arrays of shape (blocks,
-    nodes). ``drawn`` is :func:`_draw` of its workload and of a rule with
-    its timeout and byte cap, drawn here when omitted. The noise is one
-    draw in (block, node, vt/ct) order. A priced time that is not finite
-    raises ConfigError naming ``cost``."""
-    arrivals, sizes, bounds = drawn or _draw(config.workload, config.block_cut)
-    blocks = _cut_blocks(arrivals, sizes, config.block_cut, bounds)
+    nodes). The noise is one draw in (block, node, vt/ct) order. A priced
+    time that is not finite raises ConfigError naming ``cost``."""
+    arrivals, sizes = _generate_workload(config.workload)
+    blocks = _cut_blocks(arrivals, sizes, config.block_cut)
     count, nbytes = blocks[1], blocks[2]
     bw = np.array([node.bandwidth_bytes_per_sec for node in config.nodes])
     jitter = _jitter(config.rng_seed, config.cost.noise_sd_fraction,
@@ -354,15 +337,14 @@ def _serve(ready, service):
     return done + np.maximum.accumulate(ready - before, axis=0)
 
 
-def run_simulation(config: SimConfig, drawn=None) -> SimResult:
+def run_simulation(config: SimConfig) -> SimResult:
     """Run one scenario end to end and measure throughput and latency.
 
     Every generated transaction is committed exactly once; commit times
     respect causality (commit >= cut >= first-member arrival). A priced or
     queued time that is not finite raises ConfigError naming ``cost``.
-    ``drawn`` is as :func:`_cut_and_price` takes it.
     """
-    arrivals, blocks, (transfer, vt, ct) = _cut_and_price(config, drawn)
+    arrivals, blocks, (transfer, vt, ct) = _cut_and_price(config)
     first, count, nbytes, cut_time, reason = blocks
     with np.errstate(over="ignore", invalid="ignore"):
         link = _serve(cut_time[:, None] + config.cost.dispatch_overhead_s, transfer)
@@ -402,15 +384,16 @@ def generate_training_dataset(base: SimConfig, grid: DataGrid):
     unambiguous. Each distinct tx size is checked once against the byte
     cap, raising what building its scenario would. A cell's noise seed,
     and on a Poisson grid its workload seed, is :func:`derive_seed` of the
-    base seed, the cell's index and the replicate; a fixed-rate grid, whose
-    one-size workloads draw nothing from their seed, clears that seed. A
-    fixed-rate grid draws each tx size's workload (:func:`_draw`) once and
-    cuts it once per block size, so its cells with the same block size and
-    tx size share one cut, whatever their bandwidth or replicate; a Poisson
-    cell draws and cuts its own. Each cell and replicate draws its own
-    :func:`_jitter`, in that order. The blocks of every cell are priced in
-    one :func:`_price` pass, each on its cell's bandwidth, and a service
-    time that is not finite raises ConfigError naming ``cost``.
+    base seed, the cell's index and the replicate. A one-size
+    fixed-rate workload draws nothing from its seed, so a fixed-rate grid
+    clears that seed. The :func:`_cut_blocks` results are cached on (block
+    size, tx size, workload seed): on a fixed-rate grid the cells with the
+    same block size and tx size share one cut, whatever their bandwidth or
+    replicate, and a Poisson cell keeps its own. The noise stays per cell:
+    each cell draws its own :func:`_jitter`, in cell then replicate order.
+    The blocks of every cell are then priced in one :func:`_price` pass,
+    each on its own cell's bandwidth, and the service times are checked
+    once: a time that is not finite raises ConfigError naming ``cost``.
 
     The latency target is the block's own service latency (dispatch +
     transfer + validation + commit), i.e. the per-block cost the optimizer
@@ -425,7 +408,7 @@ def generate_training_dataset(base: SimConfig, grid: DataGrid):
         replace(base, workload=workloads[ts])  # its transactions fit under max_bytes
     rules = {bs: replace(base.block_cut, max_tx_count=int(bs)) for bs in grid.block_sizes}
     fixed = base.workload.arrival_process == "fixed"
-    drawn, cuts = {}, {}
+    cuts = {}
     counts, nbytes, links, jitters = [], [], [], []
     cells = itertools.product(grid.block_sizes, grid.tx_sizes, grid.bandwidths)
     for cell, (bs, ts, bw) in enumerate(cells):
@@ -433,10 +416,8 @@ def generate_training_dataset(base: SimConfig, grid: DataGrid):
             seed = 0 if fixed else derive_seed(base.workload.rng_seed, cell, rep)
             key = (bs, ts, seed)
             if key not in cuts:
-                if not (fixed and ts in drawn):
-                    drawn[ts] = _draw(replace(workloads[ts], rng_seed=seed), base.block_cut)
-                arrivals, sizes, bounds = drawn[ts]
-                cuts[key] = _cut_blocks(arrivals, sizes, rules[bs], bounds)[1:3]
+                drawn = _generate_workload(replace(workloads[ts], rng_seed=seed))
+                cuts[key] = _cut_blocks(*drawn, rules[bs])[1:3]
             count, block_bytes = cuts[key]
             counts.append(count)
             nbytes.append(block_bytes)
@@ -455,12 +436,12 @@ def generate_training_dataset(base: SimConfig, grid: DataGrid):
 def throughput_vs_blocksize(config: SimConfig, candidate_sizes):
     """Measure (block size, throughput, mean latency) for every candidate
     transaction cap, each run alone by :func:`run_simulation` on
-    ``config``'s workload (and its seed), drawn and bounded once."""
+    ``config``'s workload (and its seed)."""
     if not candidate_sizes:
         raise ConfigError("candidate_sizes must not be empty")
-    curve, drawn = [], _draw(config.workload, config.block_cut)
+    curve = []
     for size in candidate_sizes:
         result = run_simulation(replace(
-            config, block_cut=replace(config.block_cut, max_tx_count=int(size))), drawn)
+            config, block_cut=replace(config.block_cut, max_tx_count=int(size))))
         curve.append((int(size), result.throughput_tps, result.mean_latency_s))
     return curve

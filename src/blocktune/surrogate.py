@@ -15,9 +15,10 @@ Training data is one (k, 6) float64 array with its columns in
 
 Trees are fitted on distinct feature rows. A simulated training set repeats
 its rows heavily (every block of a grid cell has the same block size,
-transaction size and bandwidth), so :func:`fit_predictor` groups the rows
-once (:func:`_kernels.group_rows`) for both tree fits and its MSEs, which
-price each distinct row once. Each fit builds one split plan
+transaction size and bandwidth), so :func:`fit_boosted` and
+:func:`fit_tree` each group the rows once (:func:`_kernels.group_rows`),
+and :func:`fit_predictor` groups its train rows once more for its MSEs,
+which price each distinct row once. Each fit builds one split plan
 (:func:`_kernels.split_plan`) of what no round changes: each feature's
 sorted group order and cuts, the root's admissible cuts, and the features
 that can win a split. Every tree grows over the groups alone, a level at a
@@ -367,12 +368,11 @@ class RegressionTree(_NodeSet):
         return self._walk(points)
 
 
-def _groups(points, targets, groups=None):
+def _groups(points, targets):
     """The distinct rows of ``points``, each row's group, each group's row
     count, its target sum, summed in row order, and the sum of its targets'
-    squared deviations from its mean. ``groups`` is the rows'
-    :func:`_kernels.group_rows`, found here when omitted."""
-    first, inverse, counts = _kernels.group_rows(*points.T) if groups is None else groups
+    squared deviations from its mean."""
+    first, inverse, counts = _kernels.group_rows(*points.T)
     sums = np.bincount(inverse, weights=targets, minlength=counts.size)
     spread = targets - (sums / counts)[inverse]
     return (points[first], inverse, counts, sums,
@@ -431,24 +431,24 @@ def _node_arrays(levels):
     return feature, threshold, left, np.where(left >= 0, left + 1, -1), value, n.astype(np.int64)
 
 
-def fit_tree(points, targets, max_depth: int = 6, min_samples_leaf: int = 5,
-             groups=None) -> RegressionTree:
+def fit_tree(points, targets, max_depth: int = 6,
+             min_samples_leaf: int = 5) -> RegressionTree:
     """Grow a regression tree on ``targets`` at ``points`` (n, 3) greedily,
     a level at a time, stopping on depth, leaf size, or zero gain.
 
     The tree grows over the distinct feature rows of ``points``
-    (``groups``, their :func:`_kernels.group_rows`, found here when
-    omitted), with their row counts, target sums (in row order) and spreads
-    about their means, through one :func:`_kernels.split_plan`.
-    ``n_samples`` and ``min_samples_leaf`` count rows, so the tree splits as
-    one grown over every row would; a node's ``value`` is its groups'
-    target sums, summed in group order, over its row count.
+    (:func:`_kernels.group_rows`), with their row counts, target sums (in
+    row order) and spreads about their means, through one
+    :func:`_kernels.split_plan`. ``n_samples`` and ``min_samples_leaf``
+    count rows, so the tree splits as one grown over every row would; a
+    node's ``value`` is its groups' target sums, summed in group order,
+    over its row count.
     """
     points = np.asarray(points, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if points.shape[0] == 0:
         raise FitError("cannot fit a tree on an empty sample set")
-    unique, _, counts, sums, spread = _groups(points, targets, groups)
+    unique, _, counts, sums, spread = _groups(points, targets)
     plan = _kernels.split_plan(unique, counts, min_samples_leaf)
     levels = []
     _grow_tree(plan, unique, counts, sums, spread, max_depth, levels)
@@ -478,8 +478,7 @@ class BoostedEnsemble(_NodeSet):
 
 
 def fit_boosted(points, targets, rounds: int = 100, learning_rate: float = 0.1,
-                tree_depth: int = 3, min_samples_leaf: int = 1,
-                groups=None) -> BoostedEnsemble:
+                tree_depth: int = 3, min_samples_leaf: int = 1) -> BoostedEnsemble:
     """Boost regression trees on ``targets`` at ``points`` (n, 3) against
     squared error.
 
@@ -505,7 +504,7 @@ def fit_boosted(points, targets, rounds: int = 100, learning_rate: float = 0.1,
 
     base = float(targets.mean())
     residuals = targets - base
-    unique, inverse, counts, sums, spread = _groups(points, residuals, groups)
+    unique, inverse, counts, sums, spread = _groups(points, residuals)
     plan = _kernels.split_plan(unique, counts, min_samples_leaf)
     squares = residuals * residuals
     train_mse = [float(squares.mean())]
@@ -670,10 +669,10 @@ def fit_predictor(data, config: SurrogateConfig = SurrogateConfig()
     vt_model = fit_boosted(tp, vt[train], rounds=config.boost_rounds,
                            learning_rate=config.boost_learning_rate,
                            tree_depth=config.boost_tree_depth,
-                           min_samples_leaf=config.boost_min_samples_leaf, groups=groups)
+                           min_samples_leaf=config.boost_min_samples_leaf)
     ct_model = fit_polynomial(tp, ct[train], degree=config.poly_degree)
     latency_model = fit_tree(tp, lat[train], max_depth=config.tree_max_depth,
-                             min_samples_leaf=config.tree_min_samples_leaf, groups=groups)
+                             min_samples_leaf=config.tree_min_samples_leaf)
 
     ranges = tuple(zip(tp.min(axis=0).tolist(), tp.max(axis=0).tolist()))
     predictor = PerformancePredictor(vt_model, ct_model, latency_model, ranges)

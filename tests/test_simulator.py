@@ -30,7 +30,6 @@ from blocktune.simulator import (
     WorkloadProfile,
     _cut_and_price,
     _cut_blocks,
-    _cut_bounds,
     derive_seed,
     generate_training_dataset,
     run_simulation,
@@ -251,19 +250,17 @@ class TestGenerateTrainingDataset:
 
     @pytest.mark.parametrize("process, cuts", [("fixed", 4), ("poisson", 24)])
     def test_fixed_rate_cells_share_a_cut(self, monkeypatch, process, cuts):
-        """A fixed-rate grid draws each of its two tx sizes' workloads and
-        cut bounds once and cuts each (block size, tx size) once, whatever
-        the bandwidth and replicate; a Poisson grid draws and cuts every
-        cell and replicate."""
-        calls = {"_cut_blocks": [], "_cut_bounds": []}
-        for name, made in calls.items():
-            monkeypatch.setattr(simulator, name, lambda *args, f=getattr(simulator, name),
-                                made=made: made.append(args) or f(*args))
+        """A fixed-rate grid cuts each (block size, tx size) once, whatever
+        the bandwidth and replicate; a Poisson grid cuts every cell and
+        replicate."""
+        calls = []
+        cut = simulator._cut_blocks
+        monkeypatch.setattr(simulator, "_cut_blocks",
+                            lambda *args: calls.append(args) or cut(*args))
         base = config_for(total_tx=30, max_tx=10, process=process)
         generate_training_dataset(base, DataGrid((3, 8), (600, 1500), (1e6, 4e6),
                                                  replicates=3))
-        draws = 2 if process == "fixed" else cuts
-        assert (len(calls["_cut_blocks"]), len(calls["_cut_bounds"])) == (cuts, draws)
+        assert len(calls) == cuts
 
     @pytest.mark.parametrize("cost, block_size", [
         (GroundTruthCost(burst_window_s=1e-320), 5),    # transfer overflows
@@ -306,7 +303,7 @@ class TestThroughputCurve:
 
     def test_scan_equals_each_size_run_alone(self):
         """Each point of the scan is the one run_simulation gives that size
-        on its own, bit for bit, from one draw of the workload."""
+        on its own, bit for bit."""
         cost = GroundTruthCost(noise_sd_fraction=0.05, burst_window_s=0.004)
         config = replace(config_for(total_tx=300, rate=400.0, timeout=0.4, cost=cost,
                                     seed=11),
@@ -314,12 +311,7 @@ class TestThroughputCurve:
                                                   tx_size_range_bytes=(200, 2000),
                                                   rng_seed=13))
         sizes = [1, 3, 10, 40, 300]
-        bounds = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulator, "_cut_bounds",
-                       lambda *args, f=simulator._cut_bounds: bounds.append(1) or f(*args))
-            curve = throughput_vs_blocksize(config, sizes)
-        assert len(bounds) == 1  # drawn and bounded once for the whole scan
+        curve = throughput_vs_blocksize(config, sizes)
         for size, tps, latency in curve:
             alone = run_simulation(replace(config, block_cut=replace(
                 config.block_cut, max_tx_count=size)))
@@ -383,20 +375,14 @@ def reference_cut_blocks(arrivals, sizes, rule):
                      min_size=1, max_size=60),
        sizes=st.lists(st.integers(1, 60), min_size=60, max_size=60),
        max_tx=st.integers(1, 12), max_bytes=st.integers(60, 300),
-       timeout=st.sampled_from([0.125, 0.5, 1.0, 1.75]) | st.floats(1e-9, 8.0),
-       other_tx=st.integers(1, 12))
+       timeout=st.sampled_from([0.125, 0.5, 1.0, 1.75]) | st.floats(1e-9, 8.0))
 def test_cut_blocks_matches_per_transaction_scan(gaps, sizes, max_tx, max_bytes,
-                                                timeout, other_tx):
-    """The cut is the per-transaction scan's, also from the bounds computed
-    under another transaction cap, as a scan over block sizes reuses them."""
+                                                timeout):
     arrivals = np.cumsum(np.array(gaps, dtype=np.float64))
     sizes = np.array(sizes[:arrivals.size], dtype=np.int64)
     rule = BlockCutRule(max_tx_count=max_tx, max_bytes=max_bytes, timeout_s=timeout)
-    want = reference_cut_blocks(arrivals, sizes, rule)
-    bounds = _cut_bounds(arrivals, sizes, replace(rule, max_tx_count=other_tx))
-    for got in (_cut_blocks(arrivals, sizes, rule),
-                _cut_blocks(arrivals, sizes, rule, bounds)):
-        assert list(zip(*(a.tolist() for a in got))) == want
+    blocks = list(zip(*(a.tolist() for a in _cut_blocks(arrivals, sizes, rule))))
+    assert blocks == reference_cut_blocks(arrivals, sizes, rule)
 
 
 def cell_scenario(base, cell, rep, bs, ts, bw):

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -106,14 +107,6 @@ MUTANTS = (
            "jitters.append(_jitter(derive_seed(base.rng_seed, cell, rep),",
            "jitters.append(_jitter(base.rng_seed,",
            ("tests/test_simulator.py::test_training_grid_equals_per_cell_loop",)),
-    Mutant("grid-poisson-draw-shared", "src/blocktune/simulator.py",
-           "if not (fixed and ts in drawn):", "if ts not in drawn:",
-           ("tests/test_simulator.py::test_training_grid_equals_per_cell_loop",)),
-    Mutant("scan-draws-per-size", "src/blocktune/simulator.py",
-           "curve, drawn = [], _draw(config.workload, config.block_cut)",
-           "curve, drawn = [], None",
-           ("tests/test_simulator.py::TestThroughputCurve::"
-            "test_scan_equals_each_size_run_alone",)),
     Mutant("grid-skips-service-check", "src/blocktune/simulator.py",
            "    _finite_times(service)\n"
            "    return np.column_stack((count, nbytes, bw, vt, ct, service))\n",
@@ -151,11 +144,14 @@ MUTANTS = (
            "left = ranked.cumsum(axis=1)",
            "left = np.broadcast_to(counts.cumsum(), ranked.shape)",
            ("tests/test_surrogate.py::test_level_grower_matches_recursive_reference",)),
+    Mutant("pass-keeps-the-plan-cuts", "src/blocktune/_kernels.py",
+           "cuts, part = _cuts(values), ", "cuts, part = plan.cuts[kept].reshape(values.shape), ",
+           ("tests/test_kernels.py::test_level_searches_each_node_alone",)),
     Mutant("level-tie-tolerance-dropped", "src/blocktune/_kernels.py",
            "(cand >= (best - TIE_RTOL * sum_sq[lo:hi])[:, None])", "(cand >= best[:, None])",
            ("tests/test_surrogate.py::test_level_grower_matches_recursive_reference",)),
     Mutant("level-threshold-next-global-value", "src/blocktune/_kernels.py",
-           "plan.values[f, after]", "plan.values[f, j + 1]",
+           "values.take(first) + values[f, after]", "values.take(first) + values.take(first + 1)",
            ("tests/test_surrogate.py::test_level_grower_matches_recursive_reference",)),
     Mutant("level-min-samples-leaf-ignored", "src/blocktune/_kernels.py",
            "least = max(min_samples_leaf, 1)", "least = 1",
@@ -205,10 +201,11 @@ def _copy_tree(root: str, dest: str) -> None:
             shutil.copy2(src, os.path.join(dest, part))
 
 
-def _passes(cwd: str, targets) -> bool:
+def _passes(cwd: str, targets):
     """Whether the ``targets`` of the copy at ``cwd`` pass, pinned checks
-    deselected. Failing tests and collection errors kill a mutant; any
-    other pytest failure, such as a test id that does not exist, raises."""
+    deselected, and pytest's output. Failing tests and collection errors
+    kill a mutant; any other pytest failure, such as a test id that does
+    not exist, raises."""
     env = dict(os.environ, PYTHONPATH=os.path.join(cwd, "src"))
     # The copy, not an installed blocktune, must be the one imported.
     found = subprocess.run(
@@ -216,16 +213,18 @@ def _passes(cwd: str, targets) -> bool:
         cwd=cwd, env=env, capture_output=True, text=True).stdout.strip()
     if found and not os.path.realpath(found).startswith(os.path.realpath(cwd)):
         raise RuntimeError(f"blocktune imports from {found}, not from the copy in {cwd}")
-    code = subprocess.run([sys.executable, *PYTEST, *targets], cwd=cwd, env=env,
-                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
-    if code not in (0, 1, 2):
-        raise RuntimeError(f"pytest exited with status {code} on {' '.join(targets)}")
-    return code == 0
+    run = subprocess.run([sys.executable, *PYTEST, *targets], cwd=cwd, env=env,
+                         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    if run.returncode not in (0, 1, 2):
+        raise RuntimeError(f"pytest exited with status {run.returncode} on {' '.join(targets)}")
+    return run.returncode == 0, run.stdout
 
 
 def check(root: str, mutant: Mutant) -> str:
     """'killed', 'killed-elsewhere' (by the suite, not its named tests),
-    'survived' or 'stale' (its old text is not in the file exactly once)."""
+    'survived' or 'stale' (its old text is not in the file exactly once, or
+    its new text names what is not defined: a NameError proves no test
+    checks the rule)."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         _copy_tree(root, tmp)
         path = os.path.join(tmp, mutant.path)
@@ -235,9 +234,10 @@ def check(root: str, mutant: Mutant) -> str:
             return "stale"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text.replace(mutant.old, mutant.new))
-        if not _passes(tmp, mutant.tests):
-            return "killed"
-        return "survived" if _passes(tmp, ["tests"]) else "killed-elsewhere"
+        passed, output = _passes(tmp, mutant.tests)
+        if not passed:
+            return "stale" if re.search(r"^E +NameError: ", output, re.M) else "killed"
+        return "survived" if _passes(tmp, ["tests"])[0] else "killed-elsewhere"
 
 
 def main(argv=None) -> int:
@@ -261,7 +261,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         _copy_tree(root, tmp)
         tests = sorted({t for m in chosen for t in m.tests})
-        if not _passes(tmp, tests):
+        if not _passes(tmp, tests)[0]:
             print("the named tests fail on the unmutated tree", file=sys.stderr)
             return 2
     failed = []
