@@ -27,12 +27,13 @@ returns. The caller decides what to tabulate.
 transaction goes to the least-loaded block that still fits both caps. From
 an all-unplaced start it is worst-fit decreasing packing (Johnson, JCSS
 1974). It repairs a whole (P, n) matrix of assignments in one pass: the
-counts and loads of every row come from one ``bincount``, the members to
-evict from one sort, and each step of its loop makes one move in every
-row still draining, so a generation costs as many steps as its busiest row
-has moves, not one Python iteration per row and move. It keeps every row's
-counts and loads up to date through its moves and reports the final ones,
-so a caller that prices the repaired rows need not count them again.
+counts and the loads of every row come from two ``bincount`` calls, the
+members to evict from one sort, and each step of its loop makes one move
+in every row still draining, so a generation costs as many steps as its
+busiest row has moves, not one Python iteration per row and move. It keeps
+every row's counts and loads up to date through its moves and reports the
+final ones, so a caller that prices the repaired rows need not count them
+again.
 
 All kernels share the same deterministic tie-breaking rules: when several
 candidates are equally good, the one encountered first (lowest feature
@@ -265,7 +266,9 @@ def table_predict(edges, table, points):
 def repair_assignment(block_of, sizes, nb, ub, cb, out=None, weights=None):
     """Move transactions until every block fits the count cap ``ub`` and the
     byte cap ``cb``, in place, in every row of ``block_of`` (P, n) at once; a
-    1-D ``block_of`` is one row. An entry equal to ``nb`` is unplaced.
+    1-D ``block_of`` is one row, of any integer dtype that holds ``nb``
+    (its bins are int64 whatever it is). An entry equal to ``nb`` is
+    unplaced.
 
     Within a row, overloaded blocks drain in index order, then the unplaced
     transactions are placed. A block gives up its members largest first

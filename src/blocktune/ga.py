@@ -2,8 +2,10 @@
 
 Candidates are encoded as block-index vectors (one gene per transaction),
 so the one-block-per-transaction rule is structural and the search space
-is exactly the set of such vectors. A population is a (pop, n) integer
-matrix of such vectors, and each generation is drawn as arrays over the
+is exactly the set of such vectors. A population is a (pop, n) matrix of
+such vectors in the narrowest unsigned type that holds nb, repair's
+unplaced marker (uint8 up to nb = 255), so a generation moves one or two
+bytes per gene, not eight. Each generation is drawn as arrays over the
 whole population: :func:`select_parents` runs every tournament at once,
 :func:`crossover_pairs` crosses every parent pair and :func:`mutate_genes`
 mutates every child, each in a few numpy calls. Feasibility against the
@@ -179,9 +181,13 @@ def initialize_population(instance: ProblemInstance, size: int,
                           rng: np.random.Generator, stats=None,
                           weights=None) -> np.ndarray:
     """The (size, n) matrix of feasible starting assignments: every
-    transaction in a uniformly random block, then repaired. ``stats`` and
-    ``weights`` are passed to :func:`_repair_array`."""
-    return _repair_array(instance, rng.integers(0, instance.nb, size=(size, instance.n)),
+    transaction in a uniformly random block, then repaired. Its dtype,
+    ``np.min_scalar_type(instance.nb)``, also holds repair's unplaced
+    marker nb; the draw is cast after, so the dtype leaves the generator's
+    stream alone. ``stats`` and ``weights`` are passed to
+    :func:`_repair_array`."""
+    draw = rng.integers(0, instance.nb, size=(size, instance.n))
+    return _repair_array(instance, draw.astype(np.min_scalar_type(instance.nb)),
                          stats, weights)
 
 

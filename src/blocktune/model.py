@@ -311,7 +311,8 @@ def block_times(instance: ProblemInstance, counts: np.ndarray,
     weight: one (tx_count, block_bytes, bandwidth) row per distinct pair and
     node, in (tx_count, block_bytes) order, then node order, weighted by the
     number of blocks with that pair, so the weights sum to the number of
-    non-empty blocks times the node count.
+    non-empty blocks times the node count. The rows are column-major,
+    because the predictor reads them one feature column at a time.
     """
     nonempty = np.flatnonzero(counts)
     block_counts = counts.ravel()[nonempty]
@@ -319,7 +320,7 @@ def block_times(instance: ProblemInstance, counts: np.ndarray,
     first, pair_of, blocks = _kernels.group_rows(block_counts, block_bytes)
 
     m = instance.m
-    rows = np.empty((first.size * m, 3), dtype=np.float64)
+    rows = np.empty((first.size * m, 3), dtype=np.float64, order="F")
     rows[:, 0] = np.repeat(block_counts[first].astype(np.float64), m)
     rows[:, 1] = np.repeat(block_bytes[first], m)
     rows[:, 2] = np.tile(instance.bandwidths, first.size)

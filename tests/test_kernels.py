@@ -1,8 +1,8 @@
 """Numeric kernels: distinct rows against ``np.unique``, the split plan's
 features, the level split search against a per-row search, its tie rule
 and its nodes searched together or apart, and repair, of one row or a
-matrix of rows, against the per-move scan and the from-scratch packing it
-replaced, and the counts and loads it reports."""
+matrix of rows, int64 or one byte wide, against the per-move scan and the
+from-scratch packing it replaced, and the counts and loads it reports."""
 
 import numpy as np
 import pytest
@@ -10,6 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blocktune import _kernels
+from blocktune.ga import initialize_population
+from blocktune.model import block_stats
+
+from conftest import make_instance
 
 
 @st.composite
@@ -350,6 +354,12 @@ def greedy_repack(sizes, nb, ub, cb):
     return True, block_of
 
 
+def row_dtypes(nb):
+    """The row dtypes repair is checked on: int64, and the GA population's
+    narrowest type that holds the unplaced marker nb."""
+    return np.int64, np.min_scalar_type(nb)
+
+
 @st.composite
 def _any_repair_case(draw):
     """A start assignment on an instance whose caps may be too tight for
@@ -373,14 +383,16 @@ def test_repair_matches_references(case):
     and from all-unplaced the greedy packing's: the same return value and
     the same assignment, also where a wedge leaves it partial."""
     start, sizes, nb, ub, cb = case
-    got, expected = start.copy(), start.copy()
-    assert (_kernels.repair_assignment(got, sizes, nb, ub, cb)
-            is scan_repair(expected, sizes, nb, ub, cb))
-    np.testing.assert_array_equal(got, expected)
+    expected = start.copy()
+    moved = scan_repair(expected, sizes, nb, ub, cb)
     placed, packed = greedy_repack(sizes, nb, ub, cb)
-    got = np.full_like(start, nb)
-    assert _kernels.repair_assignment(got, sizes, nb, ub, cb) is placed
-    np.testing.assert_array_equal(got, packed)
+    for dtype in row_dtypes(nb):
+        got = start.astype(dtype)
+        assert _kernels.repair_assignment(got, sizes, nb, ub, cb) is moved
+        np.testing.assert_array_equal(got, expected)
+        got = np.full(start.shape, nb, dtype=dtype)
+        assert _kernels.repair_assignment(got, sizes, nb, ub, cb) is placed
+        np.testing.assert_array_equal(got, packed)
 
 
 @st.composite
@@ -422,9 +434,10 @@ def test_batch_repair_matches_each_row_alone(case):
         else:
             ok = scan_repair(row, sizes, nb, ub, cb)
         placed.append(ok)
-    got = matrix.copy()
-    assert _kernels.repair_assignment(got, sizes, nb, ub, cb) is all(placed)
-    np.testing.assert_array_equal(got, expected)
+    for dtype in row_dtypes(nb):
+        got = matrix.astype(dtype)
+        assert _kernels.repair_assignment(got, sizes, nb, ub, cb) is all(placed)
+        np.testing.assert_array_equal(got, expected)
 
 
 def row_stats(rows, sizes, nb):
@@ -449,10 +462,30 @@ def test_repair_reports_final_counts_and_loads(case):
     all-unplaced, with the byte weights built by the kernel or passed in."""
     matrix, sizes, nb, ub, cb = case
     for weights in (None, np.tile(sizes.astype(np.float64), matrix.shape[0] + 1)):
-        got = matrix.copy()
-        out = np.full((2, matrix.shape[0], nb), -1)
-        _kernels.repair_assignment(got, sizes, nb, ub, cb, out, weights)
-        np.testing.assert_array_equal(out, row_stats(got, sizes, nb))
+        for dtype in row_dtypes(nb):
+            got = matrix.astype(dtype)
+            out = np.full((2, matrix.shape[0], nb), -1)
+            _kernels.repair_assignment(got, sizes, nb, ub, cb, out, weights)
+            np.testing.assert_array_equal(out, row_stats(got, sizes, nb))
+
+
+@pytest.mark.parametrize("n", [508, 510])
+def test_population_rows_hold_the_unplaced_marker(n):
+    """At nb = 255 and nb = 256 (lb = 2), where one byte stops holding nb,
+    the GA's starting rows are feasible rows of ``np.min_scalar_type(nb)``,
+    and rows of that dtype all unplaced, as a seeded population would pass
+    them, repair to the greedy packing."""
+    inst = make_instance(np.arange(n) % 7 + 1, lb=2, ub=2)
+    sizes, nb, cb = inst.sizes, inst.nb, inst.limits.cb
+    population = initialize_population(inst, 3, np.random.default_rng(0))
+    unplaced = np.full_like(population, nb)
+    assert _kernels.repair_assignment(unplaced, sizes, nb, 2, cb) is True
+    np.testing.assert_array_equal(unplaced, np.broadcast_to(
+        greedy_repack(sizes, nb, 2, cb)[1], unplaced.shape))
+    assert population.dtype == np.min_scalar_type(nb)
+    counts, loads = block_stats(inst, population)
+    assert (counts <= 2).all() and (loads <= cb).all()
+    assert (counts.sum(axis=1) == n).all()
 
 
 @settings(max_examples=200, deadline=None)

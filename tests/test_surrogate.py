@@ -1,6 +1,6 @@
 """Surrogate models: exact recovery, monotone training loss, the forest walk
-and the cell tables equal to per-tree walks, stored-model checks, dataset
-I/O."""
+and the cell tables equal to per-tree walks, answers that do not depend on
+row layout, stored-model checks, dataset I/O."""
 
 import gc
 import json
@@ -886,6 +886,29 @@ class TestCellTable:
                                           grid_predictor.predict_f_batch(rows))
         np.testing.assert_array_equal(clone.predict_g_batch(rows),
                                       grid_predictor.predict_g_batch(rows))
+
+
+@pytest.fixture(scope="module", params=["grid_predictor", "recall_predictor"])
+def any_predictor(request):
+    """A predictor with both models tabulated (the grid fit), or one whose
+    forest answers with its walk (the continuous fit)."""
+    return request.getfixturevalue(request.param)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_answers_do_not_depend_on_row_layout(any_predictor, data):
+    """f, g and the extrapolation mask are bit for bit the same on C- and
+    F-ordered copies of the same rows, inside and outside the training
+    envelope; a GA prices column-major rows."""
+    columns = [st.sampled_from([lo, hi]) | st.floats(2 * lo - hi - 1, 2 * hi - lo + 1)
+               for lo, hi in any_predictor.feature_ranges]
+    rows = np.array(data.draw(st.lists(st.tuples(*columns), min_size=2, max_size=100)))
+    by_row, by_column = np.ascontiguousarray(rows), np.asfortranarray(rows)
+    assert not by_column.flags.c_contiguous
+    for answer in (any_predictor.predict_f_batch, any_predictor.predict_g_batch,
+                   any_predictor.extrapolation_mask):
+        np.testing.assert_array_equal(answer(by_column), answer(by_row))
 
 
 @pytest.fixture(scope="module")

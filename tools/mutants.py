@@ -176,6 +176,14 @@ MUTANTS = (
            "        terms = np.column_stack((np.zeros(n), value[node].reshape(n, t)))\n"
            "        out[lo:lo + n] = base + rate * np.cumsum(terms, axis=1)[:, -1]\n",
            ("tests/test_surrogate.py::TestForestWalk::test_one_call_is_the_per_tree_walk",)),
+    # Narrow population rows and column-major priced rows.
+    Mutant("population-dtype-drops-marker", "src/blocktune/ga.py",
+           "draw.astype(np.min_scalar_type(instance.nb))",
+           "draw.astype(np.min_scalar_type(instance.nb - 1))",
+           ("tests/test_kernels.py::test_population_rows_hold_the_unplaced_marker",)),
+    Mutant("walk-flattens-in-memory-order", "src/blocktune/_kernels.py",
+           "rows.ravel()", 'rows.ravel(order="K")',
+           ("tests/test_surrogate.py::test_answers_do_not_depend_on_row_layout",)),
     # The per-block record array.
     Mutant("cut-reasons-from-wrong-column", "src/blocktune/simulator.py",
            "reasons = self.per_block_records.cut_reason",
