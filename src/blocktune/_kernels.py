@@ -15,11 +15,12 @@ one bin per distinct value, so nothing is approximated. A fit builds one
 over the plan's arrays, each node seeing only its own groups.
 
 A tree model is a node set: its trees' nodes back to back in arrays, with
-an internal node's children at global indices after it. A tree's root is a
-node no other node points to, and the walk, :func:`forest_predict`,
-answers every tree from its roots in one call. A fitted model is constant
-on each cell of the grid cut by its own thresholds, so :func:`tabulate`
-walks it once per cell and :func:`table_predict` answers a batch with one
+an internal node's two children adjacent, left first, at global indices
+after it, so a node stores only its ``left``. A tree's root is a node no
+other node points to, and the walk, :func:`forest_predict`, answers every
+tree from its roots in one call. A fitted model is constant on each cell
+of the grid cut by its own thresholds, so :func:`tabulate` walks it once
+per cell and :func:`table_predict` answers a batch with one
 ``searchsorted`` per feature and one gather, bit for bit what the walk
 returns. The caller decides what to tabulate.
 
@@ -214,12 +215,13 @@ def level_splits(plan, sums, node_of, sum_sq):
     return found[0] if len(found) == 1 else tuple(np.concatenate(a) for a in zip(*found))
 
 
-def forest_predict(feature, threshold, left, right, value, roots, points,
-                   base=0.0, rate=1.0):
+def forest_predict(feature, threshold, left, value, roots, points, base=0.0, rate=1.0):
     """``base`` plus ``rate`` times each tree's leaf value at ``points`` (m,
     n_features), added in ``roots`` order by a ``cumsum``, which adds in
     sequence. Every row walks every tree at once, a level per step, in row
-    chunks of at most ``_WALK_CELLS`` (row, tree) cells."""
+    chunks of at most ``_WALK_CELLS`` (row, tree) cells. A row goes left,
+    to ``left``, when x <= threshold, and otherwise, NaN included, right, to
+    ``left + 1``."""
     out, t = np.empty(points.shape[0]), roots.size
     step = max(1, _WALK_CELLS // max(t, 1))
     for lo in range(0, out.size, step):
@@ -228,8 +230,8 @@ def forest_predict(feature, threshold, left, right, value, roots, points,
         node, offset = np.tile(roots, n), np.repeat(np.arange(n) * rows.shape[1], t)
         while (active := feature[node] >= 0).any():
             idx = node[active]
-            go_left = flat[offset[active] + feature[idx]] <= threshold[idx]
-            node[active] = np.where(go_left, left[idx], right[idx])
+            x = flat[offset[active] + feature[idx]]
+            node[active] = left[idx] + ~(x <= threshold[idx])
         terms = np.column_stack((np.full(n, base), rate * value[node].reshape(n, t)))
         out[lo:lo + n] = np.cumsum(terms, axis=1)[:, -1]
     return out

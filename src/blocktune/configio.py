@@ -2,10 +2,11 @@
 
 One reader, :func:`build_config`, turns every JSON config object into its
 dataclass by one rule. Every key must name a field, and a field without a
-default is required. ``int`` takes an integer; ``float`` any number, stored
-as a float; ``Real`` any number, kept as written; ``str`` a string;
-``tuple[int, int]`` a list of exactly two integers and ``tuple[float,
-...]`` a list of any length; ``dict[str, float]`` an object of numbers;
+default is required. ``int`` takes an integer in [-2**63, 2**63), as numpy
+holds it; ``float`` any number, stored as a float; ``Real`` any number,
+kept as written; ``str`` a string; ``tuple[int, int]`` a list of exactly
+two integers and ``tuple[float, ...]`` a list of any length; ``dict[str,
+float]`` an object of numbers;
 ``X | None`` also null; ``np.ndarray`` a list of numbers, read as float64;
 a nested dataclass an object read by the same rule; ``rng_seed`` an integer
 in [0, 2**32). A number may not be NaN, which Python's ``json`` parses;
@@ -235,7 +236,10 @@ def read_value(hint, value, where: str):
     if is_dataclass(hint):
         return build_config(hint, value, where)
     if hint is int:
-        return check_number(value, where, integer=True)
+        # numpy holds every integer as an int64
+        if not -2**63 <= check_number(value, where, integer=True) < 2**63:
+            raise ConfigError(f"{where} must lie in [-2**63, 2**63), got {value}")
+        return value
     if hint is float:
         return float(check_number(value, where))
     if hint is Real:

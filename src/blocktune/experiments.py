@@ -81,6 +81,8 @@ class TrainingGrid:
             if not all(0 < f < math.inf for f in getattr(self, name)):
                 raise ConfigError(f"{name} must be finite and > 0, "
                                   f"got {list(getattr(self, name))}")
+        if not self.bandwidth_factors:
+            raise ConfigError("bandwidth_factors must not be empty")
         if len(set(self.tx_size_factors)) < 2:
             raise ConfigError(
                 "tx_size_factors needs at least two distinct values (a single "
@@ -143,6 +145,10 @@ class SweepSpec:
                 raise ConfigError(f"fixed factors must include {factor!r}")
         if self.runs_per_point < 1:
             raise ConfigError("runs_per_point must be >= 1")
+        # a transaction size is an int64, like every integer config value
+        sizes = self.values if self.varied_factor == "tx_size" else [self.fixed["tx_size"]]
+        if not all(abs(size) < 2**63 for size in sizes):
+            raise ConfigError(f"tx_size must lie below 2**63 bytes, got {list(sizes)}")
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "sweep") -> "SweepSpec":

@@ -34,13 +34,14 @@ ones a per-row search would choose. The polynomial is fitted on the rows.
 set (see :mod:`blocktune._kernels`) with one ``max_depth`` and
 ``min_samples_leaf``: a tree's one root is node 0, and the ensemble stores
 its rounds' trees back to back, each numbered breadth-first on from the
-last. Their ``predict`` is one walk. ``PerformancePredictor`` builds the
-only two cell tables, once, when built, and answers ``f`` and ``g`` from
-them, bit-identical to the walk. A model is tabulated only when its grid
-has at most as many cells as the model had training rows
-(``n_samples[0]``), so filling the table never costs more than one walk of
-the training set; above that bound the predictor answers with the model's
-walk. The polynomial is evaluated directly, as coefficient × monomial
+last. An internal node's two children are adjacent, left first, so a node
+stores only its ``left``. Their ``predict`` is one walk.
+``PerformancePredictor`` builds the only two cell tables, once, when built,
+and answers ``f`` and ``g`` from them, bit-identical to the walk. A model
+is tabulated only when its grid has at most as many cells as the model had
+training rows (``n_samples[0]``), so filling the table never costs more
+than one walk of the training set; above that bound the predictor answers
+with the model's walk. The polynomial is evaluated directly, as coefficient × monomial
 added in monomial order.
 
 Every answer is a function of its own row alone, bit for bit: a lookup, a
@@ -52,11 +53,12 @@ assignment the same alone or in a population.
 The model classes are dataclasses whose fields are the stored model's
 keys, so :func:`blocktune.configio.build_config` reads a stored model and
 :func:`blocktune.configio.to_json` writes one, by the rule every config
-follows. Each ``__post_init__`` checks what a type hint cannot say, such
-as a node set's children after their parents, so that every walk ends (one
-check, :func:`_check_nodes`, per model), and each model's ``family``.
-:meth:`PerformancePredictor.load` raises DatasetError naming the file and
-the key.
+follows. A stored model holds only what its answers read: nothing that
+its class, its ``degree`` or its ``left`` already fixes. Each
+``__post_init__`` checks what a type hint cannot say, such as a node set's
+children after their parents, so that every walk ends (one check,
+:func:`_check_nodes`, per model). :meth:`PerformancePredictor.load` raises
+DatasetError naming the file and the key.
 
 Fitting is deterministic given identical samples and hyperparameters, and
 fitted models are immutable, so predictors can be shared freely between
@@ -67,7 +69,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,13 +81,6 @@ DATASET_COLUMNS = ("tx_count", "block_bytes", "bandwidth", "vt_s", "ct_s", "late
 POLY_DEGREES = (1, 2, 3)
 
 _GAIN_EPS = 1e-12
-
-
-def _check_family(model):
-    """Reject a stored model whose ``family`` is not its class's own."""
-    own = next(f.default for f in fields(model) if f.name == "family")
-    if model.family != own:
-        raise ConfigError(f"family must be {own!r}, got {model.family!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -204,21 +199,15 @@ class PolynomialModel:
     features, fitted on internally standardized inputs."""
 
     degree: int
-    exponents: tuple[tuple[int, int, int], ...]
     coefficients: np.ndarray
     feature_mean: np.ndarray
     feature_scale: np.ndarray
-    family: str = "polynomial"
 
     def __post_init__(self):
-        _check_family(self)
         if self.degree not in POLY_DEGREES:
             raise ConfigError(f"degree must be one of {POLY_DEGREES}, got {self.degree}")
-        exponents = _monomial_exponents(self.degree)
-        if [tuple(e) for e in self.exponents] != exponents:
-            raise ConfigError(f"exponents: expected the {len(exponents)} monomials "
-                              f"of degree {self.degree} in order, got {self.exponents!r}")
-        self.exponents = tuple(exponents)
+        # the monomials in coefficient order: fixed by the degree, so not stored
+        self.exponents = exponents = _monomial_exponents(self.degree)
         self.coefficients = np.asarray(self.coefficients, dtype=np.float64)
         self.feature_mean = np.asarray(self.feature_mean, dtype=np.float64)
         self.feature_scale = np.asarray(self.feature_scale, dtype=np.float64)
@@ -290,7 +279,7 @@ def fit_polynomial(points, targets, degree: int = 2) -> PolynomialModel:
             prefix_rank = r
         raise FitError(
             "rank-deficient polynomial design; degenerate columns: " + ", ".join(bad))
-    return PolynomialModel(degree, exponents, coef, mean, scale)
+    return PolynomialModel(degree, coef, mean, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +287,11 @@ def fit_polynomial(points, targets, degree: int = 2) -> PolynomialModel:
 # ---------------------------------------------------------------------------
 
 def _check_nodes(model):
-    """Reject a node set the walk could not answer for, and return its roots.
-    ``feature``, ``left``, ``right`` and ``n_samples`` become int64 arrays."""
+    """Reject a node set the walk could not answer for, and return its roots:
+    the nodes no internal node points at. ``feature``, ``left`` and
+    ``n_samples`` become int64 arrays."""
     n = len(model.feature)
-    for name in ("feature", "threshold", "left", "right", "value", "n_samples"):
+    for name in ("feature", "threshold", "left", "value", "n_samples"):
         a = np.asarray(getattr(model, name), dtype=np.float64)
         if a.shape != (n,):
             raise ConfigError(f"{name}: {a.size} entries, feature has {n}")
@@ -316,48 +306,43 @@ def _check_nodes(model):
         raise ConfigError(f"feature: must be -1 (leaf) or a feature index below "
                           f"{len(FEATURE_NAMES)}")
     internal = np.flatnonzero(model.feature >= 0)
+    child = model.left[internal]
+    if ((child <= internal) | (child >= n - 1)).any():
+        raise ConfigError(f"left: an internal node's child must lie after it and "
+                          f"below {n} (its children are left and left + 1)")
     pointed = np.zeros(n, dtype=bool)
-    for name in ("left", "right"):
-        child = getattr(model, name)[internal]
-        if ((child <= internal) | (child >= n)).any():
-            raise ConfigError(f"{name}: an internal node's child must lie after "
-                              f"it and below {n}")
-        pointed[child] = True
+    pointed[child] = pointed[child + 1] = True
     return np.flatnonzero(~pointed)
 
 
 @dataclass(eq=False)
 class _NodeSet:
     """CART-style regression trees as one node set: an internal node stores
-    its children and the split (feature, threshold, a midpoint between
-    distinct values) that reduces squared error most, and every node the
-    mean and the count of the training targets that reached it."""
+    its left child, the right one being the next node, and the split
+    (feature, threshold, a midpoint between distinct values) that reduces
+    squared error most, and every node the mean and the count of the
+    training targets that reached it."""
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
-    right: np.ndarray
     value: np.ndarray
     n_samples: np.ndarray
     max_depth: int
     min_samples_leaf: int
 
     def __post_init__(self):
-        _check_family(self)
         self._roots = _check_nodes(self)
 
     def _walk(self, points, base=0.0, rate=1.0) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         return _kernels.forest_predict(self.feature, self.threshold, self.left,
-                                       self.right, self.value, self._roots, points,
-                                       base, rate)
+                                       self.value, self._roots, points, base, rate)
 
 
 @dataclass(eq=False)
 class RegressionTree(_NodeSet):
     """One regression tree: a node set whose one root is node 0."""
-
-    family: str = "tree"
 
     def __post_init__(self):
         super().__post_init__()
@@ -424,11 +409,8 @@ def _grow_tree(plan, unique, counts, sums, spread, max_depth, levels, first=0):
 
 
 def _node_arrays(levels):
-    """The six node arrays of the depths :func:`_grow_tree` appended."""
-    if not levels:
-        return [np.empty(0)] * 6
-    feature, threshold, left, value, n = (np.concatenate(a) for a in zip(*levels))
-    return feature, threshold, left, np.where(left >= 0, left + 1, -1), value, n.astype(np.int64)
+    """The five node arrays of the depths :func:`_grow_tree` appended."""
+    return [np.concatenate(a) for a in zip(*levels)] if levels else [np.empty(0)] * 5
 
 
 def fit_tree(points, targets, max_depth: int = 6,
@@ -464,7 +446,6 @@ class BoostedEnsemble(_NodeSet):
     base_value: float
     learning_rate: float
     train_mse: tuple[float, ...]
-    family: str = "boosted"
 
     def __post_init__(self):
         super().__post_init__()

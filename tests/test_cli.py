@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blocktune import _kernels, cli, configio, simulator
+from blocktune import _kernels, cli, configio, simulator, surrogate
 from blocktune.simulator import derive_seed
 
 PINNED_OPTIMIZE = Path(__file__).parent / "data" / "pinned_optimize.json"
@@ -155,7 +155,8 @@ class TestMalformedModel:
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("key, edit", [
-        ("right", lambda forest: forest["right"].__setitem__(0, len(forest["right"]))),
+        # its right child, left + 1, would lie past the last node
+        ("left", lambda forest: forest["left"].__setitem__(0, len(forest["left"]) - 1)),
         ("value", lambda forest: forest.pop("value")),
     ])
     def test_bad_child_or_missing_key_exits_1(self, tmp_path, model_path,
@@ -175,25 +176,48 @@ class TestMalformedModel:
         read."""
         d = load(model_path)
         forest = d["vt_model"]
-        keys = ("feature", "threshold", "left", "right", "value", "n_samples")
-        pointed = set(forest["left"]) | set(forest["right"])
+        keys = ("feature", "threshold", "left", "value", "n_samples")
+        pointed = {c + side for c in forest["left"] if c >= 0 for side in (0, 1)}
         starts = [i for i in range(len(forest["feature"])) if i not in pointed]
         trees = []
         for lo, hi in zip(starts, starts[1:] + [len(forest["feature"])]):
             tree = {key: forest[key][lo:hi] for key in keys}
-            for key in ("left", "right"):
-                tree[key] = [c - lo if c >= 0 else -1 for c in tree[key]]
+            tree["left"] = [c - lo if c >= 0 else -1 for c in tree["left"]]
             trees.append(dict(tree, max_depth=forest["max_depth"],
-                              min_samples_leaf=forest["min_samples_leaf"], family="tree"))
+                              min_samples_leaf=forest["min_samples_leaf"]))
         assert len(trees) == len(forest["train_mse"]) - 1 == 10
         d["vt_model"] = {"base_value": forest["base_value"], "trees": trees,
                          "learning_rate": forest["learning_rate"],
-                         "train_mse": forest["train_mse"], "family": "boosted"}
+                         "train_mse": forest["train_mse"]}
         model = write(tmp_path / "per_round.json", d)
         capsys.readouterr()
         assert run(tmp_path, "optimize", instance_path, model) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"error: {model}.vt_model: unknown key 'trees'")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "optimize.json").exists()
+
+    def test_earlier_stored_layout_exits_1(self, tmp_path, model_path, instance_path,
+                                           capsys):
+        """The model file as ``train`` wrote it before every stored key was
+        one an answer reads, with each model's ``family``, each node's
+        ``right`` child and the polynomial's ``exponents``, exits 1 naming
+        the first of those keys."""
+        d = load(model_path)
+        for name, family in (("vt_model", "boosted"), ("latency_model", "tree")):
+            d[name].update(family=family,
+                           right=[c + 1 if c >= 0 else -1 for c in d[name]["left"]])
+        d["ct_model"].update(family="polynomial",
+                             exponents=surrogate._monomial_exponents(d["ct_model"]["degree"]))
+        model = str(tmp_path / "earlier.json")
+        configio.write_json(model, d)
+        # the digest train/m.json was pinned at in that layout
+        assert (hashlib.sha256(Path(model).read_bytes()).hexdigest()
+                == "ef685ae766fed9b2df7bbc3ad8c018de1d3fcf969a353662097dbcbe3ec7c8f0")
+        capsys.readouterr()
+        assert run(tmp_path, "optimize", instance_path, model) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}.vt_model: unknown key 'family'")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "optimize.json").exists()
 
@@ -511,6 +535,24 @@ def config_argv(command, config, model_path):
     # the entry were absent
     ("sensitivity", edited(SWEEP, ("fixed", "tx_size"), 99999),
      "fixed: 'tx_size' is the varied factor"),
+    # each of these exited 1 with an IndexError traceback
+    ("pipeline", edited(PIPELINE, ("train_grid", "bandwidth_factors"), []),
+     "train_grid: bandwidth_factors must not be empty"),
+    ("sensitivity", edited(SWEEP, ("train_grid", "bandwidth_factors"), []),
+     "train_grid: bandwidth_factors must not be empty"),
+    # and each of these with an OverflowError traceback: numpy holds the
+    # sizes as int64
+    ("simulate", edited(edited(SIMULATE, ("workload", "tx_size_bytes"), 10**30),
+                        ("block_cut", "max_bytes"), 10**31),
+     "workload.tx_size_bytes must lie in [-2**63, 2**63), got 10000"),
+    ("pipeline", edited(edited(PIPELINE, TRANSACTIONS + ("size_bytes",), 10**30),
+                        ("instance", "limits", "cb"), 10**31),
+     "transactions.size_bytes must lie in [-2**63, 2**63), got 10000"),
+    ("sensitivity", dict(SWEEP, values=[10**30, 2 * 10**30, 3 * 10**30]),
+     "c.json: tx_size must lie below 2**63 bytes, got [10000"),
+    ("sensitivity", dict(SWEEP, varied_factor="bandwidth", values=[1.0e6, 2.0e6, 4.0e6],
+                         fixed={"arrival_rate": 200.0, "tx_size": 1e30}),
+     "c.json: tx_size must lie below 2**63 bytes, got [1e+30]"),
 ])
 def test_bad_config_value_exits_1(tmp_path, capsys, model_path, command, config, key):
     """A config value or section of the wrong type, a value out of range, an

@@ -87,6 +87,9 @@ def test_nested_config_classes_are_reached():
     (np.ndarray, [np.int64(1), np.float32(0.5), float("-inf")], np.array([1.0, 0.5, -np.inf])),
     (np.ndarray, [], np.array([])),
     (float, float("inf"), float("inf")),
+    # the int64 range, in which numpy holds every integer config value
+    (int, 2**63 - 1, 2**63 - 1),
+    (int, -2**63, -2**63),
 ])
 def test_read_value(hint, value, expected):
     assert repr(configio.read_value(hint, value, "x")) == repr(expected)  # types too
@@ -102,6 +105,8 @@ def test_read_value(hint, value, expected):
     (float, float("nan"), "x must be a number, got nan"),
     (Real, float("nan"), "x must be a number, got nan"),
     (np.ndarray, [1, "a"], r"x\[1\] must be a number"),
+    (int, 2**63, r"x must lie in \[-2\*\*63, 2\*\*63\), got 9223372036854775808"),
+    (int, -2**63 - 1, r"x must lie in \[-2\*\*63, 2\*\*63\)"),
 ])
 def test_read_value_rejects(hint, value, message):
     with pytest.raises(ConfigError, match=message):

@@ -4,6 +4,7 @@ row layout, stored-model checks, dataset I/O."""
 
 import gc
 import json
+import types
 import weakref
 
 import numpy as np
@@ -226,7 +227,7 @@ class TestRegressionTree:
         def depth(node):
             if tree.feature[node] < 0:
                 return 0
-            return 1 + max(depth(tree.left[node]), depth(tree.right[node]))
+            return 1 + max(depth(tree.left[node]), depth(tree.left[node] + 1))
 
         assert depth(0) == 4  # 200 noisy targets fill every level allowed
 
@@ -284,12 +285,10 @@ class TestBoosting:
 
 def _stub_predictor(vt=0.01, ct=0.02, latency=0.5, ranges=None):
     """Predictor built from constant models with known outputs."""
-    vt_model = BoostedEnsemble(*[[]] * 6, max_depth=3, min_samples_leaf=1, base_value=vt,
+    vt_model = BoostedEnsemble(*[[]] * 5, max_depth=3, min_samples_leaf=1, base_value=vt,
                                learning_rate=0.1, train_mse=[0.0])
-    exps = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    ct_model = PolynomialModel(1, exps, [ct, 0.0, 0.0, 0.0],
-                               np.zeros(3), np.ones(3))
-    latency_model = RegressionTree([-1], [0.0], [-1], [-1], [latency], [1], 6, 5)
+    ct_model = PolynomialModel(1, [ct, 0.0, 0.0, 0.0], np.zeros(3), np.ones(3))
+    latency_model = RegressionTree([-1], [0.0], [-1], [latency], [1], 6, 5)
     if ranges is None:
         ranges = [[1.0, 100.0], [1.0, 1e6], [1e5, 1e8]]
     return PerformancePredictor(vt_model, ct_model, latency_model, ranges)
@@ -490,22 +489,21 @@ def split_forest(model):
     """The rounds of a fitted ensemble as separate trees: a fit stores each
     round's nodes back to back, from its root up to the next round's, and
     here each is renumbered from 0."""
-    internal = model.feature >= 0
-    pointed = np.concatenate([model.left[internal], model.right[internal]])
-    roots = np.setdiff1d(np.arange(model.feature.size), pointed)
+    left = model.left[model.feature >= 0]
+    roots = np.setdiff1d(np.arange(model.feature.size), np.concatenate([left, left + 1]))
     trees = []
     for lo, hi in zip(roots, np.append(roots[1:], model.feature.size)):
-        left, right = (np.where(c[lo:hi] >= 0, c[lo:hi] - lo, -1)
-                       for c in (model.left, model.right))
+        left = np.where(model.left[lo:hi] >= 0, model.left[lo:hi] - lo, -1)
         trees.append(RegressionTree(model.feature[lo:hi], model.threshold[lo:hi], left,
-                                    right, model.value[lo:hi], model.n_samples[lo:hi],
+                                    model.value[lo:hi], model.n_samples[lo:hi],
                                     model.max_depth, model.min_samples_leaf))
     return trees
 
 
 def tree_walk(tree, points):
     """The walk of one tree that the forest walk replaced: every row from
-    node 0, one level per step."""
+    node 0, one level per step, to ``left`` when x <= threshold and to the
+    next node otherwise."""
     node = np.zeros(points.shape[0], dtype=np.int64)
     while True:
         f = tree.feature[node]
@@ -514,7 +512,7 @@ def tree_walk(tree, points):
             break
         idx = node[active]
         go_left = points[active, f[active]] <= tree.threshold[idx]
-        node[active] = np.where(go_left, tree.left[idx], tree.right[idx])
+        node[active] = np.where(go_left, tree.left[idx], tree.left[idx] + 1)
     return tree.value[node]
 
 
@@ -575,8 +573,7 @@ def two_round_nodes(**edits):
     (nodes 1 and 2), and round 1 is one leaf, node 3; ``edits`` replace
     single entries, ``name=(node, value)``."""
     nodes = {"feature": [0, -1, -1, -1], "threshold": [5.0, 0.0, 0.0, 0.0],
-             "left": [1, -1, -1, -1], "right": [2, -1, -1, -1],
-             "value": [0.5, 1.0, 2.0, 4.0], "n_samples": [4, 2, 2, 4]}
+             "left": [1, -1, -1, -1], "value": [0.5, 1.0, 2.0, 4.0], "n_samples": [4, 2, 2, 4]}
     for name, (node, value) in edits.items():
         nodes[name][node] = value
     return nodes
@@ -593,16 +590,18 @@ class TestNodeChecks:
 
     @pytest.mark.parametrize("edit, message", [
         ({"left": (0, 0)}, "left: an internal node's child must lie after it"),
-        ({"right": (0, 0)}, "right: an internal node's child must lie after it"),
-        ({"right": (0, 4)}, "right: an internal node's child must lie after it and below 4"),
+        ({"left": (0, -1)}, "left: an internal node's child must lie after it"),
+        # its right child, left + 1, would be node 4
+        ({"left": (0, 3)}, "left: an internal node's child must lie after it and below 4"),
         ({"feature": (0, 3)}, "feature: must be -1"),
         ({"n_samples": (1, 2.5)}, "n_samples: expected integers"),
         ({"threshold": (0, np.inf)}, "threshold: not finite"),
     ])
     def test_walk_must_end(self, edit, message):
-        """Every internal node's children lie after it and inside the set,
-        so no walk loops; a node that is its own child is rejected before
-        any walk."""
+        """Every internal node's children, ``left`` and ``left + 1``, lie
+        after it and inside the set, so no walk loops; a node that is its
+        own child, or whose right child would be past the last node, is
+        rejected before any walk."""
         with pytest.raises(ConfigError, match=message):
             BoostedEnsemble(**two_round_nodes(**edit), max_depth=1, min_samples_leaf=1,
                             base_value=0.0, learning_rate=0.1, train_mse=[1.0] * 3)
@@ -638,7 +637,7 @@ def node_rows(tree, points):
             rows = reached[node]
             go_left = points[rows, tree.feature[node]] <= tree.threshold[node]
             reached[tree.left[node]] = rows[go_left]
-            reached[tree.right[node]] = rows[~go_left]
+            reached[tree.left[node] + 1] = rows[~go_left]
     return reached
 
 
@@ -717,7 +716,9 @@ def reference_tree(points, targets, max_depth, min_samples_leaf):
     """The recursive grower the level-wise one replaced: one call per node,
     depth first, each node gathering its rows, storing their
     ``ndarray.mean`` and searching its own groups with
-    :func:`reference_split`."""
+    :func:`reference_split`. Its nodes are numbered depth first, so a right
+    child does not follow its sibling: it returns its own node arrays, with
+    ``right``."""
     unique, inverse, counts = group_rows(points)
     sums = np.bincount(inverse, weights=targets, minlength=counts.size)
     feature, threshold, left, right, value, n_samples = [], [], [], [], [], []
@@ -747,21 +748,21 @@ def reference_tree(points, targets, max_depth, min_samples_leaf):
         return node
 
     build(np.arange(points.shape[0]), np.arange(counts.size), 0)
-    return RegressionTree(feature, threshold, left, right, value, n_samples,
-                          max_depth, min_samples_leaf)
+    return types.SimpleNamespace(feature=feature, threshold=threshold, left=left,
+                                 right=right, value=value, n_samples=n_samples)
 
 
 def assert_same_tree(got, want, atol, node=0, want_node=0):
-    """The trees split alike from these nodes down, with equal row counts,
-    whatever their node numbering; values agree within 1e-12 relative or
-    ``atol``."""
+    """The fitted tree ``got`` and the :func:`reference_tree` ``want`` split
+    alike from these nodes down, with equal row counts, whatever their node
+    numbering; values agree within 1e-12 relative or ``atol``."""
     assert got.feature[node] == want.feature[want_node]
     assert got.n_samples[node] == want.n_samples[want_node]
     assert np.isclose(got.value[node], want.value[want_node], rtol=1e-12, atol=atol)
     if want.feature[want_node] >= 0:
         assert got.threshold[node] == want.threshold[want_node]
         assert_same_tree(got, want, atol, got.left[node], want.left[want_node])
-        assert_same_tree(got, want, atol, got.right[node], want.right[want_node])
+        assert_same_tree(got, want, atol, got.left[node] + 1, want.right[want_node])
 
 
 @st.composite
@@ -927,11 +928,22 @@ def child_before_parent(d):
     forest["left"][node] = node - 1
 
 
+def point_at_last_node(d):
+    """Point the forest's first node's left child at its last node, so its
+    right child would lie past the end."""
+    forest = d["vt_model"]
+    forest["left"][0] = len(forest["left"]) - 1
+
+
+def swap_models(d):
+    d["vt_model"], d["latency_model"] = d["latency_model"], d["vt_model"]
+
+
 def second_root(d):
     """Append a leaf that no node points to: a second root."""
     tree = d["latency_model"]
     for name, value in (("feature", -1), ("threshold", 0.0), ("left", -1),
-                        ("right", -1), ("value", 0.1), ("n_samples", 1)):
+                        ("value", 0.1), ("n_samples", 1)):
         tree[name].append(value)
 
 
@@ -945,7 +957,8 @@ class TestStoredModelChecks:
         (lambda d: d["latency_model"]["left"].pop(), "latency_model: left"),
         (lambda d: d["latency_model"]["feature"].__setitem__(0, 3),
          "latency_model: feature"),
-        (lambda d: d["vt_model"]["right"].__setitem__(0, 99), "vt_model: right"),
+        (point_at_last_node,
+         "vt_model: left: an internal node's child must lie after it and below"),
         (child_before_parent,
          "vt_model: left: an internal node's child must lie after it"),
         (second_root, "latency_model: a tree has one root, node 0, not"),
@@ -964,8 +977,6 @@ class TestStoredModelChecks:
         (lambda d: d["ct_model"]["coefficients"].pop(), "ct_model: coefficients"),
         (lambda d: d["ct_model"].__setitem__("feature_mean", [0.0, 0.0]),
          "ct_model: feature_mean"),
-        (lambda d: d["ct_model"]["exponents"][1].__setitem__(0, "x"),
-         r"ct_model\.exponents\[1\]\[0\] must be an integer"),
         (lambda d: d["vt_model"].__setitem__("base_value", "x"),
          r"vt_model\.base_value must be a number"),
         (lambda d: d["vt_model"].__setitem__("learning_rate", "x"),
@@ -975,10 +986,11 @@ class TestStoredModelChecks:
         (lambda d: d["ct_model"]["feature_scale"].__setitem__(0, 0),
          "ct_model: feature_scale"),
         (lambda d: d["vt_model"].__setitem__("depth", 3), "vt_model: unknown key 'depth'"),
-        (lambda d: d["vt_model"].__setitem__("family", "tree"),
-         "vt_model: family must be 'boosted', got 'tree'"),
-        (lambda d: d["latency_model"].__setitem__("family", "boosted"),
-         "latency_model: family must be 'tree', got 'boosted'"),
+        # a model stored under the other's key: the forest's keys are a
+        # tree's plus its base value, learning rate and MSE trace
+        (swap_models, "vt_model: missing required key 'base_value'"),
+        (lambda d: d.__setitem__("latency_model", d["vt_model"]),
+         "latency_model: unknown key 'base_value'"),
     ])
     def test_rejected_naming_model_and_key(self, stored_model, tmp_path, mutation,
                                            message):

@@ -124,6 +124,18 @@ MUTANTS = (
     Mutant("tx-sizes-may-collapse", "src/blocktune/experiments.py",
            "if len(tx_sizes) < 2:", "if len(tx_sizes) < 1:",
            ("tests/test_cli.py::test_bad_config_value_exits_1",)),
+    Mutant("bandwidth-factors-may-be-empty", "src/blocktune/experiments.py",
+           "if not self.bandwidth_factors:", "if self.bandwidth_factors is None:",
+           ("tests/test_cli.py::test_bad_config_value_exits_1",)),
+    # Integers numpy cannot hold.
+    Mutant("int-rule-unbounded-above", "src/blocktune/configio.py",
+           "-2**63 <= check_number(value, where, integer=True) < 2**63",
+           "-2**63 <= check_number(value, where, integer=True)",
+           ("tests/test_configio.py::test_read_value_rejects",
+            "tests/test_cli.py::test_bad_config_value_exits_1")),
+    Mutant("sweep-tx-size-unbounded", "src/blocktune/experiments.py",
+           "for size in sizes):", "for size in sizes[:0]):",
+           ("tests/test_cli.py::test_bad_config_value_exits_1",)),
     Mutant("envelope-from-all-rows", "src/blocktune/surrogate.py",
            "ranges = tuple(zip(tp.min(axis=0).tolist(), tp.max(axis=0).tolist()))",
            "ranges = tuple(zip(points.min(axis=0).tolist(), "
@@ -158,9 +170,16 @@ MUTANTS = (
            ("tests/test_surrogate.py::test_level_grower_matches_recursive_reference",)),
     # The node-set check and the one-call forest walk.
     Mutant("child-may-be-its-parent", "src/blocktune/surrogate.py",
-           "if ((child <= internal) | (child >= n)).any():",
-           "if ((child < internal) | (child >= n)).any():",
+           "if ((child <= internal) | (child >= n - 1)).any():",
+           "if ((child < internal) | (child >= n - 1)).any():",
            ("tests/test_surrogate.py::TestNodeChecks::test_walk_must_end",)),
+    Mutant("last-node-left-child-accepted", "src/blocktune/surrogate.py",
+           "(child >= n - 1)", "(child >= n)",
+           ("tests/test_surrogate.py::TestNodeChecks::test_walk_must_end",)),
+    # NaN goes right in the walk, as it falls in the last cell of a table.
+    Mutant("walk-sends-nan-left", "src/blocktune/_kernels.py",
+           "~(x <= threshold[idx])", "(x > threshold[idx])",
+           ("tests/test_surrogate.py::TestCellTable::test_grid_answers_are_the_walks",)),
     Mutant("tree-may-have-two-roots", "src/blocktune/surrogate.py",
            "if self._roots.tolist() != [0]:", "if self._roots.tolist()[:1] != [0]:",
            ("tests/test_surrogate.py::TestNodeChecks::test_a_tree_has_one_root",)),
