@@ -30,7 +30,6 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import fields
 
 from . import configio, experiments, ga, simulator, surrogate
 from .configio import resolve_seed, to_json, write_csv, write_json
@@ -99,15 +98,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    raw = configio.check_keys(configio.load_json(args.config), ("sim", "grid"), args.config)
-    sim = configio.check_object(raw.get("sim", {}), f"{args.config}.sim")
-    seed = resolve_seed(args.seed, sim.get("rng_seed"))
-    base = configio.build_config(simulator.SimConfig, dict(sim, rng_seed=seed),
-                                 f"{args.config}.sim")
-    grid = configio.build_config(simulator.DataGrid, raw.get("grid", {}),
-                                 f"{args.config}.grid")
+    raw = configio.load_json(args.config)
+    seed = resolve_seed(args.seed, raw.get("rng_seed"))
+    grid = configio.build_config(simulator.DataGrid, dict(raw, rng_seed=seed), args.config)
     out = _out_path(args, args.out)
-    data = simulator.generate_training_dataset(base, grid)
+    data = simulator.generate_training_dataset(grid)
     surrogate.save_dataset(data, out)
     _emit(args, [f"wrote {len(data)} training samples to {out}"])
     _finish(args, out, raw, {"root": seed}, [args.config], [out],
@@ -186,12 +181,11 @@ def cmd_sensitivity(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    raw = configio.check_keys(configio.load_json(args.scenarios),
-                              ("scenarios", "neighbor_offsets"), args.scenarios)
+    raw = configio.check_keys(configio.load_json(args.scenarios), ("scenarios",),
+                              args.scenarios)
     entries = configio.check_list(raw.get("scenarios", []), f"{args.scenarios}.scenarios")
     if not entries:
         raise ConfigError(f"{args.scenarios}: no 'scenarios' list")
-    offsets = experiments.read_neighbor_offsets(raw)
     # A seed from the flag or the environment roots every scenario's seed;
     # otherwise each scenario keeps its own config value.
     root = resolve_seed(args.seed, None, default=None)
@@ -202,7 +196,7 @@ def cmd_validate(args) -> int:
         if root is not None:
             entry["rng_seed"] = derive_seed(root, "scenario", i)
         scenarios.append(configio.build_config(experiments.Scenario, entry, where))
-    report = experiments.run_validation(scenarios, offsets)
+    report = experiments.run_validation(scenarios)
     out = _out_path(args, args.out)
     write_json(out, to_json(report))
     _emit(args, report.summary_lines())
@@ -212,15 +206,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    # neighbor_offsets is a key of the file, not of the scenario
-    raw = configio.check_keys(
-        configio.load_json(args.config),
-        [f.name for f in fields(experiments.Scenario)] + ["neighbor_offsets"], args.config)
+    raw = configio.load_json(args.config)
     raw = dict(raw, rng_seed=resolve_seed(args.seed, raw.get("rng_seed")))
-    offsets = experiments.read_neighbor_offsets(raw)
-    scenario = configio.build_config(
-        experiments.Scenario,
-        {k: v for k, v in raw.items() if k != "neighbor_offsets"}, args.config)
+    scenario = configio.build_config(experiments.Scenario, raw, args.config)
     os.makedirs(args.out_dir or ".", exist_ok=True)
 
     outcome = experiments.run_scenario_pipeline(scenario)
@@ -231,7 +219,7 @@ def cmd_pipeline(args) -> int:
     optimize_path = _out_path(args, "optimize.json")
     write_json(optimize_path, to_json(outcome.ga_result))
 
-    validation = experiments.run_validation([scenario], offsets)
+    validation = experiments.run_validation([scenario])
     validation_path = _out_path(args, "validation.json")
     write_json(validation_path, to_json(validation))
 
@@ -261,10 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", default="sim_result.json")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("gen-data", help="harvest training samples over a grid",
-                       description="The grid replaces sim.nodes, sim.block_cut.max_tx_count "
-                       "and sim.workload's tx size, which change no sample; that tx size is "
-                       "still checked against sim.block_cut.max_bytes.")
+    p = sub.add_parser("gen-data", help="harvest training samples over a grid")
     p.add_argument("config")
     p.add_argument("-o", "--out", default="dataset.csv")
     p.set_defaults(func=cmd_gen_data)

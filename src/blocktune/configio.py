@@ -20,7 +20,8 @@ forms are read by hand:
 * ``nodes`` is a non-empty list of ``{"bandwidth_bytes_per_sec": bw}``.
 
 Transaction and node ids are implicit by position. For example, an
-``instance`` and a ``workload``::
+``instance``, a ``workload``, and a ``gen-data`` file, which is one
+``simulator.DataGrid`` (its ``cost`` object may be given too)::
 
     {"transactions": {"count": 12, "size_bytes": 1024},
      "nodes": [{"bandwidth_bytes_per_sec": 8.0e6}],
@@ -28,6 +29,10 @@ Transaction and node ids are implicit by position. For example, an
 
     {"arrival_process": "fixed" | "poisson", "arrival_rate_tps": 400.0,
      "total_tx": 1200, "tx_size_bytes": 1024, "rng_seed": 3}
+
+    {"block_sizes": [2, 4, 8], "tx_sizes": [500, 1000], "bandwidths": [1.0e6],
+     "arrival_rate_tps": 200.0, "total_tx": 60, "max_bytes": 65536, "timeout_s": 1.0,
+     "arrival_process": "fixed", "replicates": 1, "rng_seed": 3}
 
 :func:`to_json` runs the rule backwards: a dataclass becomes an object of
 its fields, and a tuple or an array a list. So reading what it writes and

@@ -89,10 +89,12 @@ class TrainingGrid:
                 "transaction size makes block bytes collinear with the "
                 "transaction count)")
 
-    def resolve(self, instance: ProblemInstance) -> DataGrid:
-        """The cells to simulate for ``instance``: the tx size factors times
+    def resolve(self, instance: ProblemInstance, arrival_rate_tps: float,
+                arrival_process: str, cost: GroundTruthCost, rng_seed: int) -> DataGrid:
+        """The grid to simulate for ``instance``: the tx size factors times
         its largest transaction, rounded to whole bytes, and the bandwidth
-        factors times its first node's bandwidth, each finite and > 0."""
+        factors times its first node's bandwidth, each finite and > 0, under
+        the given workload, costs and seed."""
         tx_size = int(instance.sizes.max())
         tx_sizes = sorted({max(1, int(round(tx_size * f))) for f in self.tx_size_factors})
         if len(tx_sizes) < 2:
@@ -104,7 +106,8 @@ class TrainingGrid:
             raise ConfigError(f"train_grid.bandwidth_factors times the {bandwidth} "
                               f"bytes/s bandwidth must be finite and > 0, got {bandwidths}")
         return DataGrid(self.block_sizes, tuple(tx_sizes), tuple(bandwidths),
-                        self.replicates)
+                        arrival_rate_tps, self.total_tx, self.max_bytes, self.timeout_s,
+                        arrival_process, self.replicates, cost, rng_seed)
 
 
 @dataclass(frozen=True)
@@ -201,21 +204,9 @@ def _tune(spec, instance: ProblemInstance, rate: float, process: str,
           data_seed: int, ga_seed: int):
     """generate data -> fit predictor -> genetic search for ``instance`` with
     the settings of ``spec`` (a :class:`SweepSpec` or :class:`Scenario`),
-    training on the cells its ``train_grid`` resolves to."""
-    grid = spec.train_grid
-    cells = grid.resolve(instance)
-    # each cell replaces the base's tx size and node
-    base = SimConfig(
-        workload=WorkloadProfile(
-            arrival_rate_tps=rate, total_tx=grid.total_tx, arrival_process=process,
-            tx_size_bytes=cells.tx_sizes[0], rng_seed=derive_seed(data_seed, "workload")),
-        nodes=(NodeProfile(0, cells.bandwidths[0]),),
-        block_cut=BlockCutRule(max_tx_count=max(grid.block_sizes),
-                               max_bytes=grid.max_bytes, timeout_s=grid.timeout_s),
-        cost=spec.cost,
-        rng_seed=data_seed,
-    )
-    samples = generate_training_dataset(base, cells)
+    training on the grid its ``train_grid`` resolves to."""
+    samples = generate_training_dataset(
+        spec.train_grid.resolve(instance, rate, process, spec.cost, data_seed))
     predictor = fit_predictor(samples, spec.surrogate)
     result = ga.run(instance, predictor, replace(spec.ga, rng_seed=ga_seed))
     return samples, predictor, result
@@ -357,11 +348,12 @@ class ScenarioOutcome:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Every scenario's outcome; ``win_count`` and ``scenario_count`` are
+    """Every scenario's outcome, validated at the recommendation plus each
+    of ``neighbor_offsets``; ``win_count`` and ``scenario_count`` are
     computed from ``scenarios`` on construction."""
 
     scenarios: tuple[ScenarioOutcome, ...]
-    neighbor_offsets: tuple[int, ...]
+    neighbor_offsets: tuple[int, ...] = field(default=NEIGHBOR_OFFSETS, init=False)
     win_count: int = field(init=False)
     scenario_count: int = field(init=False)
 
@@ -381,28 +373,15 @@ class ValidationReport:
         return lines
 
 
-def read_neighbor_offsets(raw: dict) -> tuple:
-    """The config's ``neighbor_offsets`` (default :data:`NEIGHBOR_OFFSETS`):
-    a list of integers that includes 0, the recommendation."""
-    offsets = configio.read_value(tuple[int, ...],
-                                  raw.get("neighbor_offsets", NEIGHBOR_OFFSETS),
-                                  "neighbor_offsets")
-    if 0 not in offsets:
-        raise ConfigError("neighbor_offsets must include 0 (the recommendation)")
-    return offsets
-
-
-def validate_scenario(scenario: Scenario,
-                      neighbor_offsets=NEIGHBOR_OFFSETS) -> ScenarioOutcome:
+def validate_scenario(scenario: Scenario) -> ScenarioOutcome:
     """Tune one scenario, then measure simulated throughput at the
-    recommendation and its clamped neighbors under one workload seed.
-    ``neighbor_offsets`` are integers that include 0
-    (:func:`read_neighbor_offsets`)."""
+    recommendation and its :data:`NEIGHBOR_OFFSETS` neighbors, clamped to
+    [1, ub], under one workload seed."""
     try:
         outcome = run_scenario_pipeline(scenario)
         rec = outcome.ga_result.recommended_block_size
         ub = scenario.instance.limits.ub
-        sizes = sorted({min(max(rec + off, 1), ub) for off in neighbor_offsets})
+        sizes = sorted({min(max(rec + off, 1), ub) for off in NEIGHBOR_OFFSETS})
         sim_seed = derive_seed(scenario.rng_seed, "sim")
         config = SimConfig(
             workload=replace(scenario.workload,
@@ -428,9 +407,7 @@ def validate_scenario(scenario: Scenario,
     )
 
 
-def run_validation(scenarios, neighbor_offsets=NEIGHBOR_OFFSETS) -> ValidationReport:
+def run_validation(scenarios) -> ValidationReport:
     if not scenarios:
         raise ConfigError("at least one scenario is required")
-    outcomes = tuple(validate_scenario(sc, neighbor_offsets) for sc in scenarios)
-    return ValidationReport(scenarios=outcomes,
-                            neighbor_offsets=tuple(neighbor_offsets))
+    return ValidationReport(tuple(validate_scenario(sc) for sc in scenarios))

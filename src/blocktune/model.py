@@ -40,6 +40,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import (
+    ConfigError,
     ConstraintViolationError,
     EmptyInstanceError,
     InfeasibleInstanceError,
@@ -137,6 +138,10 @@ class ProblemInstance:
         if node_ids != list(range(len(nodes))):
             raise InfeasibleInstanceError("node ids must be unique and contiguous from 0")
 
+        # the byte sums of blocks are int64s, so the total must be one too
+        total = sum(int(t.size_bytes) for t in txs)
+        if total >= 2**63:
+            raise ConfigError(f"transactions must sum to below 2**63 bytes, got {total}")
         sizes = np.array([t.size_bytes for t in txs], dtype=np.int64)
         bandwidths = np.array([nd.bandwidth_bytes_per_sec for nd in nodes], dtype=np.float64)
         sizes.flags.writeable = False
@@ -157,10 +162,10 @@ class ProblemInstance:
             raise InfeasibleInstanceError(
                 f"{nb} blocks of at most {self.limits.ub} transactions cannot hold "
                 f"all {n} transactions")
-        if nb * self.limits.cb < int(sizes.sum()):
+        if nb * self.limits.cb < total:
             raise InfeasibleInstanceError(
                 f"{nb} blocks of at most {self.limits.cb} bytes cannot hold "
-                f"{int(sizes.sum())} total bytes")
+                f"{total} total bytes")
         # No two transactions larger than cb / 2 share a block.
         halves = int(np.count_nonzero(2 * sizes > self.limits.cb))
         if halves > nb:

@@ -32,8 +32,10 @@ one cut, each keeps its own noise draw, and the whole grid is priced in one
 pass, one training row per block, into a (k, 6) float64 array whose columns
 are in ``surrogate.DATASET_COLUMNS`` order.
 
-Each entry takes a validated :class:`SimConfig`, plus a :class:`DataGrid`
-or a list of block sizes, and draws its own workloads. Times are
+Each entry takes one validated config and draws its own workloads:
+:func:`run_simulation` a :class:`SimConfig`, :func:`throughput_vs_blocksize`
+one and a list of block sizes, and :func:`generate_training_dataset` a
+:class:`DataGrid`, which holds every value its harvest reads. Times are
 continuous doubles. Runs with equal configs and seeds are identical.
 Distinct runs share no state and may execute concurrently.
 """
@@ -150,6 +152,18 @@ class BlockCutRule:
             raise ConfigError(f"timeout_s must be finite and > 0, got {self.timeout_s}")
 
 
+def _check_bytes(total_tx: int, max_tx_size: int, max_bytes: int, count_key: str):
+    """Raise ConfigError unless a transaction of ``max_tx_size`` bytes fits
+    under ``max_bytes`` and ``total_tx`` of them sum below 2**63, as the
+    int64 byte sums of a cut need; ``count_key`` names ``total_tx``."""
+    if max_tx_size > max_bytes:
+        raise ConfigError(f"a transaction of {max_tx_size} bytes can never fit "
+                          f"under max_bytes={max_bytes}")
+    if total_tx * max_tx_size >= 2**63:
+        raise ConfigError(f"{count_key} times the largest transaction size must lie "
+                          f"below 2**63 bytes, got {total_tx} * {max_tx_size}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One complete scenario: workload, nodes, cut rule, costs, and seed."""
@@ -164,21 +178,28 @@ class SimConfig:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         if not self.nodes:
             raise ConfigError("at least one committing node is required")
-        if self.workload.max_tx_size > self.block_cut.max_bytes:
-            raise ConfigError(
-                f"a transaction of {self.workload.max_tx_size} bytes can never fit "
-                f"under max_bytes={self.block_cut.max_bytes}")
+        _check_bytes(self.workload.total_tx, self.workload.max_tx_size,
+                     self.block_cut.max_bytes, "workload.total_tx")
 
 
 @dataclass(frozen=True)
 class DataGrid:
-    """gen-data's ``grid``: a training sample set simulates every (block
-    size, transaction size, bandwidth) cell ``replicates`` times."""
+    """A training sample set, and gen-data's config: every (block size, tx
+    size, bandwidth) cell simulated ``replicates`` times on one node. Each
+    tx size's workload and each block size's cut rule are built, and so
+    checked, once here."""
 
     block_sizes: tuple[int, ...]
     tx_sizes: tuple[int, ...]
     bandwidths: tuple[float, ...]
+    arrival_rate_tps: float
+    total_tx: int
+    max_bytes: int
+    timeout_s: float
+    arrival_process: str = "fixed"
     replicates: int = 1
+    cost: GroundTruthCost = GroundTruthCost()
+    rng_seed: int = 0
 
     def __post_init__(self):
         for name in ("block_sizes", "tx_sizes"):
@@ -190,6 +211,14 @@ class DataGrid:
                               f"> 0, got {list(self.bandwidths)}")
         if self.replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
+        object.__setattr__(self, "_workloads", {
+            ts: WorkloadProfile(self.arrival_rate_tps, self.total_tx, self.arrival_process,
+                                tx_size_bytes=int(ts))
+            for ts in self.tx_sizes})
+        object.__setattr__(self, "_rules", {
+            bs: BlockCutRule(int(bs), self.max_bytes, self.timeout_s)
+            for bs in self.block_sizes})
+        _check_bytes(self.total_tx, max(self.tx_sizes), self.max_bytes, "total_tx")
 
 
 # The fields of ``SimResult.per_block_records``, in order, and the header of
@@ -257,10 +286,11 @@ def _cut_blocks(arrivals, sizes, rule: BlockCutRule):
     by_timeout = np.maximum(
         np.searchsorted(arrivals, arrivals + rule.timeout_s, side="left"), idx + 1)
     # cum[k] - cum[i] is the size of transactions i..k-1, so the first k past
-    # the cap is one beyond the first transaction that does not fit. A cap at
-    # or above the total never binds; clamping it keeps the sum in int64.
+    # the cap is one beyond the first transaction that does not fit. A bound
+    # at or above the total never binds; clamping it keeps the sums in int64.
     max_bytes = min(rule.max_bytes, int(cum[-1]))
-    by_bytes = np.searchsorted(cum, cum[:-1] + max_bytes, side="right") - 1
+    bound = np.minimum(cum[:-1], cum[-1] - max_bytes) + max_bytes
+    by_bytes = np.searchsorted(cum, bound, side="right") - 1
     end = np.minimum(np.minimum(by_count, by_timeout), by_bytes)
 
     first, i, ends = [], 0, end.tolist()
@@ -375,25 +405,23 @@ def derive_seed(root: int, *parts) -> int:
     return int(np.random.SeedSequence(ints).generate_state(1)[0])
 
 
-def generate_training_dataset(base: SimConfig, grid: DataGrid):
-    """Cut and price one scenario per (block size, tx size, bandwidth) cell
-    of ``grid`` and replicate, harvesting one training row per block; the
-    blocks are never queued.
+def generate_training_dataset(grid: DataGrid):
+    """Cut and price one single-node scenario, so the bandwidth feature is
+    unambiguous, per cell of ``grid`` and replicate, harvesting one training
+    row per block; the blocks are never queued.
 
-    Each cell is ``base`` with one node, so the bandwidth feature is
-    unambiguous. Each distinct tx size is checked once against the byte
-    cap, raising what building its scenario would. A cell's noise seed,
-    and on a Poisson grid its workload seed, is :func:`derive_seed` of the
-    base seed, the cell's index and the replicate. A one-size
-    fixed-rate workload draws nothing from its seed, so a fixed-rate grid
-    clears that seed. The :func:`_cut_blocks` results are cached on (block
-    size, tx size, workload seed): on a fixed-rate grid the cells with the
-    same block size and tx size share one cut, whatever their bandwidth or
-    replicate, and a Poisson cell keeps its own. The noise stays per cell:
-    each cell draws its own :func:`_jitter`, in cell then replicate order.
-    The blocks of every cell are then priced in one :func:`_price` pass,
-    each on its own cell's bandwidth, and the service times are checked
-    once: a time that is not finite raises ConfigError naming ``cost``.
+    A cell's noise seed is :func:`derive_seed` of ``rng_seed``, the cell's
+    index and the replicate; on a Poisson grid its workload seed is that of
+    ``derive_seed(rng_seed, "workload")``. A one-size fixed-rate workload
+    draws nothing from its seed, so a fixed-rate grid clears it. The
+    :func:`_cut_blocks` results are cached on (block size, tx size, workload
+    seed): on a fixed-rate grid the cells with the same block size and tx
+    size share one cut, whatever their bandwidth or replicate, and a Poisson
+    cell keeps its own. The noise stays per cell: each cell draws its own
+    :func:`_jitter`, in cell then replicate order. The blocks of every cell
+    are then priced in one :func:`_price` pass, each on its own cell's
+    bandwidth, and the service times are checked once: a time that is not
+    finite raises ConfigError naming ``cost``.
 
     The latency target is the block's own service latency (dispatch +
     transfer + validation + commit), i.e. the per-block cost the optimizer
@@ -401,34 +429,29 @@ def generate_training_dataset(base: SimConfig, grid: DataGrid):
     (k, 6) float64 dataset array, columns in ``surrogate.DATASET_COLUMNS``
     order.
     """
-    workloads = {}
-    for ts in grid.tx_sizes:
-        workloads[ts] = replace(base.workload, tx_size_bytes=int(ts),
-                                tx_size_range_bytes=None)
-        replace(base, workload=workloads[ts])  # its transactions fit under max_bytes
-    rules = {bs: replace(base.block_cut, max_tx_count=int(bs)) for bs in grid.block_sizes}
-    fixed = base.workload.arrival_process == "fixed"
+    fixed = grid.arrival_process == "fixed"
+    workload_seed = derive_seed(grid.rng_seed, "workload")
     cuts = {}
     counts, nbytes, links, jitters = [], [], [], []
     cells = itertools.product(grid.block_sizes, grid.tx_sizes, grid.bandwidths)
     for cell, (bs, ts, bw) in enumerate(cells):
         for rep in range(grid.replicates):
-            seed = 0 if fixed else derive_seed(base.workload.rng_seed, cell, rep)
+            seed = 0 if fixed else derive_seed(workload_seed, cell, rep)
             key = (bs, ts, seed)
             if key not in cuts:
-                drawn = _generate_workload(replace(workloads[ts], rng_seed=seed))
-                cuts[key] = _cut_blocks(*drawn, rules[bs])[1:3]
+                drawn = _generate_workload(replace(grid._workloads[ts], rng_seed=seed))
+                cuts[key] = _cut_blocks(*drawn, grid._rules[bs])[1:3]
             count, block_bytes = cuts[key]
             counts.append(count)
             nbytes.append(block_bytes)
             links.append(float(bw))
-            jitters.append(_jitter(derive_seed(base.rng_seed, cell, rep),
-                                   base.cost.noise_sd_fraction, (count.size, 1, 2)))
+            jitters.append(_jitter(derive_seed(grid.rng_seed, cell, rep),
+                                   grid.cost.noise_sd_fraction, (count.size, 1, 2)))
     count, nbytes = np.concatenate(counts), np.concatenate(nbytes)
     bw = np.repeat(links, [c.size for c in counts])[:, None]
-    transfer, vt, ct = _price(base.cost, count, nbytes, bw, np.concatenate(jitters))
+    transfer, vt, ct = _price(grid.cost, count, nbytes, bw, np.concatenate(jitters))
     with np.errstate(over="ignore"):
-        service = base.cost.dispatch_overhead_s + transfer + vt + ct
+        service = grid.cost.dispatch_overhead_s + transfer + vt + ct
     _finite_times(service)
     return np.column_stack((count, nbytes, bw, vt, ct, service))
 

@@ -6,14 +6,7 @@ from hypothesis import strategies as st
 
 from blocktune.ga import initialize_population
 from blocktune.model import BlockLimits, NodeProfile, ProblemInstance, Transaction
-from blocktune.simulator import (
-    BlockCutRule,
-    DataGrid,
-    GroundTruthCost,
-    SimConfig,
-    WorkloadProfile,
-    generate_training_dataset,
-)
+from blocktune.simulator import DataGrid, generate_training_dataset
 from blocktune.surrogate import SurrogateConfig, fit_predictor
 
 
@@ -136,12 +129,8 @@ def rng():
 def fitted_predictor():
     """A predictor fitted, as a tune pipeline fits one, on a simulated grid
     of 4 block sizes x 3 transaction sizes x 3 bandwidths."""
-    base = SimConfig(
-        workload=WorkloadProfile(arrival_rate_tps=400.0, total_tx=400,
-                                 tx_size_bytes=1024, rng_seed=5),
-        nodes=(NodeProfile(0, 8.0e6),),
-        block_cut=BlockCutRule(max_tx_count=40, max_bytes=1 << 23, timeout_s=120.0),
-        cost=GroundTruthCost(), rng_seed=7)
-    data = generate_training_dataset(base, DataGrid((5, 10, 20, 40), (256, 1024, 2048),
-                                                    (1.0e6, 4.0e6, 1.6e7)))
+    data = generate_training_dataset(DataGrid(
+        block_sizes=(5, 10, 20, 40), tx_sizes=(256, 1024, 2048),
+        bandwidths=(1.0e6, 4.0e6, 1.6e7), arrival_rate_tps=400.0, total_tx=400,
+        max_bytes=1 << 23, timeout_s=120.0, rng_seed=7))
     return fit_predictor(data, SurrogateConfig(boost_rounds=30))

@@ -17,15 +17,10 @@ from blocktune.simulator import derive_seed
 PINNED_OPTIMIZE = Path(__file__).parent / "data" / "pinned_optimize.json"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-GEN_DATA = {
-    "sim": {"workload": {"arrival_rate_tps": 200.0, "total_tx": 60,
-                         "tx_size_bytes": 1000, "rng_seed": 5},
-            "nodes": [{"bandwidth_bytes_per_sec": 2.0e6}],
-            "block_cut": {"max_tx_count": 8, "max_bytes": 65536, "timeout_s": 1.0},
-            "rng_seed": 3},
-    "grid": {"block_sizes": [2, 4, 8], "tx_sizes": [500, 1000, 2000],
-             "bandwidths": [1.0e6, 2.0e6, 4.0e6], "replicates": 1},
-}
+GEN_DATA = {"block_sizes": [2, 4, 8], "tx_sizes": [500, 1000, 2000],
+            "bandwidths": [1.0e6, 2.0e6, 4.0e6], "arrival_rate_tps": 200.0,
+            "total_tx": 60, "max_bytes": 65536, "timeout_s": 1.0, "replicates": 1,
+            "rng_seed": 3}
 SURROGATE = {"surrogate": {"boost_rounds": 10, "holdout_fraction": 0.2}}
 INSTANCE = {
     "instance": {"transactions": {"sizes_bytes": [500, 1200, 800, 2000, 300, 1500,
@@ -389,19 +384,24 @@ def config_argv(command, config, model_path):
                         {"arrival_rate_tps": 200.0, "total_tx": 20,
                          "tx_size_range_bytes": 5}),
      "tx_size_range_bytes"),
-    ("gen-data", edited(GEN_DATA, ("grid", "block_sizes"), ["a"]), "grid.block_sizes[0]"),
-    ("gen-data", edited(GEN_DATA, ("grid", "tx_sizes"), [500, "a"]), "grid.tx_sizes[1]"),
-    ("gen-data", edited(GEN_DATA, ("grid", "bandwidths"), ["a"]), "grid.bandwidths[0]"),
-    ("gen-data", edited(GEN_DATA, ("grid", "replicates"), "x"), "grid.replicates"),
-    ("gen-data", edited(GEN_DATA, ("grid",), [2, 4]), "grid"),
-    ("gen-data", edited(GEN_DATA, ("sim",), 5), "sim"),
-    ("pipeline", dict(PIPELINE, neighbor_offsets=5), "neighbor_offsets"),
-    ("pipeline", dict(PIPELINE, neighbor_offsets=["a", 0]), "neighbor_offsets[0]"),
-    ("pipeline", dict(PIPELINE, neighbor_offsets=[-0.5, 0]), "neighbor_offsets[0]"),
-    ("pipeline", dict(PIPELINE, neighbor_offsets=[1, 2]), "neighbor_offsets"),
-    ("validate", {"scenarios": [PIPELINE], "neighbor_offsets": [0, True]},
-     "neighbor_offsets[1]"),
-    ("validate", {"scenarios": [PIPELINE], "neighbor_offsets": [1, 2]},
+    ("gen-data", dict(GEN_DATA, block_sizes=["a"]), "grid.block_sizes[0]"),
+    ("gen-data", dict(GEN_DATA, tx_sizes=[500, "a"]), "grid.tx_sizes[1]"),
+    ("gen-data", dict(GEN_DATA, bandwidths=["a"]), "grid.bandwidths[0]"),
+    ("gen-data", dict(GEN_DATA, replicates="x"), "grid.replicates"),
+    # the sections and keys of the gen-data file that the grid replaced,
+    # which changed no sample
+    ("gen-data", dict(GEN_DATA, grid={"replicates": 1}), "unknown key 'grid'"),
+    ("gen-data", dict(GEN_DATA, sim={"rng_seed": 3}), "sim"),
+    # validation's neighbours are fixed offsets
+    ("pipeline", dict(PIPELINE, neighbor_offsets=[-2, -1, 0, 1, 2]), "neighbor_offsets"),
+    # more gen-data keys that the grid replaced
+    ("gen-data", dict(GEN_DATA, nodes=[{"bandwidth_bytes_per_sec": 2.0e6}]),
+     "unknown key 'nodes'"),
+    ("gen-data", dict(GEN_DATA, workload={"tx_size_bytes": 1000}),
+     "unknown key 'workload'"),
+    ("gen-data", dict(GEN_DATA, block_cut={"max_tx_count": 8}), "unknown key 'block_cut'"),
+    ("gen-data", dict(GEN_DATA, max_tx_count=8), "unknown key 'max_tx_count'"),
+    ("validate", {"scenarios": [PIPELINE], "neighbor_offsets": [-2, -1, 0, 1, 2]},
      "neighbor_offsets"),
     ("train", {"surrogate": 5}, "surrogate"),
     ("optimize", dict(INSTANCE, ga=5), "ga"),
@@ -448,19 +448,19 @@ def config_argv(command, config, model_path):
      "unknown key 'holdout_fraction'"),
     ("optimize", edited(INSTANCE, ("ga", "population"), 12), "ga: unknown key 'population'"),
     ("optimize", dict(INSTANCE, gaa={}), "unknown key 'gaa'"),
-    ("gen-data", edited(GEN_DATA, ("sim", "seed"), 3), "sim: unknown key 'seed'"),
-    ("gen-data", edited(GEN_DATA, ("grid", "replicate"), 3), "grid: unknown key 'replicate'"),
-    ("gen-data", dict(GEN_DATA, replicates=3), "unknown key 'replicates'"),
+    ("gen-data", dict(GEN_DATA, seed=3), "grid: unknown key 'seed'"),
+    ("gen-data", dict(GEN_DATA, replicate=3), "grid: unknown key 'replicate'"),
+    ("gen-data", dict(GEN_DATA, tx_size_bytes=1000), "grid: unknown key 'tx_size_bytes'"),
     ("validate", {"scenarios": [dict(PIPELINE, neighbor_offsets=[-1, 0, 1])]},
      "scenarios[0]: unknown key 'neighbor_offsets'"),
     ("validate", {"scenarios": [PIPELINE], "neighbour_offsets": [0]},
      "unknown key 'neighbour_offsets'"),
     ("pipeline", {k: v for k, v in PIPELINE.items() if k != "workload"},
      "missing required key 'workload'"),
-    # the file's own key is among the known keys
+    # the known keys are the scenario's
     ("pipeline", dict(PIPELINE, neighbour_offsets=[0]),
      "unknown key 'neighbour_offsets' (known keys: instance, workload, block_cut, "
-     "train_grid, name, cost, surrogate, ga, rng_seed, neighbor_offsets)"),
+     "train_grid, name, cost, surrogate, ga, rng_seed)"),
     # NaN parses as JSON; before the reader rejected it, this run ended in a
     # ZeroDivisionError traceback
     ("simulate", edited(SIMULATE, ("workload", "arrival_rate_tps"), float("nan")),
@@ -508,17 +508,17 @@ def config_argv(command, config, model_path):
      "cost: the simulated times overflow"),
     # these failed inside the simulator, with an error naming no grid key or
     # another key, and a zero bandwidth exited 2 naming a node
-    ("gen-data", edited(GEN_DATA, ("grid", "block_sizes"), [0]),
+    ("gen-data", dict(GEN_DATA, block_sizes=[0]),
      "grid: block_sizes must be a non-empty list of integers >= 1"),
-    ("gen-data", edited(GEN_DATA, ("grid", "tx_sizes"), [500, 0]),
+    ("gen-data", dict(GEN_DATA, tx_sizes=[500, 0]),
      "grid: tx_sizes must be a non-empty list of integers >= 1"),
-    ("gen-data", edited(GEN_DATA, ("grid", "bandwidths"), [0]),
+    ("gen-data", dict(GEN_DATA, bandwidths=[0]),
      "grid: bandwidths must be a non-empty list of finite numbers > 0"),
-    ("gen-data", edited(GEN_DATA, ("grid", "bandwidths"), [1.0e6, float("inf")]),
+    ("gen-data", dict(GEN_DATA, bandwidths=[1.0e6, float("inf")]),
      "grid: bandwidths must be a non-empty list of finite numbers > 0"),
-    ("gen-data", edited(GEN_DATA, ("grid", "tx_sizes"), []),
+    ("gen-data", dict(GEN_DATA, tx_sizes=[]),
      "grid: tx_sizes must be a non-empty list of integers >= 1"),
-    ("gen-data", edited(GEN_DATA, ("grid", "replicates"), 0),
+    ("gen-data", dict(GEN_DATA, replicates=0),
      "grid: replicates must be >= 1"),
     # the default factors round 1- and 2-byte transactions to one size, and
     # the fit failed on a rank-deficient design, naming no key
@@ -553,20 +553,70 @@ def config_argv(command, config, model_path):
     ("sensitivity", dict(SWEEP, varied_factor="bandwidth", values=[1.0e6, 2.0e6, 4.0e6],
                          fixed={"arrival_rate": 200.0, "tx_size": 1e30}),
      "c.json: tx_size must lie below 2**63 bytes, got [1e+30]"),
+    # each value fits in an int64 but the byte sums of these did not:
+    # simulate exited 0 with every block_bytes 0, and the instance passed
+    # its total-bytes check on the wrapped sum
+    ("simulate", edited(edited(SIMULATE, ("workload", "tx_size_bytes"), 2**62),
+                        ("block_cut", "max_bytes"), 2**63 - 1),
+     "c.json: workload.total_tx times the largest transaction size must lie below "
+     "2**63 bytes, got 20 * 4611686018427387904"),
+    ("gen-data", dict(GEN_DATA, tx_sizes=[500, 2**62], max_bytes=2**63 - 1),
+     "grid: total_tx times the largest transaction size must lie below 2**63 bytes"),
+    ("pipeline", edited(edited(PIPELINE, TRANSACTIONS, {"count": 4, "size_bytes": 2**62}),
+                        ("instance", "limits", "cb"), 2**63 - 1),
+     "c.json.instance: transactions must sum to below 2**63 bytes, got 18446744073709551616"),
+    # gen-data checks its largest tx size as a simulated scenario does
+    ("gen-data", dict(GEN_DATA, max_bytes=1500),
+     "grid: a transaction of 2000 bytes can never fit under max_bytes=1500"),
 ])
 def test_bad_config_value_exits_1(tmp_path, capsys, model_path, command, config, key):
     """A config value or section of the wrong type, a value out of range, an
     unknown key or a missing one exits 1 with one error line naming its key,
     before any work: nothing is written. ``command`` may start with global
-    flags."""
+    flags. A gen-data file holds one grid and is named ``grid``, so its
+    errors name a key as ``grid.<key>`` or ``grid: <key>``."""
     *flags, command = command.split()
-    argv = config_argv(command, write(tmp_path / "c.json", config), model_path)
+    name = "grid" if command == "gen-data" else "c.json"
+    argv = config_argv(command, write(tmp_path / name, config), model_path)
     capsys.readouterr()
     assert run(tmp_path, *flags, command, *argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err and err.count("\n") == 1
     assert "Traceback" not in err
-    assert os.listdir(tmp_path) == ["c.json"]
+    assert os.listdir(tmp_path) == [name]
+
+
+def test_byte_sums_near_the_int64_limit(tmp_path):
+    """Two transactions of 2**62 - 1 bytes sum below 2**63, so simulate runs
+    them, one per block. Run in a subprocess: a cut whose byte bound wrapped
+    past 2**63 never ended."""
+    config = edited(edited(edited(edited(SIMULATE, ("workload", "tx_size_bytes"),
+                                         2**62 - 1), ("workload", "total_tx"), 2),
+                           ("block_cut", "max_tx_count"), 1),
+                    ("block_cut", "max_bytes"), 2**63 - 1)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("BLOCKTUNE_SEED", None)
+    subprocess.run([sys.executable, "-m", "blocktune.cli", "--quiet", "--out-dir",
+                    str(tmp_path), "simulate", write(tmp_path / "c.json", config)],
+                   env=env, timeout=20, check=True)
+    header, *rows = (tmp_path / "sim_result.json.blocks.csv").read_text(
+        encoding="utf-8").splitlines()
+    column = header.split(",").index("block_bytes")
+    assert [row.split(",")[column] for row in rows] == [str(2**62 - 1)] * 2
+
+
+def test_gen_data_seed_moves_poisson_arrivals(tmp_path):
+    """The root seed draws a grid's noise and, on a Poisson grid, its
+    arrivals too: without noise, two seeds give one dataset at a fixed rate
+    and two on a Poisson grid, whose 20 ms timeout cuts by arrival time."""
+    quiet = dict(GEN_DATA, timeout_s=0.02, cost={"noise_sd_fraction": 0.0})
+    for process, datasets in (("fixed", 1), ("poisson", 2)):
+        config = write(tmp_path / f"{process}.json", dict(quiet, arrival_process=process))
+        written = set()
+        for seed in ("1", "2"):
+            assert run(tmp_path, "--seed", seed, "gen-data", config, "-o", "d.csv") == 0
+            written.add((tmp_path / "d.csv").read_bytes())
+        assert len(written) == datasets, process
 
 
 # The scenario of tests/data/pinned_simulation.json: its 36 blocks are cut by

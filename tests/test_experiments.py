@@ -17,7 +17,7 @@ from blocktune.experiments import (
     _stabilization_index,
     validate_scenario,
 )
-from blocktune.simulator import DataGrid
+from blocktune.simulator import DataGrid, GroundTruthCost
 
 SWEEP = {"varied_factor": "tx_size", "values": [500, 1000, 2000, 4000],
          "fixed": {"arrival_rate": 200.0, "bandwidth": 4.0e6}, "instance_n": 10,
@@ -120,6 +120,9 @@ def test_training_grid_resolves_around_largest_size_and_first_node():
         "nodes": [{"bandwidth_bytes_per_sec": bw} for bw in (2.0e6, 5.0e5, 8.0e6)],
         "limits": {"lb": 1, "ub": 3, "cb": 4096}})
     grid = TrainingGrid(block_sizes=(2, 6), replicates=2)
-    assert grid.resolve(instance) == DataGrid(
+    cost = GroundTruthCost(noise_sd_fraction=0.0)
+    assert grid.resolve(instance, 300.0, "poisson", cost, 9) == DataGrid(
         block_sizes=(2, 6), tx_sizes=(751, 1001, 1251),
-        bandwidths=(1.0e6, 2.0e6, 4.0e6), replicates=2)
+        bandwidths=(1.0e6, 2.0e6, 4.0e6), arrival_rate_tps=300.0,
+        total_tx=grid.total_tx, max_bytes=grid.max_bytes, timeout_s=grid.timeout_s,
+        arrival_process="poisson", replicates=2, cost=cost, rng_seed=9)

@@ -55,6 +55,13 @@ def config_for(total_tx=50, rate=100.0, tx_size=1000, max_tx=10, max_bytes=1 << 
     )
 
 
+def grid_for(block_sizes, tx_sizes, bandwidths, replicates=1, total_tx=50, rate=100.0,
+             max_bytes=1 << 20, timeout=0.5, cost=ZERO_NOISE, seed=3, process="fixed"):
+    """A DataGrid whose shared values default to :func:`config_for`'s."""
+    return DataGrid(tuple(block_sizes), tuple(tx_sizes), tuple(bandwidths), rate, total_tx,
+                    max_bytes, timeout, process, replicates, cost, seed)
+
+
 def pinned_sim_config():
     """Three nodes, Poisson arrivals, mixed sizes, noise and a burst window;
     its 36 blocks are cut by all three reasons."""
@@ -69,12 +76,11 @@ def pinned_sim_config():
 
 
 def pinned_dataset():
-    base = config_for(total_tx=30, rate=300.0, max_tx=8, max_bytes=8000,
-                      timeout=0.02, cost=GroundTruthCost(burst_window_s=0.005,
-                                                         noise_sd_fraction=0.05),
-                      seed=12, process="poisson")
-    return generate_training_dataset(base, DataGrid((3, 8), (600, 1500), (1e6, 4e6),
-                                                    replicates=2))
+    return generate_training_dataset(grid_for(
+        (3, 8), (600, 1500), (1e6, 4e6), replicates=2, total_tx=30, rate=300.0,
+        max_bytes=8000, timeout=0.02,
+        cost=GroundTruthCost(burst_window_s=0.005, noise_sd_fraction=0.05), seed=12,
+        process="poisson"))
 
 
 def block_table(result, tmp_path):
@@ -212,16 +218,14 @@ class TestRunSimulation:
 class TestGenerateTrainingDataset:
     def test_grid_sample_count(self, tmp_path):
         # every run forms >= 3 blocks: 30 transactions, cut size <= 10
-        base = config_for(total_tx=30, max_tx=10, timeout=50.0)
-        data = generate_training_dataset(base, DataGrid(
-            block_sizes=(5, 10), tx_sizes=(500, 1000), bandwidths=(1e6, 1e7),
-            replicates=1))
+        data = generate_training_dataset(grid_for((5, 10), (500, 1000), (1e6, 1e7),
+                                                  total_tx=30, timeout=50.0))
         assert data.shape[0] >= 24
         assert data.shape[1] == len(DATASET_COLUMNS)
 
     def test_zero_noise_matches_cost_formula(self):
-        base = config_for(total_tx=40, max_tx=8, timeout=50.0, cost=ZERO_NOISE)
-        data = generate_training_dataset(base, DataGrid((8,), (1200,), (2e6,)))
+        data = generate_training_dataset(grid_for((8,), (1200,), (2e6,), total_tx=40,
+                                                  timeout=50.0, cost=ZERO_NOISE))
         tx_count, block_bytes, bandwidth, vt, ct, _ = data.T
         np.testing.assert_array_equal(block_bytes, 1200 * tx_count)
         np.testing.assert_array_equal(bandwidth, 2e6)
@@ -231,21 +235,20 @@ class TestGenerateTrainingDataset:
                                    + ZERO_NOISE.ct_per_byte_s * block_bytes, rtol=1e-12)
 
     def test_emitted_file_round_trips(self, tmp_path):
-        base = config_for(total_tx=30, max_tx=10, timeout=50.0)
         out = tmp_path / "dataset.csv"
-        data = generate_training_dataset(base, DataGrid((5, 10), (1000,), (1e6,)))
+        data = generate_training_dataset(grid_for((5, 10), (1000,), (1e6,), total_tx=30,
+                                                  timeout=50.0))
         save_dataset(data, out)
         assert np.array_equal(load_dataset(out), data)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError, match="^block_sizes must be a non-empty list"):
-            DataGrid((), (1000,), (1e6,))
+            grid_for((), (1000,), (1e6,))
 
     def test_replicates_deterministic(self):
-        base = config_for(total_tx=30, max_tx=10)
-        grid = DataGrid((5,), (1000,), (1e6,), replicates=2)
-        a = generate_training_dataset(base, grid)
-        b = generate_training_dataset(base, grid)
+        grid = grid_for((5,), (1000,), (1e6,), replicates=2, total_tx=30)
+        a = generate_training_dataset(grid)
+        b = generate_training_dataset(grid)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("process, cuts", [("fixed", 4), ("poisson", 24)])
@@ -257,9 +260,8 @@ class TestGenerateTrainingDataset:
         cut = simulator._cut_blocks
         monkeypatch.setattr(simulator, "_cut_blocks",
                             lambda *args: calls.append(args) or cut(*args))
-        base = config_for(total_tx=30, max_tx=10, process=process)
-        generate_training_dataset(base, DataGrid((3, 8), (600, 1500), (1e6, 4e6),
-                                                 replicates=3))
+        generate_training_dataset(grid_for((3, 8), (600, 1500), (1e6, 4e6), replicates=3,
+                                           total_tx=30, process=process))
         assert len(calls) == cuts
 
     @pytest.mark.parametrize("cost, block_size", [
@@ -270,14 +272,18 @@ class TestGenerateTrainingDataset:
                          noise_sd_fraction=0.0), 1),
     ])
     def test_overflowing_cost_rejected(self, cost, block_size):
-        base = config_for(total_tx=30, cost=cost)
         with pytest.raises(ConfigError, match="^cost: "):
-            generate_training_dataset(base, DataGrid((block_size,), (1000,), (1e6, 2e6)))
+            generate_training_dataset(grid_for((block_size,), (1000,), (1e6, 2e6),
+                                               total_tx=30, cost=cost))
 
     def test_transaction_above_byte_cap_rejected(self):
-        base = config_for(total_tx=30, max_bytes=4000)
-        with pytest.raises(ConfigError, match="max_bytes=4000"):
-            generate_training_dataset(base, DataGrid((5,), (1000, 5000), (1e6, 2e6)))
+        """The largest tx size is checked against the byte cap when the grid
+        is built, with the message a scenario of that size gives."""
+        with pytest.raises(ConfigError) as scenario:
+            config_for(total_tx=30, tx_size=5000, max_bytes=4000)
+        with pytest.raises(ConfigError, match="max_bytes=4000") as grid:
+            grid_for((5,), (1000, 5000), (1e6, 2e6), total_tx=30, max_bytes=4000)
+        assert str(grid.value) == str(scenario.value)
 
     @pytest.mark.parametrize("axis, value", [("block_sizes", 0), ("tx_sizes", 0),
                                              ("bandwidths", 0.0), ("bandwidths", math.inf)])
@@ -289,10 +295,10 @@ class TestGenerateTrainingDataset:
         cell = {name: values[0] for name, values in axes.items()}
         cell[axis] = value
         with pytest.raises(BlocktuneError):
-            cell_scenario(config_for(total_tx=30), 0, 0, *cell.values())
+            cell_scenario(grid_for(**axes, total_tx=30), 0, 0, *cell.values())
         axes[axis] += (value,)
         with pytest.raises(ConfigError, match=f"^{axis} must be a non-empty list"):
-            DataGrid(**axes)
+            grid_for(**axes, total_tx=30)
 
 
 class TestThroughputCurve:
@@ -385,17 +391,22 @@ def test_cut_blocks_matches_per_transaction_scan(gaps, sizes, max_tx, max_bytes,
     assert blocks == reference_cut_blocks(arrivals, sizes, rule)
 
 
-def cell_scenario(base, cell, rep, bs, ts, bw):
-    """The single-node scenario of replicate ``rep`` of the grid cell with
-    index ``cell`` and values (block size, tx size, bandwidth)."""
-    workload = replace(base.workload, tx_size_bytes=int(ts), tx_size_range_bytes=None,
-                       rng_seed=derive_seed(base.workload.rng_seed, cell, rep))
-    return replace(base, workload=workload, nodes=(NodeProfile(0, float(bw)),),
-                   block_cut=replace(base.block_cut, max_tx_count=int(bs)),
-                   rng_seed=derive_seed(base.rng_seed, cell, rep))
+def cell_scenario(grid, cell, rep, bs, ts, bw):
+    """The single-node scenario of replicate ``rep`` of the cell of ``grid``
+    with index ``cell`` and values (block size, tx size, bandwidth)."""
+    return SimConfig(
+        workload=WorkloadProfile(
+            arrival_rate_tps=grid.arrival_rate_tps, total_tx=grid.total_tx,
+            arrival_process=grid.arrival_process, tx_size_bytes=int(ts),
+            rng_seed=derive_seed(derive_seed(grid.rng_seed, "workload"), cell, rep)),
+        nodes=(NodeProfile(0, float(bw)),),
+        block_cut=BlockCutRule(max_tx_count=int(bs), max_bytes=grid.max_bytes,
+                               timeout_s=grid.timeout_s),
+        cost=grid.cost,
+        rng_seed=derive_seed(grid.rng_seed, cell, rep))
 
 
-def reference_training_dataset(base, grid):
+def reference_training_dataset(grid):
     """The per-cell loop the one-pass grid replaced: each cell and replicate
     draws, cuts and prices its own single-node scenario. Returns the dataset
     and the set of cut reasons its blocks were cut by."""
@@ -403,10 +414,10 @@ def reference_training_dataset(base, grid):
     cells = itertools.product(grid.block_sizes, grid.tx_sizes, grid.bandwidths)
     for cell, (bs, ts, bw) in enumerate(cells):
         for rep in range(grid.replicates):
-            config = cell_scenario(base, cell, rep, bs, ts, bw)
+            config = cell_scenario(grid, cell, rep, bs, ts, bw)
             _, (_, count, nbytes, _, reason), costs = _cut_and_price(config)
             transfer, vt, ct = (c[:, 0] for c in costs)
-            service = base.cost.dispatch_overhead_s + transfer + vt + ct
+            service = grid.cost.dispatch_overhead_s + transfer + vt + ct
             reasons.update(reason.tolist())
             chunks.append(np.column_stack(
                 (count, nbytes, np.full(count.size, float(bw)), vt, ct, service)))
@@ -417,15 +428,15 @@ def binding_grid(process):
     """A grid whose cells are cut by all three reasons: at 100 tps a 0.025 s
     timeout closes blocks of 3, 2,000-byte transactions fill the 5,000-byte
     cap at 2, and a cap of 2 transactions binds first on the smaller ones."""
-    base = config_for(total_tx=40, rate=100.0, max_bytes=5000, timeout=0.025,
-                      cost=GroundTruthCost(noise_sd_fraction=0.05, burst_window_s=0.004),
-                      seed=5, process=process)
-    return base, DataGrid((2, 8), (600, 2000), (1e5, 3e6), replicates=2)
+    return grid_for((2, 8), (600, 2000), (1e5, 3e6), replicates=2, total_tx=40,
+                    rate=100.0, max_bytes=5000, timeout=0.025,
+                    cost=GroundTruthCost(noise_sd_fraction=0.05, burst_window_s=0.004),
+                    seed=5, process=process)
 
 
 @pytest.mark.parametrize("process", ["fixed", "poisson"])
 def test_binding_grid_cuts_by_every_reason(process):
-    _, reasons = reference_training_dataset(*binding_grid(process))
+    _, reasons = reference_training_dataset(binding_grid(process))
     assert reasons == {CUT_COUNT, CUT_BYTES, CUT_TIMEOUT}
 
 
@@ -434,7 +445,11 @@ def training_grids(draw):
     """Fixed or Poisson arrivals, 1-3 replicates, 2-3 bandwidths, zero or
     non-zero noise, and byte caps and timeouts short enough to bind; the
     axes may repeat a value."""
-    base = config_for(
+    return grid_for(
+        draw(st.lists(st.integers(1, 12), min_size=1, max_size=3)),
+        draw(st.lists(st.integers(100, 3000), min_size=1, max_size=3)),
+        draw(st.lists(st.floats(1e4, 1e7), min_size=2, max_size=3)),
+        replicates=draw(st.integers(1, 3)),
         total_tx=draw(st.integers(1, 60)), rate=draw(st.floats(20.0, 2000.0)),
         max_bytes=draw(st.integers(3000, 12000)), timeout=draw(st.floats(0.002, 0.3)),
         cost=GroundTruthCost(
@@ -442,13 +457,6 @@ def training_grids(draw):
             noise_sd_fraction=draw(st.sampled_from([0.0]) | st.floats(0.01, 0.19))),
         seed=draw(st.integers(0, 2**32 - 1)),
         process=draw(st.sampled_from(["fixed", "poisson"])))
-    base = replace(base, workload=replace(base.workload,
-                                          rng_seed=draw(st.integers(0, 2**32 - 1))))
-    return base, DataGrid(
-        tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))),
-        tuple(draw(st.lists(st.integers(100, 3000), min_size=1, max_size=3))),
-        tuple(draw(st.lists(st.floats(1e4, 1e7), min_size=2, max_size=3))),
-        draw(st.integers(1, 3)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -458,8 +466,8 @@ def training_grids(draw):
 def test_training_grid_equals_per_cell_loop(grid):
     """The shared cuts and the one pricing pass give the per-cell loop's
     dataset byte for byte."""
-    got = generate_training_dataset(*grid)
-    want, _ = reference_training_dataset(*grid)
+    got = generate_training_dataset(grid)
+    want, _ = reference_training_dataset(grid)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -550,6 +558,9 @@ class TestPinnedOutputs:
         assert block_table(result, tmp_path) == pinned["block_table"]
 
     def test_training_dataset(self):
+        """Regenerated when a grid's Poisson arrival seeds came to derive
+        from ``derive_seed(rng_seed, "workload")``: the earlier grid code
+        gives the same bytes with that arrival seed and noise seed 12."""
         pinned = json.loads((DATA / "pinned_dataset.json").read_text(encoding="utf-8"))
         data = pinned_dataset()
         assert data.dtype == np.float64

@@ -15,15 +15,7 @@ from hypothesis import strategies as st
 from blocktune import _kernels, surrogate
 from blocktune.configio import build_config, to_json, write_json
 from blocktune.errors import ConfigError, DatasetError, FitError
-from blocktune.model import NodeProfile
-from blocktune.simulator import (
-    BlockCutRule,
-    DataGrid,
-    GroundTruthCost,
-    SimConfig,
-    WorkloadProfile,
-    generate_training_dataset,
-)
+from blocktune.simulator import DataGrid, generate_training_dataset
 from blocktune.surrogate import (
     BoostedEnsemble,
     PerformancePredictor,
@@ -430,14 +422,10 @@ def training_point_recall_data():
 def grid_data():
     """A simulated training grid of 7 block sizes x 3 transaction sizes x 3
     bandwidths, as a tune pipeline trains on: many rows, few distinct."""
-    base = SimConfig(
-        workload=WorkloadProfile(arrival_rate_tps=400.0, total_tx=1200,
-                                 tx_size_bytes=1024, rng_seed=5),
-        nodes=(NodeProfile(0, 8.0e6),),
-        block_cut=BlockCutRule(max_tx_count=100, max_bytes=1 << 23, timeout_s=120.0),
-        cost=GroundTruthCost(), rng_seed=7)
-    return generate_training_dataset(base, DataGrid((5, 10, 20, 40, 60, 80, 100),
-                                                    (768, 1024, 1280), (4.0e6, 8.0e6, 1.6e7)))
+    return generate_training_dataset(DataGrid(
+        block_sizes=(5, 10, 20, 40, 60, 80, 100), tx_sizes=(768, 1024, 1280),
+        bandwidths=(4.0e6, 8.0e6, 1.6e7), arrival_rate_tps=400.0, total_tx=1200,
+        max_bytes=1 << 23, timeout_s=120.0, rng_seed=7))
 
 
 @pytest.fixture(scope="module")

@@ -104,9 +104,16 @@ MUTANTS = (
            "key = (bs, ts, seed)", "key = (ts, seed)",
            ("tests/test_simulator.py::test_training_grid_equals_per_cell_loop",)),
     Mutant("grid-noise-from-base-seed", "src/blocktune/simulator.py",
-           "jitters.append(_jitter(derive_seed(base.rng_seed, cell, rep),",
-           "jitters.append(_jitter(base.rng_seed,",
+           "jitters.append(_jitter(derive_seed(grid.rng_seed, cell, rep),",
+           "jitters.append(_jitter(grid.rng_seed,",
            ("tests/test_simulator.py::test_training_grid_equals_per_cell_loop",)),
+    Mutant("grid-arrivals-from-root-seed", "src/blocktune/simulator.py",
+           'derive_seed(grid.rng_seed, "workload")', "grid.rng_seed",
+           ("tests/test_simulator.py::test_training_grid_equals_per_cell_loop",)),
+    Mutant("grid-checks-smallest-tx-size", "src/blocktune/simulator.py",
+           "max(self.tx_sizes), self.max_bytes", "min(self.tx_sizes), self.max_bytes",
+           ("tests/test_simulator.py::TestGenerateTrainingDataset::"
+            "test_transaction_above_byte_cap_rejected",)),
     Mutant("grid-skips-service-check", "src/blocktune/simulator.py",
            "    _finite_times(service)\n"
            "    return np.column_stack((count, nbytes, bw, vt, ct, service))\n",
@@ -136,6 +143,18 @@ MUTANTS = (
     Mutant("sweep-tx-size-unbounded", "src/blocktune/experiments.py",
            "for size in sizes):", "for size in sizes[:0]):",
            ("tests/test_cli.py::test_bad_config_value_exits_1",)),
+    # Sums of int64 values that must stay int64s.
+    Mutant("byte-total-bounds-one-transaction", "src/blocktune/simulator.py",
+           "if total_tx * max_tx_size >= 2**63:", "if max_tx_size >= 2**63:",
+           ("tests/test_cli.py::test_bad_config_value_exits_1",)),
+    Mutant("instance-byte-total-wraps", "src/blocktune/model.py",
+           "total = sum(int(t.size_bytes) for t in txs)",
+           "total = int(np.array([t.size_bytes for t in txs], dtype=np.int64).sum())",
+           ("tests/test_cli.py::test_bad_config_value_exits_1",)),
+    Mutant("cut-bound-wraps", "src/blocktune/simulator.py",
+           "bound = np.minimum(cum[:-1], cum[-1] - max_bytes) + max_bytes",
+           "bound = cum[:-1] + max_bytes",
+           ("tests/test_cli.py::test_byte_sums_near_the_int64_limit",)),
     Mutant("envelope-from-all-rows", "src/blocktune/surrogate.py",
            "ranges = tuple(zip(tp.min(axis=0).tolist(), tp.max(axis=0).tolist()))",
            "ranges = tuple(zip(points.min(axis=0).tolist(), "
