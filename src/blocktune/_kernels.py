@@ -28,7 +28,7 @@ returns. The caller decides what to tabulate.
 transaction goes to the least-loaded block that still fits both caps. From
 an all-unplaced start it is worst-fit decreasing packing (Johnson, JCSS
 1974). It repairs a whole (P, n) matrix of assignments in one pass: the
-counts and the loads of every row come from two ``bincount`` calls, the
+counts and the loads of every row come from ``bincount`` calls, the
 members to evict from one sort, and each step of its loop makes one move
 in every row still draining, so a generation costs as many steps as its
 busiest row has moves, not one Python iteration per row and move. It keeps
@@ -292,7 +292,8 @@ def repair_assignment(block_of, sizes, nb, ub, cb, out=None, weights=None):
     per-block transaction counts and byte loads over the blocks [0, nb).
     ``weights`` is ``sizes`` as float64 repeated over at least P rows, flat,
     which a caller repairing many batches can build once; it is built here
-    when omitted.
+    when omitted. A scalar ``weights`` is the size of every transaction:
+    the loads are then the counts times it, with no weighted ``bincount``.
     """
     rows = block_of if block_of.ndim == 2 else block_of[None, :]
     p, n = rows.shape
@@ -302,8 +303,9 @@ def repair_assignment(block_of, sizes, nb, ub, cb, out=None, weights=None):
     # bin r * width + j is block j of row r; bin r * width + nb is unplaced
     bins = (rows + (np.arange(p) * width)[:, None]).ravel()
     counts = np.bincount(bins, minlength=p * width)
-    loads = np.bincount(bins, weights=weights[:p * n],
-                        minlength=p * width).astype(np.int64)
+    loads = (counts * weights if np.isscalar(weights) else
+             np.bincount(bins, weights=weights[:p * n],
+                         minlength=p * width).astype(np.int64))
     counts2, loads2 = counts.reshape(p, width), loads.reshape(p, width)
     unplaced = np.arange(p * width) % width == nb
     # the unplaced bin has room for nothing

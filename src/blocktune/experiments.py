@@ -28,7 +28,7 @@ from numbers import Real
 
 import numpy as np
 
-from . import _kernels, configio, ga
+from . import _kernels, configio, ga, simulator
 from .errors import BlocktuneError, ConfigError
 from .ga import GaConfig
 from .model import BlockLimits, NodeProfile, ProblemInstance, Transaction
@@ -287,8 +287,9 @@ def run_sensitivity(spec: SweepSpec) -> SweepResult:
 @dataclass(frozen=True)
 class Scenario:
     """One validation scenario: an instance to tune plus the simulated
-    deployment it will be checked against; candidate sizes replace its
-    ``block_cut.max_tx_count``, which is checked but changes no output."""
+    deployment it will be checked against, whose workload must fit its cut;
+    candidate sizes replace ``block_cut.max_tx_count``, checked but changing
+    no output."""
 
     instance: ProblemInstance
     workload: WorkloadProfile
@@ -299,6 +300,10 @@ class Scenario:
     surrogate: SurrogateConfig = SurrogateConfig()
     ga: GaConfig = GaConfig()
     rng_seed: int = 0
+
+    def __post_init__(self):
+        simulator._check_bytes(self.workload.total_tx, self.workload.max_tx_size,
+                               self.block_cut.max_bytes, "workload.total_tx")
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "scenario") -> "Scenario":

@@ -16,12 +16,11 @@ wedges are repacked from scratch with the same kernel. Repair draws no
 random numbers, so one generator seeded from the config seed draws the
 whole run.
 Repair reports the per-block counts and byte loads of every row it
-repairs, and each generation is priced from them in one call to the
-model's population evaluator, :func:`blocktune.model.processing_times`,
-which prices each distinct block of the generation once per node; the
-elites carry their counts over with them, so no generation counts its
-blocks twice. Query counts still count one query per non-empty block and
-node of every member.
+repairs, and the run's :func:`blocktune.model.population_pricer` prices
+each generation from them; the elites carry their counts over with them,
+so no generation counts its blocks twice. With one transaction size, loads
+follow from counts and each block count is priced once per run. Query
+counts still count one query per non-empty block and node of every member.
 
 Runs are fully deterministic: identical (instance, predictor, config)
 produce bit-identical results.
@@ -44,6 +43,7 @@ from .model import (
     AssignmentMatrix,
     ProblemInstance,
     block_stats,
+    population_pricer,
     processing_times,
     recommended_block_size,
 )
@@ -110,8 +110,8 @@ def _repair_array(instance: ProblemInstance, arr: np.ndarray, stats=None,
     ``stats``, when given, is an int64 array (2, P, nb) that receives the
     repaired rows' per-block transaction counts and byte loads, as
     :func:`blocktune.model.block_stats` would count them. ``weights`` is the
-    kernel's flat byte weights for at least P rows (see
-    :func:`blocktune._kernels.repair_assignment`).
+    kernel's flat byte weights for at least P rows, or the one transaction
+    size (see :func:`blocktune._kernels.repair_assignment`).
     """
     args = (instance.sizes, instance.nb, instance.limits.ub, instance.limits.cb)
     rows = np.atleast_2d(arr)
@@ -191,23 +191,13 @@ def initialize_population(instance: ProblemInstance, size: int,
                          stats, weights)
 
 
-def _population_fitness(instance: ProblemInstance, predictor, matrix: np.ndarray, stats):
-    """The objective for every row of ``matrix`` (pop, n), with its query
-    counts: one query per non-empty block and node of every row, and those
-    outside the predictor's training range. A distinct block is priced once,
-    but its queries count once per block with its composition.
-
-    ``stats`` is the rows' (counts, byte sums) pair as
-    :func:`blocktune.model.block_stats` returns it. Returns (fitness vector,
-    extrapolating query count, total query count). Rows must already be
-    feasible.
+def _population_fitness(instance: ProblemInstance, price, matrix: np.ndarray, stats):
+    """The objective for every feasible row of ``matrix`` (pop, n) and its
+    query counts, extrapolating and total, as the run's ``price``, a
+    :func:`blocktune.model.population_pricer`, finds them from ``stats``,
+    the rows' (counts, byte sums). One call per evaluation, as traces time.
     """
-    counts, byte_sums = stats
-    fit, rows, weights = processing_times(instance, counts, byte_sums, predictor)
-    extrapolating = 0
-    if hasattr(predictor, "extrapolation_mask"):
-        extrapolating = int(weights[predictor.extrapolation_mask(rows)].sum())
-    return fit, extrapolating, int(weights.sum())
+    return price(*stats)
 
 
 def run(instance: ProblemInstance, predictor, config: GaConfig = GaConfig()) -> GaResult:
@@ -223,13 +213,15 @@ def run(instance: ProblemInstance, predictor, config: GaConfig = GaConfig()) -> 
     the recommended block size (its largest per-block transaction count).
     """
     rng = np.random.default_rng(config.rng_seed)
-    # Repair's byte weights for a whole population, built once per run.
-    weights = np.tile(instance.sizes.astype(np.float64), config.population_size)
+    price = population_pricer(instance, predictor)
+    # Repair's byte weights for a population, built once per run, or one size
+    weights = instance.common_size or np.tile(instance.sizes.astype(np.float64),
+                                              config.population_size)
     # stats[:, i] is the per-block (counts, loads) of row i of matrix
     stats = np.empty((2, config.population_size, instance.nb), dtype=np.int64)
     matrix = initialize_population(instance, config.population_size, rng, stats,
                                    weights)
-    fit, extra, total_q = _population_fitness(instance, predictor, matrix, stats)
+    fit, extra, total_q = _population_fitness(instance, price, matrix, stats)
 
     mutation_rate = config.effective_mutation_rate(instance.n)
     n_children = config.population_size - config.elitism_count
@@ -257,7 +249,7 @@ def run(instance: ProblemInstance, predictor, config: GaConfig = GaConfig()) -> 
         _repair_array(instance, children, child_stats, weights)
         matrix = np.concatenate([children, matrix[elite_rows]])
         stats = np.concatenate([child_stats, stats[:, elite_rows]], axis=1)
-        fit, gen_extra, gen_q = _population_fitness(instance, predictor, matrix, stats)
+        fit, gen_extra, gen_q = _population_fitness(instance, price, matrix, stats)
         extra += gen_extra
         total_q += gen_q
         generations_run += 1

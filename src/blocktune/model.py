@@ -9,15 +9,15 @@ quantity being minimized is the total processing time: the sum over blocks
 of the slowest committing node's predicted storing time plus latency for
 that block's composition.
 
-One evaluator computes it: :func:`block_times` prices every block of a
-population of assignments, given as each row's per-block transaction
-counts and byte sums, in one predict call, each distinct (tx_count,
-block_bytes) pair once per node, and :func:`processing_times` sums each
-row in block order. Callers count once and price from those counts: the
-genetic search from the counts and loads its repair reports, the
-exhaustive search and :func:`total_processing_time` from the
-:func:`block_stats` their feasibility checks use. So an assignment prices
-the same alone or in a population.
+:func:`block_times` prices every block of a population of assignments,
+given as each row's per-block transaction counts and byte sums, in one
+predict call, each distinct (tx_count, block_bytes) pair once per node,
+and :func:`processing_times` sums each row in block order. Callers count
+once and price from those counts: the exhaustive search and
+:func:`total_processing_time` from their :func:`block_stats`, and the
+genetic search from its repair's, through a :func:`population_pricer`
+that, given one transaction size, prices each block count once per
+search. So an assignment prices the same alone or in a population.
 
 Performance predictors are duck-typed and batch-only: anything exposing
 ``predict_f_batch(points)`` and ``predict_g_batch(points)`` over (k, 3)
@@ -138,10 +138,10 @@ class ProblemInstance:
         if node_ids != list(range(len(nodes))):
             raise InfeasibleInstanceError("node ids must be unique and contiguous from 0")
 
-        # the byte sums of blocks are int64s, so the total must be one too
+        # repair and block_stats sum block bytes as float64s, exact below 2**53
         total = sum(int(t.size_bytes) for t in txs)
-        if total >= 2**63:
-            raise ConfigError(f"transactions must sum to below 2**63 bytes, got {total}")
+        if total >= 2**53:
+            raise ConfigError(f"transactions must sum to below 2**53 bytes, got {total}")
         sizes = np.array([t.size_bytes for t in txs], dtype=np.int64)
         bandwidths = np.array([nd.bandwidth_bytes_per_sec for nd in nodes], dtype=np.float64)
         sizes.flags.writeable = False
@@ -191,6 +191,12 @@ class ProblemInstance:
     def bandwidths(self) -> np.ndarray:
         """Node bandwidths in bytes/second, indexed by node id (read-only)."""
         return self._bandwidths
+
+    @property
+    def common_size(self) -> int | None:
+        """The one size of every transaction, or None when sizes differ."""
+        first = int(self._sizes[0])
+        return first if (self._sizes == first).all() else None
 
 
 class AssignmentMatrix:
@@ -323,18 +329,24 @@ def block_times(instance: ProblemInstance, counts: np.ndarray,
     block_counts = counts.ravel()[nonempty]
     block_bytes = byte_sums.ravel()[nonempty]
     first, pair_of, blocks = _kernels.group_rows(block_counts, block_bytes)
+    rows, per_node = _node_times(instance, block_counts[first], block_bytes[first],
+                                 predictor)
+    times = np.zeros(counts.size, dtype=np.float64)
+    times[nonempty] = per_node.max(axis=1)[pair_of]
+    weights = np.repeat(blocks, instance.m)
+    return times.reshape(counts.shape), rows, weights
 
+
+def _node_times(instance: ProblemInstance, block_counts, block_bytes, predictor):
+    """These blocks' priced rows (see :func:`block_times`) and f + g, (blocks, m)."""
     m = instance.m
-    rows = np.empty((first.size * m, 3), dtype=np.float64, order="F")
-    rows[:, 0] = np.repeat(block_counts[first].astype(np.float64), m)
-    rows[:, 1] = np.repeat(block_bytes[first], m)
-    rows[:, 2] = np.tile(instance.bandwidths, first.size)
+    rows = np.empty((block_counts.size * m, 3), dtype=np.float64, order="F")
+    rows[:, 0] = np.repeat(block_counts.astype(np.float64), m)
+    rows[:, 1] = np.repeat(block_bytes, m)
+    rows[:, 2] = np.tile(instance.bandwidths, block_counts.size)
     per_node = (np.asarray(predictor.predict_f_batch(rows), dtype=np.float64)
                 + np.asarray(predictor.predict_g_batch(rows), dtype=np.float64))
-    times = np.zeros(counts.size, dtype=np.float64)
-    times[nonempty] = per_node.reshape(first.size, m).max(axis=1)[pair_of]
-    weights = np.repeat(blocks, m)
-    return times.reshape(counts.shape), rows, weights
+    return rows, per_node.reshape(block_counts.size, m)
 
 
 def processing_times(instance: ProblemInstance, counts: np.ndarray,
@@ -351,6 +363,35 @@ def processing_times(instance: ProblemInstance, counts: np.ndarray,
     # cumsum adds strictly in block order. sum(axis=1) adds pairwise and
     # rounds differently, which would change saved best_fitness values.
     return np.cumsum(times, axis=1)[:, -1], rows, weights
+
+
+def population_pricer(instance: ProblemInstance, predictor):
+    """A search's pricer: a function from a feasible population's per-block
+    (counts, byte sums) to its :func:`processing_times` totals, extrapolating
+    queries and queries, one per non-empty block and node of every row. With
+    one :attr:`ProblemInstance.common_size`, each count a feasible block can
+    hold, 1..min(ub, n, cb // size), is priced here once, and a call sums
+    those times in block order by lookup, bit for bit, with no predict call."""
+    mask = getattr(predictor, "extrapolation_mask",
+                   lambda rows: np.zeros(rows.shape[0], dtype=bool))
+    size = instance.common_size
+    if size is None:
+        def price(counts, byte_sums):
+            fit, rows, weights = processing_times(instance, counts, byte_sums, predictor)
+            return fit, int(weights[mask(rows)].sum()), int(weights.sum())
+        return price
+
+    top = min(instance.limits.ub, instance.n, instance.limits.cb // size)
+    count = np.arange(1, top + 1)
+    rows, per_node = _node_times(instance, count, count * size, predictor)
+    # entry c is a block of c transactions: its time and extrapolating rows
+    time = np.concatenate(([0.0], per_node.max(axis=1)))
+    extra = np.concatenate(([0], mask(rows).reshape(top, instance.m).sum(axis=1)))
+
+    def price(counts, byte_sums):
+        return (np.cumsum(time[counts], axis=1)[:, -1], int(extra[counts].sum()),
+                int(np.count_nonzero(counts)) * instance.m)
+    return price
 
 
 def total_processing_time(instance: ProblemInstance, assignment: AssignmentMatrix,

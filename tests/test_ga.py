@@ -21,7 +21,9 @@ from blocktune.ga import (
 )
 from blocktune.model import (
     AssignmentMatrix,
+    ProblemInstance,
     block_stats,
+    population_pricer,
     recommended_block_size,
     total_processing_time,
     validate_assignment,
@@ -88,8 +90,8 @@ class TestFitness:
         for _ in range(10):
             inst = random_instance(rng)
             pop = population(inst, size=12, seed=2)
-            fit, extrapolating, queries = _population_fitness(inst, stub, pop,
-                                                               block_stats(inst, pop))
+            fit, extrapolating, queries = _population_fitness(
+                inst, population_pricer(inst, stub), pop, block_stats(inst, pop))
             for row, value in zip(pop, fit):
                 assert value == total_processing_time(
                     inst, AssignmentMatrix(row, inst.nb), stub)
@@ -107,8 +109,8 @@ class TestFitness:
         predictor = fitted_predictor if fitted else StubPredictor(
             lambda c, b, w: 0.01 + 0.003 * c, lambda c, b, w: b / w,
             feature_ranges=[[1, 5], [0, 1e9], [0, np.inf]])
-        _, extrapolating, queries = _population_fitness(inst, predictor, pop,
-                                                         block_stats(inst, pop))
+        _, extrapolating, queries = _population_fitness(
+            inst, population_pricer(inst, predictor), pop, block_stats(inst, pop))
         want_queries = want_extrapolating = 0
         counts, byte_sums = block_stats(inst, pop)
         for i, j in zip(*np.nonzero(counts)):
@@ -337,6 +339,22 @@ class TestRun:
         result = run(inst, fitted_predictor, small_config(seed=5, pop=40, gens=40))
         assert result.best_fitness == total_processing_time(
             inst, AssignmentMatrix(result.block_of, inst.nb), fitted_predictor)
+
+    def test_one_size_run_equals_the_general_path(self, fitted_predictor, monkeypatch):
+        """On a one-size 3-node instance whose byte cap binds, a run priced
+        from its count table and repaired from its counts returns, bit for
+        bit, what per-generation pricing and byte-weighted repair return."""
+        inst = make_instance([700] * 60, bandwidths=(1.6e7, 1e6, 4e6), lb=5, ub=12,
+                             cb=6_000)
+        config = small_config(seed=5, pop=30, gens=30)
+        table = run(inst, fitted_predictor, config)
+        monkeypatch.setattr(ProblemInstance, "common_size", property(lambda self: None))
+        general = run(inst, fitted_predictor, config)
+        assert table.extrapolation_queries > 0
+        for name in ("best_fitness", "fitness_history", "generations_run",
+                     "extrapolation_queries", "total_queries"):
+            assert getattr(table, name) == getattr(general, name), name
+        np.testing.assert_array_equal(table.block_of, general.block_of)
 
     def test_odd_child_count_puts_elites_last(self, monkeypatch):
         """With 9 members and 2 elites, each generation drops the last

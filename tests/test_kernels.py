@@ -459,9 +459,12 @@ def row_stats(rows, sizes, nb):
 def test_repair_reports_final_counts_and_loads(case):
     """The counts and loads repair reports for a batch are those of the rows
     it leaves, also where a row wedges, from a start in [0, nb) or from
-    all-unplaced, with the byte weights built by the kernel or passed in."""
+    all-unplaced, with the byte weights built by the kernel or passed in,
+    or, when every transaction has one size, that size."""
     matrix, sizes, nb, ub, cb = case
-    for weights in (None, np.tile(sizes.astype(np.float64), matrix.shape[0] + 1)):
+    one_size = [int(sizes[0])] if (sizes == sizes[0]).all() else []
+    for weights in (None, np.tile(sizes.astype(np.float64), matrix.shape[0] + 1),
+                    *one_size):
         for dtype in row_dtypes(nb):
             got = matrix.astype(dtype)
             out = np.full((2, matrix.shape[0], nb), -1)

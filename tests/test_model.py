@@ -8,20 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocktune.errors import (
+    ConfigError,
     ConstraintViolationError,
     EmptyInstanceError,
     InfeasibleInstanceError,
     MalformedAssignmentError,
 )
+from blocktune.ga import initialize_population
 from blocktune.model import (
+    BLOCK_BYTE_CAP,
     AssignmentMatrix,
     BlockLimits,
     NodeProfile,
     ProblemInstance,
     Transaction,
+    Violation,
     block_stats,
     block_times,
     derive_block_count,
+    population_pricer,
     processing_times,
     recommended_block_size,
     total_processing_time,
@@ -34,6 +39,7 @@ from conftest import (
     block_rows,
     feasible_populations,
     make_instance,
+    random_instance,
 )
 
 
@@ -110,6 +116,18 @@ class TestInstanceConstruction:
         with pytest.raises(InfeasibleInstanceError, match="^4 transactions exceed half"):
             make_instance([7, 7, 7, 7], lb=2, ub=4, cb=10)
         assert make_instance([7, 7, 7, 3], lb=2, ub=4, cb=10).nb == 3
+
+    def test_rejects_byte_totals_float_sums_round(self):
+        """Repair and block_stats sum bytes as float64s. Two transactions of
+        2**53 + 1 bytes were accepted, and the search returned both in one
+        block: 2**54 + 2 bytes over cb = 2**54 + 1, reported feasible."""
+        with pytest.raises(ConfigError, match=r"^transactions must sum to below "
+                                              r"2\*\*53 bytes, got 18014398509481986$"):
+            make_instance([2**53 + 1] * 2, lb=1, ub=2, cb=2**54 + 1)
+        # just below the bound the sums are exact: one byte over cb shows
+        inst = make_instance([2**52, 2**52 - 1], lb=1, ub=2, cb=2**53 - 2)
+        report = validate_assignment(inst, AssignmentMatrix([0, 0], inst.nb))
+        assert report.violations == (Violation(BLOCK_BYTE_CAP, 0, 2**53 - 1, 2**53 - 2),)
 
     def test_rejects_noncontiguous_ids(self):
         with pytest.raises(InfeasibleInstanceError):
@@ -250,6 +268,31 @@ def test_population_prices_each_row_alone(fitted_predictor, case, fitted):
     assert rows.shape == (pairs.shape[0] * inst.m, 3)
     assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
     assert weights.sum() == np.count_nonzero(counts) * inst.m
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), fitted=st.booleans())
+def test_one_size_table_prices_as_processing_times(fitted_predictor, seed, fitted):
+    """With one transaction size on 2 or 3 nodes, the pricer's count table
+    gives every repaired population the fitness processing_times gives it,
+    bit for bit, and the query counts of its rows under the predictor's
+    mask: the slowest node prices a block, and a block counts each of its
+    extrapolating rows."""
+    rng = np.random.default_rng(seed)
+    base = random_instance(rng, uniform=True)
+    inst = make_instance(base.sizes, rng.uniform(1e5, 1e8, size=rng.integers(2, 4)),
+                         lb=base.limits.lb, ub=base.limits.ub, cb=base.limits.cb)
+    predictor = fitted_predictor if fitted else StubPredictor(
+        lambda c, b, w: 0.01 + 0.003 * c, lambda c, b, w: b / w,
+        feature_ranges=[[1, 5], [0, 1e9], [0, np.inf]])
+    stats = np.empty((2, int(rng.integers(1, 13)), inst.nb), dtype=np.int64)
+    pop = initialize_population(inst, stats.shape[1], rng, stats, inst.common_size)
+    fit, extrapolating, queries = population_pricer(inst, predictor)(*stats)
+    want, rows, weights = processing_times(inst, *stats, predictor)
+    assert np.array_equal(fit, want)
+    assert extrapolating == weights[predictor.extrapolation_mask(rows)].sum()
+    assert queries == weights.sum() == np.count_nonzero(stats[0]) * inst.m
+    np.testing.assert_array_equal(stats, block_stats(inst, pop))
 
 
 class TestTotalProcessingTime:

@@ -222,6 +222,19 @@ MUTANTS = (
     Mutant("walk-flattens-in-memory-order", "src/blocktune/_kernels.py",
            "rows.ravel()", 'rows.ravel(order="K")',
            ("tests/test_surrogate.py::test_answers_do_not_depend_on_row_layout",)),
+    # One-size pricing from a per-run count table, exact float64 byte sums.
+    Mutant("count-table-prices-node-zero", "src/blocktune/model.py",
+           "per_node.max(axis=1)))", "per_node[:, 0]))",
+           ("tests/test_model.py::test_one_size_table_prices_as_processing_times",
+            "tests/test_ga.py::TestRun::test_one_size_run_equals_the_general_path")),
+    Mutant("count-table-extrapolates-once-per-block", "src/blocktune/model.py",
+           "reshape(top, instance.m).sum(axis=1)", "reshape(top, instance.m).any(axis=1)",
+           ("tests/test_model.py::test_one_size_table_prices_as_processing_times",
+            "tests/test_ga.py::TestRun::test_one_size_run_equals_the_general_path")),
+    Mutant("byte-total-bound-past-float-exact", "src/blocktune/model.py",
+           "if total >= 2**53:", "if total >= 2**63:",
+           ("tests/test_model.py::TestInstanceConstruction::"
+            "test_rejects_byte_totals_float_sums_round",)),
     # The per-block record array.
     Mutant("cut-reasons-from-wrong-column", "src/blocktune/simulator.py",
            "reasons = self.per_block_records.cut_reason",
