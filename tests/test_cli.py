@@ -565,13 +565,13 @@ def config_argv(command, config, model_path):
     ("pipeline", edited(edited(PIPELINE, TRANSACTIONS, {"count": 4, "size_bytes": 2**62}),
                         ("instance", "limits", "cb"), 2**63 - 1),
      "c.json.instance: transactions must sum to below 2**53 bytes, got 18446744073709551616"),
+    # gen-data checks its largest tx size as a simulated scenario does
+    ("gen-data", dict(GEN_DATA, max_bytes=1500),
+     "grid: a transaction of 2000 bytes can never fit under max_bytes=1500"),
     # this exited 1 only after the tune had written dataset.csv, model.json
     # and optimize.json
     ("pipeline", edited(PIPELINE, ("workload", "tx_size_bytes"), 2_000_000),
      "c.json: a transaction of 2000000 bytes can never fit under max_bytes=1048576"),
-    # gen-data checks its largest tx size as a simulated scenario does
-    ("gen-data", dict(GEN_DATA, max_bytes=1500),
-     "grid: a transaction of 2000 bytes can never fit under max_bytes=1500"),
 ])
 def test_bad_config_value_exits_1(tmp_path, capsys, model_path, command, config, key):
     """A config value or section of the wrong type, a value out of range, an
