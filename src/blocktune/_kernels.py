@@ -1,5 +1,5 @@
-"""Hot numeric kernels in vectorized numpy: distinct rows (for pricing and
-fitting alike), tree split search, tree prediction, cell tables, and
+"""Hot numeric kernels in vectorized numpy: distinct rows (for fitting and
+sweep ranks), tree split search, tree prediction, cell tables, and
 assignment repair.
 
 The split search works on groups, not rows: a group is one distinct

@@ -191,9 +191,9 @@ def initialize_population(instance: ProblemInstance, size: int,
                          stats, weights)
 
 
-def _population_fitness(instance: ProblemInstance, price, matrix: np.ndarray, stats):
-    """The objective for every feasible row of ``matrix`` (pop, n) and its
-    query counts, extrapolating and total, as the run's ``price``, a
+def _population_fitness(price, stats):
+    """The objective for every feasible row of a population and its query
+    counts, extrapolating and total, as the run's ``price``, a
     :func:`blocktune.model.population_pricer`, finds them from ``stats``,
     the rows' (counts, byte sums). One call per evaluation, as traces time.
     """
@@ -221,7 +221,7 @@ def run(instance: ProblemInstance, predictor, config: GaConfig = GaConfig()) -> 
     stats = np.empty((2, config.population_size, instance.nb), dtype=np.int64)
     matrix = initialize_population(instance, config.population_size, rng, stats,
                                    weights)
-    fit, extra, total_q = _population_fitness(instance, price, matrix, stats)
+    fit, extra, total_q = _population_fitness(price, stats)
 
     mutation_rate = config.effective_mutation_rate(instance.n)
     n_children = config.population_size - config.elitism_count
@@ -249,7 +249,7 @@ def run(instance: ProblemInstance, predictor, config: GaConfig = GaConfig()) -> 
         _repair_array(instance, children, child_stats, weights)
         matrix = np.concatenate([children, matrix[elite_rows]])
         stats = np.concatenate([child_stats, stats[:, elite_rows]], axis=1)
-        fit, gen_extra, gen_q = _population_fitness(instance, price, matrix, stats)
+        fit, gen_extra, gen_q = _population_fitness(price, stats)
         extra += gen_extra
         total_q += gen_q
         generations_run += 1
@@ -304,8 +304,8 @@ def brute_force_optimum(instance: ProblemInstance, predictor,
                     & (byte_sums <= instance.limits.cb).all(axis=1))
         if not feasible.any():
             continue
-        fit, _, _ = processing_times(instance, counts[feasible], byte_sums[feasible],
-                                     predictor)
+        fit, _ = processing_times(instance, counts[feasible], byte_sums[feasible],
+                                  predictor)
         local = int(np.argmin(fit))
         if fit[local] < best_fit:
             best_fit = float(fit[local])

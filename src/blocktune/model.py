@@ -9,15 +9,15 @@ quantity being minimized is the total processing time: the sum over blocks
 of the slowest committing node's predicted storing time plus latency for
 that block's composition.
 
-:func:`block_times` prices every block of a population of assignments,
-given as each row's per-block transaction counts and byte sums, in one
-predict call, each distinct (tx_count, block_bytes) pair once per node,
-and :func:`processing_times` sums each row in block order. Callers count
-once and price from those counts: the exhaustive search and
-:func:`total_processing_time` from their :func:`block_stats`, and the
-genetic search from its repair's, through a :func:`population_pricer`
-that, given one transaction size, prices each block count once per
-search. So an assignment prices the same alone or in a population.
+:func:`block_times` prices every non-empty block of a population of
+assignments, given as each row's per-block transaction counts and byte
+sums, once per node in one predict call, and :func:`processing_times`
+sums each row in block order. Callers count once and price from those
+counts: the exhaustive search and :func:`total_processing_time` from their
+:func:`block_stats`, and the genetic search from its repair's, through a
+:func:`population_pricer` that, given one transaction size, prices each
+block count once per search. So an assignment prices the same alone or in
+a population.
 
 Performance predictors are duck-typed and batch-only: anything exposing
 ``predict_f_batch(points)`` and ``predict_g_batch(points)`` over (k, 3)
@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import (
     ConfigError,
     ConstraintViolationError,
@@ -312,29 +311,24 @@ def block_times(instance: ProblemInstance, counts: np.ndarray,
     0 for an empty block. Byte sums may be integer or float64; either gives
     the same times.
 
-    A block's time depends only on its (tx_count, block_bytes) pair, so each
-    distinct pair of the non-empty blocks is priced once, on every node, in
-    one predict call, and its time is gathered back to each block with that
-    pair. The predictor must price a row the same whatever else its batch
-    holds, so a block's time does not depend on the rest of the population.
+    Every non-empty block is priced on every node in one predict call. The
+    predictor must price a row the same whatever else its batch holds, so a
+    block's time does not depend on the rest of the population. Blocks are
+    not grouped by (tx_count, block_bytes) pair first: in a generation of
+    mixed sizes nearly every pair is distinct, and one transaction size
+    prices from :func:`population_pricer`'s count table instead.
 
-    Returns the (pop, nb) times, the feature rows priced and each row's
-    weight: one (tx_count, block_bytes, bandwidth) row per distinct pair and
-    node, in (tx_count, block_bytes) order, then node order, weighted by the
-    number of blocks with that pair, so the weights sum to the number of
-    non-empty blocks times the node count. The rows are column-major,
-    because the predictor reads them one feature column at a time.
+    Returns the (pop, nb) times and the feature rows priced: one
+    (tx_count, block_bytes, bandwidth) row per non-empty block and node, in
+    block order, then node order. The rows are column-major, because the
+    predictor reads them one feature column at a time.
     """
     nonempty = np.flatnonzero(counts)
-    block_counts = counts.ravel()[nonempty]
-    block_bytes = byte_sums.ravel()[nonempty]
-    first, pair_of, blocks = _kernels.group_rows(block_counts, block_bytes)
-    rows, per_node = _node_times(instance, block_counts[first], block_bytes[first],
-                                 predictor)
+    rows, per_node = _node_times(instance, counts.ravel()[nonempty],
+                                 byte_sums.ravel()[nonempty], predictor)
     times = np.zeros(counts.size, dtype=np.float64)
-    times[nonempty] = per_node.max(axis=1)[pair_of]
-    weights = np.repeat(blocks, instance.m)
-    return times.reshape(counts.shape), rows, weights
+    times[nonempty] = per_node.max(axis=1)
+    return times.reshape(counts.shape), rows
 
 
 def _node_times(instance: ProblemInstance, block_counts, block_bytes, predictor):
@@ -354,15 +348,14 @@ def processing_times(instance: ProblemInstance, counts: np.ndarray,
     """The objective for every assignment of a population, given by its
     per-block counts and byte sums (see :func:`block_times`): the sum of its
     block times, accumulated in block order. Returns the (pop,) totals with
-    the feature rows priced and their weights: each distinct block is
-    priced once, and a row's weight is how many blocks it priced.
+    the feature rows priced, one per non-empty block and node.
 
     The assignments must already be feasible.
     """
-    times, rows, weights = block_times(instance, counts, byte_sums, predictor)
+    times, rows = block_times(instance, counts, byte_sums, predictor)
     # cumsum adds strictly in block order. sum(axis=1) adds pairwise and
     # rounds differently, which would change saved best_fitness values.
-    return np.cumsum(times, axis=1)[:, -1], rows, weights
+    return np.cumsum(times, axis=1)[:, -1], rows
 
 
 def population_pricer(instance: ProblemInstance, predictor):
@@ -377,8 +370,8 @@ def population_pricer(instance: ProblemInstance, predictor):
     size = instance.common_size
     if size is None:
         def price(counts, byte_sums):
-            fit, rows, weights = processing_times(instance, counts, byte_sums, predictor)
-            return fit, int(weights[mask(rows)].sum()), int(weights.sum())
+            fit, rows = processing_times(instance, counts, byte_sums, predictor)
+            return fit, int(np.count_nonzero(mask(rows))), rows.shape[0]
         return price
 
     top = min(instance.limits.ub, instance.n, instance.limits.cb // size)
@@ -405,8 +398,8 @@ def total_processing_time(instance: ProblemInstance, assignment: AssignmentMatri
     if not report.ok:
         raise ConstraintViolationError(
             "assignment is infeasible: " + "; ".join(report.to_lines()))
-    totals, _, _ = processing_times(instance, counts[None, :], byte_sums[None, :],
-                                    predictor)
+    totals, _ = processing_times(instance, counts[None, :], byte_sums[None, :],
+                                 predictor)
     return float(totals[0])
 
 

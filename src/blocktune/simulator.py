@@ -453,7 +453,10 @@ def generate_training_dataset(grid: DataGrid):
     with np.errstate(over="ignore"):
         service = grid.cost.dispatch_overhead_s + transfer + vt + ct
     _finite_times(service)
-    return np.column_stack((count, nbytes, bw, vt, ct, service))
+    data = np.empty((count.size, 6))
+    for col, values in enumerate((count, nbytes, bw, vt, ct, service)):
+        data[:, col] = values.ravel()
+    return data
 
 
 def throughput_vs_blocksize(config: SimConfig, candidate_sizes):

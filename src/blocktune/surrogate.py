@@ -15,20 +15,22 @@ Training data is one (k, 6) float64 array with its columns in
 
 Trees are fitted on distinct feature rows. A simulated training set repeats
 its rows heavily (every block of a grid cell has the same block size,
-transaction size and bandwidth), so :func:`fit_boosted` and
-:func:`fit_tree` each group the rows once (:func:`_kernels.group_rows`),
-and :func:`fit_predictor` groups its train rows once more for its MSEs,
-which price each distinct row once. Each fit builds one split plan
-(:func:`_kernels.split_plan`) of what no round changes: each feature's
-sorted group order and cuts, the root's admissible cuts, and the features
-that can win a split. Every tree grows over the groups alone, a level at a
-time, every node of one depth split in one :func:`_kernels.level_splits`
-pass over the plan, as XGBoost's depth-wise growth does (Chen and
-Guestrin, KDD 2016). A node's ``value`` is the sum, in group order, of its
-groups' target sums divided by its row count: the mean of its rows'
-targets, rounded apart from ``ndarray.mean`` only in the last bits. Its
-``n_samples`` and ``min_samples_leaf`` count rows, so the splits are the
-ones a per-row search would choose. The polynomial is fitted on the rows.
+transaction size and bandwidth), so :func:`fit_predictor` groups its train
+rows once (:func:`_kernels.group_rows`) and shares that grouping with
+:func:`fit_boosted`, :func:`fit_tree` and its MSEs, which price each
+distinct row once; either fit called alone groups its own rows. Each fit
+builds one split plan (:func:`_kernels.split_plan`) of what no round
+changes: each feature's sorted group order and cuts, the root's admissible
+cuts, and the features that can win a split. Every tree grows over the
+groups alone, a level at a time, every node of one depth split in one
+:func:`_kernels.level_splits` pass over the plan, as XGBoost's depth-wise
+growth does (Chen and Guestrin, KDD 2016). A node's ``value`` is the sum,
+in group order, of its groups' target sums divided by its row count: the
+mean of its rows' targets, rounded apart from ``ndarray.mean`` only in the
+last bits. Its ``n_samples`` and ``min_samples_leaf`` count rows, so the
+splits are the ones a per-row search would choose. The polynomial is
+fitted on the rows, through one column-major design that each monomial is
+written into.
 
 ``RegressionTree`` and ``BoostedEnsemble`` are plain data, each one node
 set (see :mod:`blocktune._kernels`) with one ``max_depth`` and
@@ -46,9 +48,9 @@ added in monomial order.
 
 Every answer is a function of its own row alone, bit for bit: a lookup, a
 walk or an element-wise sum, never a matrix product, whose rounding
-depends on the batch. So :func:`blocktune.model.block_times` prices each
-distinct block of a GA generation once, and the objective still prices an
-assignment the same alone or in a population.
+depends on the batch. So the objective prices an assignment the same alone
+or in a population, and :func:`blocktune.model.population_pricer`'s count
+table, priced once per search, gives the bits of pricing every block.
 
 The model classes are dataclasses whose fields are the stored model's
 keys, so :func:`blocktune.configio.build_config` reads a stored model and
@@ -173,9 +175,10 @@ def monomial_name(exponents) -> str:
 
 def _monomials(z, exponents):
     """Each monomial's column at standardized rows ``z``, in ``exponents``
-    order. Each power ``z[:, f] ** e`` is computed once, and a monomial
-    multiplies its factors in feature order, as ``np.prod`` over them does,
-    so every column is the same bit for bit."""
+    order. Each power ``z[:, f] ** e`` is computed once, a first power being
+    the column of ``z`` itself, and a monomial multiplies its factors in
+    feature order, as ``np.prod`` over them does, so every column is the
+    same bit for bit."""
     powers = {}
     for exps in exponents:
         col = None
@@ -183,14 +186,18 @@ def _monomials(z, exponents):
             if e:
                 power = powers.get((f, e))
                 if power is None:
-                    power = powers[f, e] = z[:, f] ** e
+                    power = powers[f, e] = z[:, f] if e == 1 else z[:, f] ** e
                 col = power if col is None else col * power
         yield np.ones(z.shape[0]) if col is None else col
 
 
 def _design_matrix(z, exponents):
-    """The (rows, monomials) design at standardized rows ``z``."""
-    return np.column_stack(list(_monomials(z, exponents)))
+    """The (rows, monomials) design at standardized rows ``z``, column-major,
+    each monomial written straight into its column."""
+    design = np.empty((z.shape[0], len(exponents)), order="F")
+    for j, col in enumerate(_monomials(z, exponents)):
+        design[:, j] = col
+    return design
 
 
 @dataclass(eq=False)
@@ -261,8 +268,10 @@ def fit_polynomial(points, targets, degree: int = 2) -> PolynomialModel:
     mean = points.mean(axis=0)
     scale = points.std(axis=0)
     scale[scale == 0] = 1.0
-    z = (points - mean) / scale
+    z = points - mean
+    z /= scale
     design = _design_matrix(z, exponents)
+    del z  # not held while lstsq copies the design
 
     # lstsq(rcond=None) cuts singular values at eps·max(M, N)·σ_max, the
     # tolerance matrix_rank takes by default, so its rank is matrix_rank's.
@@ -353,11 +362,14 @@ class RegressionTree(_NodeSet):
         return self._walk(points)
 
 
-def _groups(points, targets):
+def _groups(points, targets, grouping=None):
     """The distinct rows of ``points``, each row's group, each group's row
     count, its target sum, summed in row order, and the sum of its targets'
-    squared deviations from its mean."""
-    first, inverse, counts = _kernels.group_rows(*points.T)
+    squared deviations from its mean. ``grouping`` is the rows'
+    :func:`_kernels.group_rows`, found here when None."""
+    if grouping is None:
+        grouping = _kernels.group_rows(*points.T)
+    first, inverse, counts = grouping
     sums = np.bincount(inverse, weights=targets, minlength=counts.size)
     spread = targets - (sums / counts)[inverse]
     return (points[first], inverse, counts, sums,
@@ -413,8 +425,8 @@ def _node_arrays(levels):
     return [np.concatenate(a) for a in zip(*levels)] if levels else [np.empty(0)] * 5
 
 
-def fit_tree(points, targets, max_depth: int = 6,
-             min_samples_leaf: int = 5) -> RegressionTree:
+def fit_tree(points, targets, max_depth: int = 6, min_samples_leaf: int = 5,
+             grouping=None) -> RegressionTree:
     """Grow a regression tree on ``targets`` at ``points`` (n, 3) greedily,
     a level at a time, stopping on depth, leaf size, or zero gain.
 
@@ -424,13 +436,14 @@ def fit_tree(points, targets, max_depth: int = 6,
     :func:`_kernels.split_plan`. ``n_samples`` and ``min_samples_leaf``
     count rows, so the tree splits as one grown over every row would; a
     node's ``value`` is its groups' target sums, summed in group order,
-    over its row count.
+    over its row count. A caller that has grouped the rows already passes
+    their ``group_rows`` as ``grouping``.
     """
     points = np.asarray(points, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if points.shape[0] == 0:
         raise FitError("cannot fit a tree on an empty sample set")
-    unique, _, counts, sums, spread = _groups(points, targets)
+    unique, _, counts, sums, spread = _groups(points, targets, grouping)
     plan = _kernels.split_plan(unique, counts, min_samples_leaf)
     levels = []
     _grow_tree(plan, unique, counts, sums, spread, max_depth, levels)
@@ -459,7 +472,8 @@ class BoostedEnsemble(_NodeSet):
 
 
 def fit_boosted(points, targets, rounds: int = 100, learning_rate: float = 0.1,
-                tree_depth: int = 3, min_samples_leaf: int = 1) -> BoostedEnsemble:
+                tree_depth: int = 3, min_samples_leaf: int = 1,
+                grouping=None) -> BoostedEnsemble:
     """Boost regression trees on ``targets`` at ``points`` (n, 3) against
     squared error.
 
@@ -474,7 +488,7 @@ def fit_boosted(points, targets, rounds: int = 100, learning_rate: float = 0.1,
     changes, plus the squared sum over the row count. The row residuals
     take each round's step from the leaf their distinct row reached,
     without a walk, in place, and ``train_mse`` is their mean square,
-    squared into one reused buffer.
+    squared into one reused buffer. ``grouping`` is as for :func:`fit_tree`.
     """
     if not 0 < learning_rate <= 1:
         raise FitError(f"learning_rate must be in (0, 1], got {learning_rate}")
@@ -485,7 +499,7 @@ def fit_boosted(points, targets, rounds: int = 100, learning_rate: float = 0.1,
 
     base = float(targets.mean())
     residuals = targets - base
-    unique, inverse, counts, sums, spread = _groups(points, residuals)
+    unique, inverse, counts, sums, spread = _groups(points, residuals, grouping)
     plan = _kernels.split_plan(unique, counts, min_samples_leaf)
     squares = residuals * residuals
     train_mse = [float(squares.mean())]
@@ -628,12 +642,16 @@ def fit_predictor(data, config: SurrogateConfig = SurrogateConfig()
     and holdout MSE per target; otherwise everything trains on the full set.
     The training envelope, ``feature_ranges``, spans the train rows. The
     MSEs come from what the predictor answers, its cell tables included.
+
+    The models fit on one contiguous copy of each train column, the dataset's
+    own rows without a holdout, and the train rows are grouped once
+    (:func:`_kernels.group_rows`) for both tree fits and the train MSEs.
     """
     if len(data) == 0:
         raise FitError("cannot fit a predictor on an empty dataset")
     data = np.asarray(data, dtype=np.float64)
     points = np.ascontiguousarray(data[:, :3])
-    vt, ct, lat = (data[:, col].copy() for col in (3, 4, 5))
+    targets = [np.ascontiguousarray(data[:, col]) for col in (3, 4, 5)]
 
     n = points.shape[0]
     if config.holdout_fraction > 0 and n >= 10:
@@ -641,39 +659,41 @@ def fit_predictor(data, config: SurrogateConfig = SurrogateConfig()
         order = rng.permutation(n)
         n_hold = max(1, int(round(config.holdout_fraction * n)))
         hold, train = order[:n_hold], order[n_hold:]
+        hold_points, hold_targets = points[hold], [t[hold] for t in targets]
+        points, targets = points[train], [t[train] for t in targets]
     else:
-        train = np.arange(n)
         hold = np.empty(0, dtype=np.int64)
+    vt, ct, lat = targets
 
-    tp = points[train]
-    groups = _kernels.group_rows(*tp.T)
-    vt_model = fit_boosted(tp, vt[train], rounds=config.boost_rounds,
+    grouping = _kernels.group_rows(*points.T)
+    vt_model = fit_boosted(points, vt, rounds=config.boost_rounds,
                            learning_rate=config.boost_learning_rate,
                            tree_depth=config.boost_tree_depth,
-                           min_samples_leaf=config.boost_min_samples_leaf)
-    ct_model = fit_polynomial(tp, ct[train], degree=config.poly_degree)
-    latency_model = fit_tree(tp, lat[train], max_depth=config.tree_max_depth,
-                             min_samples_leaf=config.tree_min_samples_leaf)
+                           min_samples_leaf=config.boost_min_samples_leaf,
+                           grouping=grouping)
+    ct_model = fit_polynomial(points, ct, degree=config.poly_degree)
+    latency_model = fit_tree(points, lat, max_depth=config.tree_max_depth,
+                             min_samples_leaf=config.tree_min_samples_leaf,
+                             grouping=grouping)
 
-    ranges = tuple(zip(tp.min(axis=0).tolist(), tp.max(axis=0).tolist()))
+    ranges = tuple(zip(points.min(axis=0).tolist(), points.max(axis=0).tolist()))
     predictor = PerformancePredictor(vt_model, ct_model, latency_model, ranges)
 
-    def _mse(predict, idx, target):
-        if idx.size == 0:
-            return None
-        # a train row's price is its distinct row's, priced once
-        prices = predict(tp[groups[0]])[groups[1]] if idx is train else predict(points[idx])
-        return float(np.mean((prices - target[idx]) ** 2))
+    keys = ("vt", "ct", "latency")
+    answers = (predictor._vt, ct_model.predict, predictor._latency)
 
+    def _mses(rows, targets, gather=slice(None)):
+        return {key: float(np.mean((predict(rows)[gather] - target) ** 2))
+                for key, predict, target in zip(keys, answers, targets)}
+
+    first, inverse, _ = grouping
     predictor.fit_report = FitReport(
         n_samples=int(n),
-        n_train=int(train.size),
+        n_train=int(points.shape[0]),
         n_holdout=int(hold.size),
-        train_mse={"vt": _mse(predictor._vt, train, vt),
-                   "ct": _mse(ct_model.predict, train, ct),
-                   "latency": _mse(predictor._latency, train, lat)},
-        holdout_mse={"vt": _mse(predictor._vt, hold, vt),
-                     "ct": _mse(ct_model.predict, hold, ct),
-                     "latency": _mse(predictor._latency, hold, lat)},
+        # a train row's price is its distinct row's, priced once
+        train_mse=_mses(points[first], targets, inverse),
+        holdout_mse=(_mses(hold_points, hold_targets) if hold.size
+                     else dict.fromkeys(keys)),
     )
     return predictor

@@ -1,6 +1,8 @@
 """Genetic search: feasibility under all operators, determinism, and
 near-optimality against exhaustive enumeration."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,12 @@ def feasible(inst, block_of):
     return validate_assignment(inst, AssignmentMatrix(block_of, inst.nb)).ok
 
 
+def run_population():
+    """A copy of the population ``ga.run`` is pricing, read from its frame by
+    a wrapper of ``ga._population_fitness``, which is not passed the rows."""
+    return sys._getframe(2).f_locals["matrix"].copy()
+
+
 class TestInitializePopulation:
     def test_single_transaction(self):
         inst = make_instance([100])
@@ -91,7 +99,7 @@ class TestFitness:
             inst = random_instance(rng)
             pop = population(inst, size=12, seed=2)
             fit, extrapolating, queries = _population_fitness(
-                inst, population_pricer(inst, stub), pop, block_stats(inst, pop))
+                population_pricer(inst, stub), block_stats(inst, pop))
             for row, value in zip(pop, fit):
                 assert value == total_processing_time(
                     inst, AssignmentMatrix(row, inst.nb), stub)
@@ -102,15 +110,15 @@ class TestFitness:
     @settings(max_examples=150, deadline=None)
     @given(case=feasible_populations(), fitted=st.booleans())
     def test_query_counts_count_every_block(self, fitted_predictor, case, fitted):
-        """A distinct block is priced once, but the query counts are those
-        of pricing every non-empty block of every member alone: one query
-        per block and node, each flagged by its own rows."""
+        """Priced from a count table or block by block, the query counts
+        are those of pricing every non-empty block of every member alone:
+        one query per block and node, each flagged by its own rows."""
         inst, pop = case
         predictor = fitted_predictor if fitted else StubPredictor(
             lambda c, b, w: 0.01 + 0.003 * c, lambda c, b, w: b / w,
             feature_ranges=[[1, 5], [0, 1e9], [0, np.inf]])
         _, extrapolating, queries = _population_fitness(
-            inst, population_pricer(inst, predictor), pop, block_stats(inst, pop))
+            population_pricer(inst, predictor), block_stats(inst, pop))
         want_queries = want_extrapolating = 0
         counts, byte_sums = block_stats(inst, pop)
         for i, j in zip(*np.nonzero(counts)):
@@ -363,9 +371,9 @@ class TestRun:
         priced = []
         price = ga._population_fitness
 
-        def recording(inst, predictor, matrix, *stats):
-            result = price(inst, predictor, matrix, *stats)
-            priced.append((matrix.copy(), result[0]))
+        def recording(*args):
+            result = price(*args)
+            priced.append((run_population(), result[0]))
             return result
 
         monkeypatch.setattr(ga, "_population_fitness", recording)
@@ -389,9 +397,9 @@ class TestRun:
         priced, repaired = [], []
         price, kernel = ga._population_fitness, _kernels.repair_assignment
 
-        def recording(inst, predictor, matrix, stats):
-            priced.append((matrix.copy(), stats.copy()))
-            return price(inst, predictor, matrix, stats)
+        def recording(pricer, stats):
+            priced.append((run_population(), stats.copy()))
+            return price(pricer, stats)
 
         def repair(*args):
             repaired.append(kernel(*args))

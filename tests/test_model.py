@@ -194,7 +194,7 @@ def stats(inst, block_of, j):
 
 def block_time(inst, block_of, j, predictor):
     """Processing time of block ``j`` of one assignment."""
-    times, _, _ = block_times(inst, *block_stats(inst, np.array([block_of])), predictor)
+    times, _ = block_times(inst, *block_stats(inst, np.array([block_of])), predictor)
     return float(times[0, j])
 
 
@@ -242,18 +242,18 @@ class TestBlockProcessingTime:
 @settings(max_examples=150, deadline=None)
 @given(case=feasible_populations(), fitted=st.booleans())
 def test_population_prices_each_row_alone(fitted_predictor, case, fitted):
-    """A matrix prices each distinct block once, yet every member's block
+    """A matrix prices its blocks in one batch, yet every member's block
     times and total are bit for bit those of the member priced alone, and
     each block's time is the slowest node of its own rows priced alone."""
     inst, pop = case
     predictor = fitted_predictor if fitted else affine_stub()
     counts, byte_sums = block_stats(inst, pop)
-    times, rows, weights = block_times(inst, counts, byte_sums, predictor)
-    totals, _, _ = processing_times(inst, counts, byte_sums, predictor)
+    times, rows = block_times(inst, counts, byte_sums, predictor)
+    totals, _ = processing_times(inst, counts, byte_sums, predictor)
     for i, member in enumerate(pop):
         alone = block_stats(inst, member[None, :])
-        alone_times, _, _ = block_times(inst, *alone, predictor)
-        alone_total, _, _ = processing_times(inst, *alone, predictor)
+        alone_times, _ = block_times(inst, *alone, predictor)
+        alone_total, _ = processing_times(inst, *alone, predictor)
         assert np.array_equal(times[i], alone_times[0])
         assert totals[i] == alone_total[0]
 
@@ -262,12 +262,11 @@ def test_population_prices_each_row_alone(fitted_predictor, case, fitted):
         own = block_rows(inst, counts[0, j], byte_sums[0, j])
         assert times[0, j] == (predictor.predict_f_batch(own)
                                + predictor.predict_g_batch(own)).max()
-    # one row per distinct (count, bytes) pair and node, weighted by blocks
-    pairs = np.unique(np.column_stack([counts.ravel(), byte_sums.ravel()])[
-        counts.ravel() > 0], axis=0)
-    assert rows.shape == (pairs.shape[0] * inst.m, 3)
-    assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
-    assert weights.sum() == np.count_nonzero(counts) * inst.m
+    # one row per non-empty block and node, in block order, then node order
+    i, j = np.nonzero(counts)
+    np.testing.assert_array_equal(
+        rows, np.concatenate([block_rows(inst, counts[i_, j_], byte_sums[i_, j_])
+                              for i_, j_ in zip(i, j)]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -288,10 +287,10 @@ def test_one_size_table_prices_as_processing_times(fitted_predictor, seed, fitte
     stats = np.empty((2, int(rng.integers(1, 13)), inst.nb), dtype=np.int64)
     pop = initialize_population(inst, stats.shape[1], rng, stats, inst.common_size)
     fit, extrapolating, queries = population_pricer(inst, predictor)(*stats)
-    want, rows, weights = processing_times(inst, *stats, predictor)
+    want, rows = processing_times(inst, *stats, predictor)
     assert np.array_equal(fit, want)
-    assert extrapolating == weights[predictor.extrapolation_mask(rows)].sum()
-    assert queries == weights.sum() == np.count_nonzero(stats[0]) * inst.m
+    assert extrapolating == predictor.extrapolation_mask(rows).sum()
+    assert queries == rows.shape[0] == np.count_nonzero(stats[0]) * inst.m
     np.testing.assert_array_equal(stats, block_stats(inst, pop))
 
 

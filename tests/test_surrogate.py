@@ -654,6 +654,24 @@ def assert_values_are_group_sums(tree, points, targets, sums):
 
 
 class TestGroupedFit:
+    @pytest.mark.parametrize("holdout", [0.0, 0.2])
+    def test_views_fit_as_their_contiguous_copy(self, grid_data, holdout):
+        """A dataset given as a strided or column-major view of other memory
+        stores the models, envelope and report its contiguous copy stores,
+        bit for bit, with or without a holdout, and the fit writes nothing
+        into the caller's array."""
+        config = SurrogateConfig(boost_rounds=10, holdout_fraction=holdout)
+        want = json.dumps(to_json(fit_predictor(grid_data.copy(), config)))
+        wide = np.zeros((2 * grid_data.shape[0], 8))
+        wide[::2, 1:7] = grid_data
+        for view in (wide[::2, 1:7], np.asfortranarray(grid_data)):
+            assert not view.flags.c_contiguous
+            before = view.copy()
+            assert json.dumps(to_json(fit_predictor(view, config))) == want
+            assert np.array_equal(view, before)
+            assert json.dumps(to_json(fit_predictor(np.ascontiguousarray(view),
+                                                    config))) == want
+
     def test_node_values_are_group_sums(self, grid_data, grid_predictor):
         """The latency tree's distinct rows carry their targets' row-order
         sums. A boosting round's carry the residual sums: the round-0

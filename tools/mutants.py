@@ -115,9 +115,8 @@ MUTANTS = (
            ("tests/test_simulator.py::TestGenerateTrainingDataset::"
             "test_transaction_above_byte_cap_rejected",)),
     Mutant("grid-skips-service-check", "src/blocktune/simulator.py",
-           "    _finite_times(service)\n"
-           "    return np.column_stack((count, nbytes, bw, vt, ct, service))\n",
-           "    return np.column_stack((count, nbytes, bw, vt, ct, service))\n",
+           "    _finite_times(service)\n    data = np.empty((count.size, 6))\n",
+           "    data = np.empty((count.size, 6))\n",
            ("tests/test_simulator.py::test_training_grid_equals_per_cell_loop",
             "tests/test_simulator.py::TestGenerateTrainingDataset::"
             "test_overflowing_cost_rejected")),
@@ -156,9 +155,9 @@ MUTANTS = (
            "bound = cum[:-1] + max_bytes",
            ("tests/test_cli.py::test_byte_sums_near_the_int64_limit",)),
     Mutant("envelope-from-all-rows", "src/blocktune/surrogate.py",
-           "ranges = tuple(zip(tp.min(axis=0).tolist(), tp.max(axis=0).tolist()))",
-           "ranges = tuple(zip(points.min(axis=0).tolist(), "
-           "points.max(axis=0).tolist()))",
+           "ranges = tuple(zip(points.min(axis=0).tolist(), points.max(axis=0).tolist()))",
+           "ranges = tuple(zip(data[:, :3].min(axis=0).tolist(), "
+           "data[:, :3].max(axis=0).tolist()))",
            ("tests/test_surrogate.py::TestPredictor::test_envelope_spans_the_train_rows",)),
     # The split plan and the level-at-a-time split search.
     Mutant("plan-prunes-on-cuts-alone", "src/blocktune/_kernels.py",
@@ -231,10 +230,22 @@ MUTANTS = (
            "reshape(top, instance.m).sum(axis=1)", "reshape(top, instance.m).any(axis=1)",
            ("tests/test_model.py::test_one_size_table_prices_as_processing_times",
             "tests/test_ga.py::TestRun::test_one_size_run_equals_the_general_path")),
+    # Every non-empty block priced directly, on its slowest node.
+    Mutant("block-times-prices-node-zero", "src/blocktune/model.py",
+           "    times[nonempty] = per_node.max(axis=1)\n",
+           "    times[nonempty] = per_node[:, 0]\n",
+           ("tests/test_model.py::test_population_prices_each_row_alone",)),
     Mutant("byte-total-bound-past-float-exact", "src/blocktune/model.py",
            "if total >= 2**53:", "if total >= 2**63:",
            ("tests/test_model.py::TestInstanceConstruction::"
             "test_rejects_byte_totals_float_sums_round",)),
+    # The polynomial design, filled in place column by column.
+    Mutant("design-column-left-unfilled", "src/blocktune/surrogate.py",
+           "        design[:, j] = col\n",
+           "        if j != 1:\n            design[:, j] = col\n",
+           ("tests/test_surrogate.py::TestPolynomial::test_noiseless_recall_relative",
+            "tests/test_surrogate.py::TestPolynomial::"
+            "test_design_matrix_equals_product_of_powers")),
     # The per-block record array.
     Mutant("cut-reasons-from-wrong-column", "src/blocktune/simulator.py",
            "reasons = self.per_block_records.cut_reason",
